@@ -1199,7 +1199,9 @@ let service () =
       in
       let cache = Service.Cache.create () in
       let one () =
-        match Service.Batch.run ~cache [ request ] with
+        match
+          Service.Batch.run_view ~view:(Service.Cache.view cache) [ request ]
+        with
         | [ r ] -> r
         | _ -> assert false
       in
@@ -1545,7 +1547,8 @@ let traffic () =
         (fun r ->
           let fp = Service.Request.fingerprint r in
           if not (Hashtbl.mem entries fp) then begin
-            ignore (Service.Batch.run ~cache:base [ r ]);
+            ignore
+              (Service.Batch.run_view ~view:(Service.Cache.view base) [ r ]);
             match Service.Cache.find base fp with
             | Some e -> Hashtbl.add entries fp e
             | None -> assert false

@@ -996,7 +996,8 @@ let batch_cmd =
     in
     let responses =
       with_optional_pool parallel (fun pool ->
-          Service.Batch.run ?pool ~fibers:(not no_fibers) ~cache requests)
+          Service.Batch.run_view ?pool ~fibers:(not no_fibers)
+            ~view:(Service.Cache.view cache) requests)
     in
     List.iter (fun r -> print_string (Service.Batch.render r)) responses;
     let hits =

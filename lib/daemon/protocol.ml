@@ -17,11 +17,6 @@ type parsed =
   | Command of command
   | Malformed of { id : string option; reason : string }
 
-let split_words line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun w -> w <> "")
-
 let max_id_length = 64
 
 let id_char c =
@@ -45,7 +40,7 @@ let parse ~load_graph ?default_spes ?default_strategy lineno line =
     | Some i -> String.sub line 0 i
     | None -> line
   in
-  match split_words stripped with
+  match Streaming.Serialize.split_words stripped with
   | [] -> Nothing
   | [ "METRICS" ] -> Command Metrics
   | [ "PING" ] -> Command Ping

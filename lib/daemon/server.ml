@@ -168,11 +168,13 @@ type job = {
   deadline : float;  (* absolute seconds; [infinity] when none *)
   trace : Obs.Span.collector;  (* this request's private span buffer *)
   span : Obs.Span.ctx;  (* position under the request root span *)
+  (* The request's canonical key, computed once at receipt and reused by
+     every probe and by the store of its solve. *)
+  key : Request.key;
   mutable promise : unit Par.Pool.promise option;
-  (* fiber mode: reply-sequencing slot (pop order) and the request
-     fingerprint, both stamped at dispatch; -1 / "" beforehand *)
+  (* fiber mode: reply-sequencing slot (pop order), stamped at dispatch;
+     -1 beforehand *)
   mutable slot : int;
-  mutable fp : string;
 }
 
 type done_item = { job : job; outcome : outcome }
@@ -537,8 +539,8 @@ let finish_job t { job; outcome } =
          them (store:false), so the deterministic cache stays a pure
          function of the completed-solve history. *)
       let response =
-        Batch.solved_response_view ~store:(not partial) ~view:t.view
-          job.request (assignment, period)
+        Batch.solved_response_view ~store:(not partial) ~key:job.key
+          ~view:t.view job.request (assignment, period)
       in
       if partial then begin
         t.partials <- t.partials + 1;
@@ -578,7 +580,7 @@ let dispatch t =
              lands, instead of burning a second solve. *)
           match
             stage_span job.span h_stage_cache "cache@dispatch" (fun () ->
-                Batch.try_cache_view ~view:t.view job.request)
+                Batch.try_cache_view ~key:job.key ~view:t.view job.request)
           with
           | Some response ->
               Admission.finish t.admission;
@@ -618,23 +620,24 @@ let fiber_pool t =
 let finish_fiber t ({ job; outcome } as item) =
   (match outcome with
   | Finished _ | Crashed _ ->
-      if job.fp <> "" then Hashtbl.remove t.inflight_fps job.fp
+      Hashtbl.remove t.inflight_fps job.key.Request.fingerprint
   | Hit _ -> ());
   finish_job t item
 
 let spawn_solve t (job : job) =
-  Hashtbl.replace t.inflight_fps job.fp ();
+  Hashtbl.replace t.inflight_fps job.key.Request.fingerprint ();
   ignore (Par.Fiber.spawn ~pool:(fiber_pool t) (fun () -> run_job t job))
 
 (* Probe-or-spawn for a job already holding a slot; shared between
    first dispatch and deferred retries so both produce the exact bytes
    the sequential cache@dispatch path would. *)
 let classify_dispatch t (job : job) =
-  if Hashtbl.mem t.inflight_fps job.fp then Queue.push job t.deferred
+  if Hashtbl.mem t.inflight_fps job.key.Request.fingerprint then
+    Queue.push job t.deferred
   else
     match
       stage_span job.span h_stage_cache "cache@dispatch" (fun () ->
-          Batch.try_cache_view ~view:t.view job.request)
+          Batch.try_cache_view ~key:job.key ~view:t.view job.request)
     with
     | Some response -> Hashtbl.replace t.ready job.slot { job; outcome = Hit response }
     | None -> spawn_solve t job
@@ -676,7 +679,6 @@ let dispatch_fibers t =
       | Some job ->
           job.slot <- t.next_slot;
           t.next_slot <- t.next_slot + 1;
-          job.fp <- Request.fingerprint job.request;
           Obs.Span.record job.span ~t_start:job.received "queue";
           if Obs.Metrics.enabled () then
             Obs.Metrics.Histogram.observe h_stage_queue
@@ -743,10 +745,12 @@ let handle_line t ~out line =
       (* The warm-cache hit path never queues: it is answered inline,
          bypassing admission control entirely, so an overloaded daemon
          keeps serving everything it already knows. *)
-      match
+      let key, hit =
         stage_span span h_stage_cache "cache" (fun () ->
-            Batch.try_cache_view ~view:t.view request)
-      with
+            let key = Request.key request in
+            (key, Batch.try_cache_view ~key ~view:t.view request))
+      in
+      match hit with
       | Some response ->
           t.accepted <- t.accepted + 1;
           t.hits <- t.hits + 1;
@@ -761,9 +765,9 @@ let handle_line t ~out line =
               deadline = infinity;
               trace;
               span;
+              key;
               promise = None;
               slot = -1;
-              fp = "";
             }
             ~partial:false response
       | None ->
@@ -781,9 +785,9 @@ let handle_line t ~out line =
               deadline;
               trace;
               span;
+              key;
               promise = None;
               slot = -1;
-              fp = "";
             }
           in
           if Admission.admit t.admission ~prio:request.Request.prio job then begin

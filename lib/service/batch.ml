@@ -111,18 +111,21 @@ let validate (r : Request.t) (entry : Cache.entry) assignment =
   Int64.bits_of_float p = Int64.bits_of_float entry.Cache.period
   || Float.abs (p -. entry.Cache.period) <= 1e-9 *. Float.abs entry.Cache.period
 
-(* One cache probe on precomputed key material; shared between the
-   batch classifier and the daemon's hit path so both answer a given
-   request bitwise alike. Every cache touch goes through a
+(* One cache probe. The daemon and [run_view] pass the request's
+   precomputed key, so a request is canonicalised once however many
+   probes and stores it goes through. Every cache touch goes through a
    {!Cache.view}, so the same code serves one plain cache or a
    fingerprint-sharded map ({!Shard.view}) — the reply bytes depend
    only on what the probe returns, which is why sharded and single
    caches answer identically. *)
-let try_cache_keyed ~(view : Cache.view) (r : Request.t) ~fp ~ord =
+let key_of ?key r = match key with Some k -> k | None -> Request.key r
+
+let try_cache_view ?key ~(view : Cache.view) (r : Request.t) =
+  let { Request.fingerprint = fp; order } = key_of ?key r in
   match view.Cache.probe fp with
   | None -> None
   | Some entry -> (
-      match transport entry ord with
+      match transport entry order with
       | Some assignment when validate r entry assignment ->
           Some
             {
@@ -139,17 +142,12 @@ let try_cache_keyed ~(view : Cache.view) (r : Request.t) ~fp ~ord =
           if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_rejects;
           None)
 
-let try_cache_view ~view r =
-  try_cache_keyed ~view r ~fp:(Request.fingerprint r)
-    ~ord:(Streaming.Canonical.order r.Request.graph)
-
-let try_cache ~cache r = try_cache_view ~view:(Cache.view cache) r
-
-let solved_keyed ~store ~(view : Cache.view) (r : Request.t) ~fp ~ord
-    (assignment, period) =
+let solved_response_view ?(store = true) ?key ~(view : Cache.view)
+    (r : Request.t) (assignment, period) =
+  let { Request.fingerprint = fp; order } = key_of ?key r in
   let feasible, throughput, bottleneck = summary r assignment period in
   if store then begin
-    let canonical = Array.map (fun id -> assignment.(id)) ord in
+    let canonical = Array.map (fun id -> assignment.(id)) order in
     view.Cache.insert
       {
         Cache.fingerprint = fp;
@@ -172,27 +170,16 @@ let solved_keyed ~store ~(view : Cache.view) (r : Request.t) ~fp ~ord
     bottleneck;
   }
 
-let solved_response_view ?(store = true) ~view r result =
-  solved_keyed ~store ~view r
-    ~fp:(Request.fingerprint r)
-    ~ord:(Streaming.Canonical.order r.Request.graph)
-    result
-
-let solved_response ?store ~cache r result =
-  solved_response_view ?store ~view:(Cache.view cache) r result
-
 let run_view ?(span = Obs.Span.null) ?pool ?(fibers = true) ~view requests =
   Obs.Span.with_span span "batch" @@ fun span ->
   let t0 = Unix.gettimeofday () in
   let requests = Array.of_list requests in
   let n = Array.length requests in
-  let fps = Array.map Request.fingerprint requests in
-  let ords =
-    Array.map (fun r -> Streaming.Canonical.order r.Request.graph) requests
-  in
+  let keys = Array.map Request.key requests in
+  let fps = Array.map (fun k -> k.Request.fingerprint) keys in
   let responses : response option array = Array.make n None in
   let try_hit i =
-    match try_cache_keyed ~view requests.(i) ~fp:fps.(i) ~ord:ords.(i) with
+    match try_cache_view ~key:keys.(i) ~view requests.(i) with
     | Some r ->
         responses.(i) <- Some r;
         true
@@ -212,7 +199,7 @@ let run_view ?(span = Obs.Span.null) ?pool ?(fibers = true) ~view requests =
   let record_solved (i, assignment, period) =
     responses.(i) <-
       Some
-        (solved_keyed ~store:true ~view requests.(i) ~fp:fps.(i) ~ord:ords.(i)
+        (solved_response_view ~key:keys.(i) ~view requests.(i)
            (assignment, period))
   in
   (* Miss spans are named by the request fingerprint, so the merged
@@ -268,9 +255,6 @@ let run_view ?(span = Obs.Span.null) ?pool ?(fibers = true) ~view requests =
   |> List.map (function
        | Some r -> r
        | None -> assert false (* every index is classified above *))
-
-let run ?span ?pool ?fibers ~cache requests =
-  run_view ?span ?pool ?fibers ~view:(Cache.view cache) requests
 
 let render r =
   let buf = Buffer.create 256 in

@@ -1,7 +1,8 @@
 (** Batched mapping front end: answer a stream of {!Request}s from the
     {!Cache}, solving only the distinct misses.
 
-    {b Pipeline.} Requests are fingerprinted and classified in order:
+    {b Pipeline.} Each request's {!Request.key} is computed once, and
+    requests are classified in order:
     cache hits are answered by {e transporting} the stored canonical
     assignment onto the request graph through its own canonical order;
     duplicate fingerprints within the batch defer to the first
@@ -16,14 +17,16 @@
     list): byte-identical between a sequential per-request loop and
     pooled batches of any size.
 
-    {b Hit validation.} Canonical fingerprints are invariant under
-    relabeling but only probabilistically distinct, and colour
-    refinement can leave interchangeable-looking tasks that are not.
-    Every transported assignment is therefore validated on the request
-    graph (arity, PE range, and steady-state period within 1 ulp-scale
-    relative tolerance of the cached period); a failed validation
-    bumps [svc_transport_rejects_total] and falls back to a fresh
-    solve — a fingerprint collision can cost time, never correctness.
+    {b Hit validation.} A fingerprint match does not prove the graphs
+    isomorphic (a 64-bit hash can collide), and tasks that colour
+    refinement leaves tied are placed by input order. Every transported
+    assignment is therefore validated on the request graph (arity, PE
+    range, and steady-state period within 1 ulp-scale relative
+    tolerance of the cached period); a failed validation bumps
+    [svc_transport_rejects_total] and falls back to a fresh solve. Ties
+    can also make a relabelled copy key differently, so it misses and
+    is solved under its own key ({!Streaming.Canonical}): refinement's
+    limits cost time, never correctness.
 
     Observability ([svc_*] families, default-off like every other
     layer): requests/hits/misses/transport-rejects counters and a batch
@@ -60,30 +63,32 @@ val solve_request :
     underlying solver, which then returns its best incumbent so far —
     always a feasible mapping — instead of running to completion. *)
 
-val try_cache_view : view:Cache.view -> Request.t -> response option
-(** The pure hit path: fingerprint, transport, validate. [Some] is a
-    [Hit] response bitwise identical to what {!run} would return for a
-    singleton batch hitting the same entry; [None] is a miss (a failed
-    transport validation bumps [svc_transport_rejects_total], exactly as
-    in {!run}). Never solves. Every cache touch goes through the
-    [view], so a plain {!Cache.t} and a {!Shard.t} serve requests
-    through identical code — the basis of the sharded-vs-single
-    bitwise-identity guarantee. *)
-
-val try_cache : cache:Cache.t -> Request.t -> response option
-(** [try_cache_view] over {!Cache.view}[ cache]. *)
+val try_cache_view :
+  ?key:Request.key -> view:Cache.view -> Request.t -> response option
+(** The pure hit path: probe, transport, validate. [key] is the
+    request's {!Request.key} when the caller already has it (computed
+    here otherwise). [Some] is a [Hit] response bitwise identical to
+    what {!run_view} would return for a singleton batch hitting the same
+    entry; [None] is a miss (a failed transport validation bumps
+    [svc_transport_rejects_total], exactly as in {!run_view}). Never
+    solves. Every cache touch goes through the [view], so a plain
+    {!Cache.t} ({!Cache.view}) and a {!Shard.t} serve requests through
+    identical code — the basis of the sharded-vs-single bitwise-identity
+    guarantee. *)
 
 val solved_response_view :
-  ?store:bool -> view:Cache.view -> Request.t -> int array * float -> response
+  ?store:bool ->
+  ?key:Request.key ->
+  view:Cache.view ->
+  Request.t ->
+  int array * float ->
+  response
 (** Wrap a {!solve_request} result into a [Solved] response, computing
-    the summary (feasibility, throughput, bottleneck). [store] (default
-    [true]) also records the entry through the view; the daemon passes
-    [store:false] for deadline-cancelled partial results so a timing-
-    dependent incumbent can never poison the deterministic cache. *)
-
-val solved_response :
-  ?store:bool -> cache:Cache.t -> Request.t -> int array * float -> response
-(** [solved_response_view] over {!Cache.view}[ cache]. *)
+    the summary (feasibility, throughput, bottleneck). [key] as in
+    {!try_cache_view}. [store] (default [true]) also records the entry
+    through the view; the daemon passes [store:false] for deadline-
+    cancelled partial results so a timing-dependent incumbent can never
+    poison the deterministic cache. *)
 
 val run_view :
   ?span:Obs.Span.ctx ->
@@ -107,15 +112,6 @@ val run_view :
     12 hex digits of the request fingerprint, so the merged stream is
     independent of which pool worker ran which solve), each containing
     the underlying solver's flight-recorder spans. *)
-
-val run :
-  ?span:Obs.Span.ctx ->
-  ?pool:Par.Pool.t ->
-  ?fibers:bool ->
-  cache:Cache.t ->
-  Request.t list ->
-  response list
-(** [run_view] over {!Cache.view}[ cache]. *)
 
 val render : response -> string
 (** Deterministic multi-line text block (the CLI output format; the

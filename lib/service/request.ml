@@ -47,22 +47,27 @@ let strategy_hash = function
   | Bb { rel_gap; max_nodes } ->
       Fnv.(add_int (add_float (add_int empty 2) rel_gap) max_nodes)
 
-let fingerprint r =
-  let gfp = Streaming.Canonical.fingerprint r.graph in
+type key = { fingerprint : string; order : int array }
+
+let m_keys =
+  Obs.Metrics.counter
+    ~help:"Requests canonicalised (one per request on every serving path)"
+    "svc_canonical_keys_total"
+
+let key r =
+  if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_keys;
+  let order, gfp = Streaming.Canonical.key r.graph in
   let meta =
     let open Fnv in
     let h = add_value empty gfp in
     let h = add_value h (platform_hash r.platform) in
     add_value h (strategy_hash r.strategy)
   in
-  Fnv.to_hex gfp ^ Fnv.to_hex meta
+  { fingerprint = Fnv.to_hex gfp ^ Fnv.to_hex meta; order }
+
+let fingerprint r = (key r).fingerprint
 
 (* --- request-file lines -------------------------------------------------- *)
-
-let split_words line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun w -> w <> "")
 
 let parse_line ~load_graph ?(default_spes = 8)
     ?(default_strategy = default_strategy) lineno line =
@@ -74,7 +79,7 @@ let parse_line ~load_graph ?(default_spes = 8)
     | Some i -> String.sub line 0 i
     | None -> line
   in
-  match split_words line with
+  match Streaming.Serialize.split_words line with
   | [] -> None
   | file :: attrs ->
       let spes = ref default_spes in

@@ -3,12 +3,14 @@
     the key domain of the mapping cache ({!Cache}).
 
     Requests are keyed by a {e canonical} fingerprint — 32 hex digits
-    combining {!Streaming.Canonical.fingerprint} of the graph (invariant
-    under task relabeling and edge reordering) with FNV-1a hashes of
-    every platform field and every solver option. Two requests with
-    equal fingerprints describe the same problem up to task relabeling,
-    so a cached solution can be transported between them (subject to the
-    validation described in {!Batch}). *)
+    combining {!Streaming.Canonical.fingerprint} of the graph with
+    FNV-1a hashes of every platform field and every solver option. Equal
+    fingerprints mean the same problem up to task relabelling (or a
+    64-bit collision), so a cached solution can be transported between
+    them, subject to the validation described in {!Batch}. The converse
+    does not always hold: a relabelled graph whose tasks colour
+    refinement leaves tied can key differently and miss the cache (see
+    {!Streaming.Canonical}). *)
 
 type strategy =
   | Portfolio of { seed : int; restarts : int }
@@ -43,9 +45,25 @@ val strategy_to_string : strategy -> string
 (** Stable one-token rendering, e.g.
     ["portfolio:seed=24301,restarts=6"]. *)
 
+type key = {
+  fingerprint : string;
+      (** 32 lower-case hex digits: canonical graph hash, then a hash of
+          (graph hash, platform, strategy). *)
+  order : int array;
+      (** The graph's canonical task order ({!Streaming.Canonical.order}),
+          through which cached assignments are stored and transported. *)
+}
+(** Everything the cache needs to know about a request, from one
+    canonical pass ({!Streaming.Canonical.key}). Compute it once per
+    request and pass it along: the batch front end and the daemon both
+    do, so a request is canonicalised exactly once however many cache
+    probes and stores it goes through. *)
+
+val key : t -> key
+(** Bumps [svc_canonical_keys_total] when metrics are enabled. *)
+
 val fingerprint : t -> string
-(** 32 lower-case hex digits: canonical graph hash, then a hash of
-    (graph hash, platform, strategy). *)
+(** [(key r).fingerprint]. *)
 
 val parse_line :
   load_graph:(string -> Streaming.Graph.t) ->

@@ -2,7 +2,7 @@
 
     Two graphs that differ only by task names, task insertion order or
     edge insertion order describe the same streaming application, and a
-    mapping cache must treat them as one key. This module computes a
+    mapping cache should treat them as one key. This module computes a
     canonical task order by Weisfeiler–Leman-style colour refinement —
     every task starts from a hash of its own cost/memory attributes
     (names excluded) and repeatedly absorbs the sorted multisets of its
@@ -11,17 +11,26 @@
     fingerprint ({!Support.Fnv}, the same scheme as
     [Cellsched.Mapping.fingerprint]).
 
-    Guarantees: the fingerprint is {e invariant} under task
-    relabeling/reordering and edge reordering (every ingredient is a
-    sorted multiset or an attribute hash). Distinctness of
-    non-isomorphic graphs is only probabilistic — a 64-bit hash can
-    collide, and colour refinement cannot separate some highly regular
-    graphs — so consumers that transport cached results across a
-    fingerprint match must validate the result on the target graph
-    (the service layer does; see DESIGN.md §14). Tasks left with equal
-    final colours (exactly identical attributes in symmetric positions)
-    keep their relative input order, which is canonical precisely when
-    such tasks are interchangeable. *)
+    Guarantees and limits:
+    - When refinement gives every task a distinct (colour, in-degree,
+      out-degree) key, the order, text and fingerprint are invariant
+      under task relabelling/reordering and edge reordering.
+    - Tasks left with equal keys keep their relative {e input} order.
+      For automorphic tasks (truly interchangeable) that is harmless;
+      but refinement cannot always tell apart tasks that are not
+      interchangeable — e.g. the audio encoder preset, whose identical
+      subband groups leave ties — and then a relabelled copy can get a
+      different order, text and fingerprint. Such a copy misses the
+      cache and is solved under its own key; it is never answered with
+      a wrong mapping.
+    - Distinctness of non-isomorphic graphs is only probabilistic (a
+      64-bit hash can collide), so consumers that transport cached
+      results across a fingerprint match must validate the result on
+      the target graph (the service layer does; see DESIGN.md §14). *)
+
+val key : Graph.t -> int array * int64
+(** [(order g, fingerprint g)] from a single refinement pass — what
+    the service layer keys a request by. *)
 
 val order : Graph.t -> int array
 (** Task ids in canonical order: element [p] is the id of the task at
@@ -30,8 +39,8 @@ val order : Graph.t -> int array
 val to_string : Graph.t -> string
 (** Canonical text form: the {!Serialize} format with tasks renamed
     [t0 .. tN-1] in canonical order and edges sorted by canonical
-    endpoint positions. Equal strings for relabeled/reordered variants
-    of the same graph. *)
+    endpoint positions. Equal strings for relabelled/reordered variants
+    of the same graph, within the limits above. *)
 
 val fingerprint : Graph.t -> int64
 (** FNV-1a of {!to_string}. *)

@@ -21,5 +21,10 @@ exception Parse_error of int * string
 val to_string : Graph.t -> string
 val of_string : string -> Graph.t
 
+val split_words : string -> string list
+(** The line tokenizer of this format, shared by the request and
+    daemon protocol parsers: split on spaces and tabs, drop empty
+    words. *)
+
 val to_file : Graph.t -> string -> unit
 val of_file : string -> Graph.t

@@ -269,7 +269,9 @@ let test_reply_framing () =
   let r = request () in
   let cache = Cache.create () in
   let response =
-    match Batch.run ~cache [ r ] with [ x ] -> x | _ -> assert false
+    match Batch.run_view ~view:(Cache.view cache) [ r ] with
+    | [ x ] -> x
+    | _ -> assert false
   in
   Alcotest.(check string)
     "ok frame" ("BEGIN j7 ok\n" ^ Batch.render response ^ "END j7\n")
@@ -503,7 +505,7 @@ let test_shutdown_flush_warm_restart () =
         ((reply_of h2 "a").Server.status = `Hit);
       let batch_cache = Cache.load_file cache_path in
       let batch_hit =
-        match Batch.run ~cache:batch_cache [ request () ] with
+        match Batch.run_view ~view:(Cache.view batch_cache) [ request () ] with
         | [ r ] -> r
         | _ -> assert false
       in
@@ -694,6 +696,45 @@ let test_slo_metrics () =
       Alcotest.(check bool) "slack count is 2" true
         (contains "daemon_deadline_slack_ms_count 2" body);
       Server.finish h.server)
+
+(* Each submitted request is canonicalised exactly once on every
+   dispatch path — inline hits, queued misses, duplicates that queue
+   behind their twin and hit at dispatch (or wait deferred in fiber
+   mode), and warm replays. *)
+let test_one_key_per_request () =
+  with_metrics (fun () ->
+      let keys = Obs.Metrics.counter "svc_canonical_keys_total" in
+      let labels = [ "gA"; "gB"; "gA"; "gC"; "gB"; "gA" ] in
+      List.iter
+        (fun (mode, cfg) ->
+          let server = Server.create ~load_graph cfg in
+          let out = Buffer.create 1024 in
+          let before = Obs.Metrics.Counter.value keys in
+          for pass = 1 to 2 do
+            List.iteri
+              (fun i label ->
+                Server.handle_line server ~out:(Buffer.add_string out)
+                  (Printf.sprintf "%s id=k%d.%d" label pass i))
+              labels;
+            Server.drain server
+          done;
+          let n = 2 * List.length labels in
+          Alcotest.(check int) (mode ^ ": one key per request") n
+            (Obs.Metrics.Counter.value keys - before);
+          let replies =
+            List.length
+              (List.filter
+                 (String.starts_with ~prefix:"END k")
+                 (String.split_on_char '\n' (Buffer.contents out)))
+          in
+          Alcotest.(check int) (mode ^ ": every request replied") n replies;
+          Server.finish server)
+        [
+          ("inline", config ());
+          ("pool", config ~concurrency:2 ());
+          ( "fibers",
+            { (config ()) with Server.fibers = true; max_inflight = 4 } );
+        ])
 
 let test_pool_matches_inline () =
   let ids = [ "x1"; "x2"; "x3"; "x4" ] in
@@ -957,6 +998,8 @@ let () =
         ] );
       ( "pool",
         [
+          Alcotest.test_case "one canonical key per request" `Quick
+            test_one_key_per_request;
           Alcotest.test_case "pool replies bitwise equal inline" `Quick
             test_pool_matches_inline;
         ] );

@@ -679,12 +679,12 @@ let spans_deterministic_across_pools =
       let run pool_size =
         let col = Sp.collector () in
         let span = Sp.root col ~trace:"batch" in
-        let cache = Service.Cache.create () in
+        let view = Service.Cache.view (Service.Cache.create ()) in
         (match pool_size with
-        | 1 -> ignore (Service.Batch.run ~span ~cache requests)
+        | 1 -> ignore (Service.Batch.run_view ~span ~view requests)
         | n ->
             Par.Pool.with_pool ~size:n (fun pool ->
-                ignore (Service.Batch.run ~span ~pool ~cache requests)));
+                ignore (Service.Batch.run_view ~span ~pool ~view requests)));
         span_skeleton col
       in
       let seq = run 1 and p2 = run 2 and p4 = run 4 in

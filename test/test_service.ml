@@ -71,6 +71,92 @@ let fingerprint_relabel_invariant =
           (Canon.to_string g) (Canon.to_string g');
       Canon.fingerprint g = Canon.fingerprint g')
 
+(* Oracle: the flat-array refinement in Streaming.Canonical must
+   reproduce the list-based reference (Canonical_ref) bit for bit —
+   order, text and fingerprint — on tie-heavy graphs, special float
+   costs, degenerate shapes and the paper presets, relabelled or not. *)
+let special_floats =
+  [| 0.; -0.; infinity; 4.9e-324; 2.2250738585072009e-308; 1e-310; 0.5; 1024.; max_float |]
+
+let palette_graph rng ~n ~density costs =
+  let pick () = costs.(Support.Rng.int rng (Array.length costs)) in
+  let tasks =
+    Array.init n (fun k ->
+        {
+          T.name = Printf.sprintf "v%d" k;
+          w_ppe = pick ();
+          w_spe = pick ();
+          peek = Support.Rng.int rng 2;
+          stateful = Support.Rng.int rng 2 = 0;
+          read_bytes = pick ();
+          write_bytes = pick ();
+        })
+  in
+  let edges = ref [] in
+  for src = 0 to n - 1 do
+    for dst = src + 1 to n - 1 do
+      if Support.Rng.float rng 1. < density then
+        edges := (src, dst, pick ()) :: !edges
+    done
+  done;
+  G.of_tasks tasks (List.rev !edges)
+
+(* A source fanning out to [k] tied leaves that join into one sink:
+   wide enough for the signature sort's heap path. *)
+let fan_graph rng k =
+  let leaf = T.make ~name:"leaf" ~w_ppe:1. ~w_spe:1. () in
+  let tasks =
+    Array.init (k + 2) (fun i -> { leaf with T.name = Printf.sprintf "f%d" i })
+  in
+  let data () = [| 0.; 8.; 8.; 64. |].(Support.Rng.int rng 4) in
+  let edges =
+    List.concat
+      (List.init k (fun i -> [ (0, i + 1, data ()); (i + 1, k + 1, data ()) ]))
+  in
+  G.of_tasks tasks edges
+
+let presets =
+  [|
+    (fun _ -> Daggen.Presets.figure_2b ());
+    (fun _ -> Daggen.Presets.two_filter_chain ());
+    (fun _ -> Daggen.Presets.audio_encoder ());
+    (fun seed -> Daggen.Presets.random_graph_1 ~seed ());
+    (fun seed -> Daggen.Presets.random_graph_2 ~seed ());
+    (fun seed -> Daggen.Presets.random_graph_3 ~seed ());
+  |]
+
+let oracle_graph seed kind =
+  let rng = Support.Rng.create seed in
+  match kind with
+  | 0 -> random_graph rng (1 + Support.Rng.int rng 30)
+  | 1 -> palette_graph rng ~n:(1 + Support.Rng.int rng 14) ~density:0.35 [| 1.; 2. |]
+  | 2 -> palette_graph rng ~n:(1 + Support.Rng.int rng 10) ~density:0.4 special_floats
+  | 3 -> palette_graph rng ~n:(1 + Support.Rng.int rng 8) ~density:0. [| 0.; -0.; 3. |]
+  | 4 -> fan_graph rng (1 + Support.Rng.int rng 40)
+  | _ -> presets.(seed mod Array.length presets) seed
+
+let canonical_matches_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"canonical order/text/fingerprint = list-based oracle"
+    QCheck.(pair (int_bound 1_000_000) (int_bound 5))
+    (fun (seed, kind) ->
+      let g = oracle_graph seed kind in
+      let g', _ = relabel (Support.Rng.create (seed + 1)) g in
+      List.for_all
+        (fun g ->
+          let ord, fp = Canon.key g in
+          let same what a b =
+            if not (a = b) then
+              QCheck.Test.fail_reportf "%s differs from the oracle" what
+          in
+          same "key order" ord (Canonical_ref.order g);
+          same "key fingerprint" fp (Canonical_ref.fingerprint g);
+          same "order" (Canon.order g) ord;
+          same "fingerprint" (Canon.fingerprint g) fp;
+          same "text" (Canon.to_string g) (Canonical_ref.to_string g);
+          true)
+        [ g; g' ])
+
 let test_fingerprint_distinct () =
   (* 100 random DAGs from distinct seeds: no two fingerprints collide
      (random float costs make accidental isomorphism negligible). *)
@@ -128,6 +214,12 @@ let portfolio_strategy = Req.Portfolio { seed = 1234; restarts = 2 }
 let request ?(label = "g") ?(strategy = portfolio_strategy) platform graph =
   { Req.label; platform; graph; strategy; deadline_ms = None; prio = 0 }
 
+(* One request through the batch front end. *)
+let serve cache r =
+  match Batch.run_view ~view:(Cache.view cache) [ r ] with
+  | [ x ] -> x
+  | _ -> assert false
+
 let hit_equals_fresh_portfolio =
   QCheck.Test.make ~count:40
     ~name:"cache hit bitwise = fresh portfolio solve (same seeds)"
@@ -138,12 +230,8 @@ let hit_equals_fresh_portfolio =
       let platform = P.make ~n_ppe:1 ~n_spe:(2 + Support.Rng.int rng 3) () in
       let req = request platform g in
       let cache = Cache.create () in
-      let miss =
-        match Batch.run ~cache [ req ] with [ r ] -> r | _ -> assert false
-      in
-      let hit =
-        match Batch.run ~cache [ req ] with [ r ] -> r | _ -> assert false
-      in
+      let miss = serve cache req in
+      let hit = serve cache req in
       if miss.Batch.source <> Batch.Solved then
         QCheck.Test.fail_reportf "first run should solve";
       if hit.Batch.source <> Batch.Hit then
@@ -170,10 +258,8 @@ let hit_equals_fresh_bb =
       let platform = P.make ~n_ppe:1 ~n_spe:(2 + Support.Rng.int rng 3) () in
       let req = request ~strategy platform g in
       let cache = Cache.create () in
-      ignore (Batch.run ~cache [ req ]);
-      let hit =
-        match Batch.run ~cache [ req ] with [ r ] -> r | _ -> assert false
-      in
+      ignore (serve cache req);
+      let hit = serve cache req in
       if hit.Batch.source <> Batch.Hit then
         QCheck.Test.fail_reportf "second run should hit";
       let options =
@@ -201,17 +287,9 @@ let relabeled_hit_transports =
       let g = random_graph rng n in
       let platform = P.make ~n_ppe:1 ~n_spe:(2 + Support.Rng.int rng 3) () in
       let cache = Cache.create () in
-      let solved =
-        match Batch.run ~cache [ request platform g ] with
-        | [ r ] -> r
-        | _ -> assert false
-      in
+      let solved = serve cache (request platform g) in
       let g', _ = relabel rng g in
-      let resp =
-        match Batch.run ~cache [ request ~label:"relabeled" platform g' ] with
-        | [ r ] -> r
-        | _ -> assert false
-      in
+      let resp = serve cache (request ~label:"relabeled" platform g') in
       if resp.Batch.source <> Batch.Hit then
         QCheck.Test.fail_reportf "isomorphic request should hit the cache";
       (* The transported mapping is valid on the relabeled graph and
@@ -224,6 +302,42 @@ let relabeled_hit_transports =
           "transported period %.17g vs solved %.17g (tol %.3g)" p
           solved.Batch.period tol;
       true)
+
+(* The documented limit of colour refinement: the audio encoder's
+   identical subband groups stay tied, tied tasks keep input order, so
+   relabelled copies can key differently. Each copy is then solved and
+   cached under its own fingerprint — a lost hit, never a wrong reply:
+   every reply's period is the period of its mapping on its own graph. *)
+let test_refinement_ties_stay_correct () =
+  let g = Daggen.Presets.audio_encoder () in
+  let graphs =
+    g :: List.map (fun s -> fst (relabel (Support.Rng.create s) g)) [ 5; 6; 7 ]
+  in
+  let platform = P.qs22 ~n_spe:4 () in
+  let strategy = Req.Portfolio { seed = 1234; restarts = 1 } in
+  let requests = List.map (fun g -> request ~strategy platform g) graphs in
+  let cache = Cache.create () in
+  let check_reply (r : Batch.response) =
+    let g = r.Batch.request.Req.graph in
+    let m = M.make platform g r.Batch.assignment in
+    let p = SS.period platform (SS.loads platform g m) in
+    if Float.abs (p -. r.Batch.period) > 1e-9 *. Float.abs r.Batch.period then
+      Alcotest.failf "reply period %.17g, mapping period on its graph %.17g"
+        r.Batch.period p
+  in
+  let first = List.map (serve cache) requests in
+  let replay = List.map (serve cache) requests in
+  List.iter check_reply (first @ replay);
+  let fps = List.sort_uniq compare (List.map Req.fingerprint requests) in
+  Alcotest.(check bool) "a relabelled encoder keys differently" true
+    (List.length fps > 1);
+  Alcotest.(check int) "one cache entry per distinct key" (List.length fps)
+    (Cache.length cache);
+  List.iter
+    (fun (r : Batch.response) ->
+      Alcotest.(check bool) "replay hits under its own key" true
+        (r.Batch.source = Batch.Hit))
+    replay
 
 (* ====================================================================== *)
 (* Differential: batched (pools of 1/2/4) vs sequential per-request loop  *)
@@ -262,7 +376,7 @@ let test_differential_batch () =
       and misses0 = counter_value "svc_misses_total" in
       let reference =
         let cache = Cache.create () in
-        List.concat_map (fun r -> Batch.run ~cache [ r ]) requests
+        List.map (serve cache) requests
         |> render_all
       in
       let runs = ref 1 in
@@ -270,7 +384,10 @@ let test_differential_batch () =
         (fun size ->
           Pool.with_pool ~size (fun pool ->
               let cache = Cache.create () in
-              let out = render_all (Batch.run ~pool ~cache requests) in
+              let out =
+                render_all
+                  (Batch.run_view ~pool ~view:(Cache.view cache) requests)
+              in
               incr runs;
               Alcotest.(check string)
                 (Printf.sprintf "pool=%d byte-identical to sequential loop" size)
@@ -521,9 +638,7 @@ let test_transport_reject_falls_back () =
           Cache.canonical_assignment = [| 0 |];
         };
       let rejects0 = counter_value "svc_transport_rejects_total" in
-      let resp =
-        match Batch.run ~cache [ req ] with [ r ] -> r | _ -> assert false
-      in
+      let resp = serve cache req in
       Alcotest.(check bool) "fell back to a solve" true
         (resp.Batch.source = Batch.Solved);
       Alcotest.(check int) "reject counted" 1
@@ -576,6 +691,9 @@ let () =
       ( "fingerprint",
         [
           qt fingerprint_relabel_invariant;
+          qt canonical_matches_oracle;
+          Alcotest.test_case "refinement ties: lost hits, never wrong replies"
+            `Quick test_refinement_ties_stay_correct;
           Alcotest.test_case "100 distinct DAGs, no collision" `Quick
             test_fingerprint_distinct;
           Alcotest.test_case "key sensitivity" `Quick

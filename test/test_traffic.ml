@@ -216,7 +216,7 @@ let test_budget_split () =
 let render_all responses = String.concat "\n" (List.map Batch.render responses)
 
 let serve_reference requests =
-  render_all (Batch.run ~cache:(Cache.create ()) requests)
+  render_all (Batch.run_view ~view:(Cache.view (Cache.create ())) requests)
 
 let serve_sharded ~shards ~pool_size requests =
   let shard = Shard.create ~shards ~max_entries:256 () in

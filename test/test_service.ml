@@ -691,13 +691,13 @@ let () =
       ( "fingerprint",
         [
           qt fingerprint_relabel_invariant;
-          qt canonical_matches_oracle;
-          Alcotest.test_case "refinement ties: lost hits, never wrong replies"
-            `Quick test_refinement_ties_stay_correct;
           Alcotest.test_case "100 distinct DAGs, no collision" `Quick
             test_fingerprint_distinct;
           Alcotest.test_case "key sensitivity" `Quick
             test_fingerprint_sensitivity;
+          qt canonical_matches_oracle;
+          Alcotest.test_case "refinement ties: lost hits, never wrong replies"
+            `Quick test_refinement_ties_stay_correct;
         ] );
       ( "cache-hit equivalence",
         [

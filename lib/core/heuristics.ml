@@ -263,8 +263,11 @@ let local_search ?(options = Eval.default_options) ?(max_passes = 50) platform g
   done;
   Eval.mapping ev
 
-(* The dense-inverse simplex degrades on very large LPs; past this row
-   count the rounding falls back to the density heuristic. *)
+(* Past this row count the rounding skips the LP and falls back to the
+   density heuristic. The simplex allocates a dense m x m basis inverse
+   per solve (32 MB at 2000 rows), and its BTRAN and basic-value refresh
+   cost O(m^2) per pivot. Moving the limit changes the mappings of every
+   graph whose relaxation it crosses. *)
 let lp_rounding_row_limit = 2000
 
 let lp_rounding ?(improve = true) platform g =

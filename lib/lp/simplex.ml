@@ -61,7 +61,8 @@ type tableau = {
   x : float array;  (* current value of every variable *)
   status : status array;
   basis : int array;  (* row -> basic variable *)
-  binv : float array;  (* dense basis inverse, m x m, row-major *)
+  mutable binv : float array;  (* dense basis inverse, m x m, row-major *)
+  nz : int array;  (* scratch: nonzero columns of the pivot row of binv *)
   y : float array;  (* scratch: simplex multipliers *)
   w : float array;  (* scratch: FTRAN result *)
   gamma : float array;  (* Devex reference weights, one per column *)
@@ -143,7 +144,7 @@ let initial_nonbasic_value lb ub =
 
 (* Residual of row i given nonbasic values: b_i - sum_j a_ij x_j over
    structural columns. *)
-let residuals m n col_idx col_val b x =
+let residuals n col_idx col_val b x =
   let r = Array.copy b in
   for v = 0 to n - 1 do
     if x.(v) <> 0. then begin
@@ -153,7 +154,6 @@ let residuals m n col_idx col_val b x =
       done
     end
   done;
-  ignore m;
   r
 
 exception Unbounded_exn
@@ -206,49 +206,60 @@ let reduced_cost tab q =
   done;
   !d
 
-(* Rank-1 update of the dense basis inverse after pivoting column q into
-   row r; [w] is the FTRAN result B^-1 A_q. *)
-let update_binv tab w r =
-  let m = tab.m in
-  let wr = w.(r) in
-  let binv = tab.binv in
-  let rbase = r * m in
-  let inv_wr = 1. /. wr in
+(* The two dense-inverse kernels visit only the nonzeros of their pivot
+   row. Each entry they do touch receives exactly the operation the
+   full-row loop gave it, in the same order. An entry they skip would
+   have received x - f*(+-0), which leaves a nonzero x unchanged and can
+   at most flip the sign of a zero; every reader of the inverse either
+   tests [<> 0.] or sums products into an accumulator that starts at +0,
+   so no answer can tell. *)
+
+(* Scale row [base] of the m-column row-major [arr] by [inv] and gather
+   the column indices of its nonzeros into [nz]; returns their count.
+   The per-row subtractions below are written out at each call site: a
+   float passed to a non-inlined function is boxed, once per row. *)
+let scale_and_gather ~m arr base inv nz =
+  let nnz = ref 0 in
   for j = 0 to m - 1 do
-    binv.(rbase + j) <- binv.(rbase + j) *. inv_wr
+    let p = arr.(base + j) *. inv in
+    arr.(base + j) <- p;
+    if p <> 0. then begin
+      nz.(!nnz) <- j;
+      incr nnz
+    end
   done;
+  !nnz
+
+(* Rank-1 update of the m x m row-major basis inverse after pivoting
+   column q into row r; [w] is the FTRAN result B^-1 A_q. Row r is
+   scaled by 1/w_r, then w_i times it is subtracted from each other row
+   with w_i <> 0: O(m * nnz(row r)) rather than O(m^2). *)
+let update_binv ~m binv nz w r =
+  let rbase = r * m in
+  let nnz = scale_and_gather ~m binv rbase (1. /. w.(r)) nz in
   for i = 0 to m - 1 do
     let wi = w.(i) in
     if i <> r && wi <> 0. then begin
       let ibase = i * m in
-      for j = 0 to m - 1 do
-        let p = binv.(rbase + j) in
-        if p <> 0. then binv.(ibase + j) <- binv.(ibase + j) -. (wi *. p)
+      for k = 0 to nnz - 1 do
+        let j = nz.(k) in
+        binv.(ibase + j) <- binv.(ibase + j) -. (wi *. binv.(rbase + j))
       done
     end
   done
 
-(* Rebuild tab.binv exactly from the current basis columns by
-   Gauss-Jordan with partial pivoting. Makes the final point a pure
-   function of the final basis (no drift from accumulated rank-1
-   updates), which is what lets a warm solve that lands on the same
-   basis as a cold solve reproduce it bitwise.
-   @raise Numerics when the basis matrix is (near-)singular. *)
-let refactorize tab =
-  let m = tab.m in
-  let a = Array.make (m * m) 0. in
-  for j = 0 to m - 1 do
-    let v = tab.basis.(j) in
-    let idx = tab.col_idx.(v) and vl = tab.col_val.(v) in
-    for k = 0 to Array.length idx - 1 do
-      a.((idx.(k) * m) + j) <- vl.(k)
-    done
-  done;
-  let binv = tab.binv in
-  Array.fill binv 0 (m * m) 0.;
-  for i = 0 to m - 1 do
-    binv.((i * m) + i) <- 1.
-  done;
+(* Test hook (see [For_testing]): when >= 0, [gauss_jordan] treats
+   this column as singular. *)
+let singular_column = ref (-1)
+
+(* Gauss-Jordan with partial pivoting: reduce the m x m row-major [a] to
+   the identity while applying the same row operations to [inv], which
+   should hold the identity on entry and ends as a^-1. Each pivot row is
+   gathered once, for [a] and [inv] separately.
+   @raise Numerics on a pivot below 1e-11 in magnitude, with [a] and
+   [inv] part-way eliminated. *)
+let gauss_jordan ~m a inv =
+  let nz_a = Array.make m 0 and nz_inv = Array.make m 0 in
   let swap_rows arr r1 r2 =
     if r1 <> r2 then begin
       let b1 = r1 * m and b2 = r2 * m in
@@ -265,28 +276,55 @@ let refactorize tab =
       if abs_float a.((i * m) + col) > abs_float a.((!p * m) + col) then p := i
     done;
     let piv = a.((!p * m) + col) in
-    if abs_float piv < 1e-11 then raise Numerics;
+    if abs_float piv < 1e-11 || col = !singular_column then raise Numerics;
     swap_rows a !p col;
-    swap_rows binv !p col;
+    swap_rows inv !p col;
     let base = col * m in
-    let inv = 1. /. piv in
-    for j = 0 to m - 1 do
-      a.(base + j) <- a.(base + j) *. inv;
-      binv.(base + j) <- binv.(base + j) *. inv
-    done;
+    let scale = 1. /. piv in
+    let nnz_a = scale_and_gather ~m a base scale nz_a in
+    let nnz_inv = scale_and_gather ~m inv base scale nz_inv in
     for i = 0 to m - 1 do
       if i <> col then begin
         let f = a.((i * m) + col) in
         if f <> 0. then begin
-          let ib = i * m in
-          for j = 0 to m - 1 do
-            a.(ib + j) <- a.(ib + j) -. (f *. a.(base + j));
-            binv.(ib + j) <- binv.(ib + j) -. (f *. binv.(base + j))
+          let ibase = i * m in
+          for k = 0 to nnz_a - 1 do
+            let j = nz_a.(k) in
+            a.(ibase + j) <- a.(ibase + j) -. (f *. a.(base + j))
+          done;
+          for k = 0 to nnz_inv - 1 do
+            let j = nz_inv.(k) in
+            inv.(ibase + j) <- inv.(ibase + j) -. (f *. inv.(base + j))
           done
         end
       end
     done
   done
+
+(* Rebuild tab.binv exactly from the current basis columns. Makes the
+   final point a pure function of the final basis (no drift from
+   accumulated rank-1 updates), which is what lets a warm solve that
+   lands on the same basis as a cold solve reproduce it bitwise. The
+   factorization runs in fresh arrays and replaces tab.binv only once
+   it has succeeded.
+   @raise Numerics when the basis matrix is (near-)singular; tab.binv
+   is then untouched. *)
+let refactorize tab =
+  let m = tab.m in
+  let a = Array.make (m * m) 0. in
+  for j = 0 to m - 1 do
+    let v = tab.basis.(j) in
+    let idx = tab.col_idx.(v) and vl = tab.col_val.(v) in
+    for k = 0 to Array.length idx - 1 do
+      a.((idx.(k) * m) + j) <- vl.(k)
+    done
+  done;
+  let inv = Array.make (m * m) 0. in
+  for i = 0 to m - 1 do
+    inv.((i * m) + i) <- 1.
+  done;
+  gauss_jordan ~m a inv;
+  tab.binv <- inv
 
 (* One primal simplex phase: optimize tab.c from the current basis.
    Devex pricing (reference weights in tab.gamma) with a Bland's-rule
@@ -426,7 +464,7 @@ let optimize tab ~max_iters =
         tab.status.(q) <- Basic;
         tab.basis.(r) <- q;
         let wr = w.(r) in
-        update_binv tab w r;
+        update_binv ~m tab.binv tab.nz w r;
         (* Devex weight update: the post-pivot row r of binv gives
            alpha_rj / alpha_rq directly. *)
         if not bland then begin
@@ -552,7 +590,7 @@ let dual_optimize tab ~max_iters =
       tab.x.(q) <- tab.x.(q) +. dxq;
       tab.status.(q) <- Basic;
       tab.basis.(r) <- q;
-      update_binv tab w r
+      update_binv ~m tab.binv tab.nz w r
     end
   done;
   !iters
@@ -617,7 +655,7 @@ let cold_tableau problem ~lb_over ~ub_over =
     x.(v) <- value;
     status.(v) <- st
   done;
-  let r = residuals m n col_idx col_val b x in
+  let r = residuals n col_idx col_val b x in
   let basis = Array.make m 0 in
   let art_sign = Array.make m 1. in
   let n_art = ref 0 in
@@ -669,6 +707,7 @@ let cold_tableau problem ~lb_over ~ub_over =
            a.((i * m) + i) <- art_sign.(i)
          done;
          a);
+      nz = Array.make m 0;
       y = Array.make m 0.;
       w = Array.make m 0.;
       gamma = Array.make ntot 1.;
@@ -832,7 +871,8 @@ let import_tableau problem ~lb_over ~ub_over (bas : basis) =
       x;
       status;
       basis;
-      binv = Array.make (max 1 (m * m)) 0.;
+      binv = [||] (* installed by [refactorize] below *);
+      nz = Array.make m 0;
       y = Array.make m 0.;
       w = Array.make m 0.;
       gamma = Array.make ntot 1.;
@@ -905,3 +945,14 @@ let solve_detailed ?lb:lb_over ?ub:ub_over ?warm problem =
           stats.warm_failures <- stats.warm_failures + 1;
           if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_warm_fail;
           cold_detailed problem ~lb_over ~ub_over)
+
+module For_testing = struct
+  let update_binv ~m binv w r = update_binv ~m binv (Array.make m 0) w r
+
+  let gauss_jordan ~m a inv =
+    match gauss_jordan ~m a inv with () -> true | exception Numerics -> false
+
+  let with_singular_column col f =
+    singular_column := col;
+    Fun.protect ~finally:(fun () -> singular_column := -1) f
+end

@@ -9,7 +9,21 @@
     the optimal basis and accepts one back as a warm start: the basis is
     refactorized under the caller's (typically one-bound-flip) bounds and
     repaired by a dual-simplex phase, which is how {!Branch_bound} turns
-    child-node re-solves into a handful of pivots. *)
+    child-node re-solves into a handful of pivots.
+
+    Cost model, for [m] rows. The basis inverse is a dense m x m array,
+    but a pivot's rank-1 update visits only the nonzero columns of the
+    scaled pivot row: O(m·nnz(row)) instead of O(m{^ 2}). On the compact
+    mapping relaxations that row holds about 6% of [m]. The Gauss-Jordan
+    refactorization behind every {!solve_detailed} and warm import
+    gathers its pivot rows the same way. Every entry these kernels touch
+    gets the same floating-point operation as in a full-row loop. An
+    entry they skip would have received [x -. f *. (±0.)], which can
+    only change the sign of a zero. Every reader of the inverse either
+    tests [<> 0.] or sums from [+0.], so answers are bitwise those of
+    the full-row loops. Per pivot, BTRAN stays O(m{^ 2}), FTRAN costs
+    O(m·nnz(entering column)), and pricing and the Devex update cost
+    O(nnz(A)). *)
 
 type solution = {
   x : float array;  (** One value per problem variable. *)
@@ -67,3 +81,22 @@ val solve_detailed :
     {!solve}'s. The final point is extracted from a fresh factorization
     of the final basis, so warm and cold solves that end on the same
     basis agree bitwise. *)
+
+(**/**)
+
+module For_testing : sig
+  val update_binv : m:int -> float array -> float array -> int -> unit
+  (** [update_binv ~m binv w r]: the pivot's rank-1 update of the m x m
+      row-major inverse [binv] in place, for FTRAN column [w] and pivot
+      row [r]. *)
+
+  val gauss_jordan : m:int -> float array -> float array -> bool
+  (** [gauss_jordan ~m a inv]: the refactorization's elimination of the
+      m x m row-major [a], with the same row operations applied to [inv]
+      (both in place). [false] when a pivot is (near-)zero; the arrays
+      are then left part-way eliminated. *)
+
+  val with_singular_column : int -> (unit -> 'a) -> 'a
+  (** Run [f] with every refactorization failing, as a singular basis
+      would, when it reaches the given column. *)
+end

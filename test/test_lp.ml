@@ -647,6 +647,238 @@ let test_expr_algebra () =
   let v = Lp.Expr.eval (fun v -> float_of_int v +. 1.) e1 in
   Alcotest.(check (float 1e-9)) "eval" 10. v
 
+
+(* --- end-to-end golden digest --------------------------------------------- *)
+
+(* The compact mapping relaxations the lp-relax benchmark solves: DagGen
+   graphs of 11-13 tasks x SPEs {4,8}. The [%h] rendering of every
+   [solve] answer (x, objective, iterations), every [solve_detailed]
+   answer (x, reduced costs) and every [lp_rounding] mapping is hashed;
+   any change to a single bit of any of them changes the digest. The
+   pinned value was recorded before the sparse pivot-row kernels went
+   in, so it checks that they are bitwise invisible end to end. *)
+let golden_digest = "5b8c05b54d762eb7094228ac91f022db"
+
+let golden_graph k =
+  Daggen.Generator.generate ~rng:(Support.Rng.create (100 + k))
+    ~shape:
+      {
+        Daggen.Generator.n = 11 + (k mod 3);
+        fat = 0.5;
+        density = 0.4;
+        regularity = 0.5;
+        jump = 2;
+      }
+    ~costs:Daggen.Generator.default_costs
+
+let golden_rendering () =
+  let buf = Buffer.create 65536 in
+  let floats name a =
+    Buffer.add_string buf name;
+    Array.iter (fun v -> Printf.bprintf buf " %h" v) a;
+    Buffer.add_char buf '\n'
+  in
+  for k = 0 to 5 do
+    let g = golden_graph k in
+    List.iter
+      (fun spes ->
+        let platform = Cell.Platform.qs22 ~n_spe:spes () in
+        let f = Cellsched.Milp_formulation.build_compact platform g in
+        let p = f.Cellsched.Milp_formulation.problem in
+        Printf.bprintf buf "graph %d spes %d rows %d\n" k spes (Lp.Problem.n_constrs p);
+        (match Lp.Simplex.solve p with
+        | Lp.Simplex.Optimal s ->
+            floats "solve.x" s.Lp.Simplex.x;
+            Printf.bprintf buf "solve.objective %h iterations %d\n" s.Lp.Simplex.objective
+              s.Lp.Simplex.iterations
+        | Lp.Simplex.Infeasible -> Buffer.add_string buf "solve infeasible\n"
+        | Lp.Simplex.Unbounded -> Buffer.add_string buf "solve unbounded\n");
+        (match Lp.Simplex.solve_detailed p with
+        | Lp.Simplex.Opt s ->
+            floats "detailed.x" s.Lp.Simplex.sol.Lp.Simplex.x;
+            floats "detailed.reduced_costs" s.Lp.Simplex.reduced_costs
+        | Lp.Simplex.Infeas -> Buffer.add_string buf "detailed infeasible\n"
+        | Lp.Simplex.Unbound -> Buffer.add_string buf "detailed unbounded\n");
+        let m = Cellsched.Heuristics.lp_rounding platform g in
+        Buffer.add_string buf "lp_rounding";
+        Array.iter (Printf.bprintf buf " %d") (Cellsched.Mapping.to_array m);
+        Buffer.add_char buf '\n')
+      [ 4; 8 ]
+  done;
+  Buffer.contents buf
+
+let test_golden_digest () =
+  Alcotest.(check string)
+    "digest of solve / solve_detailed / lp_rounding" golden_digest
+    (Digest.to_hex (Digest.string (golden_rendering ())))
+
+
+(* --- dense-inverse kernels ------------------------------------------------- *)
+
+(* The simplex's full-row loops from before its kernels gathered the
+   pivot row's nonzeros, kept verbatim as the oracle for them. *)
+module Full_row = struct
+  let update_binv ~m binv w r =
+    let wr = w.(r) in
+    let rbase = r * m in
+    let inv_wr = 1. /. wr in
+    for j = 0 to m - 1 do
+      binv.(rbase + j) <- binv.(rbase + j) *. inv_wr
+    done;
+    for i = 0 to m - 1 do
+      let wi = w.(i) in
+      if i <> r && wi <> 0. then begin
+        let ibase = i * m in
+        for j = 0 to m - 1 do
+          let p = binv.(rbase + j) in
+          if p <> 0. then binv.(ibase + j) <- binv.(ibase + j) -. (wi *. p)
+        done
+      end
+    done
+
+  let gauss_jordan ~m a binv =
+    let swap_rows arr r1 r2 =
+      if r1 <> r2 then begin
+        let b1 = r1 * m and b2 = r2 * m in
+        for j = 0 to m - 1 do
+          let t = arr.(b1 + j) in
+          arr.(b1 + j) <- arr.(b2 + j);
+          arr.(b2 + j) <- t
+        done
+      end
+    in
+    try
+      for col = 0 to m - 1 do
+        let p = ref col in
+        for i = col + 1 to m - 1 do
+          if abs_float a.((i * m) + col) > abs_float a.((!p * m) + col) then p := i
+        done;
+        let piv = a.((!p * m) + col) in
+        if abs_float piv < 1e-11 then raise Exit;
+        swap_rows a !p col;
+        swap_rows binv !p col;
+        let base = col * m in
+        let inv = 1. /. piv in
+        for j = 0 to m - 1 do
+          a.(base + j) <- a.(base + j) *. inv;
+          binv.(base + j) <- binv.(base + j) *. inv
+        done;
+        for i = 0 to m - 1 do
+          if i <> col then begin
+            let f = a.((i * m) + col) in
+            if f <> 0. then begin
+              let ib = i * m in
+              for j = 0 to m - 1 do
+                a.(ib + j) <- a.(ib + j) -. (f *. a.(base + j));
+                binv.(ib + j) <- binv.(ib + j) -. (f *. binv.(base + j))
+              done
+            end
+          end
+        done
+      done;
+      true
+    with Exit -> false
+end
+
+(* Nonzero entries equal bit for bit; a zero may differ only in sign. *)
+let same_entries what expected got =
+  Array.iteri
+    (fun k e ->
+      let g = got.(k) in
+      if not (Int64.bits_of_float e = Int64.bits_of_float g || (e = 0. && g = 0.)) then
+        QCheck.Test.fail_reportf "%s[%d]: full-row %h, gathered %h" what k e g)
+    expected
+
+(* An m x m row-major matrix at the given density: entries in [-3, 3]
+   (one in ten tiny), the rest +0 or -0 at random. *)
+let random_matrix rng m density =
+  Array.init (m * m) (fun _ ->
+      if Support.Rng.float rng 1. < density then
+        let v = Support.Rng.float_in rng (-3.) 3. in
+        if Support.Rng.int rng 10 = 0 then v *. 1e-200 else v
+      else if Support.Rng.bool rng then 0.
+      else -0.)
+
+let zero_row rng arr ~m i ~except =
+  for j = 0 to m - 1 do
+    if j <> except then arr.((i * m) + j) <- (if Support.Rng.bool rng then 0. else -0.)
+  done
+
+let kernel_case = QCheck.(triple (int_bound 1_000_000) (int_range 1 14) (int_range 0 100))
+
+let update_binv_matches_full_row =
+  QCheck.Test.make ~count:400 ~name:"rank-1 update equals the full-row loop" kernel_case
+    (fun (seed, m, pct) ->
+      let rng = Support.Rng.create seed in
+      let density = float_of_int pct /. 100. in
+      let binv = random_matrix rng m density in
+      let w =
+        Array.init m (fun _ ->
+            if Support.Rng.float rng 1. < density then Support.Rng.float_in rng (-3.) 3.
+            else if Support.Rng.bool rng then 0.
+            else -0.)
+      in
+      let r = Support.Rng.int rng m in
+      w.(r) <- (if Support.Rng.bool rng then 1. else -1.) *. Support.Rng.float_in rng 0.01 4.;
+      (* Rows of zeros, and a pivot row that is zero except at r. *)
+      if Support.Rng.int rng 3 = 0 then zero_row rng binv ~m (Support.Rng.int rng m) ~except:(-1);
+      if Support.Rng.int rng 3 = 0 then begin
+        zero_row rng binv ~m r ~except:r;
+        binv.((r * m) + r) <- Support.Rng.float_in rng 0.5 2.
+      end;
+      let expected = Array.copy binv in
+      Full_row.update_binv ~m expected w r;
+      Lp.Simplex.For_testing.update_binv ~m binv w r;
+      same_entries "binv" expected binv;
+      true)
+
+let gauss_jordan_matches_full_row =
+  QCheck.Test.make ~count:400 ~name:"refactorization equals the full-row loop" kernel_case
+    (fun (seed, m, pct) ->
+      let rng = Support.Rng.create seed in
+      let a = random_matrix rng m (float_of_int pct /. 100.) in
+      (* Mostly nonsingular: a random permutation's entries are usually
+         set, so sparse matrices still factor. *)
+      let perm = Array.init m Fun.id in
+      Support.Rng.shuffle rng perm;
+      Array.iteri
+        (fun i j ->
+          if Support.Rng.int rng 5 > 0 then a.((i * m) + j) <- Support.Rng.float_in rng 0.5 3.)
+        perm;
+      if Support.Rng.int rng 4 = 0 then zero_row rng a ~m (Support.Rng.int rng m) ~except:(-1);
+      let identity = Array.init (m * m) (fun k -> if k mod (m + 1) = 0 then 1. else 0.) in
+      let a' = Array.copy a and inv = Array.copy identity and inv' = Array.copy identity in
+      let ok = Full_row.gauss_jordan ~m a inv in
+      let ok' = Lp.Simplex.For_testing.gauss_jordan ~m a' inv' in
+      if ok <> ok' then QCheck.Test.fail_reportf "full-row ok=%b, gathered ok=%b" ok ok';
+      same_entries "a" a a';
+      same_entries "inv" inv inv';
+      true)
+
+(* A refactorization that fails part-way (as on a nearly singular final
+   basis) must leave the incremental inverse in place: the point it
+   returns is still primal feasible. *)
+let test_failed_refactorization () =
+  let g = golden_graph 1 in
+  let platform = Cell.Platform.qs22 ~n_spe:4 () in
+  let p = (Cellsched.Milp_formulation.build_compact platform g).Cellsched.Milp_formulation.problem in
+  let reference = solve_detailed_opt p in
+  let s =
+    Lp.Simplex.For_testing.with_singular_column
+      (Lp.Problem.n_constrs p / 2)
+      (fun () -> solve_detailed_opt p)
+  in
+  let x = s.Lp.Simplex.sol.Lp.Simplex.x in
+  (match Lp.Problem.check_feasible ~tol:1e-7 ~check_integrality:false p x with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "point after a failed refactorization: %s" msg);
+  Alcotest.(check int)
+    "iterations" reference.Lp.Simplex.sol.Lp.Simplex.iterations
+    s.Lp.Simplex.sol.Lp.Simplex.iterations;
+  Alcotest.(check (float 1e-9))
+    "objective" reference.Lp.Simplex.sol.Lp.Simplex.objective
+    s.Lp.Simplex.sol.Lp.Simplex.objective
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "lp"
@@ -686,4 +918,12 @@ let () =
           Alcotest.test_case "pp" `Quick test_problem_pp;
         ] );
       ("expr", [ Alcotest.test_case "algebra" `Quick test_expr_algebra ]);
+      ("golden", [ Alcotest.test_case "lp-relax digest" `Quick test_golden_digest ]);
+      ( "kernels",
+        [
+          qt update_binv_matches_full_row;
+          qt gauss_jordan_matches_full_row;
+          Alcotest.test_case "failed refactorization keeps binv" `Quick
+            test_failed_refactorization;
+        ] );
     ]

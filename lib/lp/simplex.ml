@@ -233,10 +233,11 @@ let scale_and_gather ~m arr base inv nz =
    grown to the largest m seen. A solve runs start to finish on one
    domain without yielding, so its tableaux never share it with another
    live solve. Allocating it per solve instead (m words, straight into
-   the major heap) fragmented the heap and raised the lp-relax peak RSS
-   by 7%. The buffer starts at 2048 rows, above the mapping heuristics'
-   2000-row LP limit, and the main domain's is allocated here at start-up
-   rather than by the first solve, so every solve allocates the same. *)
+   the malloc'd major heap between the large m x m inverses) raised the
+   peak RSS of repeated relaxation solves by about 1 MB. The buffer
+   starts at 2048 rows, above the mapping heuristics' 2000-row LP limit,
+   and the main domain's is allocated here at start-up rather than by
+   the first solve, so every solve allocates the same. *)
 let nz_key = Domain.DLS.new_key (fun () -> Array.make 2048 0)
 let () = ignore (Domain.DLS.get nz_key)
 

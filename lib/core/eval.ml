@@ -5,16 +5,17 @@ type options = { share_colocated_buffers : bool; tight_pipeline : bool }
 
 let default_options = { share_colocated_buffers = false; tight_pipeline = false }
 
-let make_options ?(share_colocated_buffers = false) ?(tight_pipeline = false) ()
-    =
-  { share_colocated_buffers; tight_pipeline }
-
 (* Default-off observability hooks. Counters only — the instrumentation
    never touches the float state, so metrics-on runs stay bitwise equal
    to metrics-off runs (property-tested in test_obs). *)
 let m_probes =
-  Obs.Metrics.counter ~help:"Eval probe_move/probe_swap evaluations"
+  Obs.Metrics.counter ~help:"Eval probes, screened or exact"
        "search_eval_probes_total"
+
+let m_exact_probes =
+  Obs.Metrics.counter
+    ~help:"Eval probes that ran the exact sweep (screen survivors included)"
+    "search_eval_exact_probes_total"
 
 let m_moves =
   Obs.Metrics.counter ~help:"Journaled apply_move mutations"
@@ -35,6 +36,33 @@ let m_sweeps =
 (* Journal entries for [apply_move]/[apply_swap]: the data needed to
    reverse the mutation. *)
 type op = Move of int * int  (* task, previous PE *) | Swap of int * int
+
+(* Scratch of the probe screen ([probe_move_below]/[probe_swap_below]):
+   what one move or swap does to each row, gathered in one pass over the
+   moved tasks and their incident edges. Every entry is zero between
+   probes; the screen clears what it touched. *)
+type screen = {
+  d_compute : float array;  (* signed per-PE row deltas *)
+  d_bytes_in : float array;
+  d_bytes_out : float array;
+  d_memory : float array;
+  a_compute : float array;  (* sums of the deltas' magnitudes *)
+  a_bytes_in : float array;
+  a_bytes_out : float array;
+  a_memory : float array;
+  d_dma_in : int array;  (* exact *)
+  d_dma_to_ppe : int array;
+  mark : int array;  (* per PE: [float_row] and/or [dma_row] bits *)
+  touched : int array;  (* the marked PEs, [n_touched] of them *)
+  mutable n_touched : int;
+  d_link_out : float array;  (* per Cell *)
+  d_link_in : float array;
+  a_link_out : float array;
+  a_link_in : float array;
+  cell_touched : bool array;
+  mutable colocation_changes : bool;
+  margin : float;  (* c * epsilon_float, see [lower] *)
+}
 
 type t = {
   platform : P.t;
@@ -71,6 +99,7 @@ type t = {
   save_link_out : float array;
   save_link_in : float array;
   save_buff : float array;
+  screen : screen;
 }
 
 let options t = t.opts
@@ -201,10 +230,11 @@ let recompute_links t =
   done;
   t.links_dirty <- false
 
-let any_row_dirty t =
-  let n = Array.length t.row_dirty in
-  let rec scan i = i < n && (t.row_dirty.(i) || scan (i + 1)) in
-  scan 0
+(* A top-level scan, not a local closure: probes call this every time. *)
+let rec dirty_from rows i =
+  i < Array.length rows && (rows.(i) || dirty_from rows (i + 1))
+
+let any_row_dirty t = dirty_from t.row_dirty 0
 
 let validate_rows t =
   flush_buffers t;
@@ -293,6 +323,36 @@ let attach t k pe =
 
 (* --- construction ---------------------------------------------------- *)
 
+let create_screen platform g =
+  let n = P.n_pes platform and c = platform.P.n_cells in
+  let pe_row () = Array.make n 0. and cell_row () = Array.make c 0. in
+  (* [n_terms] bounds the number of terms summed into any row (compute:
+     tasks; interface: tasks + edges; memory and links: edges) and into
+     any row's delta (4 task terms + 2 per incident edge). *)
+  let n_terms = G.n_tasks g + (2 * G.n_edges g) + 4 in
+  {
+    d_compute = pe_row ();
+    d_bytes_in = pe_row ();
+    d_bytes_out = pe_row ();
+    d_memory = pe_row ();
+    a_compute = pe_row ();
+    a_bytes_in = pe_row ();
+    a_bytes_out = pe_row ();
+    a_memory = pe_row ();
+    d_dma_in = Array.make n 0;
+    d_dma_to_ppe = Array.make n 0;
+    mark = Array.make n 0;
+    touched = Array.make n 0;
+    n_touched = 0;
+    d_link_out = cell_row ();
+    d_link_in = cell_row ();
+    a_link_out = cell_row ();
+    a_link_in = cell_row ();
+    cell_touched = Array.make c false;
+    colocation_changes = false;
+    margin = float_of_int ((4 * n_terms) + 8) *. epsilon_float;
+  }
+
 let create_empty ?(options = default_options) platform g =
   let n = P.n_pes platform in
   let m = G.n_edges g in
@@ -323,6 +383,7 @@ let create_empty ?(options = default_options) platform g =
       save_link_out = Array.make platform.P.n_cells 0.;
       save_link_in = Array.make platform.P.n_cells 0.;
       save_buff = Array.make m 0.;
+      screen = create_screen platform g;
     }
   in
   t
@@ -445,18 +506,28 @@ let feasible t =
 
 (* --- journaled mutations and probing --------------------------------- *)
 
-let apply_move t ~task ~pe =
+let check_move name t ~task ~pe =
   check_pe t pe;
   let old_pe = t.assignment.(task) in
-  if old_pe < 0 then invalid_arg "Eval.apply_move: task not assigned";
+  if old_pe < 0 then invalid_arg (name ^ ": task not assigned");
+  old_pe
+
+let apply_move t ~task ~pe =
+  let old_pe = check_move "Eval.apply_move" t ~task ~pe in
   detach t task;
   attach t task pe;
   t.journal <- Move (task, old_pe) :: t.journal;
   if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_moves
 
+(* Swapping a task with itself would detach it twice. *)
+let check_swap name t k1 k2 =
+  if k1 = k2 then invalid_arg (name ^ ": a task cannot swap with itself");
+  if t.assignment.(k1) < 0 || t.assignment.(k2) < 0 then
+    invalid_arg (name ^ ": task not assigned")
+
 let apply_swap t k1 k2 =
+  check_swap "Eval.apply_swap" t k1 k2;
   let p1 = t.assignment.(k1) and p2 = t.assignment.(k2) in
-  if p1 < 0 || p2 < 0 then invalid_arg "Eval.apply_swap: task not assigned";
   detach t k1;
   detach t k2;
   attach t k1 p2;
@@ -513,11 +584,11 @@ let restore_floats t =
     t.buff_dirty <- false
   end
 
-let probe_move t ~task ~pe =
-  check_pe t pe;
-  let old_pe = t.assignment.(task) in
-  if old_pe < 0 then invalid_arg "Eval.probe_move: task not assigned";
-  if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_probes;
+let count_probe () =
+  if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_probes
+
+let exact_move t ~task ~pe ~old_pe =
+  if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_exact_probes;
   save_floats t;
   detach t task;
   attach t task pe;
@@ -528,10 +599,9 @@ let probe_move t ~task ~pe =
   restore_floats t;
   (p, f)
 
-let probe_swap t k1 k2 =
+let exact_swap t k1 k2 =
+  if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_exact_probes;
   let p1 = t.assignment.(k1) and p2 = t.assignment.(k2) in
-  if p1 < 0 || p2 < 0 then invalid_arg "Eval.probe_swap: task not assigned";
-  if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_probes;
   save_floats t;
   detach t k1;
   detach t k2;
@@ -546,10 +616,304 @@ let probe_swap t k1 k2 =
   restore_floats t;
   (p, f)
 
-let delta_period_of_move t ~task ~pe =
-  let base = period t in
-  let candidate, _ = probe_move t ~task ~pe in
-  candidate -. base
+let probe_move t ~task ~pe =
+  let old_pe = check_move "Eval.probe_move" t ~task ~pe in
+  count_probe ();
+  exact_move t ~task ~pe ~old_pe
+
+let probe_swap t k1 k2 =
+  check_swap "Eval.probe_swap" t k1 k2;
+  count_probe ();
+  exact_swap t k1 k2
+
+(* --- the probe screen -------------------------------------------------
+
+   One pass over the moved task(s) and their incident edges gathers each
+   row's signed delta; a row's new value is then bounded below without
+   the O(tasks + edges) sweep. Only the rows the mutation changes are
+   touched: a PE's float rows are marked when one of its terms changes,
+   its DMA counters separately, so a neighbour whose to-PPE queue
+   changes keeps its float rows at their cached bits.
+
+   The scratch lives in [t.screen], and the helpers are top-level
+   functions that box no float: a screened probe allocates nothing
+   (checked in test_eval). *)
+
+let float_row = 1
+let dma_row = 2
+
+let touch s pe bit =
+  if s.mark.(pe) = 0 then begin
+    s.touched.(s.n_touched) <- pe;
+    s.n_touched <- s.n_touched + 1
+  end;
+  s.mark.(pe) <- s.mark.(pe) lor bit
+
+let[@inline] bump d a i x =
+  d.(i) <- d.(i) +. x;
+  a.(i) <- a.(i) +. Float.abs x
+
+(* Task [k]'s own terms on [pe], with sign [sign] (+1 add, -1 remove). *)
+let screen_task t k pe sign =
+  let s = t.screen and p = t.platform in
+  let task = G.task t.g k in
+  let f = float_of_int sign in
+  let w =
+    if P.is_ppe p pe then task.Streaming.Task.w_ppe /. p.P.ppe_speedup
+    else task.Streaming.Task.w_spe
+  in
+  bump s.d_compute s.a_compute pe (f *. w);
+  bump s.d_bytes_in s.a_bytes_in pe (f *. task.Streaming.Task.read_bytes);
+  bump s.d_bytes_out s.a_bytes_out pe (f *. task.Streaming.Task.write_bytes);
+  touch s pe float_row
+
+let remote sp dp = sp >= 0 && dp >= 0 && sp <> dp
+
+(* Cell whose link row an edge between [sp] and [dp] loads on the
+   [side] end, or -1. *)
+let link_cell t sp dp side =
+  if remote sp dp && cross_cell t sp dp then P.cell_of t.platform side else -1
+
+let screen_link d a s c sign data =
+  if c >= 0 then begin
+    bump d a c (float_of_int sign *. data);
+    s.cell_touched.(c) <- true
+  end
+
+(* Edge [e] moves from endpoints ([sp], [dp]) to ([sp'], [dp']); each of
+   its terms is retracted and re-added only where it changes, following
+   [recompute_dirty_rows] (interface bytes, memory copies) and
+   [detach]/[attach] (DMA counters, links). *)
+let screen_edge t e sp dp sp' dp' =
+  let s = t.screen and p = t.platform in
+  let data = (G.edge t.g e).G.data_bytes and buff = t.buff.(e) in
+  let r = remote sp dp and r' = remote sp' dp' in
+  (* Interface bytes and the DMA counters, both charged to remote edges. *)
+  if r <> r' || (r && sp <> sp') then begin
+    if r then begin
+      bump s.d_bytes_out s.a_bytes_out sp (-.data);
+      touch s sp float_row
+    end;
+    if r' then begin
+      bump s.d_bytes_out s.a_bytes_out sp' data;
+      touch s sp' float_row
+    end
+  end;
+  if r <> r' || (r && dp <> dp') then begin
+    if r then begin
+      bump s.d_bytes_in s.a_bytes_in dp (-.data);
+      s.d_dma_in.(dp) <- s.d_dma_in.(dp) - 1;
+      touch s dp (float_row lor dma_row)
+    end;
+    if r' then begin
+      bump s.d_bytes_in s.a_bytes_in dp' data;
+      s.d_dma_in.(dp') <- s.d_dma_in.(dp') + 1;
+      touch s dp' (float_row lor dma_row)
+    end
+  end;
+  let to_ppe = r && P.is_spe p sp && P.is_ppe p dp in
+  let to_ppe' = r' && P.is_spe p sp' && P.is_ppe p dp' in
+  if to_ppe <> to_ppe' || (to_ppe && sp <> sp') then begin
+    if to_ppe then begin
+      s.d_dma_to_ppe.(sp) <- s.d_dma_to_ppe.(sp) - 1;
+      touch s sp dma_row
+    end;
+    if to_ppe' then begin
+      s.d_dma_to_ppe.(sp') <- s.d_dma_to_ppe.(sp') + 1;
+      touch s sp' dma_row
+    end
+  end;
+  (* Memory: the source's copy sits on its PE; the destination's copy
+     on its own, unless shared with a colocated source. *)
+  if sp <> sp' then begin
+    if sp >= 0 then begin
+      bump s.d_memory s.a_memory sp (-.buff);
+      touch s sp float_row
+    end;
+    if sp' >= 0 then begin
+      bump s.d_memory s.a_memory sp' buff;
+      touch s sp' float_row
+    end
+  end;
+  let share = t.opts.share_colocated_buffers in
+  let dcopy = if dp >= 0 && not (share && sp = dp) then dp else -1 in
+  let dcopy' = if dp' >= 0 && not (share && sp' = dp') then dp' else -1 in
+  if dcopy <> dcopy' then begin
+    if dcopy >= 0 then begin
+      bump s.d_memory s.a_memory dcopy (-.buff);
+      touch s dcopy float_row
+    end;
+    if dcopy' >= 0 then begin
+      bump s.d_memory s.a_memory dcopy' buff;
+      touch s dcopy' float_row
+    end
+  end;
+  if (sp >= 0 && sp = dp) <> (sp' >= 0 && sp' = dp') then
+    s.colocation_changes <- true;
+  (* Inter-Cell links. *)
+  let co = link_cell t sp dp sp and co' = link_cell t sp' dp' sp' in
+  if co <> co' then begin
+    screen_link s.d_link_out s.a_link_out s co (-1) data;
+    screen_link s.d_link_out s.a_link_out s co' 1 data
+  end;
+  let ci = link_cell t sp dp dp and ci' = link_cell t sp' dp' dp' in
+  if ci <> ci' then begin
+    screen_link s.d_link_in s.a_link_in s ci (-1) data;
+    screen_link s.d_link_in s.a_link_in s ci' 1 data
+  end
+
+(* PE of task [j] after moving [k1] to [b1] and [k2] to [b2] ([k2] = -1
+   for a single move). *)
+let moved_pe t k1 b1 k2 b2 j =
+  if j = k1 then b1 else if j = k2 then b2 else t.assignment.(j)
+
+(* Screen the edges of a list, leaving out those incident to [skip], a
+   task whose edges were already screened (-1: none). *)
+let rec screen_edges t k1 b1 k2 b2 skip = function
+  | [] -> ()
+  | e :: rest ->
+      let { G.src; dst; _ } = G.edge t.g e in
+      if src <> skip && dst <> skip then
+        screen_edge t e t.assignment.(src) t.assignment.(dst)
+          (moved_pe t k1 b1 k2 b2 src) (moved_pe t k1 b1 k2 b2 dst);
+      screen_edges t k1 b1 k2 b2 skip rest
+
+let screen_incident t k k1 b1 k2 b2 skip =
+  screen_edges t k1 b1 k2 b2 skip (G.in_edges t.g k);
+  screen_edges t k1 b1 k2 b2 skip (G.out_edges t.g k)
+
+(* Lower bound on the value the exact sweep will compute for a row whose
+   cached value is [r], given the screen's delta [d] and magnitude sum
+   [a]: (r + d) - c*eps*(r + a).
+
+   Why it is sound. With u = eps/2 the unit roundoff and N the bound
+   [create_screen] puts on the number of terms in any row and in any
+   delta, a recursive sum of N terms errs by at most
+   g = N*u / (1 - N*u) times the sum of its terms' magnitudes. Three such
+   sums meet here: the cached row (non-negative terms, true sum T <= r +
+   g*T), the delta (true D, |d - D| <= g*a), and the exact sweep's new
+   row (non-negative terms, computed value >= (T + D)(1 - g)). Hence the
+   new row is at least r + d - 3g*(r + a) to first order, since
+   T + D <= r + a; forming [r + d - margin] and the margin itself add a
+   few more u*(r + a). c = 4N + 8 applied to eps = 2u covers all of it
+   with a factor of more than two to spare. Untouched rows need no
+   bound: the sweep re-adds exactly their old terms in the same order,
+   or does not visit them at all. Division by a positive bandwidth is
+   monotone under rounding, so a row bound divided by [bw] bounds the
+   row's term of the period. *)
+let[@inline] lower s r d a = r +. d -. (s.margin *. (r +. a))
+
+(* Decide the gathered probe, then clear the scratch. [true] means the
+   exact sweep would find the mutation infeasible or its period
+   >= [threshold]. *)
+let screen_rejects t threshold =
+  let s = t.screen and p = t.platform in
+  let n = P.n_pes p in
+  let bw = p.P.bw and ibw = p.P.inter_cell_bw in
+  let budget = float_of_int (P.spe_memory_budget p) in
+  let check_memory = not (t.opts.tight_pipeline && s.colocation_changes) in
+  let lb = ref 0. in
+  let infeasible = ref false in
+  for pe = 0 to n - 1 do
+    if s.mark.(pe) land float_row <> 0 then begin
+      let c = lower s t.compute.(pe) s.d_compute.(pe) s.a_compute.(pe) in
+      if c > !lb then lb := c;
+      let i =
+        lower s t.bytes_in.(pe) s.d_bytes_in.(pe) s.a_bytes_in.(pe) /. bw
+      in
+      if i > !lb then lb := i;
+      let o =
+        lower s t.bytes_out.(pe) s.d_bytes_out.(pe) s.a_bytes_out.(pe) /. bw
+      in
+      if o > !lb then lb := o;
+      if
+        check_memory && P.is_spe p pe
+        && lower s t.memory.(pe) s.d_memory.(pe) s.a_memory.(pe) > budget
+      then infeasible := true
+    end
+    else begin
+      let c = t.compute.(pe) in
+      if c > !lb then lb := c;
+      let i = t.bytes_in.(pe) /. bw in
+      if i > !lb then lb := i;
+      let o = t.bytes_out.(pe) /. bw in
+      if o > !lb then lb := o
+    end;
+    if
+      s.mark.(pe) <> 0 && P.is_spe p pe
+      && (t.dma_in.(pe) + s.d_dma_in.(pe) > p.P.max_dma_in
+         || t.dma_to_ppe.(pe) + s.d_dma_to_ppe.(pe) > p.P.max_dma_to_ppe)
+    then infeasible := true
+  done;
+  for c = 0 to p.P.n_cells - 1 do
+    let o =
+      if s.cell_touched.(c) then
+        lower s t.link_out.(c) s.d_link_out.(c) s.a_link_out.(c)
+      else t.link_out.(c)
+    in
+    let i =
+      if s.cell_touched.(c) then
+        lower s t.link_in.(c) s.d_link_in.(c) s.a_link_in.(c)
+      else t.link_in.(c)
+    in
+    if o /. ibw > !lb then lb := o /. ibw;
+    if i /. ibw > !lb then lb := i /. ibw
+  done;
+  (* Clear only what was touched. *)
+  for j = 0 to s.n_touched - 1 do
+    let pe = s.touched.(j) in
+    s.d_compute.(pe) <- 0.;
+    s.d_bytes_in.(pe) <- 0.;
+    s.d_bytes_out.(pe) <- 0.;
+    s.d_memory.(pe) <- 0.;
+    s.a_compute.(pe) <- 0.;
+    s.a_bytes_in.(pe) <- 0.;
+    s.a_bytes_out.(pe) <- 0.;
+    s.a_memory.(pe) <- 0.;
+    s.d_dma_in.(pe) <- 0;
+    s.d_dma_to_ppe.(pe) <- 0;
+    s.mark.(pe) <- 0
+  done;
+  s.n_touched <- 0;
+  for c = 0 to p.P.n_cells - 1 do
+    if s.cell_touched.(c) then begin
+      s.d_link_out.(c) <- 0.;
+      s.d_link_in.(c) <- 0.;
+      s.a_link_out.(c) <- 0.;
+      s.a_link_in.(c) <- 0.;
+      s.cell_touched.(c) <- false
+    end
+  done;
+  s.colocation_changes <- false;
+  !infeasible || !lb >= threshold
+
+let probe_move_below t ~task ~pe ~threshold =
+  let old_pe = check_move "Eval.probe_move_below" t ~task ~pe in
+  count_probe ();
+  validate_all t;
+  screen_task t task old_pe (-1);
+  screen_task t task pe 1;
+  screen_incident t task task pe (-1) (-1) (-1);
+  if screen_rejects t threshold then infinity
+  else
+    let p, f = exact_move t ~task ~pe ~old_pe in
+    if f && p < threshold then p else infinity
+
+let probe_swap_below t k1 k2 ~threshold =
+  check_swap "Eval.probe_swap_below" t k1 k2;
+  count_probe ();
+  validate_all t;
+  let p1 = t.assignment.(k1) and p2 = t.assignment.(k2) in
+  screen_task t k1 p1 (-1);
+  screen_task t k2 p2 (-1);
+  screen_task t k1 p2 1;
+  screen_task t k2 p1 1;
+  screen_incident t k1 k1 p2 k2 p1 (-1);
+  screen_incident t k2 k1 p2 k2 p1 k1;
+  if screen_rejects t threshold then infinity
+  else
+    let p, f = exact_swap t k1 k2 in
+    if f && p < threshold then p else infinity
 
 (* --- scratch wrappers ------------------------------------------------ *)
 

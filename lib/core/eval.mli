@@ -6,9 +6,15 @@
     resilience controller's remap loop — needs the same three questions
     answered for a stream of closely related candidates: what is the
     period, what is the bottleneck, is the mapping feasible. Recomputing
-    {!Steady_state.loads} from scratch costs O(tasks + edges) per
-    candidate; this engine materializes the full resource state once and
-    maintains it under task moves in O(degree(task)) amortized work.
+    {!Steady_state.loads} from scratch allocates and fills every row for
+    each candidate; this engine materializes the full resource state once
+    and keeps it under task moves. A mutation costs O(degree(task)): it
+    adjusts the integer counters and marks the affected rows dirty. The
+    next accessor revalidates the dirty rows in one sweep over every task
+    and edge, O(tasks + edges), so that each row keeps its canonical
+    summation order. Probes cost that sweep too, unless the screen of
+    {!probe_move_below}/{!probe_swap_below} settles them in
+    O(degree + PEs) first.
 
     {b Exactness.} The engine does not keep running float sums (which
     drift under add/subtract cycles). Each per-PE resource row is cached
@@ -16,10 +22,8 @@
     contributions {!Steady_state.loads} would accumulate for that PE, in
     the same order — so every accessor returns values {e bitwise equal} to
     a from-scratch [Steady_state] evaluation of the same assignment, for
-    every combination of {!options}. Mutations only mark the O(degree)
-    affected rows dirty; accessors validate lazily. DMA-queue counters are
-    integers and are maintained incrementally (integer arithmetic is
-    exact).
+    every combination of {!options}. DMA-queue counters are integers and
+    are maintained incrementally (integer arithmetic is exact).
 
     {b Partial mappings.} Tasks may be unassigned (PE [-1]); an edge
     contributes to communication, DMA and memory accounting only through
@@ -46,12 +50,6 @@ type options = {
 
 val default_options : options
 (** Both [false] — the paper's model. *)
-
-val make_options :
-  ?share_colocated_buffers:bool -> ?tight_pipeline:bool -> unit -> options
-(** Build an options record from the historical optional arguments; the
-    bridge for call sites still written against the
-    [?share_colocated_buffers]/[?tight_pipeline] labels. *)
 
 (** {1 Construction} *)
 
@@ -148,7 +146,9 @@ val apply_move : t -> task:int -> pe:int -> unit
 (** Reassign an assigned task, journaling the inverse for {!undo}. *)
 
 val apply_swap : t -> int -> int -> unit
-(** Exchange the PEs of two assigned tasks (one journal entry). *)
+(** Exchange the PEs of two assigned tasks (one journal entry).
+    @raise Invalid_argument if the two tasks are the same, before any
+    mutation. *)
 
 val undo : t -> unit
 (** Revert the most recent un-undone {!apply_move}/{!apply_swap}.
@@ -157,18 +157,46 @@ val undo : t -> unit
 val undo_depth : t -> int
 (** Number of journaled mutations not yet undone. *)
 
-(** {1 Probing (evaluate without committing)} *)
+(** {1 Probing (evaluate without committing)}
+
+    An exact probe validates the state, blits the float rows aside,
+    applies the mutation, re-sweeps the dirtied rows — O(tasks + edges):
+    the sweep visits every task and edge, so that each row keeps its
+    canonical summation order — and restores. A screened probe first
+    gathers what the mutation does to each row in one pass over the
+    moved task(s) and their incident edges, O(degree + PEs), and runs the
+    exact probe only when that cannot already rule the mutation out.
+    The screen bounds each touched row from below by
+    [(cached + delta) - c*eps*(cached + sum |delta terms|)], with [c]
+    derived from the most terms any row or delta can hold: a rounding
+    margin covering the cached row's, the delta's and the exact sweep's
+    own summation errors (the argument is stated at [lower] in
+    [eval.ml]). Untouched rows enter at their cached bits. So a screened
+    probe rejects only mutations the exact probe would also reject, and
+    returns the exact probe's bits for the rest. In local search about
+    one probe in a hundred survives the screen. *)
 
 val probe_move : t -> task:int -> pe:int -> float * bool
 (** Period and feasibility the state would have after
     [apply_move ~task ~pe]; the state is left untouched. *)
 
 val probe_swap : t -> int -> int -> float * bool
-(** Same for {!apply_swap}. *)
+(** Same for {!apply_swap}.
+    @raise Invalid_argument if the two tasks are the same. *)
 
-val delta_period_of_move : t -> task:int -> pe:int -> float
-(** [fst (probe_move t ~task ~pe) -. period t]: negative when the move
-    improves the period. *)
+val probe_move_below : t -> task:int -> pe:int -> threshold:float -> float
+(** [if f && p < threshold then p else infinity] where
+    [(p, f) = probe_move t ~task ~pe], bitwise, and the state is left
+    untouched. Screened: the exact probe runs only when the O(degree)
+    screen cannot show that the move is infeasible (a touched SPE's DMA
+    counter over its limit, or its memory over the budget — that test is
+    skipped under [tight_pipeline] when the move changes an edge's
+    colocation) or that its period is [>= threshold]. A probe the
+    screen rejects allocates nothing. *)
+
+val probe_swap_below : t -> int -> int -> threshold:float -> float
+(** Same for {!probe_swap}.
+    @raise Invalid_argument if the two tasks are the same. *)
 
 (** {1 Scratch wrappers}
 

@@ -217,7 +217,15 @@ let local_search ?(options = Eval.default_options) ?(max_passes = 50) platform g
     mapping =
   let ev = Eval.create ~options platform g mapping in
   let n = P.n_pes platform in
-  let best_period = ref (Eval.period ev) in
+  (* A move is taken when it is feasible and beats the best period by
+     more than 1e-12: the screened probes answer exactly that, and reach
+     the exact sweep only for the few candidates their O(degree) screen
+     cannot rule out. Updating [threshold] through the [accept] closure
+     keeps it a heap cell whose boxed float each probe passes as is;
+     as a plain local ref the compiler would unbox it and box a fresh
+     copy per probe. *)
+  let threshold = ref (Eval.period ev -. 1e-12) in
+  let accept t = threshold := t -. 1e-12 in
   let improved = ref true in
   let passes = ref 0 in
   let obs = Obs.Metrics.enabled () in
@@ -225,15 +233,15 @@ let local_search ?(options = Eval.default_options) ?(max_passes = 50) platform g
     improved := false;
     incr passes;
     if obs then Obs.Metrics.Counter.inc m_ls_passes;
-    (* Single-task moves, probed through the engine in O(degree) each. *)
+    (* Single-task moves. *)
     for k = 0 to G.n_tasks g - 1 do
       let home = Eval.pe_of ev k in
       let best_move = ref None in
       for pe = 0 to n - 1 do
         if pe <> home then begin
-          let t, feas = Eval.probe_move ev ~task:k ~pe in
-          if feas && t < !best_period -. 1e-12 then begin
-            best_period := t;
+          let t = Eval.probe_move_below ev ~task:k ~pe ~threshold:!threshold in
+          if t < !threshold then begin
+            accept t;
             best_move := Some pe
           end
         end
@@ -250,9 +258,9 @@ let local_search ?(options = Eval.default_options) ?(max_passes = 50) platform g
     for k1 = 0 to G.n_tasks g - 1 do
       for k2 = k1 + 1 to G.n_tasks g - 1 do
         if Eval.pe_of ev k1 <> Eval.pe_of ev k2 then begin
-          let t, feas = Eval.probe_swap ev k1 k2 in
-          if feas && t < !best_period -. 1e-12 then begin
-            best_period := t;
+          let t = Eval.probe_swap_below ev k1 k2 ~threshold:!threshold in
+          if t < !threshold then begin
+            accept t;
             improved := true;
             if obs then Obs.Metrics.Counter.inc m_ls_swaps;
             Eval.apply_swap ev k1 k2

@@ -56,10 +56,12 @@ val local_search :
     swaps (swaps matter when the local stores are full and no single move
     is feasible), keeping feasibility; stops at a local optimum or after
     [max_passes] (default 50) sweeps. The input mapping must be feasible.
-    Candidates are probed through {!Eval.probe_move}/{!Eval.probe_swap} —
-    O(degree) per candidate instead of a full steady-state recompute —
-    under the given evaluation [options] (default {!Eval.default_options},
-    the paper's model). *)
+    Candidates are probed through {!Eval.probe_move_below}/
+    {!Eval.probe_swap_below} with the acceptance threshold: an O(degree +
+    PEs) screen rules out almost every candidate, and only the rest pay
+    the exact O(tasks + edges) sweep. The decisions are exactly those of
+    the unscreened probes. Evaluation uses the given [options] (default
+    {!Eval.default_options}, the paper's model). *)
 
 val lp_rounding :
   ?improve:bool -> Cell.Platform.t -> Streaming.Graph.t -> Mapping.t

@@ -131,7 +131,7 @@ let make_state ~share platform g =
     g;
     ev =
       Eval.create_empty
-        ~options:(Eval.make_options ~share_colocated_buffers:share ())
+        ~options:{ Eval.share_colocated_buffers = share; tight_pipeline = false }
         platform g;
     order;
     w_ppe;
@@ -518,7 +518,9 @@ let solve ?(span = Obs.Span.null) ?(options = default_options)
     platform g =
   let share = options.share_colocated_buffers in
   let st = make_state ~share platform g in
-  let eval_options = Eval.make_options ~share_colocated_buffers:share () in
+  let eval_options =
+    { Eval.share_colocated_buffers = share; tight_pipeline = false }
+  in
   let incumbent_mapping =
     match incumbent with
     | Some m ->

@@ -51,7 +51,7 @@ let solve ?(span = Obs.Span.null) ?pool ?(should_stop = fun () -> false)
     ?(share_colocated_buffers = false) platform g =
   Obs.Span.with_span span "portfolio" @@ fun span ->
   let eval_options =
-    Eval.make_options ~share_colocated_buffers ()
+    { Eval.share_colocated_buffers; tight_pipeline = false }
   in
   let entrants =
     Array.of_list

@@ -8,6 +8,9 @@ module G = Streaming.Graph
 module SS = Cellsched.Steady_state
 module E = Cellsched.Eval
 
+let c_probes = Obs.Metrics.counter "search_eval_probes_total"
+let c_exact = Obs.Metrics.counter "search_eval_exact_probes_total"
+
 (* --- exact (bitwise) float comparison ----------------------------------- *)
 
 let bits_eq_arrays name a b =
@@ -84,7 +87,7 @@ let replay_case ~share ~tight (seed, n) =
   let g = random_graph rng n in
   let m0 = random_mapping rng platform g in
   let options =
-    E.make_options ~share_colocated_buffers:share ~tight_pipeline:tight ()
+    { E.share_colocated_buffers = share; tight_pipeline = tight }
   in
   let scratch m =
     SS.loads ~share_colocated_buffers:share ~tight_pipeline:tight platform g m
@@ -120,38 +123,240 @@ let replay_matches_scratch ~share ~tight =
 
 (* --- probe purity -------------------------------------------------------- *)
 
-let probe_is_pure =
-  QCheck.Test.make ~count:40 ~name:"probe_move/probe_swap leave no trace"
+let options_of ~share ~tight =
+  { E.share_colocated_buffers = share; tight_pipeline = tight }
+
+(* Scratch period and feasibility of [ev]'s mapping with [k] on [pe]
+   (and [k2] on [pe2] when given). *)
+let scratch_after ~share ~tight ev ?(k2 = -1) ?(pe2 = -1) k pe =
+  let platform = E.platform ev and g = E.graph ev in
+  let arr = Cellsched.Mapping.to_array (E.mapping ev) in
+  arr.(k) <- pe;
+  if k2 >= 0 then arr.(k2) <- pe2;
+  let m = Cellsched.Mapping.make platform g arr in
+  let sl =
+    SS.loads ~share_colocated_buffers:share ~tight_pipeline:tight platform g m
+  in
+  (SS.period platform sl, SS.violations_of_loads platform sl = [])
+
+let check_probe name (t, feas) (t', feas') =
+  if Int64.bits_of_float t <> Int64.bits_of_float t' then
+    QCheck.Test.fail_reportf "%s period differs: %h vs %h" name t t';
+  if feas <> feas' then QCheck.Test.fail_reportf "%s feasibility differs" name
+
+let probe_is_pure ~share ~tight =
+  QCheck.Test.make ~count:40
+    ~name:
+      (if share || tight then
+         Printf.sprintf "probes pure (share=%b, tight=%b)" share tight
+       else "probe_move/probe_swap leave no trace")
     QCheck.(pair (int_bound 100_000) (int_range 5 15))
     (fun (seed, n) ->
       let n = max 5 n and seed = abs seed in
-      let rng = Support.Rng.create (seed + 7_000_000) in
+      let salt = (if share then 1_000_000 else 0) + if tight then 2_000_000 else 0 in
+      let rng = Support.Rng.create (seed + salt + 7_000_000) in
       let platform = random_platform rng in
       let g = random_graph rng n in
       let m0 = random_mapping rng platform g in
-      let ev = E.create platform g m0 in
+      let ev = E.create ~options:(options_of ~share ~tight) platform g m0 in
       let before = E.loads ev in
       let nk = G.n_tasks g and npes = P.n_pes platform in
       for _ = 1 to 20 do
         let k = Support.Rng.int rng nk in
         let pe = Support.Rng.int rng npes in
-        let t, feas = E.probe_move ev ~task:k ~pe in
-        (* The probed value is the scratch period of the mutated mapping. *)
-        let arr = Cellsched.Mapping.to_array (E.mapping ev) in
-        arr.(k) <- pe;
-        let m' = Cellsched.Mapping.make platform g arr in
-        let sl = SS.loads platform g m' in
-        if Int64.bits_of_float t <> Int64.bits_of_float (SS.period platform sl)
-        then QCheck.Test.fail_reportf "probe_move period differs";
-        if feas <> (SS.violations_of_loads platform sl = []) then
-          QCheck.Test.fail_reportf "probe_move feasibility differs";
+        check_probe "probe_move" (E.probe_move ev ~task:k ~pe)
+          (scratch_after ~share ~tight ev k pe);
         let k2 = Support.Rng.int rng nk in
-        if k2 <> k then ignore (E.probe_swap ev k k2)
+        if k2 <> k then
+          check_probe "probe_swap" (E.probe_swap ev k k2)
+            (scratch_after ~share ~tight ev ~k2 ~pe2:(E.pe_of ev k) k
+               (E.pe_of ev k2))
       done;
       check_loads_equal (E.loads ev) before;
       if E.undo_depth ev <> 0 then
         QCheck.Test.fail_reportf "probe left journal entries";
       true)
+
+(* --- the probe screen ------------------------------------------------------
+
+   [probe_*_below] must answer exactly [if f && p < thr then p else
+   infinity] for the exact probe's [(p, f)] — bitwise, whatever the
+   screen decided — on platforms where each of its tests binds: link
+   rows (dual Cell), memory (local stores a few edges' buffers wide), the
+   DMA queues, and slow interfaces. Thresholds straddle the exact period at every scale
+   the rounding margin could matter at, plus the local search's own
+   (current period - 1e-12). Between rounds the state moves, so the
+   cached rows the screen starts from vary too. *)
+
+type platform_kind = Single | Dual | Memory_tight | Dma_limited
+
+(* Half the platforms get interfaces (and inter-Cell links) slow enough
+   that their rows, not compute, set the period. *)
+let screen_platform rng kind g =
+  let slow = Support.Rng.int rng 2 = 0 in
+  let bw = if slow then 2e6 +. Support.Rng.float rng 2e7 else 25e9 in
+  let inter_cell_bw = if slow then 1e6 +. Support.Rng.float rng 1e7 else 20e9 in
+  match kind with
+  | Single -> P.make ~n_ppe:1 ~n_spe:4 ~bw ()
+  | Dual -> P.make ~n_ppe:2 ~n_spe:6 ~n_cells:2 ~bw ~inter_cell_bw ()
+  | Memory_tight ->
+      (* Room for a sixth to a half of the graph's buffers per SPE. *)
+      let buff =
+        SS.buffer_sizes ~first_periods:(SS.first_periods g) g
+        |> Array.fold_left ( +. ) 0.
+      in
+      let share = (1. /. 6.) +. Support.Rng.float rng (1. /. 3.) in
+      P.make ~n_ppe:1 ~n_spe:4 ~bw ~code_size:0
+        ~local_store:(max 1 (int_of_float (buff *. share)))
+        ()
+  | Dma_limited ->
+      P.make ~n_ppe:1 ~n_spe:4 ~bw ~max_dma_in:1 ~max_dma_to_ppe:1 ()
+
+let check_below name thr (p, f) got =
+  let want = if f && p < thr then p else infinity in
+  if Int64.bits_of_float got <> Int64.bits_of_float want then
+    QCheck.Test.fail_reportf "%s at threshold %h: %h, exact (%h, %b)" name thr
+      got p f
+
+let thresholds rng ~current p =
+  [
+    p;
+    Float.pred p;
+    Float.succ p;
+    p -. 1e-12;
+    p +. 1e-12;
+    current -. 1e-12;
+    p *. (0.5 +. Support.Rng.float rng 1.);
+    Support.Rng.float rng (2. *. current);
+    infinity;
+  ]
+
+let screen_is_exact ~share ~tight =
+  QCheck.Test.make ~count:60
+    ~name:
+      (Printf.sprintf "below = exact (share=%b, tight=%b)" share tight)
+    QCheck.(pair (int_bound 100_000) (int_range 5 25))
+    (fun (seed, n) ->
+      let n = max 5 n and seed = abs seed in
+      let salt = (if share then 1_000_000 else 0) + if tight then 2_000_000 else 0 in
+      let rng = Support.Rng.create (seed + salt + 9_000_000) in
+      let g = random_graph rng n in
+      let kind =
+        [| Single; Dual; Memory_tight; Dma_limited |].(seed mod 4)
+      in
+      let platform = screen_platform rng kind g in
+      let ev =
+        E.create ~options:(options_of ~share ~tight) platform g
+          (if Support.Rng.int rng 4 = 0 then random_mapping rng platform g
+           else Cellsched.Heuristics.random_feasible ~rng platform g)
+      in
+      let nk = G.n_tasks g and npes = P.n_pes platform in
+      for _ = 1 to 4 do
+        let before = E.loads ev and depth = E.undo_depth ev in
+        let current = E.period ev in
+        for _ = 1 to 8 do
+          let k = Support.Rng.int rng nk and pe = Support.Rng.int rng npes in
+          let ((p, _) as exact) = E.probe_move ev ~task:k ~pe in
+          List.iter
+            (fun thr ->
+              check_below "probe_move_below" thr exact
+                (E.probe_move_below ev ~task:k ~pe ~threshold:thr))
+            (thresholds rng ~current p);
+          let k2 = Support.Rng.int rng nk in
+          if k2 <> k then begin
+            let ((p, _) as exact) = E.probe_swap ev k k2 in
+            List.iter
+              (fun thr ->
+                check_below "probe_swap_below" thr exact
+                  (E.probe_swap_below ev k k2 ~threshold:thr))
+              (thresholds rng ~current p)
+          end
+        done;
+        check_loads_equal (E.loads ev) before;
+        if E.undo_depth ev <> depth then
+          QCheck.Test.fail_reportf "probe left journal entries";
+        (* Move on to a different state, mostly a feasible one: that is
+           where a wrongly rejected probe would show. *)
+        E.apply_move ev ~task:(Support.Rng.int rng nk)
+          ~pe:(Support.Rng.int rng npes);
+        if (not (E.feasible ev)) && Support.Rng.int rng 4 > 0 then E.undo ev
+      done;
+      true)
+
+(* A screened probe — one the screen settles without the exact sweep —
+   allocates nothing: its scratch lives in the engine and no float is
+   boxed on the way. The probes are those of a local optimum, where the
+   screen rejects nearly everything; the few that reach the sweep are
+   left out of the measured loop. *)
+let test_screen_allocates_nothing () =
+  let platform = P.qs22 ~n_spe:8 () in
+  let g = random_graph (Support.Rng.create 78) 24 in
+  let m =
+    Cellsched.Heuristics.local_search platform g
+      (Cellsched.Heuristics.greedy_mem platform g)
+  in
+  let ev = E.create platform g m in
+  let threshold = E.period ev -. 1e-12 in
+  let nk = G.n_tasks g and npes = P.n_pes platform in
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  let screened = ref [] in
+  for k = 0 to nk - 1 do
+    for pe = 0 to npes - 1 do
+      let x0 = Obs.Metrics.Counter.value c_exact in
+      ignore (E.probe_move_below ev ~task:k ~pe ~threshold);
+      if Obs.Metrics.Counter.value c_exact = x0 then
+        screened := (k, pe) :: !screened
+    done
+  done;
+  Obs.Metrics.set_enabled was;
+  let moves = Array.of_list !screened in
+  let n = Array.length moves in
+  if n < nk * npes / 2 then
+    Alcotest.failf "only %d of %d probes screened" n (nk * npes);
+  let rejected = ref 0 in
+  let run () =
+    for _ = 1 to 20 do
+      for i = 0 to n - 1 do
+        let k, pe = moves.(i) in
+        if E.probe_move_below ev ~task:k ~pe ~threshold = infinity then
+          incr rejected
+      done
+    done
+  in
+  run ();
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  run ();
+  let w2 = Gc.minor_words () in
+  Alcotest.(check int) "every screened probe rejected" (40 * n) !rejected;
+  Alcotest.(check (float 0.)) "minor words allocated by screened probes"
+    (w1 -. w0) (w2 -. w1)
+
+(* Swapping a task with itself used to detach it twice: the engine lost
+   the task before raising. Every swap entry point now refuses first. *)
+let test_same_task_swap () =
+  let platform = P.qs22 ~n_spe:4 () in
+  let g = random_graph (Support.Rng.create 77) 10 in
+  let m = Cellsched.Heuristics.greedy_mem platform g in
+  let ev = E.create platform g m in
+  let before = E.loads ev in
+  let refuses name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted a same-task swap" name
+  in
+  refuses "apply_swap" (fun () -> E.apply_swap ev 3 3);
+  refuses "probe_swap" (fun () -> ignore (E.probe_swap ev 3 3));
+  refuses "probe_swap_below" (fun () ->
+      ignore (E.probe_swap_below ev 3 3 ~threshold:infinity));
+  Alcotest.(check int) "all tasks assigned" (G.n_tasks g) (E.n_assigned ev);
+  Alcotest.(check int) "task 3 kept its PE" (Cellsched.Mapping.pe m 3)
+    (E.pe_of ev 3);
+  Alcotest.(check int) "journal untouched" 0 (E.undo_depth ev);
+  check_loads_equal (E.loads ev) before;
+  Alcotest.(check bool) "same mapping" true
+    (Cellsched.Mapping.to_array (E.mapping ev) = Cellsched.Mapping.to_array m)
 
 (* --- the heuristics' to-PPE DMA blind spot -------------------------------
 
@@ -248,6 +453,70 @@ let test_partial_assignment_consistency () =
   let m' = E.mapping ev in
   check_loads_equal (E.loads ev) (SS.loads platform g m')
 
+(* --- portfolio golden digest ----------------------------------------------
+
+   The cold-solve shape: DagGen graphs of 12-30 tasks x QS22 at 4 and 8
+   SPEs x three seeds, each through [Portfolio.solve]. Every candidate's
+   mapping and [%h] period is hashed; a single changed local-search
+   decision anywhere changes the digest. The pinned value was recorded
+   before local search screened its probes, so it checks that the screen
+   is invisible end to end. *)
+let portfolio_golden_digest = "19626b793f2b7921a4ea25b82d13a8d5"
+
+let portfolio_corpus () =
+  List.concat_map
+    (fun seed ->
+      List.concat_map
+        (fun k ->
+          let n = 12 + (2 * k) in
+          let g =
+            random_graph (Support.Rng.create ((1_000 * seed) + k)) n
+          in
+          List.map (fun spes -> (g, P.qs22 ~n_spe:spes ())) [ 4; 8 ])
+        (List.init 10 Fun.id))
+    [ 1; 2; 3 ]
+
+let portfolio_rendering () =
+  let buf = Buffer.create 65536 in
+  List.iteri
+    (fun i (g, platform) ->
+      let r = Cellsched.Portfolio.solve platform g in
+      List.iter
+        (fun (c : Cellsched.Portfolio.candidate) ->
+          Printf.bprintf buf "%d %s %h %b" i c.name c.period c.feasible;
+          Array.iter (Printf.bprintf buf " %d")
+            (Cellsched.Mapping.to_array c.mapping);
+          Buffer.add_char buf '\n')
+        r.Cellsched.Portfolio.candidates)
+    (portfolio_corpus ());
+  Buffer.contents buf
+
+(* One pass over the corpus, counting probes and exact sweeps. *)
+let portfolio_run =
+  lazy
+    (let was = Obs.Metrics.enabled () in
+     Obs.Metrics.set_enabled true;
+     let p0 = Obs.Metrics.Counter.value c_probes
+     and x0 = Obs.Metrics.Counter.value c_exact in
+     let rendering = portfolio_rendering () in
+     let probes = Obs.Metrics.Counter.value c_probes - p0
+     and exact = Obs.Metrics.Counter.value c_exact - x0 in
+     Obs.Metrics.set_enabled was;
+     (rendering, probes, exact))
+
+let test_portfolio_digest () =
+  let rendering, _, _ = Lazy.force portfolio_run in
+  Alcotest.(check string)
+    "digest of every portfolio candidate" portfolio_golden_digest
+    (Digest.to_hex (Digest.string rendering))
+
+(* The screen is what makes local search cheap: on the corpus nearly
+   every probe is settled without the exact sweep. *)
+let test_exact_sweep_share () =
+  let _, probes, exact = Lazy.force portfolio_run in
+  if probes = 0 || float_of_int exact > 0.05 *. float_of_int probes then
+    Alcotest.failf "%d exact sweeps for %d probes (over 5%%)" exact probes
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "eval"
@@ -259,7 +528,24 @@ let () =
           qt (replay_matches_scratch ~share:false ~tight:true);
           qt (replay_matches_scratch ~share:true ~tight:true);
         ] );
-      ("probe", [ qt probe_is_pure ]);
+      ( "probe",
+        [
+          qt (probe_is_pure ~share:false ~tight:false);
+          qt (probe_is_pure ~share:true ~tight:false);
+          qt (probe_is_pure ~share:false ~tight:true);
+          qt (probe_is_pure ~share:true ~tight:true);
+          Alcotest.test_case "same-task swap is refused untouched" `Quick
+            test_same_task_swap;
+        ] );
+      ( "screen",
+        [
+          qt (screen_is_exact ~share:false ~tight:false);
+          qt (screen_is_exact ~share:true ~tight:false);
+          qt (screen_is_exact ~share:false ~tight:true);
+          qt (screen_is_exact ~share:true ~tight:true);
+          Alcotest.test_case "screened probes allocate nothing" `Quick
+            test_screen_allocates_nothing;
+        ] );
       ( "blind-spot",
         [
           Alcotest.test_case "heuristics repair to-PPE overflow" `Quick
@@ -271,5 +557,11 @@ let () =
         [
           Alcotest.test_case "assign/unassign consistency" `Quick
             test_partial_assignment_consistency;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "portfolio digest" `Quick test_portfolio_digest;
+          Alcotest.test_case "exact sweeps at most 5% of probes" `Quick
+            test_exact_sweep_share;
         ] );
     ]

@@ -68,6 +68,13 @@ type t = {
   platform : P.t;
   g : G.t;
   opts : options;
+  (* Plain-array views read by the sweeps, [detach]/[attach] and the
+     screen instead of cross-module accessors: the graph's own [fl],
+     shared by every engine on it, and per-PE platform facts. *)
+  fl : G.flat;
+  is_spe : bool array;
+  cell : int array;
+  budget : float;  (* SPE local-store bytes for buffers *)
   assignment : int array;  (* -1 = unassigned *)
   mutable n_assigned : int;
   (* Cached resource rows. Float rows are recomputed lazily, per PE, by
@@ -159,8 +166,8 @@ let flush_buffers t =
    evaluation — holds by construction, and a probe touching several rows
    pays one O(tasks + edges) sweep, not one per row. *)
 let recompute_dirty_rows t =
-  let g = t.g and p = t.platform in
-  let n = P.n_pes p in
+  let fl = t.fl in
+  let n = Array.length t.compute in
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.Counter.inc m_sweeps;
     let dirty = ref 0 in
@@ -177,26 +184,27 @@ let recompute_dirty_rows t =
       t.memory.(pe) <- 0.
     end
   done;
-  for k = 0 to G.n_tasks g - 1 do
+  for k = 0 to Array.length t.assignment - 1 do
     let pe = t.assignment.(k) in
     if pe >= 0 && t.row_dirty.(pe) then begin
-      let task = G.task g k in
-      let w = Streaming.Task.w task (P.pe_class p pe) in
-      let w = if P.is_ppe p pe then w /. p.P.ppe_speedup else w in
+      let w =
+        if t.is_spe.(pe) then fl.G.w_spe.(k)
+        else fl.G.w_ppe.(k) /. t.platform.P.ppe_speedup
+      in
       t.compute.(pe) <- t.compute.(pe) +. w;
-      t.bytes_in.(pe) <- t.bytes_in.(pe) +. task.Streaming.Task.read_bytes;
-      t.bytes_out.(pe) <- t.bytes_out.(pe) +. task.Streaming.Task.write_bytes
+      t.bytes_in.(pe) <- t.bytes_in.(pe) +. fl.G.read_bytes.(k);
+      t.bytes_out.(pe) <- t.bytes_out.(pe) +. fl.G.write_bytes.(k)
     end
   done;
-  for e = 0 to G.n_edges g - 1 do
-    let edge = G.edge g e in
-    let sp = t.assignment.(edge.G.src) and dp = t.assignment.(edge.G.dst) in
+  for e = 0 to Array.length fl.G.edge_src - 1 do
+    let sp = t.assignment.(fl.G.edge_src.(e))
+    and dp = t.assignment.(fl.G.edge_dst.(e)) in
     let active = sp >= 0 && dp >= 0 in
     if active && sp <> dp then begin
       if t.row_dirty.(sp) then
-        t.bytes_out.(sp) <- t.bytes_out.(sp) +. edge.G.data_bytes;
+        t.bytes_out.(sp) <- t.bytes_out.(sp) +. fl.G.edge_data.(e);
       if t.row_dirty.(dp) then
-        t.bytes_in.(dp) <- t.bytes_in.(dp) +. edge.G.data_bytes
+        t.bytes_in.(dp) <- t.bytes_in.(dp) +. fl.G.edge_data.(e)
     end;
     (* Memory: each assigned endpoint holds its buffer copy — also for
        half-assigned edges — except one copy total when colocated under
@@ -216,15 +224,15 @@ let recompute_dirty_rows t =
 let recompute_links t =
   Array.fill t.link_out 0 (Array.length t.link_out) 0.;
   Array.fill t.link_in 0 (Array.length t.link_in) 0.;
-  let p = t.platform in
-  for e = 0 to G.n_edges t.g - 1 do
-    let edge = G.edge t.g e in
-    let sp = t.assignment.(edge.G.src) and dp = t.assignment.(edge.G.dst) in
+  let fl = t.fl in
+  for e = 0 to Array.length fl.G.edge_src - 1 do
+    let sp = t.assignment.(fl.G.edge_src.(e))
+    and dp = t.assignment.(fl.G.edge_dst.(e)) in
     if sp >= 0 && dp >= 0 && sp <> dp then begin
-      let sc = P.cell_of p sp and dc = P.cell_of p dp in
+      let sc = t.cell.(sp) and dc = t.cell.(dp) in
       if sc <> dc then begin
-        t.link_out.(sc) <- t.link_out.(sc) +. edge.G.data_bytes;
-        t.link_in.(dc) <- t.link_in.(dc) +. edge.G.data_bytes
+        t.link_out.(sc) <- t.link_out.(sc) +. fl.G.edge_data.(e);
+        t.link_in.(dc) <- t.link_in.(dc) +. fl.G.edge_data.(e)
       end
     end
   done;
@@ -248,78 +256,57 @@ let validate_all t =
 
 let dirt t pe = t.row_dirty.(pe) <- true
 
-let cross_cell t a b = P.cell_of t.platform a <> P.cell_of t.platform b
+let cross_cell t a b = t.cell.(a) <> t.cell.(b)
 
-(* Remove task [k]'s contributions (it must be assigned). Only the rows
-   of [k]'s PE and of its assigned neighbours' PEs can change; integer
-   DMA counters are adjusted in place. *)
-let detach t k =
-  let pe = t.assignment.(k) in
-  let handle_in e =
-    let edge = G.edge t.g e in
-    let sp = t.assignment.(edge.G.src) in
+(* Add ([d] = 1) or remove ([d] = -1) the integer contributions of a
+   remote edge from a task on [sp] to one on [dp] ([dp]'s incoming DMA
+   slot, [sp]'s to-PPE slot) and invalidate the link rows it loads. *)
+let link_remote t sp dp d =
+  t.dma_in.(dp) <- t.dma_in.(dp) + d;
+  if t.is_spe.(sp) && not t.is_spe.(dp) then
+    t.dma_to_ppe.(sp) <- t.dma_to_ppe.(sp) + d;
+  if cross_cell t sp dp then t.links_dirty <- true
+
+(* Task [k]'s edges with the task on [pe]: each edge to or from an
+   assigned neighbour is added ([d] = 1) or removed ([d] = -1). Only the
+   rows of [pe] and of the neighbours' PEs can change; the integer DMA
+   counters are adjusted in place. *)
+let link_incident t k pe d =
+  let fl = t.fl in
+  for i = fl.G.in_start.(k) to fl.G.in_start.(k + 1) - 1 do
+    let sp = t.assignment.(fl.G.edge_src.(fl.G.in_ids.(i))) in
     if sp >= 0 then
       if sp <> pe then begin
-        t.dma_in.(pe) <- t.dma_in.(pe) - 1;
-        if P.is_spe t.platform sp && P.is_ppe t.platform pe then
-          t.dma_to_ppe.(sp) <- t.dma_to_ppe.(sp) - 1;
-        dirt t sp;
-        if cross_cell t sp pe then t.links_dirty <- true
+        link_remote t sp pe d;
+        dirt t sp
       end
       else if t.opts.tight_pipeline then t.buff_dirty <- true
-  in
-  let handle_out e =
-    let edge = G.edge t.g e in
-    let dp = t.assignment.(edge.G.dst) in
+  done;
+  for i = fl.G.out_start.(k) to fl.G.out_start.(k + 1) - 1 do
+    let dp = t.assignment.(fl.G.edge_dst.(fl.G.out_ids.(i))) in
     if dp >= 0 then
       if dp <> pe then begin
-        t.dma_in.(dp) <- t.dma_in.(dp) - 1;
-        if P.is_spe t.platform pe && P.is_ppe t.platform dp then
-          t.dma_to_ppe.(pe) <- t.dma_to_ppe.(pe) - 1;
-        dirt t dp;
-        if cross_cell t pe dp then t.links_dirty <- true
+        link_remote t pe dp d;
+        dirt t dp
       end
       else if t.opts.tight_pipeline then t.buff_dirty <- true
-  in
-  List.iter handle_in (G.in_edges t.g k);
-  List.iter handle_out (G.out_edges t.g k);
+  done
+
+(* Remove task [k]'s contributions (it must be assigned). *)
+let detach t k =
+  let pe = t.assignment.(k) in
+  link_incident t k pe (-1);
   t.assignment.(k) <- -1;
   t.n_assigned <- t.n_assigned - 1;
   dirt t pe
 
-(* Mirror of [detach]: add task [k]'s contributions on PE [pe]. *)
+(* Mirror of [detach]: add task [k]'s contributions on PE [pe]. Graphs
+   have no self-loops, so no incident edge sees [k] at both ends. *)
 let attach t k pe =
   t.assignment.(k) <- pe;
   t.n_assigned <- t.n_assigned + 1;
   dirt t pe;
-  let handle_in e =
-    let edge = G.edge t.g e in
-    let sp = t.assignment.(edge.G.src) in
-    if sp >= 0 && edge.G.src <> k then
-      if sp <> pe then begin
-        t.dma_in.(pe) <- t.dma_in.(pe) + 1;
-        if P.is_spe t.platform sp && P.is_ppe t.platform pe then
-          t.dma_to_ppe.(sp) <- t.dma_to_ppe.(sp) + 1;
-        dirt t sp;
-        if cross_cell t sp pe then t.links_dirty <- true
-      end
-      else if t.opts.tight_pipeline then t.buff_dirty <- true
-  in
-  let handle_out e =
-    let edge = G.edge t.g e in
-    let dp = t.assignment.(edge.G.dst) in
-    if dp >= 0 && edge.G.dst <> k then
-      if dp <> pe then begin
-        t.dma_in.(dp) <- t.dma_in.(dp) + 1;
-        if P.is_spe t.platform pe && P.is_ppe t.platform dp then
-          t.dma_to_ppe.(pe) <- t.dma_to_ppe.(pe) + 1;
-        dirt t dp;
-        if cross_cell t pe dp then t.links_dirty <- true
-      end
-      else if t.opts.tight_pipeline then t.buff_dirty <- true
-  in
-  List.iter handle_in (G.in_edges t.g k);
-  List.iter handle_out (G.out_edges t.g k)
+  link_incident t k pe 1
 
 (* --- construction ---------------------------------------------------- *)
 
@@ -361,6 +348,10 @@ let create_empty ?(options = default_options) platform g =
       platform;
       g;
       opts = options;
+      fl = G.flat g;
+      is_spe = Array.init n (P.is_spe platform);
+      cell = Array.init n (P.cell_of platform);
+      budget = float_of_int (P.spe_memory_budget platform);
       assignment = Array.make (G.n_tasks g) (-1);
       n_assigned = 0;
       compute = Array.make n 0.;
@@ -417,27 +408,37 @@ let bytes_out_on t pe = validate_rows t; t.bytes_out.(pe)
 let dma_in_on t pe = t.dma_in.(pe)
 let dma_to_ppe_on t pe = t.dma_to_ppe.(pe)
 
+(* Sum, left to right from 0, of [t.buff.(e)] over the edge ids
+   [e = ids.(lo) .. ids.(hi - 1)]; when [pe >= 0], only over the edges
+   whose end [ends.(e)] is on [pe]. *)
+let sum_buffers t ids lo hi ends pe =
+  let acc = ref 0. in
+  for i = lo to hi - 1 do
+    let e = ids.(i) in
+    acc := !acc +. (if pe < 0 || t.assignment.(ends.(e)) = pe then t.buff.(e) else 0.)
+  done;
+  !acc
+
 let task_buffer_bytes t k =
   flush_buffers t;
-  let sum = List.fold_left (fun acc e -> acc +. t.buff.(e)) 0. in
-  sum (G.out_edges t.g k) +. sum (G.in_edges t.g k)
+  let fl = t.fl in
+  sum_buffers t fl.G.out_ids fl.G.out_start.(k) fl.G.out_start.(k + 1)
+    fl.G.edge_dst (-1)
+  +. sum_buffers t fl.G.in_ids fl.G.in_start.(k) fl.G.in_start.(k + 1)
+       fl.G.edge_src (-1)
 
 let assign_memory_delta t ~task ~pe =
   let base = task_buffer_bytes t task in
   if not t.opts.share_colocated_buffers then base
   else begin
-    let saved e other =
-      if t.assignment.(other) = pe then t.buff.(e) else 0.
-    in
+    let fl = t.fl in
     let saved_in =
-      List.fold_left
-        (fun acc e -> acc +. saved e (G.edge t.g e).G.src)
-        0. (G.in_edges t.g task)
+      sum_buffers t fl.G.in_ids fl.G.in_start.(task) fl.G.in_start.(task + 1)
+        fl.G.edge_src pe
     in
     let saved_out =
-      List.fold_left
-        (fun acc e -> acc +. saved e (G.edge t.g e).G.dst)
-        0. (G.out_edges t.g task)
+      sum_buffers t fl.G.out_ids fl.G.out_start.(task)
+        fl.G.out_start.(task + 1) fl.G.edge_dst pe
     in
     base -. (saved_in +. saved_out)
   end
@@ -486,15 +487,38 @@ let violations t =
   validate_all t;
   Steady_state.violations_of_loads t.platform (internal_loads t)
 
+(* [bottleneck], int-coded; the same scan and tie-breaking (first
+   strictly larger term wins, starting from compute 0 at 0). *)
+let bottleneck_row t =
+  validate_all t;
+  let p = t.platform in
+  let bw = p.P.bw and ibw = p.P.inter_cell_bw in
+  let best = ref 0 and top = ref 0. in
+  for pe = 0 to Array.length t.compute - 1 do
+    let c = t.compute.(pe) in
+    if c > !top then begin best := 5 * pe; top := c end;
+    let i = t.bytes_in.(pe) /. bw in
+    if i > !top then begin best := (5 * pe) + 1; top := i end;
+    let o = t.bytes_out.(pe) /. bw in
+    if o > !top then begin best := (5 * pe) + 2; top := o end
+  done;
+  for c = 0 to Array.length t.link_out - 1 do
+    let o = t.link_out.(c) /. ibw in
+    if o > !top then begin best := (5 * c) + 3; top := o end;
+    let i = t.link_in.(c) /. ibw in
+    if i > !top then begin best := (5 * c) + 4; top := i end
+  done;
+  !best
+
 let feasible t =
   validate_all t;
   let p = t.platform in
-  let budget = float_of_int (P.spe_memory_budget p) in
+  let budget = t.budget in
   let ok = ref true in
   let pe = ref 0 in
   let n = P.n_pes p in
   while !ok && !pe < n do
-    if P.is_spe p !pe then
+    if t.is_spe.(!pe) then
       if
         t.memory.(!pe) > budget
         || t.dma_in.(!pe) > p.P.max_dma_in
@@ -655,16 +679,15 @@ let[@inline] bump d a i x =
 
 (* Task [k]'s own terms on [pe], with sign [sign] (+1 add, -1 remove). *)
 let screen_task t k pe sign =
-  let s = t.screen and p = t.platform in
-  let task = G.task t.g k in
+  let s = t.screen and fl = t.fl in
   let f = float_of_int sign in
   let w =
-    if P.is_ppe p pe then task.Streaming.Task.w_ppe /. p.P.ppe_speedup
-    else task.Streaming.Task.w_spe
+    if t.is_spe.(pe) then fl.G.w_spe.(k)
+    else fl.G.w_ppe.(k) /. t.platform.P.ppe_speedup
   in
   bump s.d_compute s.a_compute pe (f *. w);
-  bump s.d_bytes_in s.a_bytes_in pe (f *. task.Streaming.Task.read_bytes);
-  bump s.d_bytes_out s.a_bytes_out pe (f *. task.Streaming.Task.write_bytes);
+  bump s.d_bytes_in s.a_bytes_in pe (f *. fl.G.read_bytes.(k));
+  bump s.d_bytes_out s.a_bytes_out pe (f *. fl.G.write_bytes.(k));
   touch s pe float_row
 
 let remote sp dp = sp >= 0 && dp >= 0 && sp <> dp
@@ -672,7 +695,7 @@ let remote sp dp = sp >= 0 && dp >= 0 && sp <> dp
 (* Cell whose link row an edge between [sp] and [dp] loads on the
    [side] end, or -1. *)
 let link_cell t sp dp side =
-  if remote sp dp && cross_cell t sp dp then P.cell_of t.platform side else -1
+  if remote sp dp && cross_cell t sp dp then t.cell.(side) else -1
 
 let screen_link d a s c sign data =
   if c >= 0 then begin
@@ -685,8 +708,8 @@ let screen_link d a s c sign data =
    [recompute_dirty_rows] (interface bytes, memory copies) and
    [detach]/[attach] (DMA counters, links). *)
 let screen_edge t e sp dp sp' dp' =
-  let s = t.screen and p = t.platform in
-  let data = (G.edge t.g e).G.data_bytes and buff = t.buff.(e) in
+  let s = t.screen in
+  let data = t.fl.G.edge_data.(e) and buff = t.buff.(e) in
   let r = remote sp dp and r' = remote sp' dp' in
   (* Interface bytes and the DMA counters, both charged to remote edges. *)
   if r <> r' || (r && sp <> sp') then begin
@@ -711,8 +734,8 @@ let screen_edge t e sp dp sp' dp' =
       touch s dp' (float_row lor dma_row)
     end
   end;
-  let to_ppe = r && P.is_spe p sp && P.is_ppe p dp in
-  let to_ppe' = r' && P.is_spe p sp' && P.is_ppe p dp' in
+  let to_ppe = r && t.is_spe.(sp) && not t.is_spe.(dp) in
+  let to_ppe' = r' && t.is_spe.(sp') && not t.is_spe.(dp') in
   if to_ppe <> to_ppe' || (to_ppe && sp <> sp') then begin
     if to_ppe then begin
       s.d_dma_to_ppe.(sp) <- s.d_dma_to_ppe.(sp) - 1;
@@ -767,20 +790,25 @@ let screen_edge t e sp dp sp' dp' =
 let moved_pe t k1 b1 k2 b2 j =
   if j = k1 then b1 else if j = k2 then b2 else t.assignment.(j)
 
-(* Screen the edges of a list, leaving out those incident to [skip], a
-   task whose edges were already screened (-1: none). *)
-let rec screen_edges t k1 b1 k2 b2 skip = function
-  | [] -> ()
-  | e :: rest ->
-      let { G.src; dst; _ } = G.edge t.g e in
-      if src <> skip && dst <> skip then
-        screen_edge t e t.assignment.(src) t.assignment.(dst)
-          (moved_pe t k1 b1 k2 b2 src) (moved_pe t k1 b1 k2 b2 dst);
-      screen_edges t k1 b1 k2 b2 skip rest
+(* Screen the edge ids [ids.(lo) .. ids.(hi - 1)], leaving out those
+   incident to [skip], a task whose edges were already screened (-1:
+   none). *)
+let screen_edges t k1 b1 k2 b2 skip ids lo hi =
+  let fl = t.fl in
+  for i = lo to hi - 1 do
+    let e = ids.(i) in
+    let src = fl.G.edge_src.(e) and dst = fl.G.edge_dst.(e) in
+    if src <> skip && dst <> skip then
+      screen_edge t e t.assignment.(src) t.assignment.(dst)
+        (moved_pe t k1 b1 k2 b2 src) (moved_pe t k1 b1 k2 b2 dst)
+  done
 
 let screen_incident t k k1 b1 k2 b2 skip =
-  screen_edges t k1 b1 k2 b2 skip (G.in_edges t.g k);
-  screen_edges t k1 b1 k2 b2 skip (G.out_edges t.g k)
+  let fl = t.fl in
+  screen_edges t k1 b1 k2 b2 skip fl.G.in_ids fl.G.in_start.(k)
+    fl.G.in_start.(k + 1);
+  screen_edges t k1 b1 k2 b2 skip fl.G.out_ids fl.G.out_start.(k)
+    fl.G.out_start.(k + 1)
 
 (* Lower bound on the value the exact sweep will compute for a row whose
    cached value is [r], given the screen's delta [d] and magnitude sum
@@ -808,9 +836,9 @@ let[@inline] lower s r d a = r +. d -. (s.margin *. (r +. a))
    >= [threshold]. *)
 let screen_rejects t threshold =
   let s = t.screen and p = t.platform in
-  let n = P.n_pes p in
+  let n = Array.length t.compute in
   let bw = p.P.bw and ibw = p.P.inter_cell_bw in
-  let budget = float_of_int (P.spe_memory_budget p) in
+  let budget = t.budget in
   let check_memory = not (t.opts.tight_pipeline && s.colocation_changes) in
   let lb = ref 0. in
   let infeasible = ref false in
@@ -827,7 +855,7 @@ let screen_rejects t threshold =
       in
       if o > !lb then lb := o;
       if
-        check_memory && P.is_spe p pe
+        check_memory && t.is_spe.(pe)
         && lower s t.memory.(pe) s.d_memory.(pe) s.a_memory.(pe) > budget
       then infeasible := true
     end
@@ -840,7 +868,7 @@ let screen_rejects t threshold =
       if o > !lb then lb := o
     end;
     if
-      s.mark.(pe) <> 0 && P.is_spe p pe
+      s.mark.(pe) <> 0 && t.is_spe.(pe)
       && (t.dma_in.(pe) + s.d_dma_in.(pe) > p.P.max_dma_in
          || t.dma_to_ppe.(pe) + s.d_dma_to_ppe.(pe) > p.P.max_dma_to_ppe)
     then infeasible := true

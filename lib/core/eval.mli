@@ -16,6 +16,16 @@
     {!probe_move_below}/{!probe_swap_below} settles them in
     O(degree + PEs) first.
 
+    {b Flat view.} The sweeps, the mutations and the screen read plain
+    arrays, one load per element: the graph's {!Streaming.Graph.flat}
+    view (per-edge endpoints and bytes, per-task weights and memory
+    traffic, CSR in/out edge ids in {!Streaming.Graph.in_edges} order),
+    built once with the graph and shared by every engine on it, plus
+    per-PE SPE flags and Cell indices built with the engine, O(PEs). No
+    element costs a cross-module call: dune's dev profile compiles each
+    module [-opaque], so such calls are never inlined. The floating-point
+    operations and their order are those of {!Steady_state.loads}.
+
     {b Exactness.} The engine does not keep running float sums (which
     drift under add/subtract cycles). Each per-PE resource row is cached
     and, when a mutation dirties it, recomputed over exactly the
@@ -92,6 +102,12 @@ val period : t -> float
 val bottleneck : t -> Steady_state.resource * float
 (** Why the period is what it is; ties broken like
     {!Steady_state.bottleneck}. *)
+
+val bottleneck_row : t -> int
+(** {!bottleneck}'s resource, int-coded so that reading it allocates
+    nothing: [5 * i + kind] for PE or Cell [i], with [kind] 0 for
+    compute, 1 interface in, 2 interface out, 3 link out and 4 link
+    in. Same scan and tie-breaking as {!bottleneck}. *)
 
 val violations : t -> Steady_state.violation list
 (** SPE memory and DMA-queue violations of the current state, identical
@@ -173,8 +189,10 @@ val undo_depth : t -> int
     own summation errors (the argument is stated at [lower] in
     [eval.ml]). Untouched rows enter at their cached bits. So a screened
     probe rejects only mutations the exact probe would also reject, and
-    returns the exact probe's bits for the rest. In local search about
-    one probe in a hundred survives the screen. *)
+    returns the exact probe's bits for the rest. In local search two to
+    three probes in a hundred survive the screen; {!Heuristics.local_search}
+    also leaves unprobed the candidates that cannot change the
+    bottleneck row. *)
 
 val probe_move : t -> task:int -> pe:int -> float * bool
 (** Period and feasibility the state would have after

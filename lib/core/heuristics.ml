@@ -213,10 +213,36 @@ let m_ls_swaps =
   Obs.Metrics.counter ~help:"Local-search pairwise swaps accepted"
     "search_ls_swaps_accepted_total"
 
+let m_ls_skipped =
+  Obs.Metrics.counter
+    ~help:"Local-search moves and swaps left unprobed: they miss the bottleneck row"
+    "search_ls_probes_skipped_total"
+
+(* The bottleneck-directed neighbourhood: mark in [hot] the tasks on the
+   bottleneck row's PE, or every task for an inter-Cell link row, and
+   return that PE (-1 for a link row). Allocates nothing. *)
+let refresh_hot ev hot =
+  let code = Eval.bottleneck_row ev in
+  if code mod 5 >= 3 then begin
+    Array.fill hot 0 (Array.length hot) true;
+    -1
+  end
+  else begin
+    let beta = code / 5 in
+    for k = 0 to Array.length hot - 1 do
+      hot.(k) <- Eval.pe_of ev k = beta
+    done;
+    beta
+  end
+
+module For_testing = struct
+  let refresh_hot = refresh_hot
+end
+
 let local_search ?(options = Eval.default_options) ?(max_passes = 50) platform g
     mapping =
   let ev = Eval.create ~options platform g mapping in
-  let n = P.n_pes platform in
+  let n = P.n_pes platform and nk = G.n_tasks g in
   (* A move is taken when it is feasible and beats the best period by
      more than 1e-12: the screened probes answer exactly that, and reach
      the exact sweep only for the few candidates their O(degree) screen
@@ -226,6 +252,14 @@ let local_search ?(options = Eval.default_options) ?(max_passes = 50) platform g
      copy per probe. *)
   let threshold = ref (Eval.period ev -. 1e-12) in
   let accept t = threshold := t -. 1e-12 in
+  (* Only mutations that can change a term of the bottleneck row are
+     probed: a move of a task on the row's PE or onto it, a swap with
+     such a task; any mutation for a link row. Every other one leaves
+     the row, hence a period above [threshold], bitwise as it is (the
+     argument is in heuristics.mli). The state, and so the row, changes
+     only when a move or swap is applied. *)
+  let hot = Array.make nk false in
+  let beta = ref (refresh_hot ev hot) in
   let improved = ref true in
   let passes = ref 0 in
   let obs = Obs.Metrics.enabled () in
@@ -233,41 +267,49 @@ let local_search ?(options = Eval.default_options) ?(max_passes = 50) platform g
     improved := false;
     incr passes;
     if obs then Obs.Metrics.Counter.inc m_ls_passes;
+    let skipped = ref 0 in
     (* Single-task moves. *)
-    for k = 0 to G.n_tasks g - 1 do
+    for k = 0 to nk - 1 do
       let home = Eval.pe_of ev k in
       let best_move = ref None in
       for pe = 0 to n - 1 do
-        if pe <> home then begin
-          let t = Eval.probe_move_below ev ~task:k ~pe ~threshold:!threshold in
-          if t < !threshold then begin
-            accept t;
-            best_move := Some pe
+        if pe <> home then
+          if hot.(k) || pe = !beta then begin
+            let t = Eval.probe_move_below ev ~task:k ~pe ~threshold:!threshold in
+            if t < !threshold then begin
+              accept t;
+              best_move := Some pe
+            end
           end
-        end
+          else incr skipped
       done;
       match !best_move with
       | Some pe ->
           improved := true;
           if obs then Obs.Metrics.Counter.inc m_ls_moves;
-          Eval.apply_move ev ~task:k ~pe
+          Eval.apply_move ev ~task:k ~pe;
+          beta := refresh_hot ev hot
       | None -> ()
     done;
     (* Pairwise swaps: essential when the local stores are full, where no
        single move is feasible but exchanging tasks is. *)
-    for k1 = 0 to G.n_tasks g - 1 do
-      for k2 = k1 + 1 to G.n_tasks g - 1 do
-        if Eval.pe_of ev k1 <> Eval.pe_of ev k2 then begin
-          let t = Eval.probe_swap_below ev k1 k2 ~threshold:!threshold in
-          if t < !threshold then begin
-            accept t;
-            improved := true;
-            if obs then Obs.Metrics.Counter.inc m_ls_swaps;
-            Eval.apply_swap ev k1 k2
+    for k1 = 0 to nk - 1 do
+      for k2 = k1 + 1 to nk - 1 do
+        if Eval.pe_of ev k1 <> Eval.pe_of ev k2 then
+          if hot.(k1) || hot.(k2) then begin
+            let t = Eval.probe_swap_below ev k1 k2 ~threshold:!threshold in
+            if t < !threshold then begin
+              accept t;
+              improved := true;
+              if obs then Obs.Metrics.Counter.inc m_ls_swaps;
+              Eval.apply_swap ev k1 k2;
+              beta := refresh_hot ev hot
+            end
           end
-        end
+          else incr skipped
       done
-    done
+    done;
+    if obs then Obs.Metrics.Counter.add m_ls_skipped !skipped
   done;
   Eval.mapping ev
 

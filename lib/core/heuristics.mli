@@ -4,7 +4,8 @@
     (§6.3): both walk the tasks in topological order and never reconsider a
     decision. The remaining strategies address the paper's §7 observation
     that "simple heuristics fail": [lp_rounding] rounds the LP relaxation
-    of the mapping program and [local_search] hill-climbs single-task moves.
+    of the mapping program and [local_search] hill-climbs single-task moves
+    and pairwise swaps.
 
     All heuristics place tasks through the incremental {!Eval} engine,
     which performs the feasibility checks (SPE memory and DMA-queue
@@ -52,16 +53,48 @@ val local_search :
   Streaming.Graph.t ->
   Mapping.t ->
   Mapping.t
-(** Best-improvement hill climbing over single-task moves and pairwise
-    swaps (swaps matter when the local stores are full and no single move
-    is feasible), keeping feasibility; stops at a local optimum or after
-    [max_passes] (default 50) sweeps. The input mapping must be feasible.
+(** Hill climbing over single-task moves and pairwise swaps (swaps
+    matter when the local stores are full and no single move is
+    feasible), keeping feasibility; stops at a local optimum or after
+    [max_passes] (default 50) passes. Each pass first visits the tasks
+    in id order and moves each to the PE giving the lowest feasible
+    period, if that improves on the best period by more than 1e-12;
+    then it visits the pairs [(k1, k2)], [k1 < k2], on different PEs
+    and applies the first swap that improves, going on from there. The
+    input mapping must be feasible. Evaluation uses the given [options]
+    (default {!Eval.default_options}, the paper's model).
+
+    {b Bottleneck-directed neighbourhood.} The period is the time of the
+    single most loaded row β ({!Eval.bottleneck}), and a candidate is
+    taken only if it beats that period, so only the mutations that can
+    change a term of β's row are probed. When β is a PE's compute or
+    interface row, the {e hot} tasks are those on that PE; a move
+    [k -> pe] is probed iff [k] is hot or [pe] is β's PE, a swap iff one
+    of its tasks is hot. When β is an inter-Cell link row, every
+    candidate is probed. The hot set is recomputed after every applied
+    move or swap.
+
+    Why skipping is exact. A skipped mutation moves tasks from PEs other
+    than β's to PEs other than β's. β's compute row sums the weights of
+    the tasks on β's PE; its interface rows add those tasks' memory
+    reads (writes) and the bytes of the remote edges entering (leaving)
+    it. None of these changes: the tasks on the PE are the same, and an
+    edge between a task there and a moved task is remote before and
+    after, with the same bytes. The exact sweep re-adds the same terms
+    in the same order, so the row comes back bitwise, and the period is
+    at least that row: the current period, which is above the
+    acceptance threshold. The probe would have answered [infinity], and
+    the state does not change until a candidate is applied, so this
+    holds across a task's whole PE scan. The decisions, and the mapping,
+    are those of probing every candidate. A move onto β's PE can lower
+    an interface row (an edge to a task there turns local), which is
+    why such moves are always probed.
+    [search_ls_probes_skipped_total] counts the candidates left out.
+
     Candidates are probed through {!Eval.probe_move_below}/
     {!Eval.probe_swap_below} with the acceptance threshold: an O(degree +
     PEs) screen rules out almost every candidate, and only the rest pay
-    the exact O(tasks + edges) sweep. The decisions are exactly those of
-    the unscreened probes. Evaluation uses the given [options] (default
-    {!Eval.default_options}, the paper's model). *)
+    the exact O(tasks + edges) sweep. *)
 
 val lp_rounding :
   ?improve:bool -> Cell.Platform.t -> Streaming.Graph.t -> Mapping.t
@@ -84,3 +117,10 @@ val standard_candidates :
 (** [ppe-only; greedy-mem; greedy-cpu; density-pack], plus [chain-dp]
     ({!Chain_dp}) when the graph is a chain, plus [lp-round] when [with_lp]
     (default true); in that order. *)
+
+module For_testing : sig
+  val refresh_hot : Eval.t -> bool array -> int
+  (** Fill [local_search]'s hot set (one flag per task) for the engine's
+      current state and return the bottleneck row's PE, or -1 for a link
+      row (every task hot). Allocates nothing. *)
+end

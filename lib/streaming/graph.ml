@@ -1,11 +1,26 @@
 type edge = { src : int; dst : int; data_bytes : float }
 
+type flat = {
+  edge_src : int array;
+  edge_dst : int array;
+  edge_data : float array;
+  w_ppe : float array;
+  w_spe : float array;
+  read_bytes : float array;
+  write_bytes : float array;
+  in_start : int array;
+  in_ids : int array;
+  out_start : int array;
+  out_ids : int array;
+}
+
 type t = {
   tasks : Task.t array;
   edges : edge array;
   out_edges : int list array;  (* edge ids leaving each task *)
   in_edges : int list array;  (* edge ids entering each task *)
   topo : int array;  (* task ids, topologically sorted *)
+  flat : flat;  (* the same data as plain arrays, built with the graph *)
 }
 
 type builder = {
@@ -13,7 +28,7 @@ type builder = {
   mutable bn : int;
   names : (string, int) Hashtbl.t;
   mutable bedges : edge list;  (* reversed *)
-  seen_edges : (int * int, unit) Hashtbl.t;
+  seen_edges : (int, unit) Hashtbl.t;  (* (src lsl 31) lor dst *)
 }
 
 let builder () =
@@ -39,32 +54,91 @@ let add_edge b ~src ~dst ~data_bytes =
     invalid_arg "Graph.add_edge: unknown task id";
   if src = dst then invalid_arg "Graph.add_edge: self-loop";
   if data_bytes < 0. then invalid_arg "Graph.add_edge: negative data size";
-  if Hashtbl.mem b.seen_edges (src, dst) then
+  let key = (src lsl 31) lor dst in
+  if Hashtbl.mem b.seen_edges key then
     invalid_arg "Graph.add_edge: duplicate edge";
-  Hashtbl.add b.seen_edges (src, dst) ();
+  Hashtbl.add b.seen_edges key ();
   b.bedges <- { src; dst; data_bytes } :: b.bedges
 
-(* Kahn's algorithm; raises if a cycle remains. *)
-let topo_sort n in_edges out_edges (edges : edge array) =
-  let indeg = Array.make n 0 in
-  Array.iteri (fun v es -> indeg.(v) <- List.length es) in_edges;
-  let module H = Support.Binary_heap.Make (Int) in
-  let ready = H.create () in
+(* The flat view, filled by plain loops (an [Array.map] to a float
+   array would box every element on the way). [build] lists each task's
+   in- and out-edges by increasing edge id, and so does the counting
+   sort that fills the CSR arrays. *)
+let task_arrays (tasks : Task.t array) =
+  let n = Array.length tasks in
+  let w_ppe = Array.create_float n and w_spe = Array.create_float n in
+  let read_bytes = Array.create_float n and write_bytes = Array.create_float n in
+  for k = 0 to n - 1 do
+    let t = tasks.(k) in
+    w_ppe.(k) <- t.w_ppe;
+    w_spe.(k) <- t.w_spe;
+    read_bytes.(k) <- t.read_bytes;
+    write_bytes.(k) <- t.write_bytes
+  done;
+  (w_ppe, w_spe, read_bytes, write_bytes)
+
+let edge_data (edges : edge array) =
+  let data = Array.create_float (Array.length edges) in
+  Array.iteri (fun e edge -> data.(e) <- edge.data_bytes) edges;
+  data
+
+(* CSR of the edge ids grouped by [ends.(e)], ids increasing in a group. *)
+let csr n ends =
+  let start = Array.make (n + 1) 0 in
+  Array.iter (fun v -> start.(v + 1) <- start.(v + 1) + 1) ends;
   for v = 0 to n - 1 do
-    if indeg.(v) = 0 then H.add ready v
+    start.(v + 1) <- start.(v + 1) + start.(v)
+  done;
+  let ids = Array.make (Array.length ends) 0 and fill = Array.sub start 0 n in
+  Array.iteri
+    (fun e v ->
+      ids.(fill.(v)) <- e;
+      fill.(v) <- fill.(v) + 1)
+    ends;
+  (start, ids)
+
+let make_flat tasks (edges : edge array) =
+  let n = Array.length tasks in
+  let w_ppe, w_spe, read_bytes, write_bytes = task_arrays tasks in
+  let edge_src = Array.map (fun e -> e.src) edges in
+  let edge_dst = Array.map (fun e -> e.dst) edges in
+  let in_start, in_ids = csr n edge_dst and out_start, out_ids = csr n edge_src in
+  {
+    edge_src;
+    edge_dst;
+    edge_data = edge_data edges;
+    w_ppe;
+    w_spe;
+    read_bytes;
+    write_bytes;
+    in_start;
+    in_ids;
+    out_start;
+    out_ids;
+  }
+
+module Ready = Support.Binary_heap.Make (Int)
+
+(* Kahn's algorithm, smallest ready id first; raises if a cycle
+   remains. *)
+let topo_sort f =
+  let n = Array.length f.in_start - 1 in
+  let indeg = Array.init n (fun v -> f.in_start.(v + 1) - f.in_start.(v)) in
+  let ready = Ready.create () in
+  for v = 0 to n - 1 do
+    if indeg.(v) = 0 then Ready.add ready v
   done;
   let order = Array.make n (-1) in
   let filled = ref 0 in
-  while not (H.is_empty ready) do
-    let v = H.pop_min ready in
+  while not (Ready.is_empty ready) do
+    let v = Ready.pop_min ready in
     order.(!filled) <- v;
     incr filled;
-    let relax e =
-      let w = edges.(e).dst in
+    for i = f.out_start.(v) to f.out_start.(v + 1) - 1 do
+      let w = f.edge_dst.(f.out_ids.(i)) in
       indeg.(w) <- indeg.(w) - 1;
-      if indeg.(w) = 0 then H.add ready w
-    in
-    List.iter relax out_edges.(v)
+      if indeg.(w) = 0 then Ready.add ready w
+    done
   done;
   if !filled <> n then invalid_arg "Graph.build: the graph contains a cycle";
   order
@@ -72,17 +146,16 @@ let topo_sort n in_edges out_edges (edges : edge array) =
 let build b =
   let tasks = Array.of_list (List.rev b.btasks) in
   let edges = Array.of_list (List.rev b.bedges) in
+  let flat = make_flat tasks edges in
   let n = Array.length tasks in
+  (* Consing from the last edge leaves each list in increasing id order. *)
   let out_edges = Array.make n [] and in_edges = Array.make n [] in
-  let record e (edge : edge) =
-    out_edges.(edge.src) <- e :: out_edges.(edge.src);
-    in_edges.(edge.dst) <- e :: in_edges.(edge.dst)
-  in
-  Array.iteri record edges;
-  Array.iteri (fun v es -> out_edges.(v) <- List.rev es) out_edges;
-  Array.iteri (fun v es -> in_edges.(v) <- List.rev es) in_edges;
-  let topo = topo_sort n in_edges out_edges edges in
-  { tasks; edges; out_edges; in_edges; topo }
+  for e = Array.length edges - 1 downto 0 do
+    let { src; dst; _ } = edges.(e) in
+    out_edges.(src) <- e :: out_edges.(src);
+    in_edges.(dst) <- e :: in_edges.(dst)
+  done;
+  { tasks; edges; out_edges; in_edges; topo = topo_sort flat; flat }
 
 let of_tasks tasks edge_list =
   let b = builder () in
@@ -108,6 +181,7 @@ let edge g e =
 
 let tasks g = Array.copy g.tasks
 let edges g = Array.copy g.edges
+let flat g = g.flat
 
 let find_task g name =
   let rec scan k =
@@ -157,16 +231,15 @@ let total_memory_bytes g =
     0. g.tasks
 
 let map_tasks f g =
-  {
-    g with
-    tasks = Array.mapi f g.tasks;
-  }
+  let tasks = Array.mapi f g.tasks in
+  let w_ppe, w_spe, read_bytes, write_bytes = task_arrays tasks in
+  { g with tasks; flat = { g.flat with w_ppe; w_spe; read_bytes; write_bytes } }
 
 let map_edges f g =
-  {
-    g with
-    edges = Array.mapi (fun e edge -> { edge with data_bytes = f e edge }) g.edges;
-  }
+  let edges =
+    Array.mapi (fun e edge -> { edge with data_bytes = f e edge }) g.edges
+  in
+  { g with edges; flat = { g.flat with edge_data = edge_data edges } }
 
 let pp ppf g =
   Format.fprintf ppf "@[<v>graph: %d tasks, %d edges, depth %d@," (n_tasks g)

@@ -48,6 +48,32 @@ val edge : t -> int -> edge
 val tasks : t -> Task.t array
 val edges : t -> edge array
 
+(** {1 Flat view}
+
+    The graph as plain arrays, built once with the graph and shared by
+    every reader, for hot loops that would otherwise pay a call per
+    element ([Cellsched.Eval]'s sweeps and probe screen). The arrays
+    are the graph's own: treat them as read-only. *)
+
+type flat = {
+  edge_src : int array;  (** Per edge id: producer task. *)
+  edge_dst : int array;  (** Consumer task. *)
+  edge_data : float array;  (** [data_bytes]. *)
+  w_ppe : float array;  (** Per task id: {!Task.t} fields. *)
+  w_spe : float array;
+  read_bytes : float array;
+  write_bytes : float array;
+  in_start : int array;
+      (** CSR over {!in_edges}: task [k]'s in-edge ids are
+          [in_ids.(i)] for [in_start.(k) <= i < in_start.(k + 1)], in
+          {!in_edges} order. Length [n_tasks + 1]. *)
+  in_ids : int array;
+  out_start : int array;  (** Same over {!out_edges}. *)
+  out_ids : int array;
+}
+
+val flat : t -> flat
+
 val find_task : t -> string -> int
 (** Task id by name. @raise Not_found if absent. *)
 

@@ -43,10 +43,11 @@ let random_graph rng n =
     ~costs:Daggen.Generator.default_costs
 
 (* A quarter of the cases run on a dual-Cell platform so the inter-Cell
-   link rows (recomputed wholesale on colocation changes) are exercised. *)
+   link rows (recomputed wholesale on colocation changes) are exercised;
+   its PPEs run at 1.5x, so the speedup's division is exercised too. *)
 let random_platform rng =
   if Support.Rng.int rng 4 = 0 then
-    P.make ~n_ppe:2 ~n_spe:6 ~n_cells:2 ()
+    P.make ~n_ppe:2 ~n_spe:6 ~n_cells:2 ~ppe_speedup:1.5 ()
   else P.make ~n_ppe:1 ~n_spe:4 ()
 
 let random_mapping rng platform g =
@@ -453,14 +454,279 @@ let test_partial_assignment_consistency () =
   let m' = E.mapping ev in
   check_loads_equal (E.loads ev) (SS.loads platform g m')
 
+(* --- the bottleneck-directed neighbourhood ---------------------------------
+
+   [Heuristics.local_search] probes only the moves and swaps that can
+   change a term of the bottleneck row (the rule and why it is exact are
+   in heuristics.mli). The oracle is the loop that probed every
+   candidate, kept verbatim here (metrics counters left out) with one
+   hook: [check] sees every probe, its answer and the state it was made
+   on. Two properties, on six platform kinds:
+   - soundness: at every state the search visits, each candidate the
+     hot-set rule would skip answers [infinity];
+   - equivalence: the filtered search returns the oracle's mapping, and
+     its probes plus its skipped candidates are the oracle's probes.
+   A tally of the starting bottleneck kinds makes sure every branch of
+   the rule (compute, interface in, interface out, link) is exercised. *)
+
+let c_skipped = Obs.Metrics.counter "search_ls_probes_skipped_total"
+
+type probe = Move of int * int | Swap of int * int
+
+let reference_local_search ?(check = fun _ _ _ -> ()) platform g mapping =
+  let max_passes = 50 in
+  let ev = E.create platform g mapping in
+  let n = P.n_pes platform in
+  let threshold = ref (E.period ev -. 1e-12) in
+  let accept t = threshold := t -. 1e-12 in
+  let improved = ref true in
+  let passes = ref 0 in
+  while !improved && !passes < max_passes do
+    improved := false;
+    incr passes;
+    for k = 0 to G.n_tasks g - 1 do
+      let home = E.pe_of ev k in
+      let best_move = ref None in
+      for pe = 0 to n - 1 do
+        if pe <> home then begin
+          let t = E.probe_move_below ev ~task:k ~pe ~threshold:!threshold in
+          check ev (Move (k, pe)) t;
+          if t < !threshold then begin
+            accept t;
+            best_move := Some pe
+          end
+        end
+      done;
+      match !best_move with
+      | Some pe ->
+          improved := true;
+          E.apply_move ev ~task:k ~pe
+      | None -> ()
+    done;
+    for k1 = 0 to G.n_tasks g - 1 do
+      for k2 = k1 + 1 to G.n_tasks g - 1 do
+        if E.pe_of ev k1 <> E.pe_of ev k2 then begin
+          let t = E.probe_swap_below ev k1 k2 ~threshold:!threshold in
+          check ev (Swap (k1, k2)) t;
+          if t < !threshold then begin
+            accept t;
+            improved := true;
+            E.apply_swap ev k1 k2
+          end
+        end
+      done
+    done
+  done;
+  E.mapping ev
+
+type ls_kind =
+  | Qs22
+  | Slow_interfaces
+  | Slow_interfaces_few_spes
+  | Dual_slow_link
+  | Dual_slow_all
+  | Memory_tight_ls
+
+let ls_kind_name = function
+  | Qs22 -> "QS22 8 SPEs"
+  | Slow_interfaces -> "slow interfaces"
+  | Slow_interfaces_few_spes -> "slow interfaces, 3 SPEs"
+  | Dual_slow_link -> "dual Cell, slow link"
+  | Dual_slow_all -> "dual Cell, slow interfaces and link"
+  | Memory_tight_ls -> "memory-tight"
+
+let ls_platform rng kind g =
+  let slow () = 2e6 +. Support.Rng.float rng 1.5e7 in
+  match kind with
+  | Qs22 -> P.qs22 ~n_spe:8 ()
+  | Slow_interfaces -> P.make ~n_ppe:1 ~n_spe:6 ~bw:(slow ()) ()
+  | Slow_interfaces_few_spes -> P.make ~n_ppe:1 ~n_spe:3 ~bw:(slow ()) ()
+  | Dual_slow_link ->
+      P.make ~n_ppe:2 ~n_spe:6 ~n_cells:2
+        ~inter_cell_bw:(5e5 +. Support.Rng.float rng 5e6)
+        ()
+  | Dual_slow_all ->
+      P.make ~n_ppe:2 ~n_spe:6 ~n_cells:2 ~bw:(slow ())
+        ~inter_cell_bw:(1e6 +. Support.Rng.float rng 1e7)
+        ()
+  | Memory_tight_ls ->
+      let buff =
+        SS.buffer_sizes ~first_periods:(SS.first_periods g) g
+        |> Array.fold_left ( +. ) 0.
+      in
+      let share = (1. /. 6.) +. Support.Rng.float rng (1. /. 3.) in
+      P.make ~n_ppe:1 ~n_spe:4 ~code_size:0
+        ~local_store:(max 1 (int_of_float (buff *. share)))
+        ()
+
+(* Runs per starting bottleneck kind: compute, interface in, interface
+   out, link. *)
+let ls_tally = Array.make 4 0
+let ls_runs = ref 0
+
+let resource_of_row code =
+  let i = code / 5 in
+  match code mod 5 with
+  | 0 -> SS.Compute i
+  | 1 -> SS.Interface_in i
+  | 2 -> SS.Interface_out i
+  | 3 -> SS.Link_out i
+  | _ -> SS.Link_in i
+
+let hot_set_case kind (seed, n) =
+  let n = max 5 n and seed = abs seed in
+  let rng = Support.Rng.create (seed + 11_000_000) in
+  let g = random_graph rng n in
+  let platform = ls_platform rng kind g in
+  let start =
+    match Support.Rng.int rng 3 with
+    | 0 -> Cellsched.Heuristics.greedy_mem platform g
+    | 1 -> Cellsched.Heuristics.greedy_cpu platform g
+    | _ -> Cellsched.Heuristics.random_feasible ~rng platform g
+  in
+  let nk = G.n_tasks g in
+  let hot = Array.make nk false in
+  let beta = ref (-1) and seen_depth = ref (-1) in
+  (* The hot set of the state [ev] is in, refreshed when the journal
+     shows a new state. *)
+  let refresh ev =
+    if E.undo_depth ev <> !seen_depth then begin
+      seen_depth := E.undo_depth ev;
+      beta := Cellsched.Heuristics.For_testing.refresh_hot ev hot;
+      let code = E.bottleneck_row ev in
+      if resource_of_row code <> fst (E.bottleneck ev) then
+        QCheck.Test.fail_reportf "bottleneck_row %d is not bottleneck" code
+    end
+  in
+  let check ev probe t =
+    refresh ev;
+    let skipped =
+      match probe with
+      | Move (k, pe) -> (not hot.(k)) && pe <> !beta
+      | Swap (k1, k2) -> (not hot.(k1)) && not hot.(k2)
+    in
+    if skipped && t <> infinity then
+      match probe with
+      | Move (k, pe) ->
+          QCheck.Test.fail_reportf "skipped move %d -> %d answers %h" k pe t
+      | Swap (k1, k2) ->
+          QCheck.Test.fail_reportf "skipped swap %d <-> %d answers %h" k1 k2 t
+  in
+  let code = E.bottleneck_row (E.create platform g start) in
+  let kind_index = min 3 (code mod 5) in
+  ls_tally.(kind_index) <- ls_tally.(kind_index) + 1;
+  incr ls_runs;
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  let p0 = Obs.Metrics.Counter.value c_probes in
+  let want = reference_local_search ~check platform g start in
+  let p1 = Obs.Metrics.Counter.value c_probes
+  and s1 = Obs.Metrics.Counter.value c_skipped in
+  let got = Cellsched.Heuristics.local_search platform g start in
+  let p2 = Obs.Metrics.Counter.value c_probes
+  and s2 = Obs.Metrics.Counter.value c_skipped in
+  Obs.Metrics.set_enabled was;
+  if Cellsched.Mapping.to_array got <> Cellsched.Mapping.to_array want then
+    QCheck.Test.fail_reportf "filtered local search took another path";
+  if p2 - p1 + (s2 - s1) <> p1 - p0 then
+    QCheck.Test.fail_reportf "%d probes + %d skipped <> %d probes unfiltered"
+      (p2 - p1) (s2 - s1) (p1 - p0);
+  true
+
+let hot_set_is_exact kind =
+  QCheck.Test.make ~count:350
+    ~name:("skipped probes answer infinity, same mapping: " ^ ls_kind_name kind)
+    QCheck.(pair (int_bound 100_000) (int_range 5 18))
+    (hot_set_case kind)
+
+let test_every_bottleneck_kind () =
+  Alcotest.(check bool) "at least 2000 local searches" true (!ls_runs >= 2000);
+  List.iteri
+    (fun i name ->
+      if ls_tally.(i) < 20 then
+        Alcotest.failf "%d of %d runs start at a %s bottleneck (want >= 20)"
+          ls_tally.(i) !ls_runs name)
+    [ "compute"; "interface-in"; "interface-out"; "link" ]
+
+(* Words allocated by [f ()], minus the measuring overhead. *)
+let allocated f =
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  f ();
+  let w2 = Gc.minor_words () in
+  (w2 -. w1) -. (w1 -. w0)
+
+(* Refreshing the hot set allocates nothing, on each kind of bottleneck
+   row. *)
+let test_refresh_hot_allocates_nothing () =
+  let g = random_graph (Support.Rng.create 79) 20 in
+  let platforms =
+    [
+      ("compute", P.qs22 ~n_spe:8 (), 0);
+      ("interface", P.make ~n_ppe:1 ~n_spe:4 ~bw:1e5 (), 1);
+      ("link", P.make ~n_ppe:2 ~n_spe:6 ~n_cells:2 ~inter_cell_bw:1e4 (), 3);
+    ]
+  in
+  List.iter
+    (fun (name, platform, want_kind) ->
+      let m =
+        Cellsched.Mapping.make platform g
+          (Array.init (G.n_tasks g) (fun k -> k mod P.n_pes platform))
+      in
+      let ev = E.create platform g m in
+      let kind = min 3 (E.bottleneck_row ev mod 5) in
+      if kind <> want_kind && not (want_kind = 1 && kind = 2) then
+        Alcotest.failf "%s platform: bottleneck kind %d" name kind;
+      let hot = Array.make (G.n_tasks g) false in
+      let refresh () =
+        for _ = 1 to 100 do
+          ignore (Cellsched.Heuristics.For_testing.refresh_hot ev hot)
+        done
+      in
+      refresh ();
+      (* Dirty rows too: the refresh revalidates them. *)
+      E.apply_move ev ~task:0 ~pe:1;
+      Alcotest.(check (float 0.))
+        ("minor words of 100 refreshes, " ^ name ^ " row")
+        0. (allocated refresh))
+    platforms
+
+(* Engines share their graph's flat arrays: what [create_empty] allocates
+   beyond the per-task assignment, the per-edge buffer table (and its
+   first-periods scratch) and the probe's saved copy of it does not grow
+   with the graph. On QS22 with 8 SPEs the engine before the flat view
+   left a residual of 306 words (OCaml 5.1, measured with this function);
+   the per-PE SPE flags and Cell indices may add O(PEs) to it, nothing
+   more. *)
+let test_create_empty_words () =
+  let platform = P.qs22 ~n_spe:8 () in
+  let residual n =
+    let g = random_graph (Support.Rng.create (80 + n)) n in
+    let buffers =
+      allocated (fun () ->
+          ignore (SS.buffer_sizes ~first_periods:(SS.first_periods g) g))
+    in
+    let engine = allocated (fun () -> ignore (E.create_empty platform g)) in
+    engine -. buffers
+    -. float_of_int (G.n_tasks g + 1)
+    -. float_of_int (G.n_edges g + 1)
+  in
+  let small = residual 8 and large = residual 60 in
+  Alcotest.(check (float 0.)) "residual independent of the graph" small large;
+  let parent = 306. and pes = float_of_int (P.n_pes platform + 1) in
+  if small > parent +. (5. *. pes) then
+    Alcotest.failf "create_empty residual %.0f words, over %.0f + 5 per PE"
+      small parent
+
 (* --- portfolio golden digest ----------------------------------------------
 
    The cold-solve shape: DagGen graphs of 12-30 tasks x QS22 at 4 and 8
    SPEs x three seeds, each through [Portfolio.solve]. Every candidate's
    mapping and [%h] period is hashed; a single changed local-search
    decision anywhere changes the digest. The pinned value was recorded
-   before local search screened its probes, so it checks that the screen
-   is invisible end to end. *)
+   before local search screened its probes or skipped the candidates
+   that miss the bottleneck row, so it checks that both are invisible
+   end to end. *)
 let portfolio_golden_digest = "19626b793f2b7921a4ea25b82d13a8d5"
 
 let portfolio_corpus () =
@@ -545,6 +811,21 @@ let () =
           qt (screen_is_exact ~share:true ~tight:true);
           Alcotest.test_case "screened probes allocate nothing" `Quick
             test_screen_allocates_nothing;
+        ] );
+      ( "hot-set",
+        [
+          qt (hot_set_is_exact Qs22);
+          qt (hot_set_is_exact Slow_interfaces);
+          qt (hot_set_is_exact Slow_interfaces_few_spes);
+          qt (hot_set_is_exact Dual_slow_link);
+          qt (hot_set_is_exact Dual_slow_all);
+          qt (hot_set_is_exact Memory_tight_ls);
+          Alcotest.test_case "every bottleneck kind starts 20 runs" `Quick
+            test_every_bottleneck_kind;
+          Alcotest.test_case "refreshing the hot set allocates nothing"
+            `Quick test_refresh_hot_allocates_nothing;
+          Alcotest.test_case "create_empty shares the graph's arrays" `Quick
+            test_create_empty_words;
         ] );
       ( "blind-spot",
         [

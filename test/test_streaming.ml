@@ -255,6 +255,72 @@ let map_edges_preserves_structure =
       && Streaming.Graph.topological_order g = Streaming.Graph.topological_order g'
       && abs_float (Streaming.Graph.total_data_bytes g' -. (2. *. Streaming.Graph.total_data_bytes g)) < 1e-6)
 
+(* The flat view is the graph's own data as arrays: per-edge and
+   per-task fields bit for bit, CSR edge ids in the order of
+   [in_edges]/[out_edges]. Checked on DagGen graphs, on copies rebuilt
+   from a shuffled edge list (edge ids no longer follow their sources),
+   and after [map_tasks]/[map_edges]. The topological order is checked
+   against a direct reading of its contract: repeatedly the smallest id
+   whose predecessors are all placed. *)
+let flat_matches_accessors =
+  QCheck.Test.make ~count:100 ~name:"flat view = accessors"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let module G = Streaming.Graph in
+      let rng = Support.Rng.create seed in
+      let shape =
+        { Daggen.Generator.n = 1 + Support.Rng.int rng 25; fat = 0.5;
+          density = 0.5; regularity = 0.5; jump = 2 }
+      in
+      let g = Daggen.Generator.generate ~rng ~shape ~costs:Daggen.Generator.default_costs in
+      let shuffled =
+        let es = Array.map (fun e -> (e.G.src, e.G.dst, e.G.data_bytes)) (G.edges g) in
+        Support.Rng.shuffle rng es;
+        G.of_tasks (G.tasks g) (Array.to_list es)
+      in
+      let scaled =
+        G.map_edges (fun _ e -> 3. *. e.G.data_bytes)
+          (G.map_tasks
+             (fun _ t -> { t with Streaming.Task.w_ppe = t.Streaming.Task.w_spe; read_bytes = 7. })
+             shuffled)
+      in
+      let bits = Int64.bits_of_float in
+      let check g =
+        let f = G.flat g in
+        let csr start ids k = List.init (start.(k + 1) - start.(k)) (fun i -> ids.(start.(k) + i)) in
+        let placed = Array.make (G.n_tasks g) false in
+        let reference =
+          Array.init (G.n_tasks g) (fun _ ->
+              let ready k =
+                (not placed.(k)) && List.for_all (fun j -> placed.(j)) (G.preds g k)
+              in
+              let k = ref 0 in
+              while not (ready !k) do incr k done;
+              placed.(!k) <- true;
+              !k)
+        in
+        Array.length f.G.in_start = G.n_tasks g + 1
+        && G.topological_order g = reference
+        && List.for_all
+             (fun e ->
+               let edge = G.edge g e in
+               f.G.edge_src.(e) = edge.G.src
+               && f.G.edge_dst.(e) = edge.G.dst
+               && bits f.G.edge_data.(e) = bits edge.G.data_bytes)
+             (List.init (G.n_edges g) Fun.id)
+        && List.for_all
+             (fun k ->
+               let t = G.task g k in
+               bits f.G.w_ppe.(k) = bits t.Streaming.Task.w_ppe
+               && bits f.G.w_spe.(k) = bits t.Streaming.Task.w_spe
+               && bits f.G.read_bytes.(k) = bits t.Streaming.Task.read_bytes
+               && bits f.G.write_bytes.(k) = bits t.Streaming.Task.write_bytes
+               && csr f.G.in_start f.G.in_ids k = G.in_edges g k
+               && csr f.G.out_start f.G.out_ids k = G.out_edges g k)
+             (List.init (G.n_tasks g) Fun.id)
+      in
+      check g && check shuffled && check scaled)
+
 let test_file_roundtrip () =
   let g = diamond () in
   let path = Filename.temp_file "cellstream" ".stream" in
@@ -383,6 +449,7 @@ let () =
           Alcotest.test_case "topological order" `Quick test_topological_order;
           Alcotest.test_case "chain" `Quick test_chain;
           qt map_edges_preserves_structure;
+          qt flat_matches_accessors;
         ] );
       ( "ccr",
         [

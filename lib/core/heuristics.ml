@@ -314,10 +314,11 @@ let local_search ?(options = Eval.default_options) ?(max_passes = 50) platform g
   Eval.mapping ev
 
 (* Past this row count the rounding skips the LP and falls back to the
-   density heuristic. The simplex allocates a dense m x m basis inverse
-   per solve (32 MB at 2000 rows), and its BTRAN and basic-value refresh
-   cost O(m^2) per pivot. Moving the limit changes the mappings of every
-   graph whose relaxation it crosses. *)
+   density heuristic. The simplex keeps a dense m x m basis inverse (32 MB
+   at 2000 rows; only bases up to 1024 rows reuse a per-domain buffer,
+   larger ones allocate theirs per solve), and its BTRAN and basic-value
+   refresh cost up to O(m^2) per pivot. Moving the limit changes the mappings
+   of every graph whose relaxation it crosses. *)
 let lp_rounding_row_limit = 2000
 
 let lp_rounding ?(improve = true) platform g =

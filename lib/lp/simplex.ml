@@ -47,7 +47,7 @@ type status = At_lower | At_upper | Basic | Free_nb
 type basis = { vstatus : status array; vbasis : int array }
 
 (* Computational form: min c.x, A x = b (slack per row), l <= x <= u.
-   Columns are sparse; the basis inverse is dense. *)
+   Columns are sparse; the basis inverse is dense and column-major. *)
 type tableau = {
   m : int;  (* rows *)
   ntot : int;  (* structural + slack + artificial columns *)
@@ -61,7 +61,13 @@ type tableau = {
   x : float array;  (* current value of every variable *)
   status : status array;
   basis : int array;  (* row -> basic variable *)
-  mutable binv : float array;  (* dense basis inverse, m x m, row-major *)
+  binv : float array;
+      (* dense basis inverse, column-major: entry (i, j) at j*m + i. May
+         be longer than m*m (see [inverse_buffer]); only the prefix is
+         read. *)
+  rowr : float array;
+      (* pivot row r of binv, dense: the scaled row of the last update,
+         or the row the dual ratio test gathered *)
   y : float array;  (* scratch: simplex multipliers *)
   w : float array;  (* scratch: FTRAN result *)
   gamma : float array;  (* Devex reference weights, one per column *)
@@ -159,10 +165,171 @@ exception Unbounded_exn
 exception Iteration_limit
 exception Numerics  (* warm-start path gave up; caller falls back cold *)
 
-(* Recompute basic values from scratch: x_B = B^-1 (b - N x_N). *)
+(* Per-domain scratch, grown on demand: two index lists of up to m rows
+   and the reusable basis inverse. A solve runs start to finish on one
+   domain without yielding, so its tableau never shares them with another
+   live solve. The index lists start at 2048 rows, above the mapping
+   heuristics' 2000-row LP limit, and the main domain's are allocated here
+   at start-up rather than by the first solve, so every solve allocates
+   the same. Allocating them per solve instead (m words each, straight
+   into the malloc'd major heap) raised the peak RSS of repeated
+   relaxation solves by about 1 MB. *)
+type scratch = {
+  mutable nz : int array;
+  mutable nz2 : int array;
+  mutable inv : float array;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { nz = Array.make 2048 0; nz2 = Array.make 2048 0; inv = [||] })
+
+let () = ignore (Domain.DLS.get scratch_key)
+
+let index_scratch m =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.nz < m then begin
+    s.nz <- Array.make m 0;
+    s.nz2 <- Array.make m 0
+  end;
+  s
+
+(* Bases up to this many rows reuse the domain's inverse buffer (8 MB at
+   the cap); larger ones allocate their own, as every solve once did. A
+   fresh m x m block per solve page-faults 0.3-2 MB at relaxation sizes
+   and keeps the major GC busy. *)
+let inverse_reuse_rows = 1024
+
+(* An m x m inverse for a new tableau. The contents are stale: the
+   caller fills the first m*m entries. *)
+let inverse_buffer m =
+  let mm = m * m in
+  if m > inverse_reuse_rows then Array.make mm 0.
+  else begin
+    let s = Domain.DLS.get scratch_key in
+    if Array.length s.inv < mm then s.inv <- Array.make mm 0.;
+    s.inv
+  end
+
+(* The dense-inverse kernels. Each entry of the inverse, and of every
+   vector computed from it, receives the floating-point operations of the
+   row-major loops these replaced, in the same order; only the traversal
+   changed. Like those loops, the kernels skip the zeros of their pivot
+   row: an entry they skip would have received x - f*(+-0), which leaves
+   a nonzero x unchanged and can at most flip the sign of a zero; every
+   reader of the inverse either tests [<> 0.] or sums products into an
+   accumulator that starts at +0, so no answer can tell. *)
+
+(* The kernels' inner loops index without bounds checks; each kernel
+   checks its array lengths, and every row or column index it forms,
+   once, outside those loops. *)
+let check_sizes ~m binv u v =
+  if Array.length binv < m * m || Array.length u < m || Array.length v < m then
+    invalid_arg "Simplex: kernel arrays shorter than the basis"
+
+(* FTRAN: w = B^-1 a for the sparse column (idx, vl), one contiguous axpy
+   per nonzero. *)
+let ftran ~m binv idx vl w =
+  check_sizes ~m binv w w;
+  Array.fill w 0 m 0.;
+  for k = 0 to Array.length idx - 1 do
+    let col = idx.(k) and v = vl.(k) in
+    if col < 0 || col >= m then invalid_arg "Simplex.ftran: row index out of range";
+    let base = col * m in
+    for i = 0 to m - 1 do
+      Array.unsafe_set w i (Array.unsafe_get w i +. (Array.unsafe_get binv (base + i) *. v))
+    done
+  done
+
+(* BTRAN: y = c_B B^-1, c_B being the costs [c] of the [basis]. The rows
+   with a nonzero basic cost are gathered once (indices into [nz], costs
+   into [cbz]); each y_j is then one short dot product down column j, in
+   increasing row order from +0. *)
+let btran ~m binv c basis nz cbz y =
+  check_sizes ~m binv cbz y;
+  if Array.length nz < m then invalid_arg "Simplex.btran: scratch shorter than the basis";
+  let nnz = ref 0 in
+  for i = 0 to m - 1 do
+    let v = c.(basis.(i)) in
+    if v <> 0. then begin
+      nz.(!nnz) <- i;
+      cbz.(!nnz) <- v;
+      incr nnz
+    end
+  done;
+  let nnz = !nnz in
+  for j = 0 to m - 1 do
+    let base = j * m in
+    let acc = ref 0. in
+    for k = 0 to nnz - 1 do
+      acc :=
+        !acc +. (Array.unsafe_get cbz k *. Array.unsafe_get binv (base + Array.unsafe_get nz k))
+    done;
+    y.(j) <- !acc
+  done
+
+(* out = B^-1 r, one axpy per column. A column with r_j = 0 is skipped:
+   it would add +-0 to accumulators that start at +0 and so can never be
+   -0, which changes none of them. *)
+let apply_inverse ~m binv r out =
+  check_sizes ~m binv r out;
+  Array.fill out 0 m 0.;
+  for j = 0 to m - 1 do
+    let rj = r.(j) in
+    if rj <> 0. then begin
+      let base = j * m in
+      for i = 0 to m - 1 do
+        Array.unsafe_set out i (Array.unsafe_get out i +. (Array.unsafe_get binv (base + i) *. rj))
+      done
+    end
+  done
+
+(* Rank-1 update of the inverse after pivoting into row r; [w] is the
+   FTRAN result B^-1 A_q. Row r (strided here) is scaled by 1/w_r and
+   copied into [rowr], its nonzero columns gathered into [nz]; the rows
+   i <> r with w_i <> 0 are gathered into [wnz]. Each nonzero column j
+   then gets one gathered axpy b_ij -= w_i * p_j: O(nnz(w) * nnz(row))
+   rather than O(m^2). *)
+let update_binv ~m binv rowr nz wnz w r =
+  check_sizes ~m binv rowr w;
+  if Array.length nz < m || Array.length wnz < m || r < 0 || r >= m then
+    invalid_arg "Simplex.update_binv: scratch or pivot row out of range";
+  let inv = 1. /. w.(r) in
+  let nnz = ref 0 in
+  for j = 0 to m - 1 do
+    let p = binv.((j * m) + r) *. inv in
+    binv.((j * m) + r) <- p;
+    rowr.(j) <- p;
+    if p <> 0. then begin
+      nz.(!nnz) <- j;
+      incr nnz
+    end
+  done;
+  let nw = ref 0 in
+  for i = 0 to m - 1 do
+    if i <> r && w.(i) <> 0. then begin
+      wnz.(!nw) <- i;
+      incr nw
+    end
+  done;
+  let nw = !nw in
+  for k = 0 to !nnz - 1 do
+    let j = nz.(k) in
+    let base = j * m and p = rowr.(j) in
+    for l = 0 to nw - 1 do
+      let i = Array.unsafe_get wnz l in
+      Array.unsafe_set binv (base + i)
+        (Array.unsafe_get binv (base + i) -. (Array.unsafe_get w i *. p))
+    done
+  done
+
+(* Recompute basic values from scratch: x_B = B^-1 (b - N x_N). The
+   right-hand side is built in tab.y and the product in tab.w: every
+   reader of either recomputes it first. *)
 let refresh_basics tab =
   let m = tab.m in
-  let r = Array.copy tab.b in
+  let r = tab.y in
+  Array.blit tab.b 0 r 0 m;
   for v = 0 to tab.ntot - 1 do
     if tab.status.(v) <> Basic && tab.x.(v) <> 0. then begin
       let idx = tab.col_idx.(v) and vl = tab.col_val.(v) in
@@ -171,29 +338,14 @@ let refresh_basics tab =
       done
     end
   done;
+  apply_inverse ~m tab.binv r tab.w;
   for i = 0 to m - 1 do
-    let acc = ref 0. in
-    let base = i * m in
-    for j = 0 to m - 1 do
-      acc := !acc +. (tab.binv.(base + j) *. r.(j))
-    done;
-    tab.x.(tab.basis.(i)) <- !acc
+    tab.x.(tab.basis.(i)) <- tab.w.(i)
   done
 
-(* BTRAN: y = c_B B^-1 into tab.y. *)
+(* BTRAN into tab.y; tab.w holds the gathered costs. *)
 let compute_multipliers tab =
-  let m = tab.m in
-  let y = tab.y in
-  Array.fill y 0 m 0.;
-  for i = 0 to m - 1 do
-    let cb = tab.c.(tab.basis.(i)) in
-    if cb <> 0. then begin
-      let base = i * m in
-      for j = 0 to m - 1 do
-        y.(j) <- y.(j) +. (cb *. tab.binv.(base + j))
-      done
-    end
-  done
+  btran ~m:tab.m tab.binv tab.c tab.basis (index_scratch tab.m).nz tab.w tab.y
 
 (* Reduced cost of column q against the multipliers in tab.y. *)
 let reduced_cost tab q =
@@ -205,13 +357,22 @@ let reduced_cost tab q =
   done;
   !d
 
-(* The two dense-inverse kernels visit only the nonzeros of their pivot
-   row. Each entry they do touch receives exactly the operation the
-   full-row loop gave it, in the same order. An entry they skip would
-   have received x - f*(+-0), which leaves a nonzero x unchanged and can
-   at most flip the sign of a zero; every reader of the inverse either
-   tests [<> 0.] or sums products into an accumulator that starts at +0,
-   so no answer can tell. *)
+let update tab w r =
+  let s = index_scratch tab.m in
+  update_binv ~m:tab.m tab.binv tab.rowr s.nz s.nz2 w r
+
+(* Test hooks (see [For_testing]). [singular_column]: when >= 0,
+   [gauss_jordan] treats this column as singular. [force_bland]: pricing
+   follows Bland's rule at the iterations it accepts. [gamma_reset_mask]:
+   the Devex weights are reset at the iterations where iters land mask =
+   0. [corrupt_at]: when >= 0, the first basis change at that iteration of
+   a phase scales a column of the inverse, as drift would, and disarms.
+   [repairs] counts the points that failed the residual check. *)
+let singular_column = ref (-1)
+let force_bland = ref (fun (_ : int) -> false)
+let gamma_reset_mask = ref 4095
+let corrupt_at = ref (-1)
+let repairs = Atomic.make 0
 
 (* Scale row [base] of the m-column row-major [arr] by [inv] and gather
    the column indices of its nonzeros into [nz]; returns their count.
@@ -228,49 +389,6 @@ let scale_and_gather ~m arr base inv nz =
     end
   done;
   !nnz
-
-(* Scratch for the pivot row's nonzero columns: one buffer per domain,
-   grown to the largest m seen. A solve runs start to finish on one
-   domain without yielding, so its tableaux never share it with another
-   live solve. Allocating it per solve instead (m words, straight into
-   the malloc'd major heap between the large m x m inverses) raised the
-   peak RSS of repeated relaxation solves by about 1 MB. The buffer
-   starts at 2048 rows, above the mapping heuristics' 2000-row LP limit,
-   and the main domain's is allocated here at start-up rather than by
-   the first solve, so every solve allocates the same. *)
-let nz_key = Domain.DLS.new_key (fun () -> Array.make 2048 0)
-let () = ignore (Domain.DLS.get nz_key)
-
-let nz_scratch m =
-  let nz = Domain.DLS.get nz_key in
-  if Array.length nz >= m then nz
-  else begin
-    let nz = Array.make m 0 in
-    Domain.DLS.set nz_key nz;
-    nz
-  end
-
-(* Rank-1 update of the m x m row-major basis inverse after pivoting
-   column q into row r; [w] is the FTRAN result B^-1 A_q. Row r is
-   scaled by 1/w_r, then w_i times it is subtracted from each other row
-   with w_i <> 0: O(m * nnz(row r)) rather than O(m^2). *)
-let update_binv ~m binv nz w r =
-  let rbase = r * m in
-  let nnz = scale_and_gather ~m binv rbase (1. /. w.(r)) nz in
-  for i = 0 to m - 1 do
-    let wi = w.(i) in
-    if i <> r && wi <> 0. then begin
-      let ibase = i * m in
-      for k = 0 to nnz - 1 do
-        let j = nz.(k) in
-        binv.(ibase + j) <- binv.(ibase + j) -. (wi *. binv.(rbase + j))
-      done
-    end
-  done
-
-(* Test hook (see [For_testing]): when >= 0, [gauss_jordan] treats
-   this column as singular. *)
-let singular_column = ref (-1)
 
 (* Gauss-Jordan with partial pivoting: reduce the m x m row-major [a] to
    the identity while applying the same row operations to [inv], which
@@ -325,8 +443,8 @@ let gauss_jordan ~m a inv =
    final point a pure function of the final basis (no drift from
    accumulated rank-1 updates), which is what lets a warm solve that
    lands on the same basis as a cold solve reproduce it bitwise. The
-   factorization runs in fresh arrays and replaces tab.binv only once
-   it has succeeded.
+   elimination runs row-major in fresh arrays; only once it has
+   succeeded is the transposed result written into tab.binv.
    @raise Numerics when the basis matrix is (near-)singular; tab.binv
    is then untouched. *)
 let refactorize tab =
@@ -344,7 +462,95 @@ let refactorize tab =
     inv.((i * m) + i) <- 1.
   done;
   gauss_jordan ~m a inv;
-  tab.binv <- inv
+  for i = 0 to m - 1 do
+    let base = i * m in
+    for j = 0 to m - 1 do
+      tab.binv.((j * m) + i) <- inv.(base + j)
+    done
+  done
+
+(* Devex. After a basis change that brought column q in through pivot
+   row r, every nonbasic weight becomes max(gamma_j, alpha_rj^2 gamma_q),
+   alpha_rj read off the scaled pivot row in tab.rowr, and the leaving
+   variable's becomes max(gamma_q / w_r^2, 1). [optimize] sets the
+   leaving variable's at pivot time and leaves the rest pending: the next
+   pricing sweep applies each column's update just before pricing it.
+   Each weight depends only on its own column, so the bits are those of a
+   separate pass. gamma_q is read from column [pend_q], now basic, whose
+   weight no sweep writes and no pivot touches while the update is
+   pending (a reset drops it). *)
+let devex_column tab ~pend_q idx vl j =
+  let gq = tab.gamma.(pend_q) in
+  let a = ref 0. in
+  for k = 0 to Array.length idx - 1 do
+    a := !a +. (tab.rowr.(idx.(k)) *. vl.(k))
+  done;
+  let cand = !a *. !a *. gq in
+  if cand > tab.gamma.(j) then tab.gamma.(j) <- cand
+
+(* The pending update as its own pass. *)
+let devex_pass tab ~pend_q ~pend_lv =
+  for j = 0 to tab.ntot - 1 do
+    if j <> pend_lv && tab.status.(j) <> Basic then
+      devex_column tab ~pend_q tab.col_idx.(j) tab.col_val.(j) j
+  done
+
+(* Pricing: the entering column, or -1 at optimality. Devex takes the
+   largest d_j^2 / gamma_j; Bland's rule takes the first improving
+   column. [pend_q] >= 0 is the pending Devex update's entering column
+   and [pend_lv] its leaving variable. Bland's sweep stops early, so it
+   runs a pending update as its own pass first. *)
+let price tab ~bland ~pend_q ~pend_lv =
+  let pend_q =
+    if bland && pend_q >= 0 then begin
+      devex_pass tab ~pend_q ~pend_lv;
+      -1
+    end
+    else pend_q
+  in
+  let ntot = tab.ntot and y = tab.y in
+  let best = ref (-1) and best_score = ref neg_infinity in
+  let j = ref 0 in
+  while !j < ntot do
+    let q = !j in
+    (match tab.status.(q) with
+    | Basic -> ()
+    | st ->
+        let idx = tab.col_idx.(q) and vl = tab.col_val.(q) in
+        if pend_q >= 0 && q <> pend_lv then devex_column tab ~pend_q idx vl q;
+        let d = ref tab.c.(q) in
+        for k = 0 to Array.length idx - 1 do
+          d := !d -. (y.(idx.(k)) *. vl.(k))
+        done;
+        let improving =
+          match st with
+          | At_lower -> !d < -.dual_tol
+          | At_upper -> !d > dual_tol
+          | Free_nb -> !d < -.dual_tol || !d > dual_tol
+          | Basic -> false
+        in
+        if improving then
+          if bland then begin
+            best := q;
+            j := ntot
+          end
+          else begin
+            let score = !d *. !d /. tab.gamma.(q) in
+            if score > !best_score then begin
+              best := q;
+              best_score := score
+            end
+          end);
+    incr j
+  done;
+  !best
+
+(* Scale column 0 of the inverse (see [corrupt_at]). *)
+let corrupt tab =
+  corrupt_at := -1;
+  for i = 0 to tab.m - 1 do
+    tab.binv.(i) <- tab.binv.(i) *. 1.001
+  done
 
 (* One primal simplex phase: optimize tab.c from the current basis.
    Devex pricing (reference weights in tab.gamma) with a Bland's-rule
@@ -353,69 +559,38 @@ let optimize tab ~max_iters =
   let m = tab.m and ntot = tab.ntot in
   let iters = ref 0 in
   let degenerate_run = ref 0 in
-  let use_bland () = !degenerate_run > 200 + m in
+  let use_bland () = !degenerate_run > 200 + m || !force_bland !iters in
   Array.fill tab.gamma 0 ntot 1.;
+  (* The last basis change's pending Devex update: its entering column
+     (-1: none) and leaving variable. *)
+  let pend_q = ref (-1) and pend_lv = ref (-1) in
   let continue_ = ref true in
   while !continue_ do
     if !iters >= max_iters then raise Iteration_limit;
     incr iters;
     if !iters land 1023 = 0 then refresh_basics tab;
     (* A Devex reference framework goes stale after many pivots. *)
-    if !iters land 4095 = 0 then Array.fill tab.gamma 0 ntot 1.;
+    if !iters land !gamma_reset_mask = 0 then begin
+      Array.fill tab.gamma 0 ntot 1.;
+      pend_q := -1
+    end;
     compute_multipliers tab;
-    let y = tab.y in
-    (* Pricing: find entering column, largest d^2 / gamma. *)
-    let best = ref (-1) and best_score = ref neg_infinity and best_dir = ref 1. in
     let bland = use_bland () in
-    (try
-       for q = 0 to ntot - 1 do
-         match tab.status.(q) with
-         | Basic -> ()
-         | st ->
-             let idx = tab.col_idx.(q) and vl = tab.col_val.(q) in
-             let d = ref tab.c.(q) in
-             for k = 0 to Array.length idx - 1 do
-               d := !d -. (y.(idx.(k)) *. vl.(k))
-             done;
-             let improving, dir =
-               match st with
-               | At_lower -> (!d < -.dual_tol, 1.)
-               | At_upper -> (!d > dual_tol, -1.)
-               | Free_nb ->
-                   if !d < -.dual_tol then (true, 1.)
-                   else if !d > dual_tol then (true, -1.)
-                   else (false, 1.)
-               | Basic -> (false, 1.)
-             in
-             if improving then
-               if bland then begin
-                 best := q;
-                 best_dir := dir;
-                 raise Exit
-               end
-               else begin
-                 let score = !d *. !d /. tab.gamma.(q) in
-                 if score > !best_score then begin
-                   best := q;
-                   best_score := score;
-                   best_dir := dir
-                 end
-               end
-       done
-     with Exit -> ());
-    if !best < 0 then continue_ := false
+    let q = price tab ~bland ~pend_q:!pend_q ~pend_lv:!pend_lv in
+    pend_q := -1;
+    if q < 0 then continue_ := false
     else begin
-      let q = !best and dir = !best_dir in
+      (* Entering moves up from a lower bound, down from an upper one; a
+         free column against the sign of its reduced cost. *)
+      let dir =
+        match tab.status.(q) with
+        | At_upper -> -1.
+        | Free_nb when reduced_cost tab q > dual_tol -> -1.
+        | _ -> 1.
+      in
       (* FTRAN: w = B^-1 A_q. *)
       let w = tab.w in
-      Array.fill w 0 m 0.;
-      let idx = tab.col_idx.(q) and vl = tab.col_val.(q) in
-      for k = 0 to Array.length idx - 1 do
-        let col = idx.(k) and v = vl.(k) in
-        for i = 0 to m - 1 do
-          w.(i) <- w.(i) +. (tab.binv.((i * m) + col) *. v)
-        done
-      done;
+      ftran ~m tab.binv tab.col_idx.(q) tab.col_val.(q) w;
       (* Ratio test: entering moves by t >= 0 in direction [dir]; basic i
          moves by delta_i * t with delta_i = -dir * w_i. *)
       let t_bound =
@@ -484,24 +659,12 @@ let optimize tab ~max_iters =
         tab.status.(q) <- Basic;
         tab.basis.(r) <- q;
         let wr = w.(r) in
-        update_binv ~m tab.binv (nz_scratch m) w r;
-        (* Devex weight update: the post-pivot row r of binv gives
-           alpha_rj / alpha_rq directly. *)
+        update tab w r;
+        if !iters = !corrupt_at then corrupt tab;
         if not bland then begin
-          let gq = tab.gamma.(q) in
-          let rbase = r * m in
-          for j = 0 to ntot - 1 do
-            if j <> q && tab.status.(j) <> Basic then begin
-              let jdx = tab.col_idx.(j) and jvl = tab.col_val.(j) in
-              let a = ref 0. in
-              for k = 0 to Array.length jdx - 1 do
-                a := !a +. (tab.binv.(rbase + jdx.(k)) *. jvl.(k))
-              done;
-              let cand = !a *. !a *. gq in
-              if cand > tab.gamma.(j) then tab.gamma.(j) <- cand
-            end
-          done;
-          tab.gamma.(lv) <- Float.max (gq /. (wr *. wr)) 1.
+          tab.gamma.(lv) <- Float.max (tab.gamma.(q) /. (wr *. wr)) 1.;
+          pend_q := q;
+          pend_lv := lv
         end
       end
     end
@@ -545,7 +708,10 @@ let dual_optimize tab ~max_iters =
     else begin
       let r = !r and up = !viol_up in
       compute_multipliers tab;
-      let rbase = r * m in
+      let rowr = tab.rowr in
+      for j = 0 to m - 1 do
+        rowr.(j) <- tab.binv.((j * m) + r)
+      done;
       (* Dual ratio test: minimize |d_j| / |alpha_j| over columns that can
          move the leaving variable back toward its violated bound. *)
       let q = ref (-1) and best_ratio = ref infinity and best_alpha = ref 0. in
@@ -556,7 +722,7 @@ let dual_optimize tab ~max_iters =
             let idx = tab.col_idx.(j) and vl = tab.col_val.(j) in
             let a = ref 0. in
             for k = 0 to Array.length idx - 1 do
-              a := !a +. (tab.binv.(rbase + idx.(k)) *. vl.(k))
+              a := !a +. (rowr.(idx.(k)) *. vl.(k))
             done;
             let alpha = !a in
             let candidate =
@@ -585,16 +751,8 @@ let dual_optimize tab ~max_iters =
       done;
       if !q < 0 then raise Exit (* dual unbounded: primal infeasible *);
       let q = !q in
-      (* FTRAN the entering column. *)
       let w = tab.w in
-      Array.fill w 0 m 0.;
-      let idx = tab.col_idx.(q) and vl = tab.col_val.(q) in
-      for k = 0 to Array.length idx - 1 do
-        let col = idx.(k) and v = vl.(k) in
-        for i = 0 to m - 1 do
-          w.(i) <- w.(i) +. (tab.binv.((i * m) + col) *. v)
-        done
-      done;
+      ftran ~m tab.binv tab.col_idx.(q) tab.col_val.(q) w;
       if abs_float w.(r) < pivot_tol then raise Numerics;
       let bi = tab.basis.(r) in
       let target = if up then tab.ub.(bi) else tab.lb.(bi) in
@@ -610,7 +768,7 @@ let dual_optimize tab ~max_iters =
       tab.x.(q) <- tab.x.(q) +. dxq;
       tab.status.(q) <- Basic;
       tab.basis.(r) <- q;
-      update_binv ~m tab.binv (nz_scratch m) w r
+      update tab w r
     end
   done;
   !iters
@@ -722,11 +880,13 @@ let cold_tableau problem ~lb_over ~ub_over =
       (* B starts as a signed identity: slack rows carry +1, rows held by a
          negatively-signed artificial carry -1, so B^-1 = B. *)
       binv =
-        (let a = Array.make (max 1 (m * m)) 0. in
+        (let a = inverse_buffer m in
+         Array.fill a 0 (m * m) 0.;
          for i = 0 to m - 1 do
            a.((i * m) + i) <- art_sign.(i)
          done;
          a);
+      rowr = Array.make m 0.;
       y = Array.make m 0.;
       w = Array.make m 0.;
       gamma = Array.make ntot 1.;
@@ -782,6 +942,65 @@ let record_iterations iterations =
     Obs.Metrics.Histogram.observe m_iterations (float_of_int iterations)
   end
 
+let primal_feasible tab =
+  let ok = ref true in
+  for v = 0 to tab.ntot - 1 do
+    if tab.x.(v) < tab.lb.(v) -. feas_tol || tab.x.(v) > tab.ub.(v) +. feas_tol
+    then ok := false
+  done;
+  !ok
+
+(* Worst violation of the current point: the largest primal residual
+   |b - A x| over the equilibrated rows, every column counted, or the
+   largest distance of a variable outside its bounds; NaN when the point
+   has one. The residuals are built in tab.w. *)
+let primal_violation tab =
+  let r = tab.w in
+  Array.blit tab.b 0 r 0 tab.m;
+  for v = 0 to tab.ntot - 1 do
+    let xv = tab.x.(v) in
+    if xv <> 0. then begin
+      let idx = tab.col_idx.(v) and vl = tab.col_val.(v) in
+      for k = 0 to Array.length idx - 1 do
+        r.(idx.(k)) <- r.(idx.(k)) -. (vl.(k) *. xv)
+      done
+    end
+  done;
+  let worst = ref 0. in
+  for i = 0 to tab.m - 1 do
+    worst := Float.max !worst (abs_float r.(i))
+  done;
+  for v = 0 to tab.ntot - 1 do
+    worst := Float.max !worst (Float.max (tab.lb.(v) -. tab.x.(v)) (tab.x.(v) -. tab.ub.(v)))
+  done;
+  !worst
+
+let residual_failure = "Simplex: optimal point fails its residual check after refactorization"
+
+(* Check before claiming optimal. The basic values come from an inverse
+   that rank-1 updates may have let drift, so a point whose violation
+   exceeds feas_tol is not returned. The basis is refactorized and the
+   basic values refreshed instead; if that point left its bounds, dual
+   simplex restores them; then phase 2 resumes. Returns the pivots the
+   repair took (0 when the point passed).
+   @raise Failure [residual_failure] when the repaired point fails too. *)
+let check_point tab ~max_iters =
+  if primal_violation tab <= feas_tol then 0
+  else begin
+    Atomic.incr repairs;
+    match
+      refactorize tab;
+      refresh_basics tab;
+      let it_dual = if primal_feasible tab then 0 else dual_optimize tab ~max_iters in
+      let it = optimize tab ~max_iters in
+      refresh_basics tab;
+      it_dual + it
+    with
+    | it when primal_violation tab <= feas_tol -> it
+    | _ | (exception (Numerics | Exit | Unbounded_exn | Iteration_limit)) ->
+        failwith residual_failure
+  end
+
 let solve ?lb:lb_over ?ub:ub_over problem =
   let tab, n_art = cold_tableau problem ~lb_over ~ub_over in
   stats.solves <- stats.solves + 1;
@@ -789,6 +1008,7 @@ let solve ?lb:lb_over ?ub:ub_over problem =
   let max_iters = max 20_000 (4 * (tab.m + tab.n_struct)) in
   try
     let iterations = run_two_phases tab ~n_art problem ~max_iters in
+    let iterations = iterations + check_point tab ~max_iters in
     let xsol = Array.sub tab.x 0 tab.n_struct in
     let objective = Problem.eval_objective problem xsol in
     record_iterations iterations;
@@ -814,11 +1034,12 @@ type solved = {
 type basis_result = Opt of solved | Infeas | Unbound
 
 (* Extract the final answer: relabel artificials, refactorize so the
-   point is a pure function of the final basis, refresh, package. *)
-let finish_detailed tab problem ~iterations ~warm =
+   point is a pure function of the final basis, refresh, check, package. *)
+let finish_detailed tab problem ~iterations ~max_iters ~warm =
   drop_artificials tab;
   (try refactorize tab with Numerics -> () (* keep the incremental binv *));
   refresh_basics tab;
+  let iterations = iterations + check_point tab ~max_iters in
   let xsol = Array.sub tab.x 0 tab.n_struct in
   let objective = Problem.eval_objective problem xsol in
   record_iterations iterations;
@@ -837,7 +1058,7 @@ let cold_detailed problem ~lb_over ~ub_over =
   let max_iters = max 20_000 (4 * (tab.m + tab.n_struct)) in
   try
     let iterations = run_two_phases tab ~n_art problem ~max_iters in
-    finish_detailed tab problem ~iterations ~warm:false
+    finish_detailed tab problem ~iterations ~max_iters ~warm:false
   with
   | Exit -> Infeas
   | Unbounded_exn -> Unbound
@@ -890,7 +1111,8 @@ let import_tableau problem ~lb_over ~ub_over (bas : basis) =
       x;
       status;
       basis;
-      binv = [||] (* installed by [refactorize] below *);
+      binv = inverse_buffer m (* filled by [refactorize] below *);
+      rowr = Array.make m 0.;
       y = Array.make m 0.;
       w = Array.make m 0.;
       gamma = Array.make ntot 1.;
@@ -915,14 +1137,6 @@ let dual_feasible tab =
   done;
   !ok
 
-let primal_feasible tab =
-  let ok = ref true in
-  for v = 0 to tab.ntot - 1 do
-    if tab.x.(v) < tab.lb.(v) -. feas_tol || tab.x.(v) > tab.ub.(v) +. feas_tol
-    then ok := false
-  done;
-  !ok
-
 let warm_detailed problem ~lb_over ~ub_over bas =
   let tab = import_tableau problem ~lb_over ~ub_over bas in
   stats.solves <- stats.solves + 1;
@@ -934,7 +1148,7 @@ let warm_detailed problem ~lb_over ~ub_over bas =
       (* Primal-feasible import: plain phase 2 from here is still warm. *)
       let iterations = optimize tab ~max_iters in
       refresh_basics tab;
-      finish_detailed tab problem ~iterations ~warm:true
+      finish_detailed tab problem ~iterations ~max_iters ~warm:true
     end
     else raise Numerics
   else
@@ -945,7 +1159,7 @@ let warm_detailed problem ~lb_over ~ub_over bas =
       let it_primal = optimize tab ~max_iters in
       refresh_basics tab;
       if not (primal_feasible tab) then raise Numerics;
-      finish_detailed tab problem ~iterations:(it_dual + it_primal) ~warm:true
+      finish_detailed tab problem ~iterations:(it_dual + it_primal) ~max_iters ~warm:true
     with
     | Exit -> Infeas (* dual unbounded: the child LP is infeasible *)
     | Unbounded_exn -> Unbound
@@ -965,12 +1179,57 @@ let solve_detailed ?lb:lb_over ?ub:ub_over ?warm problem =
           cold_detailed problem ~lb_over ~ub_over)
 
 module For_testing = struct
-  let update_binv ~m binv w r = update_binv ~m binv (Array.make m 0) w r
+  type nonrec status = status = At_lower | At_upper | Basic | Free_nb
+
+  let ftran = ftran
+
+  let btran ~m binv c basis y = btran ~m binv c basis (Array.make m 0) (Array.make m 0.) y
+
+  let apply_inverse = apply_inverse
+
+  let update_binv ~m binv w r =
+    let rowr = Array.make m 0. in
+    update_binv ~m binv rowr (Array.make m 0) (Array.make m 0) w r;
+    rowr
 
   let gauss_jordan ~m a inv =
     match gauss_jordan ~m a inv with () -> true | exception Numerics -> false
 
-  let with_singular_column col f =
-    singular_column := col;
-    Fun.protect ~finally:(fun () -> singular_column := -1) f
+  let price ~col_idx ~col_val ~c ~y ~status ~gamma ~rowr ~bland ~pend_q ~pend_lv =
+    let m = Array.length y and ntot = Array.length status in
+    let tab =
+      {
+        m;
+        ntot;
+        n_struct = ntot;
+        col_idx;
+        col_val;
+        b = [||];
+        c;
+        lb = [||];
+        ub = [||];
+        x = [||];
+        status;
+        basis = [||];
+        binv = [||];
+        rowr;
+        y;
+        w = [||];
+        gamma;
+      }
+    in
+    price tab ~bland ~pend_q ~pend_lv
+
+  let with_ref r v f =
+    let old = !r in
+    r := v;
+    Fun.protect ~finally:(fun () -> r := old) f
+
+  let with_singular_column col f = with_ref singular_column col f
+
+  let with_pricing ~bland ~reset_mask f =
+    with_ref force_bland bland (fun () -> with_ref gamma_reset_mask reset_mask f)
+
+  let with_corrupted_inverse ~at f = with_ref corrupt_at at f
+  let repairs () = Atomic.get repairs
 end

@@ -11,19 +11,43 @@
     repaired by a dual-simplex phase, which is how {!Branch_bound} turns
     child-node re-solves into a handful of pivots.
 
-    Cost model, for [m] rows. The basis inverse is a dense m x m array,
-    but a pivot's rank-1 update visits only the nonzero columns of the
-    scaled pivot row: O(m·nnz(row)) instead of O(m{^ 2}). On the compact
-    mapping relaxations that row holds about 6% of [m]. The Gauss-Jordan
-    refactorization behind every {!solve_detailed} and warm import
-    gathers its pivot rows the same way. Every entry these kernels touch
-    gets the same floating-point operation as in a full-row loop. An
-    entry they skip would have received [x -. f *. (±0.)], which can
-    only change the sign of a zero. Every reader of the inverse either
-    tests [<> 0.] or sums from [+0.], so answers are bitwise those of
-    the full-row loops. Per pivot, BTRAN stays O(m{^ 2}), FTRAN costs
-    O(m·nnz(entering column)), and pricing and the Devex update cost
-    O(nnz(A)). *)
+    Cost model, for [m] rows. The basis inverse is a dense m x m array
+    stored column-major: entry (i, j) at [j*m + i]. Bases of up to 1024
+    rows reuse one such buffer per domain, grown to the largest [m]
+    seen (8 MB at the cap), so a cold solve allocates no inverse; larger
+    bases allocate their own per solve. Per pivot:
+    - FTRAN is one contiguous axpy per nonzero of the entering column,
+      O(m·nnz(column));
+    - the rank-1 update scales the strided pivot row once, gathers its
+      nonzero columns and the nonzero rows of the FTRAN column, and runs
+      one gathered axpy down each such column: O(nnz(w)·nnz(row)). On the
+      compact mapping relaxations the pivot row holds about 6% of [m] and
+      the FTRAN column about half;
+    - BTRAN gathers the nonzero basic costs once, then takes one short
+      dot product per column, O(m·nnz(c_B));
+    - pricing and the Devex weight update share one O(nnz(A)) sweep: the
+      update of one basis change is applied by the next pivot's pricing
+      pass, column by column, from the scaled pivot row kept beside the
+      inverse.
+    The Gauss-Jordan refactorization behind every {!solve_detailed} and
+    warm import runs row-major in fresh arrays and gathers its pivot rows
+    the same way; only a successful factorization is written back,
+    transposed. Every entry these kernels touch gets the floating-point
+    operations, in the order, of the full-row row-major loops they
+    replaced. An entry they skip would have received [x -. f *. (±0.)],
+    which can only change the sign of a zero. Every reader of the inverse
+    either tests [<> 0.] or sums from [+0.], so answers are bitwise those
+    of the full-row loops.
+
+    Before {!solve} or {!solve_detailed} reports an optimum, the point's
+    primal residuals on the equilibrated rows and its bound violations
+    are checked against the feasibility tolerance 1e-7. A point that
+    fails (the incrementally updated inverse drifted) is not returned:
+    the basis is refactorized, the basic values refreshed, primal
+    feasibility restored by dual simplex if needed, and phase 2 resumed.
+    If the repaired point fails too, the solve raises [Failure] with the
+    message ["Simplex: optimal point fails its residual check after
+    refactorization"]. *)
 
 type solution = {
   x : float array;  (** One value per problem variable. *)
@@ -51,7 +75,9 @@ val solve : ?lb:float array -> ?ub:float array -> Problem.t -> result
     variable bounds (arrays of length [Problem.n_vars]); this is how
     {!Branch_bound} explores its tree without mutating the problem.
     @raise Invalid_argument on override arrays of the wrong length or with
-    [lb > ub] entries. *)
+    [lb > ub] entries.
+    @raise Failure when an optimal point fails its residual check even
+    after refactorization (see the cost model above). *)
 
 type basis
 (** An optimal basis exported by {!solve_detailed}: variable statuses plus
@@ -85,10 +111,27 @@ val solve_detailed :
 (**/**)
 
 module For_testing : sig
-  val update_binv : m:int -> float array -> float array -> int -> unit
-  (** [update_binv ~m binv w r]: the pivot's rank-1 update of the m x m
-      row-major inverse [binv] in place, for FTRAN column [w] and pivot
-      row [r]. *)
+  type status = At_lower | At_upper | Basic | Free_nb
+
+  (** The dense-inverse kernels, on an m x m column-major inverse (entry
+      (i, j) at [j*m + i]). *)
+
+  val ftran : m:int -> float array -> int array -> float array -> float array -> unit
+  (** [ftran ~m binv idx vl w]: [w := binv a] for the sparse column with
+      row indices [idx] and values [vl]. *)
+
+  val btran : m:int -> float array -> float array -> int array -> float array -> unit
+  (** [btran ~m binv c basis y]: [y := c_B binv], where row i's basic
+      cost is [c.(basis.(i))]. *)
+
+  val apply_inverse : m:int -> float array -> float array -> float array -> unit
+  (** [apply_inverse ~m binv r out]: [out := binv r], as in the refresh
+      of the basic values. *)
+
+  val update_binv : m:int -> float array -> float array -> int -> float array
+  (** [update_binv ~m binv w r]: the pivot's rank-1 update of [binv] in
+      place, for FTRAN column [w] and pivot row [r]. Returns the scaled
+      pivot row. *)
 
   val gauss_jordan : m:int -> float array -> float array -> bool
   (** [gauss_jordan ~m a inv]: the refactorization's elimination of the
@@ -96,7 +139,40 @@ module For_testing : sig
       (both in place). [false] when a pivot is (near-)zero; the arrays
       are then left part-way eliminated. *)
 
+  val price :
+    col_idx:int array array ->
+    col_val:float array array ->
+    c:float array ->
+    y:float array ->
+    status:status array ->
+    gamma:float array ->
+    rowr:float array ->
+    bland:bool ->
+    pend_q:int ->
+    pend_lv:int ->
+    int
+  (** One pricing sweep over the columns [(col_idx, col_val)] with costs
+      [c] and multipliers [y]: the entering column, or -1. When [pend_q]
+      >= 0 (a basic column), the Devex update of the basis change that
+      brought it in, with scaled pivot row [rowr] and leaving variable
+      [pend_lv], is applied to [gamma] on the way. *)
+
   val with_singular_column : int -> (unit -> 'a) -> 'a
   (** Run [f] with every refactorization failing, as a singular basis
       would, when it reaches the given column. *)
+
+  val with_pricing : bland:(int -> bool) -> reset_mask:int -> (unit -> 'a) -> 'a
+  (** Run [f] with pricing forced onto Bland's rule at the iterations
+      (counted per phase, from 1) that [bland] accepts, on top of the
+      anti-cycling switch, and the Devex weights reset at the iterations
+      [i] with [i land reset_mask = 0] instead of every 4096th. *)
+
+  val with_corrupted_inverse : at:int -> (unit -> 'a) -> 'a
+  (** Run [f] with the first basis change at iteration [at] of a phase
+      scaling the first column of the inverse by 1.001, as accumulated
+      drift would. *)
+
+  val repairs : unit -> int
+  (** Points that failed the residual check before an [Optimal]/[Opt]
+      answer, since start-up. *)
 end

@@ -118,31 +118,59 @@ let test_yield_outside_fiber () =
 (* 1000 fibers x 50 yields: every yield re-enqueues the continuation,
    so the counter must come back exact — no lost or duplicated
    resumptions under heavy rescheduling. *)
+(* Run [f] on a fresh domain and wait at most [seconds] for its result.
+   A run that has not returned by then fails the test by name instead of
+   stalling the suite; its domain is abandoned (the process exits without
+   joining it). *)
+let with_watchdog ~seconds name f =
+  let result = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set result (Some (match f () with v -> Ok v | exception e -> Error e)))
+  in
+  let deadline = Unix.gettimeofday () +. seconds in
+  while Atomic.get result = None && Unix.gettimeofday () < deadline do
+    Unix.sleepf 1e-3
+  done;
+  match Atomic.get result with
+  | None -> Alcotest.failf "%s: hung, no result after %.0f s" name seconds
+  | Some r -> (
+      Domain.join d;
+      match r with Ok v -> v | Error e -> raise e)
+
+(* The pool-4 half has been seen to hang: the main thread naps in
+   [Pool.wait_until] while all four workers sit parked, so some runnable
+   fiber is invisible to them (a lost wakeup or lost work). The watchdog
+   turns that into a failure after a fixed bound. *)
 let test_yield_storm () =
   List.iter
     (fun size ->
-      Pool.with_pool ~size (fun p ->
-          let counter = Atomic.make 0 in
-          let total =
-            Fiber.run p (fun () ->
-                Fiber.parallel_map
-                  (fun _ ->
-                    let mine = ref 0 in
-                    for _ = 1 to 50 do
-                      Atomic.incr counter;
-                      incr mine;
-                      Fiber.yield ()
-                    done;
-                    !mine)
-                  (Array.init 1000 Fun.id))
-            |> Array.fold_left ( + ) 0
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "pool %d: per-fiber sums" size)
-            50_000 total;
-          Alcotest.(check int)
-            (Printf.sprintf "pool %d: shared counter" size)
-            50_000 (Atomic.get counter)))
+      let total, counter =
+        with_watchdog ~seconds:60. (Printf.sprintf "yield storm, pool %d" size) (fun () ->
+            Pool.with_pool ~size (fun p ->
+                let counter = Atomic.make 0 in
+                let total =
+                  Fiber.run p (fun () ->
+                      Fiber.parallel_map
+                        (fun _ ->
+                          let mine = ref 0 in
+                          for _ = 1 to 50 do
+                            Atomic.incr counter;
+                            incr mine;
+                            Fiber.yield ()
+                          done;
+                          !mine)
+                        (Array.init 1000 Fun.id))
+                  |> Array.fold_left ( + ) 0
+                in
+                (total, Atomic.get counter)))
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "pool %d: per-fiber sums" size)
+        50_000 total;
+      Alcotest.(check int)
+        (Printf.sprintf "pool %d: shared counter" size)
+        50_000 counter)
     [ 1; 4 ]
 
 (* Yield is what shares one domain between a spinner and the fiber it

@@ -715,9 +715,41 @@ let test_golden_digest () =
 
 (* --- dense-inverse kernels ------------------------------------------------- *)
 
-(* The simplex's full-row loops from before its kernels gathered the
-   pivot row's nonzeros, kept verbatim as the oracle for them. *)
+(* The simplex's row-major loops from before its inverse went
+   column-major (and, for the update and the elimination, before they
+   gathered the pivot row's nonzeros), kept verbatim as the oracle. *)
 module Full_row = struct
+  let ftran ~m binv idx vl w =
+    Array.fill w 0 m 0.;
+    for k = 0 to Array.length idx - 1 do
+      let col = idx.(k) and v = vl.(k) in
+      for i = 0 to m - 1 do
+        w.(i) <- w.(i) +. (binv.((i * m) + col) *. v)
+      done
+    done
+
+  let btran ~m binv c basis y =
+    Array.fill y 0 m 0.;
+    for i = 0 to m - 1 do
+      let cb = c.(basis.(i)) in
+      if cb <> 0. then begin
+        let base = i * m in
+        for j = 0 to m - 1 do
+          y.(j) <- y.(j) +. (cb *. binv.(base + j))
+        done
+      end
+    done
+
+  let apply_inverse ~m binv r out =
+    for i = 0 to m - 1 do
+      let acc = ref 0. in
+      let base = i * m in
+      for j = 0 to m - 1 do
+        acc := !acc +. (binv.(base + j) *. r.(j))
+      done;
+      out.(i) <- !acc
+    done
+
   let update_binv ~m binv w r =
     let wr = w.(r) in
     let rbase = r * m in
@@ -778,7 +810,69 @@ module Full_row = struct
       done;
       true
     with Exit -> false
+
+  (* The Devex update as its own pass after the pivot, then the pricing
+     sweep, as [optimize] ran them before the update was folded in. *)
+  let devex ~col_idx ~col_val ~status ~gamma ~rowr ~q ~lv ~wr =
+    let gq = gamma.(q) in
+    for j = 0 to Array.length status - 1 do
+      if j <> q && status.(j) <> Lp.Simplex.For_testing.Basic then begin
+        let jdx = col_idx.(j) and jvl = col_val.(j) in
+        let a = ref 0. in
+        for k = 0 to Array.length jdx - 1 do
+          a := !a +. (rowr.(jdx.(k)) *. jvl.(k))
+        done;
+        let cand = !a *. !a *. gq in
+        if cand > gamma.(j) then gamma.(j) <- cand
+      end
+    done;
+    gamma.(lv) <- Float.max (gq /. (wr *. wr)) 1.
+
+  let price ~col_idx ~col_val ~c ~y ~status ~gamma ~bland =
+    let open Lp.Simplex.For_testing in
+    let best = ref (-1) and best_score = ref neg_infinity in
+    (try
+       for q = 0 to Array.length status - 1 do
+         match status.(q) with
+         | Basic -> ()
+         | st ->
+             let idx = col_idx.(q) and vl = col_val.(q) in
+             let d = ref c.(q) in
+             for k = 0 to Array.length idx - 1 do
+               d := !d -. (y.(idx.(k)) *. vl.(k))
+             done;
+             let improving =
+               match st with
+               | At_lower -> !d < -1e-7
+               | At_upper -> !d > 1e-7
+               | Free_nb -> !d < -1e-7 || !d > 1e-7
+               | Basic -> false
+             in
+             if improving then
+               if bland then begin
+                 best := q;
+                 raise Exit
+               end
+               else begin
+                 let score = !d *. !d /. gamma.(q) in
+                 if score > !best_score then begin
+                   best := q;
+                   best_score := score
+                 end
+               end
+       done
+     with Exit -> ());
+    !best
 end
+
+(* Bit-for-bit equality, the sign of a zero included. *)
+let same_bits what expected got =
+  Array.iteri
+    (fun k e ->
+      let g = got.(k) in
+      if Int64.bits_of_float e <> Int64.bits_of_float g then
+        QCheck.Test.fail_reportf "%s[%d]: row-major %h, column-major %h" what k e g)
+    expected
 
 (* Nonzero entries equal bit for bit; a zero may differ only in sign. *)
 let same_entries what expected got =
@@ -789,20 +883,32 @@ let same_entries what expected got =
         QCheck.Test.fail_reportf "%s[%d]: full-row %h, gathered %h" what k e g)
     expected
 
-(* An m x m row-major matrix at the given density: entries in [-3, 3]
-   (one in ten tiny), the rest +0 or -0 at random. *)
-let random_matrix rng m density =
-  Array.init (m * m) (fun _ ->
-      if Support.Rng.float rng 1. < density then
-        let v = Support.Rng.float_in rng (-3.) 3. in
-        if Support.Rng.int rng 10 = 0 then v *. 1e-200 else v
-      else if Support.Rng.bool rng then 0.
-      else -0.)
+(* Entry (i, j) of the row-major [a] at j*m + i, and back. *)
+let transpose ~m a = Array.init (m * m) (fun k -> a.((k mod m * m) + (k / m)))
+
+(* A float in [-3, 3] (one in ten tiny) with the given probability, else
+   +0 or -0 at random. *)
+let random_entry rng density =
+  if Support.Rng.float rng 1. < density then
+    let v = Support.Rng.float_in rng (-3.) 3. in
+    if Support.Rng.int rng 10 = 0 then v *. 1e-200 else v
+  else if Support.Rng.bool rng then 0.
+  else -0.
+
+(* An m x m row-major matrix at the given density. *)
+let random_matrix rng m density = Array.init (m * m) (fun _ -> random_entry rng density)
 
 let zero_row rng arr ~m i ~except =
   for j = 0 to m - 1 do
     if j <> except then arr.((i * m) + j) <- (if Support.Rng.bool rng then 0. else -0.)
   done
+
+(* A sparse column over m rows: increasing row indices, nonzero values. *)
+let random_column rng m density =
+  let rows = List.filter (fun _ -> Support.Rng.float rng 1. < density) (List.init m Fun.id) in
+  let rows = if rows = [] then [ Support.Rng.int rng m ] else rows in
+  ( Array.of_list rows,
+    Array.of_list (List.map (fun _ -> Support.Rng.float_in rng (-3.) 3.) rows) )
 
 let kernel_case = QCheck.(triple (int_bound 1_000_000) (int_range 1 14) (int_range 0 100))
 
@@ -812,12 +918,7 @@ let update_binv_matches_full_row =
       let rng = Support.Rng.create seed in
       let density = float_of_int pct /. 100. in
       let binv = random_matrix rng m density in
-      let w =
-        Array.init m (fun _ ->
-            if Support.Rng.float rng 1. < density then Support.Rng.float_in rng (-3.) 3.
-            else if Support.Rng.bool rng then 0.
-            else -0.)
-      in
+      let w = Array.init m (fun _ -> random_entry rng density) in
       let r = Support.Rng.int rng m in
       w.(r) <- (if Support.Rng.bool rng then 1. else -1.) *. Support.Rng.float_in rng 0.01 4.;
       (* Rows of zeros, and a pivot row that is zero except at r. *)
@@ -828,8 +929,35 @@ let update_binv_matches_full_row =
       end;
       let expected = Array.copy binv in
       Full_row.update_binv ~m expected w r;
-      Lp.Simplex.For_testing.update_binv ~m binv w r;
-      same_entries "binv" expected binv;
+      let got = transpose ~m binv in
+      let rowr = Lp.Simplex.For_testing.update_binv ~m got w r in
+      same_bits "binv" expected (transpose ~m got);
+      same_bits "scaled pivot row" (Array.sub expected (r * m) m) rowr;
+      true)
+
+let ftran_btran_refresh_match_full_row =
+  QCheck.Test.make ~count:400
+    ~name:"column-major FTRAN, BTRAN and refresh equal the row-major loops" kernel_case
+    (fun (seed, m, pct) ->
+      let rng = Support.Rng.create seed in
+      let density = float_of_int pct /. 100. in
+      let binv = random_matrix rng m density in
+      let cm = transpose ~m binv in
+      let idx, vl = random_column rng m density in
+      let expected = Array.make m nan and got = Array.make m nan in
+      Full_row.ftran ~m binv idx vl expected;
+      Lp.Simplex.For_testing.ftran ~m cm idx vl got;
+      same_bits "ftran" expected got;
+      let ncols = m + Support.Rng.int rng 5 in
+      let c = Array.init ncols (fun _ -> random_entry rng density) in
+      let basis = Array.init m (fun _ -> Support.Rng.int rng ncols) in
+      Full_row.btran ~m binv c basis expected;
+      Lp.Simplex.For_testing.btran ~m cm c basis got;
+      same_bits "btran" expected got;
+      let rhs = Array.init m (fun _ -> random_entry rng density) in
+      Full_row.apply_inverse ~m binv rhs expected;
+      Lp.Simplex.For_testing.apply_inverse ~m cm rhs got;
+      same_bits "refresh" expected got;
       true)
 
 let gauss_jordan_matches_full_row =
@@ -855,13 +983,115 @@ let gauss_jordan_matches_full_row =
       same_entries "inv" inv inv';
       true)
 
+(* One pivot's Devex update followed by the next pricing sweep: the two
+   passes above against [optimize]'s folded form, which sets the leaving
+   variable's weight at pivot time, drops the pending update when the
+   weights are reset, and lets the sweep apply the rest. Random columns,
+   statuses, weights, multipliers and pivot rows, with and without
+   Bland's rule and a reset in between. *)
+let devex_fold_matches_two_passes =
+  QCheck.Test.make ~count:1000 ~name:"folded Devex pricing equals the two-pass loop"
+    QCheck.(pair (int_bound 1_000_000) (pair (int_range 1 8) (int_range 2 24)))
+    (fun (seed, (m, ntot)) ->
+      let open Lp.Simplex.For_testing in
+      let rng = Support.Rng.create seed in
+      let density = Support.Rng.float_in rng 0.1 1. in
+      let cols = Array.init ntot (fun _ -> random_column rng m density) in
+      let col_idx = Array.map fst cols and col_val = Array.map snd cols in
+      let status =
+        Array.init ntot (fun _ ->
+            match Support.Rng.int rng 7 with
+            | 0 | 1 -> Basic
+            | 2 | 3 -> At_lower
+            | 4 | 5 -> At_upper
+            | _ -> Free_nb)
+      in
+      (* The entering column q is basic after the pivot; the leaving
+         variable lv is nonbasic. *)
+      let q = Support.Rng.int rng ntot in
+      let lv = (q + 1 + Support.Rng.int rng (ntot - 1)) mod ntot in
+      status.(q) <- Basic;
+      if status.(lv) = Basic then status.(lv) <- At_lower;
+      let c = Array.init ntot (fun _ -> random_entry rng 0.8) in
+      let y = Array.init m (fun _ -> random_entry rng 0.8) in
+      let rowr = Array.init m (fun _ -> random_entry rng density) in
+      let gamma =
+        Array.init ntot (fun _ ->
+            if Support.Rng.bool rng then 1. else Support.Rng.float_in rng 0.01 50.)
+      in
+      let wr = (if Support.Rng.bool rng then 1. else -1.) *. Support.Rng.float_in rng 0.05 20. in
+      let bland = Support.Rng.int rng 3 = 0 and reset = Support.Rng.int rng 4 = 0 in
+      let expected = Array.copy gamma in
+      Full_row.devex ~col_idx ~col_val ~status ~gamma:expected ~rowr ~q ~lv ~wr;
+      if reset then Array.fill expected 0 ntot 1.;
+      let best = Full_row.price ~col_idx ~col_val ~c ~y ~status ~gamma:expected ~bland in
+      gamma.(lv) <- Float.max (gamma.(q) /. (wr *. wr)) 1.;
+      if reset then Array.fill gamma 0 ntot 1.;
+      let got =
+        price ~col_idx ~col_val ~c ~y ~status ~gamma ~rowr ~bland
+          ~pend_q:(if reset then -1 else q) ~pend_lv:lv
+      in
+      if got <> best then QCheck.Test.fail_reportf "entering: two-pass %d, folded %d" best got;
+      same_bits "gamma" expected gamma;
+      true)
+
+(* [solve] and [solve_detailed] answers in [%h]. *)
+let render_lp buf p =
+  let floats name a =
+    Buffer.add_string buf name;
+    Array.iter (fun v -> Printf.bprintf buf " %h" v) a;
+    Buffer.add_char buf '\n'
+  in
+  (match Lp.Simplex.solve p with
+  | Lp.Simplex.Optimal s ->
+      floats "solve.x" s.Lp.Simplex.x;
+      Printf.bprintf buf "solve.objective %h iterations %d\n" s.Lp.Simplex.objective
+        s.Lp.Simplex.iterations
+  | Lp.Simplex.Infeasible -> Buffer.add_string buf "solve infeasible\n"
+  | Lp.Simplex.Unbounded -> Buffer.add_string buf "solve unbounded\n"
+  | exception Failure m -> Printf.bprintf buf "solve failure %s\n" m);
+  match Lp.Simplex.solve_detailed p with
+  | Lp.Simplex.Opt s ->
+      floats "detailed.x" s.Lp.Simplex.sol.Lp.Simplex.x;
+      floats "detailed.rc" s.Lp.Simplex.reduced_costs;
+      Printf.bprintf buf "detailed.iterations %d\n" s.Lp.Simplex.sol.Lp.Simplex.iterations
+  | Lp.Simplex.Infeas -> Buffer.add_string buf "detailed infeasible\n"
+  | Lp.Simplex.Unbound -> Buffer.add_string buf "detailed unbounded\n"
+  | exception Failure m -> Printf.bprintf buf "detailed failure %s\n" m
+
+let golden_lp k spes =
+  let platform = Cell.Platform.qs22 ~n_spe:spes () in
+  (Cellsched.Milp_formulation.build_compact platform (golden_graph k))
+    .Cellsched.Milp_formulation.problem
+
+(* Forced Bland windows (switching on and off with an update pending)
+   and short Devex reset periods, on four golden relaxations. The digests
+   were recorded with the Devex update as its own pass after each pivot,
+   so the folded pricing sweep must reproduce them bit for bit. *)
+let test_pricing_hooks () =
+  List.iter
+    (fun (name, bland, reset_mask, digest) ->
+      let buf = Buffer.create 65536 in
+      for k = 0 to 3 do
+        Lp.Simplex.For_testing.with_pricing ~bland ~reset_mask (fun () ->
+            render_lp buf (golden_lp k (if k mod 2 = 0 then 4 else 8)))
+      done;
+      Alcotest.(check string) name digest (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    [
+      ("Bland at pivots 20-44", (fun it -> it >= 20 && it < 45), 4095,
+       "c73d0306d8605d0c3258d64db3524583");
+      ("reset every 32 pivots", (fun _ -> false), 31, "05821aa241956db65853e1e6e9a94733");
+      ( "Bland at scattered pivots, reset every 64",
+        (fun it -> it mod 7 = 3 || (it >= 100 && it < 130)),
+        63,
+        "34564d8c9ac56e0d18f46aadf830c460" );
+    ]
+
 (* A refactorization that fails part-way (as on a nearly singular final
    basis) must leave the incremental inverse in place: the point it
    returns is still primal feasible. *)
 let test_failed_refactorization () =
-  let g = golden_graph 1 in
-  let platform = Cell.Platform.qs22 ~n_spe:4 () in
-  let p = (Cellsched.Milp_formulation.build_compact platform g).Cellsched.Milp_formulation.problem in
+  let p = golden_lp 1 4 in
   let reference = solve_detailed_opt p in
   let s =
     Lp.Simplex.For_testing.with_singular_column
@@ -878,6 +1108,116 @@ let test_failed_refactorization () =
   Alcotest.(check (float 1e-9))
     "objective" reference.Lp.Simplex.sol.Lp.Simplex.objective
     s.Lp.Simplex.sol.Lp.Simplex.objective
+
+(* --- inverse reuse ---------------------------------------------------------- *)
+
+(* Two renderings per relaxation, in [%h]: a cold [solve] followed by a
+   cold [solve_detailed] ([render_lp]), and a warm child that caps the
+   first fractional variable of the root at its floor. *)
+let solve_kinds =
+  let render f p =
+    let buf = Buffer.create 4096 in
+    f buf p;
+    Buffer.contents buf
+  in
+  [
+    ("solve, solve_detailed", render render_lp);
+    ( "warm child",
+      render (fun buf p ->
+          let root = solve_detailed_opt p in
+          let x = root.Lp.Simplex.sol.Lp.Simplex.x in
+          let lb, ub = Lp.Problem.bounds_arrays p in
+          let fractional v = Float.abs (x.(v) -. Float.round x.(v)) > 1e-6 in
+          (match List.find_opt fractional (List.init (Array.length x) Fun.id) with
+          | Some v -> ub.(v) <- Float.floor x.(v)
+          | None -> ());
+          match Lp.Simplex.solve_detailed ~lb ~ub ~warm:root.Lp.Simplex.sbasis p with
+          | Lp.Simplex.Opt s ->
+              Printf.bprintf buf "warm %b" s.Lp.Simplex.warm;
+              Array.iter (fun v -> Printf.bprintf buf " %h" v) s.Lp.Simplex.sol.Lp.Simplex.x
+          | Lp.Simplex.Infeas -> Buffer.add_string buf "infeasible"
+          | Lp.Simplex.Unbound -> Buffer.add_string buf "unbounded") );
+  ]
+
+(* Every solve on a domain reuses that domain's inverse buffer, so each
+   answer must not depend on what the buffer held. The golden relaxations
+   are solved in ascending order of rows, then descending, each kind of
+   solve in turn, and every answer is compared with the same solves on a
+   freshly spawned domain, whose scratch starts as a new process's does.
+   None of these points may need the residual repair. *)
+let test_inverse_reuse () =
+  let lps =
+    List.concat_map (fun k -> [ golden_lp k 4; golden_lp k 8 ]) [ 0; 1; 2; 3; 4; 5 ]
+    |> List.map (fun p -> (Lp.Problem.n_constrs p, p))
+  in
+  let fresh =
+    List.map
+      (fun (_, p) ->
+        List.map (fun (_, f) -> Domain.join (Domain.spawn (fun () -> f p))) solve_kinds)
+      lps
+  in
+  let by_rows =
+    List.sort (fun (a, _) (b, _) -> compare a b)
+      (List.map2 (fun (m, p) expected -> (m, (p, expected))) lps fresh)
+  in
+  let repairs = Lp.Simplex.For_testing.repairs () in
+  List.iter
+    (fun (m, (p, expected)) ->
+      List.iter2
+        (fun (kind, f) e ->
+          Alcotest.(check string) (Printf.sprintf "%s at m = %d" kind m) e (f p))
+        solve_kinds expected)
+    (by_rows @ List.rev by_rows);
+  Alcotest.(check int) "residual repairs" repairs (Lp.Simplex.For_testing.repairs ())
+
+(* Under the reuse cap a repeated cold solve allocates no inverse: its
+   major-heap words stay below the m x m a fresh inverse would take. *)
+let test_reuse_allocation () =
+  let p = golden_lp 5 8 in
+  let m = Lp.Problem.n_constrs p in
+  ignore (solve_opt p);
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  ignore (solve_opt p);
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  if words >= float_of_int (m * m) then
+    Alcotest.failf "repeated solve at m = %d allocated %.0f major words (m^2 = %d)" m words (m * m)
+
+(* --- check before claiming optimal ------------------------------------------ *)
+
+(* Golden relaxation 2 at 4 SPEs, with column 0 of the inverse scaled at
+   pivot 50, as accumulated drift would: the final point fails the
+   residual check, and the repaired answer certifies. *)
+let test_drift_repaired () =
+  let p = golden_lp 2 4 in
+  let reference = solve_opt p in
+  let repairs = Lp.Simplex.For_testing.repairs () in
+  let s = Lp.Simplex.For_testing.with_corrupted_inverse ~at:50 (fun () -> solve_opt p) in
+  Alcotest.(check int) "repairs" (repairs + 1) (Lp.Simplex.For_testing.repairs ());
+  let report = Lp.Certify.analyze p s.Lp.Simplex.x in
+  if Rational.Rat.compare report.Lp.Certify.max_violation (Rational.Rat.of_ints 1 1_000_000_000) > 0
+  then
+    Alcotest.failf "repaired point violates %s by %g"
+      (Option.value report.Lp.Certify.worst ~default:"?")
+      (Rational.Rat.to_float report.Lp.Certify.max_violation);
+  Alcotest.(check (float 1e-12))
+    "objective" reference.Lp.Simplex.objective s.Lp.Simplex.objective
+
+(* The same drift with every refactorization failing: both entry points
+   refuse to claim an optimum. *)
+let test_drift_fails_loudly () =
+  let p = golden_lp 2 4 in
+  let loud f =
+    match
+      Lp.Simplex.For_testing.with_corrupted_inverse ~at:50 (fun () ->
+          Lp.Simplex.For_testing.with_singular_column 0 f)
+    with
+    | () -> Alcotest.fail "a drifted point was returned"
+    | exception Failure msg ->
+        Alcotest.(check string) "message"
+          "Simplex: optimal point fails its residual check after refactorization" msg
+  in
+  loud (fun () -> ignore (Lp.Simplex.solve p));
+  loud (fun () -> ignore (Lp.Simplex.solve_detailed p))
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -925,5 +1265,18 @@ let () =
           qt gauss_jordan_matches_full_row;
           Alcotest.test_case "failed refactorization keeps binv" `Quick
             test_failed_refactorization;
+          qt ftran_btran_refresh_match_full_row;
+          qt devex_fold_matches_two_passes;
+          Alcotest.test_case "forced Bland and Devex resets" `Quick test_pricing_hooks;
+        ] );
+      ( "inverse reuse",
+        [
+          Alcotest.test_case "answers independent of the buffer" `Quick test_inverse_reuse;
+          Alcotest.test_case "no inverse allocated on repeat" `Quick test_reuse_allocation;
+        ] );
+      ( "residual check",
+        [
+          Alcotest.test_case "drifted inverse repaired" `Quick test_drift_repaired;
+          Alcotest.test_case "unrepairable drift fails loudly" `Quick test_drift_fails_loudly;
         ] );
     ]

@@ -158,6 +158,11 @@ let flush_buffers t =
 
 (* --- canonical row recomputation ------------------------------------ *)
 
+(* Compute seconds per period of task [k] on PE [pe]. *)
+let[@inline] work_on t k pe =
+  if t.is_spe.(pe) then t.fl.G.w_spe.(k)
+  else t.fl.G.w_ppe.(k) /. t.platform.P.ppe_speedup
+
 (* Rebuild every dirty PE's four float rows in one batched pass with the
    loop structure of [Steady_state.loads] restricted to the dirty rows:
    all per-task terms in increasing task id, then all per-edge terms in
@@ -187,11 +192,7 @@ let recompute_dirty_rows t =
   for k = 0 to Array.length t.assignment - 1 do
     let pe = t.assignment.(k) in
     if pe >= 0 && t.row_dirty.(pe) then begin
-      let w =
-        if t.is_spe.(pe) then fl.G.w_spe.(k)
-        else fl.G.w_ppe.(k) /. t.platform.P.ppe_speedup
-      in
-      t.compute.(pe) <- t.compute.(pe) +. w;
+      t.compute.(pe) <- t.compute.(pe) +. work_on t k pe;
       t.bytes_in.(pe) <- t.bytes_in.(pe) +. fl.G.read_bytes.(k);
       t.bytes_out.(pe) <- t.bytes_out.(pe) +. fl.G.write_bytes.(k)
     end
@@ -681,11 +682,7 @@ let[@inline] bump d a i x =
 let screen_task t k pe sign =
   let s = t.screen and fl = t.fl in
   let f = float_of_int sign in
-  let w =
-    if t.is_spe.(pe) then fl.G.w_spe.(k)
-    else fl.G.w_ppe.(k) /. t.platform.P.ppe_speedup
-  in
-  bump s.d_compute s.a_compute pe (f *. w);
+  bump s.d_compute s.a_compute pe (f *. work_on t k pe);
   bump s.d_bytes_in s.a_bytes_in pe (f *. fl.G.read_bytes.(k));
   bump s.d_bytes_out s.a_bytes_out pe (f *. fl.G.write_bytes.(k));
   touch s pe float_row
@@ -816,7 +813,8 @@ let screen_incident t k k1 b1 k2 b2 skip =
 
    Why it is sound. With u = eps/2 the unit roundoff and N the bound
    [create_screen] puts on the number of terms in any row and in any
-   delta, a recursive sum of N terms errs by at most
+   delta, a recursive sum of at most N terms — indeed any summation order
+   of them, a difference of two partial sums included — errs by at most
    g = N*u / (1 - N*u) times the sum of its terms' magnitudes. Three such
    sums meet here: the cached row (non-negative terms, true sum T <= r +
    g*T), the delta (true D, |d - D| <= g*a), and the exact sweep's new
@@ -830,6 +828,82 @@ let screen_incident t k k1 b1 k2 b2 skip =
    monotone under rounding, so a row bound divided by [bw] bounds the
    row's term of the period. *)
 let[@inline] lower s r d a = r +. d -. (s.margin *. (r +. a))
+
+(* --- the pre-screen -----------------------------------------------------
+
+   Most probes fail on a row of a PE that gains a task, and two of those
+   rows can be bounded in O(1) or O(degree) before the screen gathers
+   anything:
+
+   - compute: the gained and lost task terms give the same [d] and [a]
+     floats the screen forms, so the bound is the screen's own;
+   - SPE memory, without buffer sharing or [tight_pipeline]: every
+     buffer copy sits with its task, so the row gains exactly the
+     incident buffers of the task arriving and loses those of the task
+     leaving. Buffer sizes are non-negative, so the magnitudes' sum adds
+     them all. The sum runs in another order than the screen's, which
+     [lower] covers: any summation order of at most N terms, and two
+     tasks' incident edges number fewer.
+
+   A PE keeping its task (same-PE move or swap) has delta 0, and no
+   bound: [r + w - margin] there would not be one. The pre-screen
+   rejects only what the screen would reject — compute — or what the
+   exact sweep finds infeasible — memory — and allocates nothing. *)
+
+type prescreen = Pass | Compute_row | Memory_row
+
+(* Task [k_in] arrives on [pe], replacing [k_out] (-1: none); [pe] is
+   not [k_in]'s PE. The loops are written out, not factored into a
+   float-returning helper, which would box its result. *)
+let prescreen_gain t k_in k_out pe threshold =
+  let s = t.screen and fl = t.fl in
+  let w_out = if k_out < 0 then 0. else work_on t k_out pe in
+  let w_in = work_on t k_in pe in
+  if
+    lower s t.compute.(pe) (-.w_out +. w_in) (Float.abs w_out +. Float.abs w_in)
+    >= threshold
+  then Compute_row
+  else if
+    (not t.is_spe.(pe))
+    || t.opts.share_colocated_buffers || t.opts.tight_pipeline
+  then Pass
+  else begin
+    let d = ref 0. and a = ref 0. in
+    for i = fl.G.in_start.(k_in) to fl.G.in_start.(k_in + 1) - 1 do
+      let b = t.buff.(fl.G.in_ids.(i)) in
+      d := !d +. b;
+      a := !a +. b
+    done;
+    for i = fl.G.out_start.(k_in) to fl.G.out_start.(k_in + 1) - 1 do
+      let b = t.buff.(fl.G.out_ids.(i)) in
+      d := !d +. b;
+      a := !a +. b
+    done;
+    if k_out >= 0 then begin
+      for i = fl.G.in_start.(k_out) to fl.G.in_start.(k_out + 1) - 1 do
+        let b = t.buff.(fl.G.in_ids.(i)) in
+        d := !d -. b;
+        a := !a +. b
+      done;
+      for i = fl.G.out_start.(k_out) to fl.G.out_start.(k_out + 1) - 1 do
+        let b = t.buff.(fl.G.out_ids.(i)) in
+        d := !d -. b;
+        a := !a +. b
+      done
+    end;
+    if lower s t.memory.(pe) !d !a > t.budget then Memory_row else Pass
+  end
+
+let prescreen_move t k pe old_pe threshold =
+  if pe = old_pe then Pass else prescreen_gain t k (-1) pe threshold
+
+let prescreen_swap t k1 k2 threshold =
+  let p1 = t.assignment.(k1) and p2 = t.assignment.(k2) in
+  if p1 = p2 then Pass
+  else
+    match prescreen_gain t k1 k2 p2 threshold with
+    | Pass -> prescreen_gain t k2 k1 p1 threshold
+    | verdict -> verdict
 
 (* Decide the gathered probe, then clear the scratch. [true] means the
    exact sweep would find the mutation infeasible or its period
@@ -919,29 +993,35 @@ let probe_move_below t ~task ~pe ~threshold =
   let old_pe = check_move "Eval.probe_move_below" t ~task ~pe in
   count_probe ();
   validate_all t;
-  screen_task t task old_pe (-1);
-  screen_task t task pe 1;
-  screen_incident t task task pe (-1) (-1) (-1);
-  if screen_rejects t threshold then infinity
-  else
-    let p, f = exact_move t ~task ~pe ~old_pe in
-    if f && p < threshold then p else infinity
+  if prescreen_move t task pe old_pe threshold <> Pass then infinity
+  else begin
+    screen_task t task old_pe (-1);
+    screen_task t task pe 1;
+    screen_incident t task task pe (-1) (-1) (-1);
+    if screen_rejects t threshold then infinity
+    else
+      let p, f = exact_move t ~task ~pe ~old_pe in
+      if f && p < threshold then p else infinity
+  end
 
 let probe_swap_below t k1 k2 ~threshold =
   check_swap "Eval.probe_swap_below" t k1 k2;
   count_probe ();
   validate_all t;
-  let p1 = t.assignment.(k1) and p2 = t.assignment.(k2) in
-  screen_task t k1 p1 (-1);
-  screen_task t k2 p2 (-1);
-  screen_task t k1 p2 1;
-  screen_task t k2 p1 1;
-  screen_incident t k1 k1 p2 k2 p1 (-1);
-  screen_incident t k2 k1 p2 k2 p1 k1;
-  if screen_rejects t threshold then infinity
-  else
-    let p, f = exact_swap t k1 k2 in
-    if f && p < threshold then p else infinity
+  if prescreen_swap t k1 k2 threshold <> Pass then infinity
+  else begin
+    let p1 = t.assignment.(k1) and p2 = t.assignment.(k2) in
+    screen_task t k1 p1 (-1);
+    screen_task t k2 p2 (-1);
+    screen_task t k1 p2 1;
+    screen_task t k2 p1 1;
+    screen_incident t k1 k1 p2 k2 p1 (-1);
+    screen_incident t k2 k1 p2 k2 p1 k1;
+    if screen_rejects t threshold then infinity
+    else
+      let p, f = exact_swap t k1 k2 in
+      if f && p < threshold then p else infinity
+  end
 
 (* --- scratch wrappers ------------------------------------------------ *)
 
@@ -949,3 +1029,17 @@ let scratch_period ?options platform g m = period (create ?options platform g m)
 
 let scratch_feasible ?options platform g m =
   feasible (create ?options platform g m)
+
+module For_testing = struct
+  type verdict = prescreen = Pass | Compute_row | Memory_row
+
+  let prescreen_move t ~task ~pe ~threshold =
+    let old_pe = check_move "Eval.For_testing.prescreen_move" t ~task ~pe in
+    validate_all t;
+    prescreen_move t task pe old_pe threshold
+
+  let prescreen_swap t k1 k2 ~threshold =
+    check_swap "Eval.For_testing.prescreen_swap" t k1 k2;
+    validate_all t;
+    prescreen_swap t k1 k2 threshold
+end

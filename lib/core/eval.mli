@@ -192,7 +192,23 @@ val undo_depth : t -> int
     returns the exact probe's bits for the rest. In local search two to
     three probes in a hundred survive the screen; {!Heuristics.local_search}
     also leaves unprobed the candidates that cannot change the
-    bottleneck row. *)
+    bottleneck row.
+
+    {b Pre-screen.} Before the screen gathers anything, each PE that
+    gains a task — the target of a move, both PEs of a swap, never a PE
+    that keeps its task — is tested on two rows with the same bound:
+    its compute row, in O(1), from the same delta and magnitude floats
+    the screen forms; and, on an SPE without
+    [share_colocated_buffers] or [tight_pipeline], its memory row
+    against the budget, in O(degree), from the arriving task's incident
+    buffers minus the leaving task's (every copy sits with its task
+    then). The memory delta is summed in another order than the
+    screen's; the rounding argument at [lower] holds for any summation
+    order of at most its term bound. Most local-search probes stop
+    here: at a compute bottleneck, a gained task overloads the compute
+    row, or its buffers overflow the local store. A pre-screen
+    rejection implies the exact probe's rejection, so it changes no
+    answer. *)
 
 val probe_move : t -> task:int -> pe:int -> float * bool
 (** Period and feasibility the state would have after
@@ -210,7 +226,7 @@ val probe_move_below : t -> task:int -> pe:int -> threshold:float -> float
     counter over its limit, or its memory over the budget — that test is
     skipped under [tight_pipeline] when the move changes an edge's
     colocation) or that its period is [>= threshold]. A probe the
-    screen rejects allocates nothing. *)
+    screen or the pre-screen rejects allocates nothing. *)
 
 val probe_swap_below : t -> int -> int -> threshold:float -> float
 (** Same for {!probe_swap}.
@@ -228,3 +244,19 @@ val scratch_period :
 
 val scratch_feasible :
   ?options:options -> Cell.Platform.t -> Streaming.Graph.t -> Mapping.t -> bool
+
+(** {1 Testing hooks} *)
+
+module For_testing : sig
+  type verdict =
+    | Pass  (** Left to the screen. *)
+    | Compute_row  (** A gaining PE's compute row reaches the threshold. *)
+    | Memory_row  (** A gaining SPE's local store overflows. *)
+
+  val prescreen_move : t -> task:int -> pe:int -> threshold:float -> verdict
+  (** The pre-screen's verdict on the move {!probe_move_below} would
+      probe; [Pass] for a same-PE move. *)
+
+  val prescreen_swap : t -> int -> int -> threshold:float -> verdict
+  (** Same for a swap; [Pass] when both tasks share a PE. *)
+end

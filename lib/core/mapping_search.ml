@@ -32,12 +32,22 @@ type result = {
    authority on the committed resource state ([Eval.period] is the
    assigned-resources bound). The search keeps only its own relaxation
    machinery: the assignment order, effective costs, knapsack orders and
-   suffix sums feeding the divisible bound. *)
+   suffix sums feeding the divisible bound. Node expansion allocates
+   no list and no closure: PE ids, the budget and per-depth candidate
+   buffers are arrays built with the state. *)
 type state = {
   platform : P.t;
   g : G.t;
+  fl : G.flat;
   ev : Eval.t;
-  order : int array;  (* topological order of assignment *)
+  ppes : int array;  (* [P.ppes] and [P.spes], in their order *)
+  spes : int array;
+  budget : float;  (* SPE local-store bytes for buffers *)
+  cands : int array;
+      (* candidate PEs of depth [pos] in [cands.(pos * n_pes ..)], sorted
+         by the keys in [keys] at the same indices *)
+  keys : float array;
+  order : int array;  (* assignment order: hardest first, see [make_state] *)
   w_ppe : float array;  (* effective PPE cost (speedup applied) *)
   w_spe : float array;
   mutable used_spes : int;  (* SPEs in use are spes.(0 .. used_spes-1) *)
@@ -126,13 +136,20 @@ let make_state ~share platform g =
     suffix_task_lb.(pos) <-
       Float.max suffix_task_lb.(pos + 1) (Bounds.task_lb bnd k)
   done;
+  let n_pes = P.n_pes platform in
   {
     platform;
     g;
+    fl = G.flat g;
     ev =
       Eval.create_empty
         ~options:{ Eval.share_colocated_buffers = share; tight_pipeline = false }
         platform g;
+    ppes = Array.of_list (P.ppes platform);
+    spes = Array.of_list (P.spes platform);
+    budget;
+    cands = Array.make (nk * n_pes) 0;
+    keys = Array.make (nk * n_pes) 0.;
     order;
     w_ppe;
     w_spe;
@@ -150,47 +167,52 @@ let make_state ~share platform g =
     suffix_task_lb;
   }
 
+(* In-edges of task [k] from a task assigned to a PE other than [pe]. *)
 let remote_in_edges st k pe =
-  List.length
-    (List.filter
-       (fun e ->
-         let src = (G.edge st.g e).G.src in
-         let p = Eval.pe_of st.ev src in
-         p >= 0 && p <> pe)
-       (G.in_edges st.g k))
+  let fl = st.fl in
+  let n = ref 0 in
+  for i = fl.G.in_start.(k) to fl.G.in_start.(k + 1) - 1 do
+    let p = Eval.pe_of st.ev fl.G.edge_src.(fl.G.in_ids.(i)) in
+    if p >= 0 && p <> pe then incr n
+  done;
+  !n
 
-let spe_preds st k pe =
-  List.filter_map
-    (fun e ->
-      let src = (G.edge st.g e).G.src in
-      let p = Eval.pe_of st.ev src in
-      if p >= 0 && p <> pe && P.is_spe st.platform p then Some p else None)
-    (G.in_edges st.g k)
+(* Every in-edge of task [k] from another assigned SPE leaves that SPE
+   a to-PPE slot: each is checked on its own, +1 per edge. *)
+let to_ppe_fits st k pe =
+  let fl = st.fl in
+  let ok = ref true and i = ref fl.G.in_start.(k) in
+  while !ok && !i < fl.G.in_start.(k + 1) do
+    let p = Eval.pe_of st.ev fl.G.edge_src.(fl.G.in_ids.(!i)) in
+    if
+      p >= 0 && p <> pe && P.is_spe st.platform p
+      && Eval.dma_to_ppe_on st.ev p + 1 > st.platform.P.max_dma_to_ppe
+    then ok := false;
+    incr i
+  done;
+  !ok
 
 let can_place st k pe =
-  if P.is_spe st.platform pe then begin
-    let budget = float_of_int (P.spe_memory_budget st.platform) in
+  if P.is_spe st.platform pe then
     Eval.memory_on st.ev pe +. Eval.assign_memory_delta st.ev ~task:k ~pe
-    <= budget +. 1e-9
+    <= st.budget +. 1e-9
     && Eval.dma_in_on st.ev pe + remote_in_edges st k pe
        <= st.platform.P.max_dma_in
-  end
-  else
-    List.for_all
-      (fun spe ->
-        Eval.dma_to_ppe_on st.ev spe + 1 <= st.platform.P.max_dma_to_ppe)
-      (spe_preds st k pe)
+  else to_ppe_fits st k pe
 
-let ppe_capacity st t =
-  List.fold_left
-    (fun acc pe -> acc +. Float.max 0. (t -. Eval.compute_on st.ev pe))
-    0. (P.ppes st.platform)
+(* Sum, in the order of [pes], of [max 0 (t - compute)] over [pes]. *)
+let spare_compute st pes t =
+  let acc = ref 0. in
+  for i = 0 to Array.length pes - 1 do
+    acc := !acc +. Float.max 0. (t -. Eval.compute_on st.ev pes.(i))
+  done;
+  !acc
 
 (* Shared greedy: remaining tasks hold [amount] units of some SPE-side
    resource with pool capacity [pool]; the excess must be offloaded to the
    PPEs, cheapest (largest amount-per-PPE-second) first. Returns true when
    the offload fits in [cap_ppe]. *)
-let offload_fits st ~order_by ~amount ~pool ~total ~cap_ppe =
+let offload_fits st ~order_by ~(amount : float array) ~pool ~total ~cap_ppe =
   let deficit = total -. pool in
   if deficit <= 0. then true
   else begin
@@ -199,14 +221,14 @@ let offload_fits st ~order_by ~amount ~pool ~total ~cap_ppe =
     let nk = Array.length order_by in
     while !removed < deficit && !i < nk do
       let k = order_by.(!i) in
-      if Eval.pe_of st.ev k < 0 && st.spe_eligible.(k) && amount k > 0. then begin
+      if Eval.pe_of st.ev k < 0 && st.spe_eligible.(k) && amount.(k) > 0. then begin
         let need = deficit -. !removed in
-        if amount k <= need then begin
-          removed := !removed +. amount k;
+        if amount.(k) <= need then begin
+          removed := !removed +. amount.(k);
           ppe_used := !ppe_used +. st.w_ppe.(k)
         end
         else begin
-          let fraction = need /. amount k in
+          let fraction = need /. amount.(k) in
           removed := deficit;
           ppe_used := !ppe_used +. (fraction *. st.w_ppe.(k))
         end
@@ -215,6 +237,8 @@ let offload_fits st ~order_by ~amount ~pool ~total ~cap_ppe =
     done;
     !removed >= deficit -. 1e-12 && !ppe_used <= cap_ppe +. 1e-12
   end
+
+let covers cap need = cap >= need -. (1e-9 *. Float.max 1. need)
 
 (* Divisible relaxation check: can the tasks of order.(pos..) be
    fractionally completed within period [t]? Two necessary conditions are
@@ -227,17 +251,19 @@ let offload_fits st ~order_by ~amount ~pool ~total ~cap_ppe =
    interface capacity at period [t] — summed over every PE — must cover
    the remaining bytes. O(n_pes), monotone in [t]. *)
 let interface_feasible st ~pos t =
-  let bw = st.platform.P.bw in
-  let spare committed =
-    let cap = ref 0. in
-    for pe = 0 to P.n_pes st.platform - 1 do
-      cap := !cap +. Float.max 0. ((t *. bw) -. committed pe)
-    done;
-    !cap
-  in
-  let covers cap need = cap >= need -. (1e-9 *. Float.max 1. need) in
-  covers (spare (Eval.bytes_in_on st.ev)) st.suffix_reads.(pos)
-  && covers (spare (Eval.bytes_out_on st.ev)) st.suffix_writes.(pos)
+  let tb = t *. st.platform.P.bw and n = P.n_pes st.platform in
+  let cap = ref 0. in
+  for pe = 0 to n - 1 do
+    cap := !cap +. Float.max 0. (tb -. Eval.bytes_in_on st.ev pe)
+  done;
+  covers !cap st.suffix_reads.(pos)
+  && begin
+       cap := 0.;
+       for pe = 0 to n - 1 do
+         cap := !cap +. Float.max 0. (tb -. Eval.bytes_out_on st.ev pe)
+       done;
+       covers !cap st.suffix_writes.(pos)
+     end
 
 let divisible_feasible st ~pos t =
   (* O(1): some PE must grant every remaining task its per-task bound. *)
@@ -246,28 +272,18 @@ let divisible_feasible st ~pos t =
   &&
   (* Tasks whose buffers exceed the local store are PPE-bound: their work
      consumes PPE capacity before any offloading happens. *)
-  let cap_ppe = ppe_capacity st t -. st.suffix_forced_wppe.(pos) in
+  let cap_ppe = spare_compute st st.ppes t -. st.suffix_forced_wppe.(pos) in
   cap_ppe >= -1e-12
-  &&
-  let cap_spe =
-    List.fold_left
-      (fun acc pe -> acc +. Float.max 0. (t -. Eval.compute_on st.ev pe))
-      0. (P.spes st.platform)
-  in
-  offload_fits st ~order_by:st.by_ratio
-    ~amount:(fun k -> st.w_spe.(k))
-    ~pool:cap_spe ~total:st.suffix_wspe.(pos) ~cap_ppe
+  && offload_fits st ~order_by:st.by_ratio ~amount:st.w_spe
+       ~pool:(spare_compute st st.spes t) ~total:st.suffix_wspe.(pos) ~cap_ppe
   && begin
-       let budget = float_of_int (P.spe_memory_budget st.platform) in
-       let mem_pool =
-         List.fold_left
-           (fun acc pe ->
-             acc +. Float.max 0. (budget -. Eval.memory_on st.ev pe))
-           0. (P.spes st.platform)
-       in
-       offload_fits st ~order_by:st.by_mem_ratio
-         ~amount:(fun k -> st.mem_need.(k))
-         ~pool:mem_pool ~total:st.suffix_mem.(pos) ~cap_ppe
+       let mem_pool = ref 0. in
+       for i = 0 to Array.length st.spes - 1 do
+         let free = st.budget -. Eval.memory_on st.ev st.spes.(i) in
+         mem_pool := !mem_pool +. Float.max 0. free
+       done;
+       offload_fits st ~order_by:st.by_mem_ratio ~amount:st.mem_need
+         ~pool:!mem_pool ~total:st.suffix_mem.(pos) ~cap_ppe
      end
 
 (* Tight node bound via bisection (used for reporting at the root). *)
@@ -349,20 +365,42 @@ let offer_leaf inc st =
   if p <= Incumbent.period inc then Incumbent.offer inc ~period:p (assignment st)
   else false
 
-(* Candidate PEs for position [pos]: symmetric SPEs collapsed to the
-   ones in use plus one fresh, most promising (smallest resulting
-   compute load) first; [List.sort] is stable, so ties keep the
-   PPE-before-SPE base order and the ordering is deterministic. *)
-let candidates st spes k =
-  let base =
-    P.ppes st.platform
-    @ List.init (min (st.used_spes + 1) (Array.length spes)) (fun s -> spes.(s))
-  in
-  let key pe =
-    let w = if P.is_ppe st.platform pe then st.w_ppe.(k) else st.w_spe.(k) in
-    Eval.compute_on st.ev pe +. w
-  in
-  List.sort (fun a b -> compare (key a) (key b)) base
+(* Stable insertion sort of [cands.(lo .. lo + n - 1)] by the keys at
+   the same indices, ascending under [Float.compare]: equal keys keep
+   their order, so the permutation is that of any stable sort —
+   [List.sort]'s included. *)
+let sort_candidates cands keys lo n =
+  for i = lo + 1 to lo + n - 1 do
+    let c = cands.(i) and key = keys.(i) in
+    let j = ref i in
+    while !j > lo && Float.compare keys.(!j - 1) key > 0 do
+      cands.(!j) <- cands.(!j - 1);
+      keys.(!j) <- keys.(!j - 1);
+      decr j
+    done;
+    cands.(!j) <- c;
+    keys.(!j) <- key
+  done
+
+(* Candidate PEs for position [pos], task [k], written to depth [pos]'s
+   slots of [st.cands]; returns how many. Symmetric SPEs are collapsed
+   to the ones in use plus one fresh; most promising (smallest resulting
+   compute load) first, ties keeping the PPE-before-SPE base order. *)
+let candidates st pos k =
+  let lo = pos * P.n_pes st.platform and np = Array.length st.ppes in
+  for i = 0 to np - 1 do
+    let pe = st.ppes.(i) in
+    st.cands.(lo + i) <- pe;
+    st.keys.(lo + i) <- Eval.compute_on st.ev pe +. st.w_ppe.(k)
+  done;
+  let ns = min (st.used_spes + 1) (Array.length st.spes) in
+  for s = 0 to ns - 1 do
+    let pe = st.spes.(s) in
+    st.cands.(lo + np + s) <- pe;
+    st.keys.(lo + np + s) <- Eval.compute_on st.ev pe +. st.w_spe.(k)
+  done;
+  sort_candidates st.cands st.keys lo (np + ns);
+  np + ns
 
 (* Prune test for the child just assigned (next open position [pos]).
    [p >= det_thr] and infeasibility at [det_thr] are the deterministic
@@ -375,18 +413,17 @@ let child_pruned st ~pos ~det_thr ~inc =
   p >= det_thr || p > shared
   || not (divisible_feasible st ~pos (Float.min det_thr shared))
 
-let bump_used_spes st spes pe =
+let bump_used_spes st pe =
   if
     P.is_spe st.platform pe
-    && st.used_spes < Array.length spes
-    && pe = spes.(st.used_spes)
+    && st.used_spes < Array.length st.spes
+    && pe = st.spes.(st.used_spes)
   then st.used_spes <- st.used_spes + 1
 
 let replay st prefix =
-  let spes = Array.of_list (P.spes st.platform) in
   Array.iteri
     (fun i pe ->
-      bump_used_spes st spes pe;
+      bump_used_spes st pe;
       Eval.assign st.ev ~task:st.order.(i) ~pe)
     prefix
 
@@ -426,8 +463,7 @@ let run_task ~share ctx platform g prefix =
       if Obs.Span.active ctx.sctx then Obs.Span.now () else 0.
     in
     let st = make_state ~share platform g in
-    let spes = Array.of_list (P.spes platform) in
-    let nk = G.n_tasks g in
+    let nk = G.n_tasks g and n_pes = P.n_pes platform in
     replay st prefix;
     let nodes = ref 0 and flushed = ref 0 in
     let pruned = ref 0 and incumbents = ref 0 in
@@ -459,21 +495,22 @@ let run_task ~share ctx platform g prefix =
         end
         else begin
           let k = st.order.(pos) in
-          List.iter
-            (fun pe ->
-              if can_place st k pe then begin
-                let was_used = st.used_spes in
-                bump_used_spes st spes pe;
-                Eval.assign st.ev ~task:k ~pe;
-                if
-                  child_pruned st ~pos:(pos + 1) ~det_thr:ctx.det_thr
-                    ~inc:ctx.inc
-                then incr pruned
-                else explore (pos + 1);
-                Eval.unassign st.ev ~task:k;
-                st.used_spes <- was_used
-              end)
-            (candidates st spes k)
+          let n = candidates st pos k in
+          for i = pos * n_pes to (pos * n_pes) + n - 1 do
+            let pe = st.cands.(i) in
+            if can_place st k pe then begin
+              let was_used = st.used_spes in
+              bump_used_spes st pe;
+              Eval.assign st.ev ~task:k ~pe;
+              if
+                child_pruned st ~pos:(pos + 1) ~det_thr:ctx.det_thr
+                  ~inc:ctx.inc
+              then incr pruned
+              else explore (pos + 1);
+              Eval.unassign st.ev ~task:k;
+              st.used_spes <- was_used
+            end
+          done
         end
       end
     in
@@ -647,3 +684,7 @@ let solve ?(span = Obs.Span.null) ?(options = default_options)
     nodes;
     optimal_within_gap;
   }
+
+module For_testing = struct
+  let sort_candidates = sort_candidates
+end

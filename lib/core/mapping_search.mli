@@ -4,7 +4,7 @@
     large LP at every node, which does not scale to the paper's 50–94-task
     graphs. This module exploits the structure of the mapping problem the
     way a commercial solver exploits the model: tasks are assigned one by
-    one in topological order, identical SPEs are explored up to symmetry
+    one, hardest first (see below), identical SPEs are explored up to symmetry
     (candidate PEs are the PPEs, the SPEs already in use, and a single
     fresh SPE), infeasible placements (local store, DMA queues) are pruned
     immediately, and each node is bounded below by
@@ -109,3 +109,13 @@ val solve :
     the first node. Cancelled results are timing-dependent and therefore
     outside the bitwise-determinism contract; callers must treat them as
     {e partial} (the daemon tags such replies explicitly). *)
+
+(** {1 Testing hooks} *)
+
+module For_testing : sig
+  val sort_candidates : int array -> float array -> int -> int -> unit
+  (** [sort_candidates cands keys lo n] sorts [cands.(lo .. lo + n - 1)]
+      in place by the keys at the same indices, ascending under
+      [Float.compare], moving the keys along: the stable insertion sort
+      that orders a node's candidate PEs. *)
+end

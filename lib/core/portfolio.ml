@@ -25,9 +25,9 @@ let m_candidates =
 (* One entrant: produce a mapping, score it canonically, and offer it
    to the shared incumbent. Every entrant builds its own Eval states
    (inside the heuristics and the local search), so entrants share
-   nothing but the incumbent cell; [Eval.scratch_period] makes the
-   period a canonical recomputation, bitwise independent of which
-   worker ran the entrant. *)
+   nothing but the incumbent cell; the score comes from one fresh
+   engine on the final mapping, a canonical recomputation bitwise
+   independent of which worker ran the entrant. *)
 let run_entrant ~eval_options ~max_passes ~inc platform g (name, make_start) =
   let start = make_start () in
   let mapping =
@@ -36,11 +36,9 @@ let run_entrant ~eval_options ~max_passes ~inc platform g (name, make_start) =
         start
     else start
   in
-  let feasible = Eval.scratch_feasible ~options:eval_options platform g mapping in
-  let period =
-    if feasible then Eval.scratch_period ~options:eval_options platform g mapping
-    else infinity
-  in
+  let ev = Eval.create ~options:eval_options platform g mapping in
+  let feasible = Eval.feasible ev in
+  let period = if feasible then Eval.period ev else infinity in
   if feasible then
     ignore (Incumbent.offer inc ~period (Mapping.to_array mapping));
   if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_candidates;

@@ -284,11 +284,125 @@ let screen_is_exact ~share ~tight =
       done;
       true)
 
-(* A screened probe — one the screen settles without the exact sweep —
-   allocates nothing: its scratch lives in the engine and no float is
-   boxed on the way. The probes are those of a local optimum, where the
-   screen rejects nearly everything; the few that reach the sweep are
-   left out of the measured loop. *)
+(* --- the pre-screen ---------------------------------------------------------
+
+   Before the screen, [probe_*_below] bound the compute row and, without
+   sharing or [tight_pipeline], the SPE memory row of each PE gaining a
+   task. Property: a pre-screen rejection implies that the exact probe is
+   infeasible or at or above the threshold — a memory rejection that it
+   is infeasible — and the probe still answers the exact value. Same-PE
+   moves and swaps are drawn on purpose: the pre-screen must pass them,
+   as their rows do not change. *)
+
+type probe = Move of int * int | Swap of int * int
+
+module V = E.For_testing
+
+(* Verdicts seen by [prescreen_is_sound], per kind: the tally test below
+   wants both row checks to have fired. *)
+let verdict_tally = Array.make 3 0
+
+let verdict_index = function
+  | V.Pass -> 0
+  | V.Compute_row -> 1
+  | V.Memory_row -> 2
+
+let check_verdict name thr (p, f) verdict got =
+  let i = verdict_index verdict in
+  verdict_tally.(i) <- verdict_tally.(i) + 1;
+  (match verdict with
+  | V.Pass -> ()
+  | V.Compute_row ->
+      if f && p < thr then
+        QCheck.Test.fail_reportf "%s: compute rejection at %h, exact %h" name
+          thr p
+  | V.Memory_row ->
+      if f then
+        QCheck.Test.fail_reportf "%s: memory rejection, exact feasible (%h)"
+          name p);
+  check_below name thr (p, f) got
+
+let prescreen_is_sound ~share ~tight =
+  QCheck.Test.make ~count:60
+    ~name:
+      (Printf.sprintf "pre-screen rejects only rejected probes (share=%b, tight=%b)"
+         share tight)
+    QCheck.(pair (int_bound 100_000) (int_range 5 25))
+    (fun (seed, n) ->
+      let n = max 5 n and seed = abs seed in
+      let salt = (if share then 1_000_000 else 0) + if tight then 2_000_000 else 0 in
+      let rng = Support.Rng.create (seed + salt + 13_000_000) in
+      let g = random_graph rng n in
+      let kind = [| Single; Dual; Memory_tight; Dma_limited |].(seed mod 4) in
+      let platform = screen_platform rng kind g in
+      let ev =
+        E.create ~options:(options_of ~share ~tight) platform g
+          (if Support.Rng.int rng 4 = 0 then random_mapping rng platform g
+           else Cellsched.Heuristics.random_feasible ~rng platform g)
+      in
+      let nk = G.n_tasks g and npes = P.n_pes platform in
+      let thresholds current p =
+        [ p; p -. 1e-12; p +. 1e-12; Float.succ p; current -. 1e-12 ]
+      in
+      for _ = 1 to 4 do
+        let current = E.period ev in
+        for _ = 1 to 8 do
+          let k = Support.Rng.int rng nk in
+          (* One move in four stays on its PE. *)
+          let pe =
+            if Support.Rng.int rng 4 = 0 then E.pe_of ev k
+            else Support.Rng.int rng npes
+          in
+          let ((p, _) as exact) = E.probe_move ev ~task:k ~pe in
+          List.iter
+            (fun thr ->
+              check_verdict "move" thr exact
+                (V.prescreen_move ev ~task:k ~pe ~threshold:thr)
+                (E.probe_move_below ev ~task:k ~pe ~threshold:thr))
+            (thresholds current p);
+          (* Half the time, a partner on the same PE if there is one. *)
+          let same =
+            List.filter
+              (fun j -> j <> k && E.pe_of ev j = E.pe_of ev k)
+              (List.init nk Fun.id)
+          in
+          let k2 =
+            match same with
+            | j :: _ when Support.Rng.int rng 2 = 0 -> j
+            | _ -> Support.Rng.int rng nk
+          in
+          if k2 <> k then begin
+            let ((p, _) as exact) = E.probe_swap ev k k2 in
+            List.iter
+              (fun thr ->
+                check_verdict "swap" thr exact
+                  (V.prescreen_swap ev k k2 ~threshold:thr)
+                  (E.probe_swap_below ev k k2 ~threshold:thr))
+              (thresholds current p)
+          end
+        done;
+        E.apply_move ev ~task:(Support.Rng.int rng nk)
+          ~pe:(Support.Rng.int rng npes);
+        if (not (E.feasible ev)) && Support.Rng.int rng 4 > 0 then E.undo ev
+      done;
+      true)
+
+let test_both_checks_fire () =
+  let pass = verdict_tally.(0)
+  and compute = verdict_tally.(1)
+  and memory = verdict_tally.(2) in
+  if compute < 100 || memory < 100 || pass < 100 then
+    Alcotest.failf
+      "pre-screen verdicts: %d pass, %d compute, %d memory (want >= 100 each)"
+      pass compute memory
+
+(* A probe settled without the exact sweep — by the pre-screen or by the
+   screen — allocates nothing: the screen's scratch lives in the engine
+   and no float is boxed on the way. The probes are the moves and swaps
+   of a local optimum, where nearly everything is rejected; the few that
+   reach the sweep are left out of the measured loops. Each group is
+   measured on its own: screen rejections, and pre-screen rejections on
+   the compute row and on the memory row. *)
 let test_screen_allocates_nothing () =
   let platform = P.qs22 ~n_spe:8 () in
   let g = random_graph (Support.Rng.create 78) 24 in
@@ -299,40 +413,72 @@ let test_screen_allocates_nothing () =
   let ev = E.create platform g m in
   let threshold = E.period ev -. 1e-12 in
   let nk = G.n_tasks g and npes = P.n_pes platform in
+  let probe = function
+    | Move (k, pe) -> E.probe_move_below ev ~task:k ~pe ~threshold
+    | Swap (k1, k2) -> E.probe_swap_below ev k1 k2 ~threshold
+  in
+  let all =
+    List.concat
+      [
+        List.concat_map
+          (fun k -> List.init npes (fun pe -> Move (k, pe)))
+          (List.init nk Fun.id);
+        List.concat_map
+          (fun k1 ->
+            List.filter_map
+              (fun k2 -> if k1 < k2 then Some (Swap (k1, k2)) else None)
+              (List.init nk Fun.id))
+          (List.init nk Fun.id);
+      ]
+  in
   let was = Obs.Metrics.enabled () in
   Obs.Metrics.set_enabled true;
-  let screened = ref [] in
-  for k = 0 to nk - 1 do
-    for pe = 0 to npes - 1 do
+  let groups = Array.make 3 [] in
+  List.iter
+    (fun pr ->
       let x0 = Obs.Metrics.Counter.value c_exact in
-      ignore (E.probe_move_below ev ~task:k ~pe ~threshold);
-      if Obs.Metrics.Counter.value c_exact = x0 then
-        screened := (k, pe) :: !screened
-    done
-  done;
+      ignore (probe pr);
+      if Obs.Metrics.Counter.value c_exact = x0 then begin
+        let v =
+          match pr with
+          | Move (k, pe) -> V.prescreen_move ev ~task:k ~pe ~threshold
+          | Swap (k1, k2) -> V.prescreen_swap ev k1 k2 ~threshold
+        in
+        let i = verdict_index v in
+        groups.(i) <- pr :: groups.(i)
+      end)
+    all;
   Obs.Metrics.set_enabled was;
-  let moves = Array.of_list !screened in
-  let n = Array.length moves in
-  if n < nk * npes / 2 then
-    Alcotest.failf "only %d of %d probes screened" n (nk * npes);
-  let rejected = ref 0 in
-  let run () =
-    for _ = 1 to 20 do
-      for i = 0 to n - 1 do
-        let k, pe = moves.(i) in
-        if E.probe_move_below ev ~task:k ~pe ~threshold = infinity then
-          incr rejected
-      done
-    done
-  in
-  run ();
-  let w0 = Gc.minor_words () in
-  let w1 = Gc.minor_words () in
-  run ();
-  let w2 = Gc.minor_words () in
-  Alcotest.(check int) "every screened probe rejected" (40 * n) !rejected;
-  Alcotest.(check (float 0.)) "minor words allocated by screened probes"
-    (w1 -. w0) (w2 -. w1)
+  let total = List.length all in
+  let settled = Array.fold_left (fun acc l -> acc + List.length l) 0 groups in
+  if settled < total / 2 then
+    Alcotest.failf "only %d of %d probes settled without the sweep" settled total;
+  List.iteri
+    (fun i name ->
+      let probes = Array.of_list groups.(i) in
+      let n = Array.length probes in
+      if n < 10 then Alcotest.failf "only %d %s" n name;
+      let rejected = ref 0 in
+      let run () =
+        for _ = 1 to 20 do
+          for j = 0 to n - 1 do
+            if probe probes.(j) = infinity then incr rejected
+          done
+        done
+      in
+      run ();
+      let w0 = Gc.minor_words () in
+      let w1 = Gc.minor_words () in
+      run ();
+      let w2 = Gc.minor_words () in
+      Alcotest.(check int) ("every probe rejected: " ^ name) (40 * n) !rejected;
+      Alcotest.(check (float 0.)) ("minor words allocated by " ^ name)
+        (w1 -. w0) (w2 -. w1))
+    [
+      "screen rejections";
+      "pre-screen compute rejections";
+      "pre-screen memory rejections";
+    ]
 
 (* Swapping a task with itself used to detach it twice: the engine lost
    the task before raising. Every swap entry point now refuses first. *)
@@ -470,8 +616,6 @@ let test_partial_assignment_consistency () =
    the rule (compute, interface in, interface out, link) is exercised. *)
 
 let c_skipped = Obs.Metrics.counter "search_ls_probes_skipped_total"
-
-type probe = Move of int * int | Swap of int * int
 
 let reference_local_search ?(check = fun _ _ _ -> ()) platform g mapping =
   let max_passes = 50 in
@@ -783,6 +927,75 @@ let test_exact_sweep_share () =
   if probes = 0 || float_of_int exact > 0.05 *. float_of_int probes then
     Alcotest.failf "%d exact sweeps for %d probes (over 5%%)" exact probes
 
+(* --- branch-and-bound golden digest ------------------------------------------
+
+   [Mapping_search.solve] on DagGen graphs of 12-30 tasks x QS22 at 4 and
+   8 SPEs x buffer sharing off and on, at a 5% gap and 2,000 nodes, plus
+   one dual-Cell run at gap 0: the [%h] period and lower bound, the node count,
+   the within-gap flag and the mapping of each. The node count makes the
+   digest sensitive to the tree itself (every child's placement check,
+   candidate order and prune), not only to the answer. Recorded before
+   node expansion dropped its per-node lists and closures. *)
+let bb_golden_digest = "49d678c23e57348d1b6f017c55bd2db2"
+
+let bb_rendering () =
+  let buf = Buffer.create 16384 in
+  let run ?(rel_gap = 0.05) i ~share platform g =
+    let options =
+      {
+        Cellsched.Mapping_search.default_options with
+        rel_gap;
+        max_nodes = 2_000;
+        share_colocated_buffers = share;
+      }
+    in
+    let r = Cellsched.Mapping_search.solve ~options platform g in
+    Printf.bprintf buf "%d %b %h %h %d %b" i share r.period r.lower_bound
+      r.nodes r.optimal_within_gap;
+    Array.iter (Printf.bprintf buf " %d") (Cellsched.Mapping.to_array r.mapping);
+    Buffer.add_char buf '\n'
+  in
+  List.iteri
+    (fun i (g, platform) ->
+      run i ~share:false platform g;
+      run i ~share:true platform g)
+    (List.filteri (fun i _ -> i < 20) (portfolio_corpus ()));
+  run 20 ~rel_gap:0. ~share:false (P.qs22_dual ())
+    (random_graph (Support.Rng.create 4_242) 24);
+  Buffer.contents buf
+
+(* Node expansion sorts its candidate PEs by key with an insertion sort
+   over per-depth buffers; it must give [List.sort]'s permutation (a
+   stable merge sort), ties included. Keys come from a pool of five
+   values, so most lists hold ties; NaN and both zeros are in it. *)
+let candidate_order_is_list_sort =
+  QCheck.Test.make ~count:500 ~name:"candidate order equals List.sort's"
+    QCheck.(triple (int_bound 100_000) (int_range 0 12) (int_range 0 5))
+    (fun (seed, n, lo) ->
+      let n = max 0 n and lo = max 0 lo in
+      let rng = Support.Rng.create seed in
+      let pool = [| 0.; -0.; 1.5; Float.nan; 0x1.8p-3 |] in
+      let key = Array.init n (fun _ -> pool.(Support.Rng.int rng 5)) in
+      let cands = Array.make (lo + n + 2) (-1)
+      and keys = Array.make (lo + n + 2) 0. in
+      for i = 0 to n - 1 do
+        cands.(lo + i) <- i;
+        keys.(lo + i) <- key.(i)
+      done;
+      Cellsched.Mapping_search.For_testing.sort_candidates cands keys lo n;
+      let want =
+        List.sort (fun a b -> compare key.(a) key.(b)) (List.init n Fun.id)
+      in
+      Array.to_list (Array.sub cands lo n) = want
+      && Array.for_all2
+           (fun c k -> Int64.bits_of_float k = Int64.bits_of_float key.(c))
+           (Array.sub cands lo n) (Array.sub keys lo n))
+
+let test_bb_digest () =
+  Alcotest.(check string)
+    "digest of every branch-and-bound result" bb_golden_digest
+    (Digest.to_hex (Digest.string (bb_rendering ())))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "eval"
@@ -809,6 +1022,12 @@ let () =
           qt (screen_is_exact ~share:true ~tight:false);
           qt (screen_is_exact ~share:false ~tight:true);
           qt (screen_is_exact ~share:true ~tight:true);
+          qt (prescreen_is_sound ~share:false ~tight:false);
+          qt (prescreen_is_sound ~share:true ~tight:false);
+          qt (prescreen_is_sound ~share:false ~tight:true);
+          qt (prescreen_is_sound ~share:true ~tight:true);
+          Alcotest.test_case "pre-screen: compute and memory checks fire"
+            `Quick test_both_checks_fire;
           Alcotest.test_case "screened probes allocate nothing" `Quick
             test_screen_allocates_nothing;
         ] );
@@ -842,6 +1061,8 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "portfolio digest" `Quick test_portfolio_digest;
+          Alcotest.test_case "branch-and-bound digest" `Quick test_bb_digest;
+          qt candidate_order_is_list_sort;
           Alcotest.test_case "exact sweeps at most 5% of probes" `Quick
             test_exact_sweep_share;
         ] );

@@ -636,9 +636,9 @@ let time_of f =
 (* Instrumentation-overhead baseline for the observability layer: the
    engine local search on the largest preset with the metrics registry
    off vs on. Every hook is a single branch when off, so the gap must
-   stay within noise (<2% target). The metrics-on reruns also populate
-   the search_* counter families; the resulting registry snapshot lands
-   in BENCH_obs.json alongside the timings. *)
+   stay within noise (<2% target). The timings land in BENCH_obs.json;
+   the registry itself is not dumped there (it is mostly empty
+   histogram buckets, and [obs] on the CLI prints it on demand). *)
 let search_obs platform =
   print_endline "== Observability overhead: metrics registry off vs on ==";
   let name, g =
@@ -730,14 +730,6 @@ let search_obs platform =
       (Float.min t_off off', Float.min t_on (min_of_3 ls))
     end
   in
-  (* The harness's own timings go through the same registry. *)
-  let timing state =
-    Obs.Metrics.histogram_family
-      ~help:"Engine local-search wall time by instrumentation state"
-      "bench_local_search_seconds" ~labels:[ "metrics" ] [ state ]
-  in
-  Obs.Metrics.Histogram.observe (timing "off") t_off;
-  Obs.Metrics.Histogram.observe (timing "on") t_on;
   let overhead_pct = (t_on -. t_off) /. t_off *. 100. in
   Printf.printf
     "graph %s: engine ls %.4f s (metrics off) vs %.4f s (on): %+.2f%%\n" name
@@ -756,12 +748,10 @@ let search_obs platform =
     \  \"portfolio_span_off_s\": %.6f,\n\
     \  \"portfolio_span_on_s\": %.6f,\n\
     \  \"span_overhead_pct\": %.3f,\n\
-    \  \"span_count\": %d,\n\
-    \  \"registry\": %s\n\
+    \  \"span_count\": %d\n\
      }\n"
     name (G.n_tasks g) t_off t_on overhead_pct t_span_off t_span_on span_pct
-    span_count
-    (Obs.Metrics.to_json Obs.Metrics.default);
+    span_count;
   close_out oc;
   Obs.Metrics.set_enabled false;
   print_endline "wrote BENCH_obs.json"
@@ -952,12 +942,12 @@ let search_par () =
           bb_result (Search.solve ~options:bb_options ~pool:p platform g)))
     (graphs ());
   Support.Table.print table;
-  (* Fiber-vs-thunk: the same batch of distinct misses fanned out over
-     one pool, once as suspendable fibers (the serving default), once as
-     domain-granular thunks. Outputs must be bitwise identical; the
-     interesting numbers are the wall clocks and the raw fiber
-     scheduling rate (spawn/await/yield round-trips per second). *)
-  print_endline "-- Batch miss fan-out: fibers vs thunks (same pool) --";
+  (* Fiber-vs-sequential: the same batch of distinct misses, once fanned
+     out over a pool as suspendable fibers, once solved in order without
+     a pool. Outputs must be bitwise identical; the interesting numbers
+     are the wall clocks and the raw fiber scheduling rate
+     (spawn/await/yield round-trips per second). *)
+  print_endline "-- Batch miss fan-out: fibers vs sequential --";
   let fiber_requests = if quick then 6 else 12 in
   let random_graph rng n =
     Daggen.Generator.generate ~rng
@@ -983,17 +973,18 @@ let search_par () =
   let render_all responses =
     String.concat "" (List.map Service.Batch.render responses)
   in
-  let batch_with ~fibers =
-    Par.Pool.with_pool ~size:(min 4 (max 2 host)) (fun p ->
-        time_of (fun () ->
-            render_all
-              (Service.Batch.run_view ~pool:p ~fibers
-                 ~view:(Service.Cache.view (Service.Cache.create ()))
-                 fiber_reqs)))
+  let batch ?pool () =
+    time_of (fun () ->
+        render_all
+          (Service.Batch.run_view ?pool
+             ~view:(Service.Cache.view (Service.Cache.create ()))
+             fiber_reqs))
   in
-  let out_thunk, t_thunk = batch_with ~fibers:false in
-  let out_fiber, t_fiber = batch_with ~fibers:true in
-  let fiber_identical = String.equal out_thunk out_fiber in
+  let out_seq, t_seq = batch () in
+  let out_fiber, t_fiber =
+    Par.Pool.with_pool ~size:(min 4 (max 2 host)) (fun pool -> batch ~pool ())
+  in
+  let fiber_identical = String.equal out_seq out_fiber in
   if not fiber_identical then all_identical := false;
   (* scheduling-rate microbench: tiny fibers, nothing but spawn/await *)
   let spawn_rate =
@@ -1012,11 +1003,11 @@ let search_par () =
         if t > 0. then float_of_int n /. t else 0.)
   in
   Printf.printf
-    "   %d distinct misses: thunks %.3f s, fibers %.3f s (ratio %.2fx), \
+    "   %d distinct misses: sequential %.3f s, fibers %.3f s (ratio %.2fx), \
      identical: %s\n\
     \   fiber spawn+yield+await round-trips: %.0f /s\n"
-    fiber_requests t_thunk t_fiber
-    (if t_fiber > 0. then t_thunk /. t_fiber else infinity)
+    fiber_requests t_seq t_fiber
+    (if t_fiber > 0. then t_seq /. t_fiber else infinity)
     (if fiber_identical then "yes" else "NO")
     spawn_rate;
   let oc = open_out "BENCH_par.json" in
@@ -1027,15 +1018,15 @@ let search_par () =
     \  \"pool_sizes\": [ %s ],\n\
     \  \"all_identical\": %b,\n\
     \  \"best_speedup\": %.3f,\n\
-    \  \"fiber\": { \"requests\": %d, \"thunk_s\": %.6f, \"fiber_s\": %.6f,\n\
+    \  \"fiber\": { \"requests\": %d, \"seq_s\": %.6f, \"fiber_s\": %.6f,\n\
     \              \"ratio\": %.3f, \"identical\": %b,\n\
     \              \"spawn_await_per_s\": %.0f },\n\
     \  \"rows\": [\n%s\n  ]\n\
      }\n"
     host
     (String.concat ", " (List.map string_of_int sizes))
-    !all_identical !best_speedup fiber_requests t_thunk t_fiber
-    (if t_fiber > 0. then t_thunk /. t_fiber else 0.)
+    !all_identical !best_speedup fiber_requests t_seq t_fiber
+    (if t_fiber > 0. then t_seq /. t_fiber else 0.)
     fiber_identical spawn_rate
     (String.concat ",\n" (List.rev !json_rows));
   close_out oc;
@@ -1539,8 +1530,7 @@ let traffic () =
     (fun skew ->
       let stream = Service.Workload.generate (spec skew) in
       let base =
-        Service.Cache.create ~publish:false ~max_entries:(1 lsl 20)
-          ~max_bytes:(1 lsl 30) ()
+        Service.Cache.create ~max_entries:(1 lsl 20) ~max_bytes:(1 lsl 30) ()
       in
       let entries = Hashtbl.create 64 in
       Array.iter

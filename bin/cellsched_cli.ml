@@ -957,7 +957,7 @@ let obs_cmd =
 (* --- batch ------------------------------------------------------------------ *)
 
 let batch_cmd =
-  let run requests_path n_spe cache_path parallel no_fibers metrics force =
+  let run requests_path n_spe cache_path parallel metrics force =
     enable_metrics metrics;
     let contents =
       match requests_path with
@@ -989,15 +989,17 @@ let batch_cmd =
         Printf.eprintf "cellsched: %s: %s\n" requests_path m;
         exit 2
     in
+    (* The daemon's cache front end with one shard: the same file
+       format, and [.shardN] files left by a sharded daemon migrate. *)
     let cache =
       match cache_path with
-      | Some path -> Service.Cache.load_file path
-      | None -> Service.Cache.create ()
+      | Some path -> Service.Shard.load_files path
+      | None -> Service.Shard.create ()
     in
     let responses =
       with_optional_pool parallel (fun pool ->
-          Service.Batch.run_view ?pool ~fibers:(not no_fibers)
-            ~view:(Service.Cache.view cache) requests)
+          Service.Batch.run_view ?pool ~view:(Service.Shard.view cache)
+            requests)
     in
     List.iter (fun r -> print_string (Service.Batch.render r)) responses;
     let hits =
@@ -1013,7 +1015,7 @@ let batch_cmd =
     | Some path -> (
         (* Read-modify-write of the named cache file: writing back over
            the file we loaded is the contract, no --force needed. *)
-        match Service.Cache.save_file ~force:true cache path with
+        match Service.Shard.save_files ~force:true cache path with
         | Ok () -> ()
         | Error m ->
             Printf.eprintf "cellsched: %s\n" m;
@@ -1032,18 +1034,12 @@ let batch_cmd =
   let cache =
     let doc =
       "Persistent mapping cache: loaded before the batch (a missing or \
-       corrupt file starts empty) and written back after. Without this \
-       option the batch still deduplicates in memory."
+       corrupt file starts empty) and written back after. Shard files \
+       FILE.shardI left by serve --cache-shards are loaded and migrated \
+       back into the single FILE. Without this option the batch still \
+       deduplicates in memory."
     in
     Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"FILE" ~doc)
-  in
-  let no_fibers =
-    let doc =
-      "With --parallel, dispatch distinct misses as domain-granular pool \
-       thunks instead of suspendable fibers (output is bitwise identical \
-       either way)."
-    in
-    Arg.(value & flag & info [ "no-fibers" ] ~doc)
   in
   Cmd.v
     (Cmd.info "batch"
@@ -1051,8 +1047,8 @@ let batch_cmd =
          "Answer a stream of mapping requests, deduplicating by canonical \
           fingerprint and solving only the distinct cache misses")
     Term.(
-      const run $ requests $ n_spe_arg $ cache $ parallel_arg $ no_fibers
-      $ metrics_arg $ force_arg)
+      const run $ requests $ n_spe_arg $ cache $ parallel_arg $ metrics_arg
+      $ force_arg)
 
 (* --- serve ------------------------------------------------------------------ *)
 
@@ -1123,16 +1119,19 @@ let serve_cmd =
   in
   let fibers =
     let doc =
-      "Dispatch each admitted solve as a suspendable fiber over the worker \
-       pool (one worker even without --parallel), up to --max-inflight at \
-       once; solves yield at node-budget boundaries so cache hits keep \
-       flowing during long dives. Replies are sequenced in admission order, \
-       bitwise identical to the fiber-less daemon."
+      "Run solves on a worker pool even without --parallel (one worker). \
+       With a pool, each admitted solve is a suspendable fiber, up to \
+       --max-inflight at once; solves yield at node-budget boundaries so \
+       cache hits keep flowing during long dives. Replies are sequenced in \
+       admission order, bitwise identical to the pool-less daemon."
     in
     Arg.(value & flag & info [ "fibers" ] ~doc)
   in
   let max_inflight =
-    let doc = "Fiber mode: maximum concurrently in-flight solve fibers." in
+    let doc =
+      "With a worker pool (--parallel or --fibers): maximum concurrently \
+       in-flight solve fibers."
+    in
     Arg.(value & opt int 32 & info [ "max-inflight" ] ~docv:"N" ~doc)
   in
   let socket =

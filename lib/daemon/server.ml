@@ -156,9 +156,8 @@ type outcome =
     }
   | Crashed of string
   | Hit of Batch.response
-      (* fiber mode only: a dispatch-time cache hit parked in the reply
-         sequencer so it goes out in admission order like every other
-         queued reply *)
+      (* a dispatch-time cache hit parked in the reply sequencer so it
+         goes out in admission order like every other queued reply *)
 
 type job = {
   id : string;
@@ -171,9 +170,7 @@ type job = {
   (* The request's canonical key, computed once at receipt and reused by
      every probe and by the store of its solve. *)
   key : Request.key;
-  mutable promise : unit Par.Pool.promise option;
-  (* fiber mode: reply-sequencing slot (pop order), stamped at dispatch;
-     -1 beforehand *)
+  (* reply-sequencing slot (pop order), stamped at dispatch; -1 beforehand *)
   mutable slot : int;
 }
 
@@ -196,17 +193,19 @@ type t = {
   (* Every cache touch below goes through this view, so the serving
      code is byte-identical whether the map has 1 shard or 64. *)
   view : Cache.view;
+  (* [None]: solves run inline in [poll], one at a time. [Some]: each
+     runs as a fiber on the pool, up to [max_inflight] at once. *)
   pool : Par.Pool.t option;
   admission : job Admission.t;
-  (* Pool workers push completions; only the main loop drains. The
+  (* Solve fibers push completions; only the main loop drains. The
      cache, the admission queue and every [out] writer are therefore
      touched exclusively from the main loop. *)
   completed : done_item Queue.t;
   completed_mutex : Mutex.t;
-  (* Fiber-mode reply sequencer, main-loop-only like the cache: done
-     items keyed by slot, emitted in contiguous slot order. [deferred]
-     holds popped jobs whose fingerprint is being solved by an earlier
-     slot; [inflight_fps] the fingerprints with a live solve fiber. *)
+  (* Reply sequencer, main-loop-only like the cache: done items keyed by
+     slot, emitted in contiguous slot order. [deferred] holds popped jobs
+     whose fingerprint is being solved by an earlier slot;
+     [inflight_fps] the fingerprints with a live solve. *)
   ready : (int, done_item) Hashtbl.t;
   deferred : job Queue.t;
   inflight_fps : (string, unit) Hashtbl.t;
@@ -246,7 +245,8 @@ let default_loader () =
 let create ?(on_reply = fun _ -> ()) ?load_graph config =
   if config.concurrency <= 0 then
     invalid_arg "Server.create: non-positive concurrency";
-  if config.fibers && config.max_inflight <= 0 then
+  let pooled = config.concurrency > 1 || config.fibers in
+  if pooled && config.max_inflight <= 0 then
     invalid_arg "Server.create: non-positive max_inflight";
   if config.flush_period < 0. then
     invalid_arg "Server.create: negative flush period";
@@ -259,12 +259,10 @@ let create ?(on_reply = fun _ -> ()) ?load_graph config =
         Shard.create ~shards:config.cache_shards
           ?max_entries:config.cache_entries ?max_bytes:config.cache_bytes ()
   in
-  (* Fibers always get a pool, even at concurrency 1: the whole point
-     is that solves run off the main loop so hits keep flowing. *)
+  (* [fibers] gets a pool even at concurrency 1: the whole point is
+     that solves run off the main loop so hits keep flowing. *)
   let pool =
-    if config.concurrency > 1 || config.fibers then
-      Some (Par.Pool.create ~size:config.concurrency ())
-    else None
+    if pooled then Some (Par.Pool.create ~size:config.concurrency ()) else None
   in
   let load_graph =
     match load_graph with Some f -> f | None -> default_loader ()
@@ -471,15 +469,15 @@ let send_error t ~id ~out reason =
   out (Protocol.render_error ~id reason);
   t.on_reply { id; status = `Error reason; response = None; latency = 0. }
 
-(* Runs on a pool worker (or inline when [concurrency = 1]). Touches
-   nothing but the request, the stop flag and the completion queue. *)
+(* Runs as a fiber on a pool worker (or inline without a pool).
+   Touches nothing but the request and the stop flag. *)
 let run_job t (job : job) =
   let deadline_hit = ref false and cancelled = ref false in
-  (* Fiber mode runs this as a suspendable fiber: the tick yields the
-     domain at every solver node-budget poll (a no-op elsewhere), so
-     more in-flight solves than domains still make joint progress. *)
+  (* On the pool the tick yields the domain at every solver node-budget
+     poll, so more in-flight solves than domains still make joint
+     progress. *)
   let tick =
-    if t.config.fibers then Par.Fiber.yielder ~every:1 else fun () -> ()
+    if Option.is_some t.pool then Par.Fiber.yielder ~every:1 else fun () -> ()
   in
   let should_stop () =
     tick ();
@@ -518,15 +516,9 @@ let run_job t (job : job) =
   in
   if Obs.Metrics.enabled () then
     Obs.Metrics.Histogram.observe h_stage_solve (Unix.gettimeofday () -. t0);
-  Mutex.lock t.completed_mutex;
-  Queue.push { job; outcome } t.completed;
-  Mutex.unlock t.completed_mutex
+  { job; outcome }
 
 let finish_job t { job; outcome } =
-  (match (job.promise, t.pool) with
-  | Some p, Some pool -> Par.Pool.await pool p
-  | _ -> ());
-  job.promise <- None;
   Admission.finish t.admission;
   match outcome with
   | Crashed reason -> send_error t ~id:job.id ~out:job.out reason
@@ -556,81 +548,39 @@ let finish_job t { job; outcome } =
         ?bound:(if partial then Some bound else None)
         response
 
-let drain_completed t =
-  let pending = Queue.create () in
-  Mutex.lock t.completed_mutex;
-  Queue.transfer t.completed pending;
-  Mutex.unlock t.completed_mutex;
-  Queue.iter (finish_job t) pending
+(* --- dispatch ------------------------------------------------------------- *)
 
-let dispatch t =
-  let rec go () =
-    if Admission.inflight t.admission < t.config.concurrency then
-      match Admission.next t.admission with
-      | None -> ()
-      | Some job -> (
-          (* The admission-queue wait: stamped from receipt to dispatch,
-             recorded here because its start crossed an async boundary. *)
-          Obs.Span.record job.span ~t_start:job.received "queue";
-          if Obs.Metrics.enabled () then
-            Obs.Metrics.Histogram.observe h_stage_queue
-              (Unix.gettimeofday () -. job.received);
-          (* Re-check the cache at dispatch: a duplicate that queued
-             behind its twin becomes a hit the moment the twin's solve
-             lands, instead of burning a second solve. *)
-          match
-            stage_span job.span h_stage_cache "cache@dispatch" (fun () ->
-                Batch.try_cache_view ~key:job.key ~view:t.view job.request)
-          with
-          | Some response ->
-              Admission.finish t.admission;
-              t.hits <- t.hits + 1;
-              metrics_inc m_hits;
-              send_reply t job ~partial:false response;
-              go ()
-          | None ->
-              (match t.pool with
-              | Some pool ->
-                  job.promise <-
-                    Some (Par.Pool.submit pool (fun () -> run_job t job))
-              | None -> run_job t job);
-              go ())
-  in
-  go ()
-
-(* --- fiber dispatch ------------------------------------------------------- *)
-
-(* Fiber mode keeps the determinism contract under concurrent solves by
-   separating execution order from reply order. Every popped job gets a
-   slot (pop order = the order the sequential daemon would have served
-   it); solves run concurrently as pool fibers and land in [ready];
+(* The dispatcher keeps the determinism contract under concurrent
+   solves by separating execution order from reply order. Every popped
+   job gets a slot (pop order = the order a one-at-a-time daemon would
+   serve it); solves land in [ready], inline or from pool fibers;
    replies — and the cache stores they carry — are emitted strictly in
    contiguous slot order by [finish_ready]. A job whose fingerprint is
    already being solved is parked in [deferred] instead of burning a
-   duplicate solve, and re-probed when its twin's slot finishes — the
-   fiber-mode analogue of the sequential cache@dispatch re-check, which
-   keeps its reply bytes ([source: cache]) identical. Progress is
-   guaranteed: a deferred job always waits on a strictly smaller slot
-   (its twin was popped earlier or spawned by an earlier retry), so the
-   smallest unfinished slot is never deferred. *)
-
-let fiber_pool t =
-  match t.pool with Some p -> p | None -> assert false (* created with fibers *)
-
-let finish_fiber t ({ job; outcome } as item) =
-  (match outcome with
-  | Finished _ | Crashed _ ->
-      Hashtbl.remove t.inflight_fps job.key.Request.fingerprint
-  | Hit _ -> ());
-  finish_job t item
+   duplicate solve, and re-probed when its twin's slot finishes, so it
+   hits the just-stored entry exactly as a one-at-a-time cache@dispatch
+   re-check would ([source: cache]). Progress is guaranteed: a deferred
+   job always waits on a strictly smaller slot (its twin was popped
+   earlier or spawned by an earlier retry), so the smallest unfinished
+   slot is never deferred. Without a pool the in-flight limit is 1 and
+   [spawn_solve] runs the solve on the spot, so nothing is ever
+   deferred and each [poll] runs at most one solve. *)
 
 let spawn_solve t (job : job) =
   Hashtbl.replace t.inflight_fps job.key.Request.fingerprint ();
-  ignore (Par.Fiber.spawn ~pool:(fiber_pool t) (fun () -> run_job t job))
+  match t.pool with
+  | None -> Hashtbl.replace t.ready job.slot (run_job t job)
+  | Some pool ->
+      ignore
+        (Par.Fiber.spawn ~pool (fun () ->
+             let item = run_job t job in
+             Mutex.lock t.completed_mutex;
+             Queue.push item t.completed;
+             Mutex.unlock t.completed_mutex))
 
 (* Probe-or-spawn for a job already holding a slot; shared between
    first dispatch and deferred retries so both produce the exact bytes
-   the sequential cache@dispatch path would. *)
+   a one-at-a-time cache@dispatch re-check would. *)
 let classify_dispatch t (job : job) =
   if Hashtbl.mem t.inflight_fps job.key.Request.fingerprint then
     Queue.push job t.deferred
@@ -652,33 +602,40 @@ let retry_deferred t =
   end
 
 let transfer_completed t =
-  let pending = Queue.create () in
   Mutex.lock t.completed_mutex;
-  Queue.transfer t.completed pending;
-  Mutex.unlock t.completed_mutex;
-  Queue.iter (fun ({ job; _ } as item) -> Hashtbl.replace t.ready job.slot item)
-    pending
+  while not (Queue.is_empty t.completed) do
+    let item = Queue.pop t.completed in
+    Hashtbl.replace t.ready item.job.slot item
+  done;
+  Mutex.unlock t.completed_mutex
 
 let rec finish_ready t =
   match Hashtbl.find_opt t.ready t.next_reply with
   | None -> ()
-  | Some item ->
+  | Some ({ job; outcome } as item) ->
       Hashtbl.remove t.ready t.next_reply;
       t.next_reply <- t.next_reply + 1;
-      finish_fiber t item;
+      (match outcome with
+      | Finished _ | Crashed _ ->
+          Hashtbl.remove t.inflight_fps job.key.Request.fingerprint
+      | Hit _ -> ());
+      finish_job t item;
       (* this finish may have stored a cache entry and released its
          fingerprint: deferred twins can now hit or respawn *)
       retry_deferred t;
       finish_ready t
 
-let dispatch_fibers t =
+let dispatch t =
+  let limit = if Option.is_some t.pool then t.config.max_inflight else 1 in
   let rec go () =
-    if Hashtbl.length t.inflight_fps < t.config.max_inflight then
+    if Hashtbl.length t.inflight_fps < limit then
       match Admission.next t.admission with
       | None -> ()
       | Some job ->
           job.slot <- t.next_slot;
           t.next_slot <- t.next_slot + 1;
+          (* The admission-queue wait: stamped from receipt to dispatch,
+             recorded here because its start crossed an async boundary. *)
           Obs.Span.record job.span ~t_start:job.received "queue";
           if Obs.Metrics.enabled () then
             Obs.Metrics.Histogram.observe h_stage_queue
@@ -689,18 +646,11 @@ let dispatch_fibers t =
   go ()
 
 let poll t =
-  if t.config.fibers then begin
-    transfer_completed t;
-    finish_ready t;
-    dispatch_fibers t;
-    (* a dispatch-time hit may occupy the very next slot *)
-    finish_ready t
-  end
-  else begin
-    drain_completed t;
-    dispatch t;
-    drain_completed t
-  end;
+  transfer_completed t;
+  finish_ready t;
+  dispatch t;
+  (* a dispatch-time hit or an inline solve may occupy the very next slot *)
+  finish_ready t;
   maybe_flush t;
   publish_queue t
 
@@ -766,7 +716,6 @@ let handle_line t ~out line =
               trace;
               span;
               key;
-              promise = None;
               slot = -1;
             }
             ~partial:false response
@@ -786,7 +735,6 @@ let handle_line t ~out line =
               trace;
               span;
               key;
-              promise = None;
               slot = -1;
             }
           in

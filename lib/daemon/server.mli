@@ -19,26 +19,25 @@
       so far — always a feasible mapping — is returned tagged
       [partial]. Partial results are {e never} written to the cache
       (they are timing-dependent; the cache stays deterministic).
-    - {b Concurrency}: [config.concurrency = 1] solves inline in
-      {!poll} (deterministic, no domains spawned — fork-safe for
-      tests); [> 1] multiplexes solves over a {!Par.Pool.t}, with
-      completions crossing back to the main loop through a
-      mutex-protected queue, so the cache and the client writers are
-      only ever touched from the loop.
-    - {b Fibers}: with [config.fibers] every dispatched miss runs as a
-      suspendable {!Par.Fiber} on the pool (created even at
-      concurrency 1), yielding its domain at solver node-budget
-      boundaries, with up to [config.max_inflight] solves in flight at
-      once. Replies stay bitwise identical to the sequential daemon: a
-      {e slot sequencer} emits queued replies (and their cache stores)
-      in admission-pop order regardless of completion order, and a job
-      whose fingerprint is already being solved parks until its twin's
-      slot lands — then hits the just-stored entry exactly as the
-      sequential cache@dispatch re-check would. Inline warm-cache hits
-      never queue, so they keep overtaking long dives; that ordering
-      (hit before earlier-arrived solve) is the one deliberate
-      difference from the pool-less daemon, where a solve blocks the
-      loop.
+    - {b Two execution modes, one dispatcher.} Without a pool
+      ([config.concurrency = 1] and [config.fibers] off) {!poll} runs
+      at most one solve inline (deterministic, no domains spawned —
+      fork-safe for tests). With [concurrency > 1] or [config.fibers]
+      (a pool of [concurrency] domains, one even at concurrency 1)
+      every dispatched miss runs as a suspendable {!Par.Fiber},
+      yielding its domain at solver node-budget boundaries, with up to
+      [config.max_inflight] solves in flight at once; completions cross
+      back to the main loop through a mutex-protected queue, so the
+      cache and the client writers are only ever touched from the loop.
+      Both modes go through the same {e slot sequencer}: queued replies
+      (and their cache stores) go out in admission-pop order regardless
+      of completion order, and a job whose fingerprint is already being
+      solved parks until its twin's slot lands — then hits the
+      just-stored entry exactly as a one-at-a-time cache@dispatch
+      re-check would. Replies are therefore bitwise identical in both
+      modes, with one deliberate exception: inline warm-cache hits never
+      queue, so on a pool they overtake long dives, where the pool-less
+      daemon's inline solve blocks the loop.
     - {b Sharding}: the warm cache is a {!Service.Shard} map of
       [config.cache_shards] independently-locked shards; every probe
       and insert below goes through its {!Service.Cache.view}, so the
@@ -83,14 +82,14 @@ type config = {
   default_spes : int;  (** For request lines without [spes=]. *)
   default_strategy : Service.Request.strategy;
   bound : int;  (** Admission bound: max queued + in-flight misses. *)
-  concurrency : int;  (** [1] = inline solves; [n > 1] = pool of [n]. *)
+  concurrency : int;
+      (** Pool size. [1] without [fibers] = inline solves, no pool. *)
   fibers : bool;
-      (** Dispatch misses as suspendable {!Par.Fiber}s over the pool
-          (spawning one even at concurrency 1), replies sequenced in
-          admission order. *)
+      (** Create the pool even at concurrency 1, so solves run as
+          fibers off the main loop. *)
   max_inflight : int;
-      (** Fiber mode only: max concurrently in-flight solve fibers
-          (default 32). *)
+      (** With a pool: max concurrently in-flight solve fibers
+          (default 32). Without one, solves run one at a time. *)
   cache_path : string option;
       (** Warm-start load at create, flush target afterwards. *)
   cache_entries : int option;  (** Total LRU entry bound (default 1024). *)
@@ -112,7 +111,7 @@ type config = {
 
 val default_config : config
 (** 8 SPEs, portfolio strategy, bound 64, concurrency 1, fibers off
-    (max 32 in flight when on), one cache shard, no persistence, 30 s
+    (max 32 in flight with a pool), one cache shard, no persistence, 30 s
     flush period, no trace directory. *)
 
 type status = [ `Hit | `Solved | `Partial | `Rejected | `Error of string ]
@@ -147,7 +146,8 @@ val create :
     collection). [load_graph] (default: a memoizing
     {!Streaming.Serialize.of_file}) lets tests resolve graph names
     without touching the filesystem.
-    @raise Invalid_argument on non-positive [bound] or [concurrency]. *)
+    @raise Invalid_argument on non-positive [bound] or [concurrency],
+    or on non-positive [max_inflight] with a pool. *)
 
 val shard : t -> Service.Shard.t
 (** The warm cache (a 1-shard map unless configured otherwise). *)
@@ -160,10 +160,10 @@ val handle_line : t -> out:(string -> unit) -> string -> unit
     admitted misses wait for {!poll}. *)
 
 val poll : t -> unit
-(** Advance the engine: reap completed solves (replying through each
-    job's own [out]), dispatch pending work up to [concurrency], and
-    run the periodic flush. Non-blocking with a pool; with
-    [concurrency = 1] it runs every pending solve inline. *)
+(** Advance the engine: reap completed solves and reply in slot order
+    (through each job's own [out]), dispatch pending work up to the
+    in-flight limit, and run the periodic flush. Non-blocking with a
+    pool; without one it runs at most one pending solve inline. *)
 
 val idle : t -> bool
 (** No pending, in-flight or unreaped work. *)

@@ -170,7 +170,7 @@ let solved_response_view ?(store = true) ?key ~(view : Cache.view)
     bottleneck;
   }
 
-let run_view ?(span = Obs.Span.null) ?pool ?(fibers = true) ~view requests =
+let run_view ?(span = Obs.Span.null) ?pool ~view requests =
   Obs.Span.with_span span "batch" @@ fun span ->
   let t0 = Unix.gettimeofday () in
   let requests = Array.of_list requests in
@@ -208,8 +208,8 @@ let run_view ?(span = Obs.Span.null) ?pool ?(fibers = true) ~view requests =
     Obs.Span.with_span span ("solve:" ^ String.sub fps.(i) 0 12) @@ fun span ->
     (* The yield tick suspends a fiber-run solve at node-budget
        boundaries so more misses than domains still interleave; it is
-       a no-op on the thunk and sequential paths and never stops the
-       solver, so all three paths compute identical results. *)
+       a no-op on the sequential path and never stops the solver, so
+       both paths compute identical results. *)
     let tick = Par.Fiber.yielder ~every:1 in
     let should_stop () =
       tick ();
@@ -220,17 +220,14 @@ let run_view ?(span = Obs.Span.null) ?pool ?(fibers = true) ~view requests =
     in
     (i, assignment, period)
   in
-  (* Distinct misses fan out over the pool — as suspendable fibers by
-     default, as domain-granular thunks with [~fibers:false]; each
-     inner solve is deterministic, so fibered, pooled and sequential
-     batches agree bitwise. *)
+  (* Distinct misses fan out over the pool as suspendable fibers; each
+     inner solve is deterministic, so fibered and sequential batches
+     agree bitwise. *)
   let miss_indices = Array.of_list (List.rev !misses) in
   let solved =
     match pool with
     | Some p when Array.length miss_indices > 1 ->
-        if fibers then
-          Par.Fiber.run p (fun () -> Par.Fiber.parallel_map solve_one miss_indices)
-        else Par.Pool.parallel_map p solve_one miss_indices
+        Par.Fiber.run p (fun () -> Par.Fiber.parallel_map solve_one miss_indices)
     | _ -> Array.map solve_one miss_indices
   in
   Array.iter record_solved solved;

@@ -7,15 +7,16 @@
     assignment onto the request graph through its own canonical order;
     duplicate fingerprints within the batch defer to the first
     occurrence's solve; the remaining distinct misses are dispatched —
-    over a {!Par.Pool.t} when given — to the requested solver
-    ({!Cellsched.Portfolio} or {!Cellsched.Mapping_search}).
+    as {!Par.Fiber}s over a {!Par.Pool.t} when given, in order
+    otherwise — to the requested solver ({!Cellsched.Portfolio} or
+    {!Cellsched.Mapping_search}).
 
     {b Determinism.} Parallelism is {e across} requests only and every
     solver call is deterministic (PR-4 contract: fixed seeds, node
     budgets instead of wall-clock cutoffs), so the response list —
     sources included — is a pure function of (cache state, request
     list): byte-identical between a sequential per-request loop and
-    pooled batches of any size.
+    fibered batches over a pool of any size.
 
     {b Hit validation.} A fingerprint match does not prove the graphs
     isomorphic (a 64-bit hash can collide), and tasks that colour
@@ -93,7 +94,6 @@ val solved_response_view :
 val run_view :
   ?span:Obs.Span.ctx ->
   ?pool:Par.Pool.t ->
-  ?fibers:bool ->
   view:Cache.view ->
   Request.t list ->
   response list
@@ -101,11 +101,10 @@ val run_view :
     place with every fresh solve.
 
     With a [pool], distinct misses fan out as suspendable
-    {!Par.Fiber}s by default, each yielding its domain at solver
-    node-budget boundaries so more misses than domains interleave;
-    [~fibers:false] restores the domain-granular thunk dispatch. Both
-    produce bytes identical to the sequential path — fibers schedule
-    execution, never results.
+    {!Par.Fiber}s, each yielding its domain at solver node-budget
+    boundaries so more misses than domains interleave; without one
+    they are solved in order. Both produce identical bytes — fibers
+    schedule execution, never results.
 
     [span] (default {!Obs.Span.null}: free) records one ["batch"] span
     with a ["solve:<fp12>"] child per distinct miss (named by the first

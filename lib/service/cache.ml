@@ -20,7 +20,6 @@ type node = { entry : entry; mutable last_used : int }
 type t = {
   max_entries : int;
   max_bytes : int;
-  publish_gauges : bool;
   tbl : (string, node) Hashtbl.t;
   mutable tick : int;
   mutable bytes : int;
@@ -44,31 +43,15 @@ let m_recovered =
     ~help:"Persisted caches that failed to load and recovered to empty"
     "svc_cache_recovered_total"
 
-let g_entries =
-  Obs.Metrics.gauge ~help:"Mapping-cache resident entries" "svc_cache_entries"
-
-let g_bytes =
-  Obs.Metrics.gauge ~help:"Mapping-cache resident bytes (approximate)"
-    "svc_cache_bytes"
-
-let publish t =
-  if t.publish_gauges && Obs.Metrics.enabled () then begin
-    Obs.Metrics.Gauge.set g_entries (float_of_int (Hashtbl.length t.tbl));
-    Obs.Metrics.Gauge.set g_bytes (float_of_int t.bytes)
-  end
-
-(* [publish = false] mutes only the process-wide size gauges: a shard
-   map wraps many caches and publishes per-shard gauge families instead
-   (the eviction/recovery counters stay shared — they count events, not
-   states, and sum correctly across shards). *)
-let create ?(publish = true) ?(max_entries = 1024)
-    ?(max_bytes = 16 * 1024 * 1024) () =
+(* Size gauges live in {!Shard}, one per shard; the eviction and
+   recovery counters stay here, shared — they count events, not states,
+   and sum correctly across shards. *)
+let create ?(max_entries = 1024) ?(max_bytes = 16 * 1024 * 1024) () =
   if max_entries <= 0 || max_bytes <= 0 then
     invalid_arg "Cache.create: non-positive bound";
   {
     max_entries;
     max_bytes;
-    publish_gauges = publish;
     tbl = Hashtbl.create 64;
     tick = 0;
     bytes = 0;
@@ -136,8 +119,7 @@ let add t entry =
     while t.bytes > t.max_bytes do
       evict_lru t
     done
-  end;
-  publish t
+  end
 
 let entries t =
   Hashtbl.fold (fun _ node acc -> node :: acc) t.tbl []
@@ -216,8 +198,8 @@ let entry_of_json v =
     bottleneck = require "bottleneck" (Json.to_str (member "bottleneck"));
   }
 
-let load_string ?publish ?max_entries ?max_bytes s =
-  let empty () = create ?publish ?max_entries ?max_bytes () in
+let load_string ?max_entries ?max_bytes s =
+  let empty () = create ?max_entries ?max_bytes () in
   match
     let doc =
       match Json.parse s with Ok v -> v | Error m -> corrupt "%s" m
@@ -241,8 +223,8 @@ let load_string ?publish ?max_entries ?max_bytes s =
       if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_recovered;
       Error (empty (), reason)
 
-let load_file ?publish ?max_entries ?max_bytes path =
-  if not (Sys.file_exists path) then create ?publish ?max_entries ?max_bytes ()
+let load_file ?max_entries ?max_bytes path =
+  if not (Sys.file_exists path) then create ?max_entries ?max_bytes ()
   else
     match
       let ic = open_in_bin path in
@@ -251,12 +233,12 @@ let load_file ?publish ?max_entries ?max_bytes path =
         (fun () -> In_channel.input_all ic)
     with
     | contents -> (
-        match load_string ?publish ?max_entries ?max_bytes contents with
+        match load_string ?max_entries ?max_bytes contents with
         | Ok t -> t
         | Error (t, _) -> t)
     | exception Sys_error _ ->
         if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_recovered;
-        create ?publish ?max_entries ?max_bytes ()
+        create ?max_entries ?max_bytes ()
 
 module For_testing = struct
   let crash_after_bytes : int option ref = ref None

@@ -41,12 +41,10 @@ type t
 val version : int
 (** Current on-disk format version (1). *)
 
-val create : ?publish:bool -> ?max_entries:int -> ?max_bytes:int -> unit -> t
-(** Defaults: 1024 entries, 16 MiB. [publish] (default [true]) controls
-    only the process-wide [svc_cache_entries]/[svc_cache_bytes] gauges;
-    {!Shard} passes [false] and publishes per-shard gauge families
-    instead (event counters — evictions, recoveries — are shared either
-    way).
+val create : ?max_entries:int -> ?max_bytes:int -> unit -> t
+(** Defaults: 1024 entries, 16 MiB. A cache publishes no size gauges of
+    its own; {!Shard} reports [svc_shard_entries]/[svc_shard_bytes] per
+    shard. The event counters (evictions, recoveries) are shared.
     @raise Invalid_argument on non-positive bounds. *)
 
 val length : t -> int
@@ -77,12 +75,12 @@ val view : t -> view
 
 val to_json_string : t -> string
 
-val load_string : ?publish:bool -> ?max_entries:int -> ?max_bytes:int ->
+val load_string : ?max_entries:int -> ?max_bytes:int ->
   string -> (t, t * string) result
 (** Parse a persisted cache. [Error (empty, reason)] on any corruption
     (and [svc_cache_recovered_total] is bumped). *)
 
-val load_file : ?publish:bool -> ?max_entries:int -> ?max_bytes:int ->
+val load_file : ?max_entries:int -> ?max_bytes:int ->
   string -> t
 (** Total: missing file is a silent cold start; unreadable/corrupt
     content recovers to empty as in {!load_string}. *)

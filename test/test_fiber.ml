@@ -514,34 +514,37 @@ let run_grid ~fibers ~concurrency ~max_inflight =
   Server.finish h.server;
   (output h, Server.stats h.server)
 
-(* The tentpole acceptance bar: the fiber daemon's transcript — reply
-   bytes and order, duplicate classification included — is the
-   sequential daemon's transcript, at every pool size and in-flight
-   window. *)
+(* The tentpole acceptance bar: the pooled daemon's transcript — reply
+   bytes and order, duplicate classification included — is the inline
+   daemon's transcript, at every pool size and in-flight window. The
+   [fibers = false] rows at concurrency 2 and 4 are [serve --parallel N]
+   without [--fibers], which gets a pool too. *)
 let test_daemon_transcript_grid () =
   let reference, ref_stats = run_grid ~fibers:false ~concurrency:1 ~max_inflight:32 in
   Alcotest.(check bool) "reference transcript non-trivial" true
     (String.length reference > 200);
   Alcotest.(check int) "reference: both duplicates hit" 2 ref_stats.Server.hits;
   Alcotest.(check int) "reference: four solves" 4 ref_stats.Server.solved;
+  let grid =
+    List.concat_map
+      (fun size -> List.map (fun m -> (true, size, m)) [ 1; 4; 16 ])
+      pool_sizes
+    @ [ (false, 2, 32); (false, 4, 32) ]
+  in
   List.iter
-    (fun size ->
-      List.iter
-        (fun max_inflight ->
-          let transcript, stats =
-            run_grid ~fibers:true ~concurrency:size ~max_inflight
-          in
-          let label =
-            Printf.sprintf "pool %d, max_inflight %d" size max_inflight
-          in
-          Alcotest.(check string)
-            (label ^ ": transcript bitwise equal") reference transcript;
-          Alcotest.(check int) (label ^ ": hits agree") ref_stats.Server.hits
-            stats.Server.hits;
-          Alcotest.(check int) (label ^ ": solved agree")
-            ref_stats.Server.solved stats.Server.solved)
-        [ 1; 4; 16 ])
-    pool_sizes
+    (fun (fibers, size, max_inflight) ->
+      let transcript, stats = run_grid ~fibers ~concurrency:size ~max_inflight in
+      let label =
+        Printf.sprintf "fibers %b, pool %d, max_inflight %d" fibers size
+          max_inflight
+      in
+      Alcotest.(check string)
+        (label ^ ": transcript bitwise equal") reference transcript;
+      Alcotest.(check int) (label ^ ": hits agree") ref_stats.Server.hits
+        stats.Server.hits;
+      Alcotest.(check int) (label ^ ": solved agree")
+        ref_stats.Server.solved stats.Server.solved)
+    grid
 
 (* The starvation fix, pinned on the transcript: with fibers the main
    loop never runs a solve, so a warm-cache hit submitted after a long

@@ -107,6 +107,17 @@ type t = {
   save_link_in : float array;
   save_buff : float array;
   screen : screen;
+  (* Backtrack stack of [save_rows]/[retract], allocated by the first
+     [save_rows]: depth [d]'s block of [snaps] holds the validated float
+     rows of the first [d] assignments (compute, bytes in, bytes out and
+     memory per PE, then link out and link in per Cell), and
+     [snap_task.(d)] the task assigned on top of them. The blocks from
+     [snap_floor] to [snap_valid - 1] describe the current assignment's
+     prefixes; [snap_floor <= n_assigned] always. *)
+  mutable snaps : float array;
+  mutable snap_task : int array;
+  mutable snap_floor : int;
+  mutable snap_valid : int;
 }
 
 let options t = t.opts
@@ -376,6 +387,10 @@ let create_empty ?(options = default_options) platform g =
       save_link_in = Array.make platform.P.n_cells 0.;
       save_buff = Array.make m 0.;
       screen = create_screen platform g;
+      snaps = [||];
+      snap_task = [||];
+      snap_floor = 0;
+      snap_valid = 0;
     }
   in
   t
@@ -387,11 +402,12 @@ let check_pe t pe =
 let assign t ~task ~pe =
   check_pe t pe;
   if t.assignment.(task) >= 0 then invalid_arg "Eval.assign: task already assigned";
+  let d = t.n_assigned in
+  if d < t.snap_valid then begin
+    t.snap_task.(d) <- task;
+    t.snap_valid <- d + 1
+  end;
   attach t task pe
-
-let unassign t ~task =
-  if t.assignment.(task) < 0 then invalid_arg "Eval.unassign: task not assigned";
-  detach t task
 
 let create ?options platform g m =
   let t = create_empty ?options platform g in
@@ -404,8 +420,6 @@ let create ?options platform g m =
 
 let compute_on t pe = validate_rows t; t.compute.(pe)
 let memory_on t pe = validate_rows t; t.memory.(pe)
-let bytes_in_on t pe = validate_rows t; t.bytes_in.(pe)
-let bytes_out_on t pe = validate_rows t; t.bytes_out.(pe)
 let dma_in_on t pe = t.dma_in.(pe)
 let dma_to_ppe_on t pe = t.dma_to_ppe.(pe)
 
@@ -449,8 +463,9 @@ let mapping t =
     invalid_arg "Eval.mapping: partial assignment";
   Mapping.make t.platform t.g (Array.copy t.assignment)
 
-(* Loads view sharing the internal arrays — valid only right after
-   [validate_all] and never exposed to callers. *)
+(* Loads view sharing the internal arrays: its float rows are current
+   only after [validate_all] (or a blit that restores validated rows),
+   and readers must not write to it. *)
 let internal_loads t =
   {
     Steady_state.compute = t.compute;
@@ -462,6 +477,8 @@ let internal_loads t =
     link_out = t.link_out;
     link_in = t.link_in;
   }
+
+let rows = internal_loads
 
 let loads t =
   validate_all t;
@@ -537,11 +554,18 @@ let check_move name t ~task ~pe =
   if old_pe < 0 then invalid_arg (name ^ ": task not assigned");
   old_pe
 
+(* A journaled mutation changes the first [n_assigned] assignments, so
+   no saved block describes a prefix of the new state. *)
+let forget_saves t =
+  t.snap_floor <- t.n_assigned;
+  t.snap_valid <- t.n_assigned
+
 let apply_move t ~task ~pe =
   let old_pe = check_move "Eval.apply_move" t ~task ~pe in
   detach t task;
   attach t task pe;
   t.journal <- Move (task, old_pe) :: t.journal;
+  forget_saves t;
   if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_moves
 
 (* Swapping a task with itself would detach it twice. *)
@@ -558,6 +582,7 @@ let apply_swap t k1 k2 =
   attach t k1 p2;
   attach t k2 p1;
   t.journal <- Swap (k1, k2) :: t.journal;
+  forget_saves t;
   if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_swaps
 
 let undo t =
@@ -565,10 +590,12 @@ let undo t =
   | [] -> invalid_arg "Eval.undo: empty journal"
   | Move (task, old_pe) :: rest ->
       t.journal <- rest;
+      forget_saves t;
       detach t task;
       attach t task old_pe
   | Swap (k1, k2) :: rest ->
       t.journal <- rest;
+      forget_saves t;
       let p1 = t.assignment.(k1) and p2 = t.assignment.(k2) in
       detach t k1;
       detach t k2;
@@ -608,6 +635,54 @@ let restore_floats t =
     Array.blit t.save_buff 0 t.buff 0 (Array.length t.buff);
     t.buff_dirty <- false
   end
+
+(* --- backtracking ------------------------------------------------------
+
+   The same bitwise restoration for a branch-and-bound walk: rows are a
+   pure function of the assignment, so the rows saved at depth [d] are
+   the rows of any later state with the same first [d] assignments. A
+   [retract] undoes the integer state with [detach] and blits depth
+   [d]'s block back instead of re-sweeping. Buffers are left alone:
+   under [tight_pipeline] a [detach] that changes a colocation sets
+   [buff_dirty], and the next validation re-sweeps every row. *)
+
+let save_rows t =
+  validate_all t;
+  let n = Array.length t.compute and c = Array.length t.link_out in
+  let stride = (4 * n) + (2 * c) and d = t.n_assigned in
+  if Array.length t.snaps = 0 then begin
+    t.snaps <- Array.make ((Array.length t.assignment + 1) * stride) 0.;
+    t.snap_task <- Array.make (Array.length t.assignment + 1) (-1)
+  end;
+  let o = d * stride in
+  Array.blit t.compute 0 t.snaps o n;
+  Array.blit t.bytes_in 0 t.snaps (o + n) n;
+  Array.blit t.bytes_out 0 t.snaps (o + (2 * n)) n;
+  Array.blit t.memory 0 t.snaps (o + (3 * n)) n;
+  Array.blit t.link_out 0 t.snaps (o + (4 * n)) c;
+  Array.blit t.link_in 0 t.snaps (o + (4 * n) + c) c;
+  t.snap_task.(d) <- -1;
+  (* Blocks between the valid ones and [d] are stale: keep the range
+     contiguous. *)
+  if t.snap_valid < d then t.snap_floor <- d;
+  t.snap_valid <- d + 1
+
+let retract t ~task =
+  let d = t.n_assigned - 1 in
+  if t.assignment.(task) < 0 then invalid_arg "Eval.retract: task not assigned";
+  if d < t.snap_floor || d >= t.snap_valid || t.snap_task.(d) <> task then
+    invalid_arg "Eval.retract: no rows saved before this assignment";
+  detach t task;
+  let n = Array.length t.compute and c = Array.length t.link_out in
+  let o = d * ((4 * n) + (2 * c)) in
+  Array.blit t.snaps o t.compute 0 n;
+  Array.blit t.snaps (o + n) t.bytes_in 0 n;
+  Array.blit t.snaps (o + (2 * n)) t.bytes_out 0 n;
+  Array.blit t.snaps (o + (3 * n)) t.memory 0 n;
+  Array.fill t.row_dirty 0 n false;
+  Array.blit t.snaps (o + (4 * n)) t.link_out 0 c;
+  Array.blit t.snaps (o + (4 * n) + c) t.link_in 0 c;
+  t.links_dirty <- false
 
 let count_probe () =
   if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_probes
@@ -904,6 +979,19 @@ let prescreen_swap t k1 k2 threshold =
     match prescreen_gain t k1 k2 p2 threshold with
     | Pass -> prescreen_gain t k2 k1 p1 threshold
     | verdict -> verdict
+
+(* The branch-and-bound child pre-screen. Assigning an unassigned task
+   adds exactly one term, its work [w], to [pe]'s compute row and
+   removes none, so the screen's bound with delta [w] and magnitude sum
+   [|w|] holds for the new row, and the period is at least that row. *)
+let assign_exceeds t ~task ~pe ~at_least ~above =
+  check_pe t pe;
+  if t.assignment.(task) >= 0 then
+    invalid_arg "Eval.assign_exceeds: task already assigned";
+  validate_rows t;
+  let w = work_on t task pe in
+  let b = lower t.screen t.compute.(pe) w (Float.abs w) in
+  b >= at_least || b > above
 
 (* Decide the gathered probe, then clear the scratch. [true] means the
    exact sweep would find the mutation infeasible or its period

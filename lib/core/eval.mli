@@ -122,16 +122,19 @@ val compute_on : t -> int -> float
 val memory_on : t -> int -> float
 (** Committed local-store bytes on a PE. *)
 
-val bytes_in_on : t -> int -> float
-(** Committed input-interface bytes per period on a PE (task reads plus
-    incoming remote edges). *)
-
-val bytes_out_on : t -> int -> float
-(** Committed output-interface bytes per period on a PE. *)
-
 val dma_in_on : t -> int -> int
 
 val dma_to_ppe_on : t -> int -> int
+
+val rows : t -> Steady_state.loads
+(** The engine's own row arrays, shared, not copied: a loop that reads
+    many rows reads them with one load each, with no accessor call and
+    no boxed float. The arrays are updated in place, never replaced, so
+    one view serves for the engine's lifetime. The DMA counters are
+    always current; the float rows are current after any call that
+    validates them — {!period}, {!feasible}, {!loads}, {!save_rows},
+    {!retract}, {!assign_exceeds} — and until the next mutation. Callers
+    must not write to them. *)
 
 val task_buffer_bytes : t -> int -> float
 (** Sum of the buffer sizes of a task's incident edges — its local-store
@@ -144,19 +147,44 @@ val assign_memory_delta : t -> task:int -> pe:int -> float
 
 (** {1 Mutation}
 
-    [assign]/[unassign] are the branch-and-bound primitives: the caller
-    owns the discipline (they are not journaled). [apply_move] and
-    [apply_swap] journal their inverse; [undo] pops the journal. The two
-    families can be mixed as long as every journaled mutation is undone
-    before the surrounding [assign]/[unassign] frame is closed. *)
+    [assign], [save_rows] and [retract] are the branch-and-bound
+    primitives: a depth-first walk saves the rows at each node it
+    expands, assigns a child, and retracts it last-in first-out, so that
+    backtracking costs O(degree + PEs) and no re-sweep. [apply_move] and
+    [apply_swap] journal their inverse; [undo] pops the journal. A
+    journaled mutation or an [undo] discards every saved row block. *)
 
 val assign : t -> task:int -> pe:int -> unit
 (** Place an unassigned task. O(degree).
     @raise Invalid_argument if the task is assigned or [pe] out of range. *)
 
-val unassign : t -> task:int -> unit
-(** Remove a task's assignment. O(degree).
-    @raise Invalid_argument if the task is not assigned. *)
+val save_rows : t -> unit
+(** Validate the rows and save them for the current depth
+    ([n_assigned]), O(PEs) plus the validation. The first call
+    allocates the engine's backtrack stack, (tasks + 1) x (4 PEs + 2
+    Cells) floats; engines that never backtrack never allocate it. *)
+
+val retract : t -> task:int -> unit
+(** Unassign [task], which must be the last task assigned since the
+    rows of its depth were saved, and restore those rows. The restored
+    state is bitwise the state a fresh engine reaches on the same
+    partial assignment, because the rows are a pure function of the
+    assignment. O(degree + PEs).
+    @raise Invalid_argument if the task is not assigned, or is not the
+    last assignment on top of rows saved by {!save_rows} (a journaled
+    mutation since then counts as no save). *)
+
+val assign_exceeds :
+  t -> task:int -> pe:int -> at_least:float -> above:float -> bool
+(** [true] only if [assign ~task ~pe] would surely give a {!period}
+    [>= at_least] or [> above]; the state is left untouched. The test
+    reads [pe]'s validated compute row [r] and the task's cost [w] there
+    and bounds the new row below by the probe screen's bound (see
+    Probing), [(r + w) - c*eps*(r + w)]: O(PEs) for the validation check, then
+    O(1), and no allocation. The period is at least the compute row, so
+    a [true] implies the exact rule's verdict; [false] decides nothing.
+    @raise Invalid_argument if the task is assigned or [pe] out of
+    range. *)
 
 val apply_move : t -> task:int -> pe:int -> unit
 (** Reassign an assigned task, journaling the inverse for {!undo}. *)

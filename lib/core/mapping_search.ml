@@ -27,19 +27,24 @@ type result = {
   optimal_within_gap : bool;
 }
 
-(* Branch nodes extend one incremental {!Eval} engine: [Eval.assign] on
-   the way down, [Eval.unassign] on backtrack, and the engine is the
+(* Branch nodes extend one incremental {!Eval} engine: [Eval.save_rows]
+   at a node, [Eval.assign] on the way down, [Eval.retract] (a blit of
+   the saved rows, no sweep) on backtrack, and the engine is the
    authority on the committed resource state ([Eval.period] is the
-   assigned-resources bound). The search keeps only its own relaxation
-   machinery: the assignment order, effective costs, knapsack orders and
-   suffix sums feeding the divisible bound. Node expansion allocates
-   no list and no closure: PE ids, the budget and per-depth candidate
-   buffers are arrays built with the state. *)
+   assigned-resources bound). [rows] is the engine's own row arrays,
+   read directly: they are current at node entry, after a retract and
+   after [Eval.period], which is when the search reads them. The search
+   keeps only its own relaxation machinery: the assignment order,
+   effective costs, knapsack orders and suffix sums feeding the
+   divisible bound. Node expansion allocates no list and no closure: PE
+   ids, the budget and per-depth candidate buffers are arrays built
+   with the state. *)
 type state = {
   platform : P.t;
   g : G.t;
   fl : G.flat;
   ev : Eval.t;
+  rows : Steady_state.loads;  (* [Eval.rows ev] *)
   ppes : int array;  (* [P.ppes] and [P.spes], in their order *)
   spes : int array;
   budget : float;  (* SPE local-store bytes for buffers *)
@@ -137,14 +142,17 @@ let make_state ~share platform g =
       Float.max suffix_task_lb.(pos + 1) (Bounds.task_lb bnd k)
   done;
   let n_pes = P.n_pes platform in
+  let ev =
+    Eval.create_empty
+      ~options:{ Eval.share_colocated_buffers = share; tight_pipeline = false }
+      platform g
+  in
   {
     platform;
     g;
     fl = G.flat g;
-    ev =
-      Eval.create_empty
-        ~options:{ Eval.share_colocated_buffers = share; tight_pipeline = false }
-        platform g;
+    ev;
+    rows = Eval.rows ev;
     ppes = Array.of_list (P.ppes platform);
     spes = Array.of_list (P.spes platform);
     budget;
@@ -186,7 +194,7 @@ let to_ppe_fits st k pe =
     let p = Eval.pe_of st.ev fl.G.edge_src.(fl.G.in_ids.(!i)) in
     if
       p >= 0 && p <> pe && P.is_spe st.platform p
-      && Eval.dma_to_ppe_on st.ev p + 1 > st.platform.P.max_dma_to_ppe
+      && st.rows.Steady_state.dma_to_ppe.(p) + 1 > st.platform.P.max_dma_to_ppe
     then ok := false;
     incr i
   done;
@@ -194,17 +202,19 @@ let to_ppe_fits st k pe =
 
 let can_place st k pe =
   if P.is_spe st.platform pe then
-    Eval.memory_on st.ev pe +. Eval.assign_memory_delta st.ev ~task:k ~pe
+    st.rows.Steady_state.memory.(pe)
+    +. Eval.assign_memory_delta st.ev ~task:k ~pe
     <= st.budget +. 1e-9
-    && Eval.dma_in_on st.ev pe + remote_in_edges st k pe
+    && st.rows.Steady_state.dma_in.(pe) + remote_in_edges st k pe
        <= st.platform.P.max_dma_in
   else to_ppe_fits st k pe
 
 (* Sum, in the order of [pes], of [max 0 (t - compute)] over [pes]. *)
 let spare_compute st pes t =
+  let compute = st.rows.Steady_state.compute in
   let acc = ref 0. in
   for i = 0 to Array.length pes - 1 do
-    acc := !acc +. Float.max 0. (t -. Eval.compute_on st.ev pes.(i))
+    acc := !acc +. Float.max 0. (t -. compute.(pes.(i)))
   done;
   !acc
 
@@ -252,15 +262,16 @@ let covers cap need = cap >= need -. (1e-9 *. Float.max 1. need)
    the remaining bytes. O(n_pes), monotone in [t]. *)
 let interface_feasible st ~pos t =
   let tb = t *. st.platform.P.bw and n = P.n_pes st.platform in
+  let { Steady_state.bytes_in; bytes_out; _ } = st.rows in
   let cap = ref 0. in
   for pe = 0 to n - 1 do
-    cap := !cap +. Float.max 0. (tb -. Eval.bytes_in_on st.ev pe)
+    cap := !cap +. Float.max 0. (tb -. bytes_in.(pe))
   done;
   covers !cap st.suffix_reads.(pos)
   && begin
        cap := 0.;
        for pe = 0 to n - 1 do
-         cap := !cap +. Float.max 0. (tb -. Eval.bytes_out_on st.ev pe)
+         cap := !cap +. Float.max 0. (tb -. bytes_out.(pe))
        done;
        covers !cap st.suffix_writes.(pos)
      end
@@ -279,7 +290,7 @@ let divisible_feasible st ~pos t =
   && begin
        let mem_pool = ref 0. in
        for i = 0 to Array.length st.spes - 1 do
-         let free = st.budget -. Eval.memory_on st.ev st.spes.(i) in
+         let free = st.budget -. st.rows.Steady_state.memory.(st.spes.(i)) in
          mem_pool := !mem_pool +. Float.max 0. free
        done;
        offload_fits st ~order_by:st.by_mem_ratio ~amount:st.mem_need
@@ -358,11 +369,15 @@ let subtree_budget = 4096
 let assignment st =
   Array.init (G.n_tasks st.g) (fun k -> Eval.pe_of st.ev k)
 
-(* Offer the complete assignment at a leaf; the period pre-check keeps
-   the per-leaf allocation off the common (losing) path. *)
+(* Offer the complete assignment at a leaf, if it is feasible:
+   [can_place] checks each DMA queue against the placed neighbours only,
+   one edge at a time, so a leaf can still overflow a queue. The period
+   pre-check keeps the per-leaf allocation off the common (losing)
+   path. *)
 let offer_leaf inc st =
   let p = Eval.period st.ev in
-  if p <= Incumbent.period inc then Incumbent.offer inc ~period:p (assignment st)
+  if p <= Incumbent.period inc && Eval.feasible st.ev then
+    Incumbent.offer inc ~period:p (assignment st)
   else false
 
 (* Stable insertion sort of [cands.(lo .. lo + n - 1)] by the keys at
@@ -388,16 +403,17 @@ let sort_candidates cands keys lo n =
    compute load) first, ties keeping the PPE-before-SPE base order. *)
 let candidates st pos k =
   let lo = pos * P.n_pes st.platform and np = Array.length st.ppes in
+  let compute = st.rows.Steady_state.compute in
   for i = 0 to np - 1 do
     let pe = st.ppes.(i) in
     st.cands.(lo + i) <- pe;
-    st.keys.(lo + i) <- Eval.compute_on st.ev pe +. st.w_ppe.(k)
+    st.keys.(lo + i) <- compute.(pe) +. st.w_ppe.(k)
   done;
   let ns = min (st.used_spes + 1) (Array.length st.spes) in
   for s = 0 to ns - 1 do
     let pe = st.spes.(s) in
     st.cands.(lo + np + s) <- pe;
-    st.keys.(lo + np + s) <- Eval.compute_on st.ev pe +. st.w_spe.(k)
+    st.keys.(lo + np + s) <- compute.(pe) +. st.w_spe.(k)
   done;
   sort_candidates st.cands st.keys lo (np + ns);
   np + ns
@@ -495,21 +511,30 @@ let run_task ~share ctx platform g prefix =
         end
         else begin
           let k = st.order.(pos) in
+          Eval.save_rows st.ev;
           let n = candidates st pos k in
           for i = pos * n_pes to (pos * n_pes) + n - 1 do
             let pe = st.cands.(i) in
-            if can_place st k pe then begin
-              let was_used = st.used_spes in
-              bump_used_spes st pe;
-              Eval.assign st.ev ~task:k ~pe;
+            if can_place st k pe then
+              (* The child's own compute row settles most prunes in
+                 O(1), before the assign and its sweep; a rejection
+                 implies [child_pruned]'s, and is counted the same. *)
               if
-                child_pruned st ~pos:(pos + 1) ~det_thr:ctx.det_thr
-                  ~inc:ctx.inc
+                Eval.assign_exceeds st.ev ~task:k ~pe ~at_least:ctx.det_thr
+                  ~above:(Incumbent.period ctx.inc)
               then incr pruned
-              else explore (pos + 1);
-              Eval.unassign st.ev ~task:k;
-              st.used_spes <- was_used
-            end
+              else begin
+                let was_used = st.used_spes in
+                bump_used_spes st pe;
+                Eval.assign st.ev ~task:k ~pe;
+                if
+                  child_pruned st ~pos:(pos + 1) ~det_thr:ctx.det_thr
+                    ~inc:ctx.inc
+                then incr pruned
+                else explore (pos + 1);
+                Eval.retract st.ev ~task:k;
+                st.used_spes <- was_used
+              end
           done
         end
       end

@@ -35,6 +35,16 @@
     the root and the result is proven within gap after a few tens of
     thousands of nodes.
 
+    A child costs O(PEs) unless it survives. The node's rows are saved
+    ({!Eval.save_rows}) and read as flat arrays; a child that fits the
+    local store and the DMA queues is first bounded by its own PE's
+    compute row ({!Eval.assign_exceeds}), which rules out most children
+    without touching the engine and prunes exactly what the full test
+    would. A survivor is assigned, bounded, and retracted by restoring
+    the saved rows ({!Eval.retract}) rather than re-sweeping them. A
+    leaf becomes an incumbent only if {!Eval.feasible} accepts it: the
+    placement test checks each DMA queue one edge at a time.
+
     The tree is explored as {e node-budgeted subtree tasks}: each task
     searches one open prefix depth-first and, when its budget runs out,
     hands every still-open branch back as a fresh task — so no work is

@@ -587,18 +587,174 @@ let test_partial_assignment_consistency () =
   (* Assign everything in topological order; the complete state coincides
      with scratch. *)
   let order = G.topological_order g in
-  Array.iter (fun k -> E.assign ev ~task:k ~pe:(k mod P.n_pes platform)) order;
+  Array.iter
+    (fun k ->
+      E.save_rows ev;
+      E.assign ev ~task:k ~pe:(k mod P.n_pes platform))
+    order;
   let m = E.mapping ev in
   check_loads_equal (E.loads ev) (SS.loads platform g m);
-  (* Unassign half and reassign elsewhere: still consistent. *)
-  for k = 0 to (G.n_tasks g / 2) - 1 do
-    E.unassign ev ~task:k
+  (* Retract the last half, last first, and reassign elsewhere: still
+     consistent. *)
+  let nk = G.n_tasks g in
+  for i = nk - 1 downto nk / 2 do
+    E.retract ev ~task:order.(i)
   done;
-  for k = 0 to (G.n_tasks g / 2) - 1 do
+  Alcotest.(check int) "half assigned" (nk / 2) (E.n_assigned ev);
+  for i = nk / 2 to nk - 1 do
+    let k = order.(i) in
     E.assign ev ~task:k ~pe:((k + 1) mod P.n_pes platform)
   done;
   let m' = E.mapping ev in
-  check_loads_equal (E.loads ev) (SS.loads platform g m')
+  check_loads_equal (E.loads ev) (SS.loads platform g m');
+  (* A journaled mutation discards the saved rows: once the first task
+     has moved, the rows saved on top of its old PE describe no prefix
+     of the state, even after a later save deeper down. *)
+  let ev = E.create_empty platform g in
+  let a = order.(0) and b = order.(1) in
+  E.save_rows ev;
+  E.assign ev ~task:a ~pe:0;
+  E.save_rows ev;
+  E.assign ev ~task:b ~pe:0;
+  E.apply_move ev ~task:a ~pe:1;
+  E.save_rows ev;
+  Alcotest.check_raises "retract after a journaled move"
+    (Invalid_argument "Eval.retract: no rows saved before this assignment")
+    (fun () -> E.retract ev ~task:b)
+
+(* --- backtracking ----------------------------------------------------------
+
+   The branch-and-bound walk: [save_rows] at a node, [assign] a child,
+   [retract] it last-in first-out, several children per saved node.
+   Property (i): after every step the rows — read through [E.rows]
+   before anything re-validates them — and the period are bitwise those
+   of a fresh engine given the same partial assignment. Property (ii):
+   whenever [assign_exceeds] rejects a child, the exact rule prunes it
+   ([E.period] after the assign [>= at_least] or [> above]); and when
+   the child's new compute row clearly passes [at_least], it rejects, so
+   the check is not vacuous. Random DAGs on QS22 with 1-8 SPEs; a
+   quarter of the cases on both Cells of a QS22, so that the link rows
+   are saved and restored too. *)
+
+let backtrack_setup ~share ~tight (seed, n) =
+  let n = max 5 n and seed = abs seed in
+  let salt = (if share then 1_000_000 else 0) + if tight then 2_000_000 else 0 in
+  let rng = Support.Rng.create (seed + salt + 17_000_000) in
+  let g = random_graph rng n in
+  let n_spe = 1 + Support.Rng.int rng 8 in
+  let platform =
+    if Support.Rng.int rng 4 = 0 then P.qs22_dual ~n_spe:(2 * n_spe) ()
+    else P.qs22 ~n_spe ()
+  in
+  let options = options_of ~share ~tight in
+  (rng, g, platform, options, E.create_empty ~options platform g)
+
+(* A fresh engine on [ev]'s partial assignment. *)
+let fresh options ev =
+  let g = E.graph ev in
+  let f = E.create_empty ~options (E.platform ev) g in
+  for k = 0 to G.n_tasks g - 1 do
+    if E.pe_of ev k >= 0 then E.assign f ~task:k ~pe:(E.pe_of ev k)
+  done;
+  f
+
+(* One step of a random walk: descend (saving the node's rows unless a
+   sibling already did) or backtrack the last assignment; [true] when it
+   backtracked. *)
+let walk_step rng ev stack saved =
+  let g = E.graph ev in
+  let nk = G.n_tasks g and npes = P.n_pes (E.platform ev) in
+  let d = E.n_assigned ev in
+  if d < nk && (Stack.is_empty stack || Support.Rng.int rng 5 < 3) then begin
+    if not saved.(d) then begin
+      E.save_rows ev;
+      saved.(d) <- true
+    end;
+    let free = List.filter (fun k -> E.pe_of ev k < 0) (List.init nk Fun.id) in
+    let k = List.nth free (Support.Rng.int rng (List.length free)) in
+    E.assign ev ~task:k ~pe:(Support.Rng.int rng npes);
+    saved.(d + 1) <- false;
+    Stack.push k stack;
+    false
+  end
+  else begin
+    E.retract ev ~task:(Stack.pop stack);
+    true
+  end
+
+let backtrack_is_exact ~share ~tight =
+  QCheck.Test.make ~count:60
+    ~name:
+      (Printf.sprintf "save/assign/retract match a fresh engine (share=%b, tight=%b)"
+         share tight)
+    QCheck.(pair (int_bound 100_000) (int_range 5 25))
+    (fun case ->
+      let rng, g, _, options, ev = backtrack_setup ~share ~tight case in
+      let stack = Stack.create () in
+      let saved = Array.make (G.n_tasks g + 1) false in
+      for _ = 1 to 4 * G.n_tasks g do
+        let retracted = walk_step rng ev stack saved in
+        let f = fresh options ev in
+        let want = E.loads f in
+        (* Right after a retract the rows are current without a sweep. *)
+        if retracted then check_loads_equal (E.rows ev) want;
+        check_loads_equal (E.loads ev) want;
+        if Int64.bits_of_float (E.period ev) <> Int64.bits_of_float (E.period f)
+        then QCheck.Test.fail_reportf "period differs"
+      done;
+      true)
+
+let assign_exceeds_is_sound ~share =
+  QCheck.Test.make ~count:60
+    ~name:(Printf.sprintf "assign_exceeds rejects only pruned children (share=%b)" share)
+    QCheck.(pair (int_bound 100_000) (int_range 5 25))
+    (fun case ->
+      let rng, g, platform, _, ev = backtrack_setup ~share ~tight:false case in
+      let stack = Stack.create () in
+      let saved = Array.make (G.n_tasks g + 1) false in
+      let nk = G.n_tasks g and npes = P.n_pes platform in
+      for _ = 1 to 2 * nk do
+        ignore (walk_step rng ev stack saved);
+        let d = E.n_assigned ev in
+        if d < nk then begin
+          E.save_rows ev;
+          saved.(d) <- true;
+          for k = 0 to nk - 1 do
+            if E.pe_of ev k < 0 then
+              for pe = 0 to npes - 1 do
+                E.assign ev ~task:k ~pe;
+                let p = E.period ev and c = (E.rows ev).SS.compute.(pe) in
+                E.retract ev ~task:k;
+                List.iter
+                  (fun (at_least, above) ->
+                    let rejects =
+                      E.assign_exceeds ev ~task:k ~pe ~at_least ~above
+                    in
+                    if rejects && not (p >= at_least || p > above) then
+                      QCheck.Test.fail_reportf
+                        "task %d on PE %d rejected at (%h, %h), period %h" k pe
+                        at_least above p;
+                    if (not rejects) && c > at_least *. (1. +. 1e-9) then
+                      QCheck.Test.fail_reportf
+                        "task %d on PE %d passed at %h, compute row %h" k pe
+                        at_least c)
+                  [
+                    (p, infinity);
+                    (Float.pred p, infinity);
+                    (Float.succ p, infinity);
+                    (c, infinity);
+                    (Float.pred c, infinity);
+                    (0.99 *. c, infinity);
+                    (infinity, p);
+                    (infinity, Float.pred p);
+                    (infinity, Float.pred c);
+                    (infinity, 0.99 *. c);
+                  ]
+              done
+          done
+        end
+      done;
+      true)
 
 (* --- the bottleneck-directed neighbourhood ---------------------------------
 
@@ -1057,6 +1213,12 @@ let () =
         [
           Alcotest.test_case "assign/unassign consistency" `Quick
             test_partial_assignment_consistency;
+          qt (backtrack_is_exact ~share:false ~tight:false);
+          qt (backtrack_is_exact ~share:true ~tight:false);
+          qt (backtrack_is_exact ~share:false ~tight:true);
+          qt (backtrack_is_exact ~share:true ~tight:true);
+          qt (assign_exceeds_is_sound ~share:false);
+          qt (assign_exceeds_is_sound ~share:true);
         ] );
       ( "golden",
         [

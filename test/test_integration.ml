@@ -133,10 +133,27 @@ let exact_certification_end_to_end =
       | Ok () -> true
       | Error msg -> QCheck.Test.fail_reportf "certification failed: %s" msg)
 
+(* Case 9812 of [full_stack]: hardest-first branch and bound reached a
+   leaf whose SPE2 sends 9 transfers to the PPE against a limit of 8.
+   [can_place] counts each DMA queue against the placed neighbours one
+   edge at a time, so only the leaf's feasibility check rejects it. *)
+let test_bb_leaf_feasible () =
+  let g, platform = random_setup 9812 in
+  let options = { Cellsched.Milp_solver.default_options with time_limit = 5. } in
+  let r = Cellsched.Milp_solver.solve ~options platform g in
+  Alcotest.(check bool)
+    "solver mapping feasible" true
+    (SS.feasible platform g r.Cellsched.Milp_solver.mapping)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "integration"
     [
       ( "stack",
         [ qt full_stack; qt multi_cell_stack; qt exact_certification_end_to_end ] );
+      ( "regressions",
+        [
+          Alcotest.test_case "B&B leaf over a DMA queue (case 9812)" `Quick
+            test_bb_leaf_feasible;
+        ] );
     ]

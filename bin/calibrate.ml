@@ -2,7 +2,7 @@
 
    Prints the Fig. 7/Fig. 8 shapes — simulated and predicted speed-ups for
    every strategy across SPE counts and CCR values — so that changes to the
-   cost model (Streaming.Ccr.ops_per_second, Daggen cost ranges, simulator
+   cost model (ops_per_second in Streaming.Ccr, Daggen cost ranges, simulator
    overheads) can be re-checked against the paper's target shapes quickly.
    See DESIGN.md section "Implementation notes" for the calibration story. *)
 

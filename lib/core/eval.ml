@@ -18,11 +18,11 @@ let m_exact_probes =
     "search_eval_exact_probes_total"
 
 let m_moves =
-  Obs.Metrics.counter ~help:"Journaled apply_move mutations"
+  Obs.Metrics.counter ~help:"apply_move mutations"
        "search_eval_moves_total"
 
 let m_swaps =
-  Obs.Metrics.counter ~help:"Journaled apply_swap mutations"
+  Obs.Metrics.counter ~help:"apply_swap mutations"
        "search_eval_swaps_total"
 
 let m_row_recomputes =
@@ -32,10 +32,6 @@ let m_row_recomputes =
 let m_sweeps =
   Obs.Metrics.counter ~help:"Batched dirty-row recomputation sweeps"
        "search_eval_row_sweeps_total"
-
-(* Journal entries for [apply_move]/[apply_swap]: the data needed to
-   reverse the mutation. *)
-type op = Move of int * int  (* task, previous PE *) | Swap of int * int
 
 (* Scratch of the probe screen ([probe_move_below]/[probe_swap_below]):
    what one move or swap does to each row, gathered in one pass over the
@@ -94,7 +90,6 @@ type t = {
   mutable links_dirty : bool;
   buff : float array;  (* per-edge buffer bytes *)
   mutable buff_dirty : bool;  (* only under [tight_pipeline] *)
-  mutable journal : op list;
   (* Preallocated scratch for the probe fast path: a probe saves the
      validated float state, mutates, evaluates, reverses the integer
      state and blits the floats back — a bitwise restoration with no
@@ -120,12 +115,10 @@ type t = {
   mutable snap_valid : int;
 }
 
-let options t = t.opts
 let platform t = t.platform
 let graph t = t.g
 let pe_of t k = t.assignment.(k)
 let n_assigned t = t.n_assigned
-let undo_depth t = List.length t.journal
 
 (* --- buffer sizes --------------------------------------------------- *)
 
@@ -378,7 +371,6 @@ let create_empty ?(options = default_options) platform g =
       links_dirty = false;
       buff = Steady_state.buffer_sizes ~first_periods:(Steady_state.first_periods g) g;
       buff_dirty = false;
-      journal = [];
       save_compute = Array.make n 0.;
       save_bytes_in = Array.make n 0.;
       save_bytes_out = Array.make n 0.;
@@ -546,7 +538,7 @@ let feasible t =
   done;
   !ok
 
-(* --- journaled mutations and probing --------------------------------- *)
+(* --- mutations and probing ---------------------------------------------- *)
 
 let check_move name t ~task ~pe =
   check_pe t pe;
@@ -554,17 +546,16 @@ let check_move name t ~task ~pe =
   if old_pe < 0 then invalid_arg (name ^ ": task not assigned");
   old_pe
 
-(* A journaled mutation changes the first [n_assigned] assignments, so
-   no saved block describes a prefix of the new state. *)
+(* A move or swap changes the first [n_assigned] assignments, so no
+   saved block describes a prefix of the new state. *)
 let forget_saves t =
   t.snap_floor <- t.n_assigned;
   t.snap_valid <- t.n_assigned
 
 let apply_move t ~task ~pe =
-  let old_pe = check_move "Eval.apply_move" t ~task ~pe in
+  ignore (check_move "Eval.apply_move" t ~task ~pe : int);
   detach t task;
   attach t task pe;
-  t.journal <- Move (task, old_pe) :: t.journal;
   forget_saves t;
   if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_moves
 
@@ -581,26 +572,8 @@ let apply_swap t k1 k2 =
   detach t k2;
   attach t k1 p2;
   attach t k2 p1;
-  t.journal <- Swap (k1, k2) :: t.journal;
   forget_saves t;
   if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_swaps
-
-let undo t =
-  match t.journal with
-  | [] -> invalid_arg "Eval.undo: empty journal"
-  | Move (task, old_pe) :: rest ->
-      t.journal <- rest;
-      forget_saves t;
-      detach t task;
-      attach t task old_pe
-  | Swap (k1, k2) :: rest ->
-      t.journal <- rest;
-      forget_saves t;
-      let p1 = t.assignment.(k1) and p2 = t.assignment.(k2) in
-      detach t k1;
-      detach t k2;
-      attach t k1 p2;
-      attach t k2 p1
 
 (* Probe fast path: snapshot the fully validated float state, mutate,
    evaluate, reverse the integer state with the mirror detach/attach

@@ -73,8 +73,6 @@ val create_empty : ?options:options -> Cell.Platform.t -> Streaming.Graph.t -> t
 (** Engine with every task unassigned — the root of a placement walk or a
     branch-and-bound tree. *)
 
-val options : t -> options
-
 val platform : t -> Cell.Platform.t
 
 val graph : t -> Streaming.Graph.t
@@ -151,8 +149,8 @@ val assign_memory_delta : t -> task:int -> pe:int -> float
     primitives: a depth-first walk saves the rows at each node it
     expands, assigns a child, and retracts it last-in first-out, so that
     backtracking costs O(degree + PEs) and no re-sweep. [apply_move] and
-    [apply_swap] journal their inverse; [undo] pops the journal. A
-    journaled mutation or an [undo] discards every saved row block. *)
+    [apply_swap] are local search's mutations; either discards every
+    saved row block. *)
 
 val assign : t -> task:int -> pe:int -> unit
 (** Place an unassigned task. O(degree).
@@ -171,8 +169,8 @@ val retract : t -> task:int -> unit
     partial assignment, because the rows are a pure function of the
     assignment. O(degree + PEs).
     @raise Invalid_argument if the task is not assigned, or is not the
-    last assignment on top of rows saved by {!save_rows} (a journaled
-    mutation since then counts as no save). *)
+    last assignment on top of rows saved by {!save_rows} (an
+    {!apply_move} or {!apply_swap} since then counts as no save). *)
 
 val assign_exceeds :
   t -> task:int -> pe:int -> at_least:float -> above:float -> bool
@@ -187,19 +185,14 @@ val assign_exceeds :
     range. *)
 
 val apply_move : t -> task:int -> pe:int -> unit
-(** Reassign an assigned task, journaling the inverse for {!undo}. *)
+(** Reassign an assigned task. O(degree). A caller that wants the
+    previous state back moves the task to its old PE ({!pe_of}). *)
 
 val apply_swap : t -> int -> int -> unit
-(** Exchange the PEs of two assigned tasks (one journal entry).
+(** Exchange the PEs of two assigned tasks; swapping them again
+    restores the previous state. O(degree).
     @raise Invalid_argument if the two tasks are the same, before any
     mutation. *)
-
-val undo : t -> unit
-(** Revert the most recent un-undone {!apply_move}/{!apply_swap}.
-    @raise Invalid_argument on an empty journal. *)
-
-val undo_depth : t -> int
-(** Number of journaled mutations not yet undone. *)
 
 (** {1 Probing (evaluate without committing)}
 

@@ -1,7 +1,7 @@
 (** Shared best-solution cell for concurrent searches.
 
     An incumbent is the best feasible mapping seen so far, compared by
-    the {e strict total order} (period, then {!Mapping.fingerprint},
+    the {e strict total order} (period, then {!Mapping.fingerprint_array},
     then the raw assignment lexicographically). Because the order is
     total and candidate insertion is a retry-CAS fold over it, the
     final content depends only on the {e set} of candidates offered,
@@ -19,17 +19,9 @@ val create : unit -> t
 val of_option : (float * int array) option -> t
 (** Seeded with an initial solution (the array is copied). *)
 
-val entry : period:float -> int array -> entry
-(** Build a candidate (copies the array, computes the fingerprint). *)
-
-val better : entry -> entry -> bool
-(** [better a b] — strictly better under the total order above. *)
-
 val offer : t -> period:float -> int array -> bool
 (** Install the candidate iff it beats the current content; [true]
     when it did. Lock-free; safe from any domain. *)
-
-val offer_entry : t -> entry -> bool
 
 val best : t -> entry option
 

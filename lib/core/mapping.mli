@@ -11,9 +11,6 @@ val make : Cell.Platform.t -> Streaming.Graph.t -> int array -> t
     task [k].
     @raise Invalid_argument on arity mismatch or out-of-range PE index. *)
 
-val all_on : Cell.Platform.t -> Streaming.Graph.t -> int -> t
-(** Every task on the given PE. *)
-
 val all_on_ppe : Cell.Platform.t -> Streaming.Graph.t -> t
 (** The paper's speed-up baseline: everything on PPE0. *)
 
@@ -34,15 +31,10 @@ val is_remote : t -> Streaming.Graph.edge -> bool
 val to_array : t -> int array
 (** Fresh copy of the assignment. *)
 
-val equal : t -> t -> bool
-
-val fingerprint : t -> int64
-(** Order-sensitive FNV-1a hash of the assignment — a stable,
-    platform-independent key used to break period ties
-    deterministically in parallel searches. *)
-
 val fingerprint_array : int array -> int64
-(** {!fingerprint} on a raw assignment array (no validation). *)
+(** Order-sensitive FNV-1a hash of an assignment (no validation) — a
+    stable, platform-independent key used to break period ties
+    deterministically in parallel searches. *)
 
 val pp : Cell.Platform.t -> Streaming.Graph.t -> Format.formatter -> t -> unit
 (** Per-PE listing of the hosted tasks. *)

@@ -33,8 +33,6 @@ type result = {
   solve_time : float;
 }
 
-let predicted_throughput r = r.throughput
-
 let finish ~share ~start ~platform ~g ~mapping ~lower_bound ~proven ~nodes =
   let period =
     Eval.scratch_period

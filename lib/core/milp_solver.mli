@@ -64,7 +64,3 @@ val solve :
     bound early, in either engine, returning the best incumbent so far
     with [proven_within_gap = false] — the heuristic seed guarantees a
     feasible mapping even under immediate cancellation. *)
-
-val predicted_throughput : result -> float
-(** Synonym of [r.throughput]: the theoretical throughput of the mapping,
-    as plotted in the paper's Fig. 6. *)

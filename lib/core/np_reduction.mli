@@ -14,11 +14,6 @@ type mms_instance = {
   bound : float;  (** Makespan bound [B']. *)
 }
 
-val to_cell_instance :
-  mms_instance -> Cell.Platform.t * Streaming.Graph.t * float
-(** The Cell-Mapping instance [(platform, chain graph, throughput bound)]
-    of the proof: machine 1 becomes the PPE, machine 2 the SPE. *)
-
 val mapping_of_allocation : mms_instance -> int array -> Cell.Platform.t * Mapping.t
 (** Encode a machine allocation ([0] = machine 1, [1] = machine 2) as a
     mapping of the reduced instance. *)

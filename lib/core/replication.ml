@@ -26,8 +26,6 @@ let of_mapping platform g mapping =
   make platform g
     (Array.init (G.n_tasks g) (fun k -> [ Mapping.pe mapping k ]))
 
-let replicas t k = Array.to_list t.reps.(k)
-
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 let lcm a b = a / gcd a b * b
 

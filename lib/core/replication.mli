@@ -27,8 +27,6 @@ val of_mapping : Cell.Platform.t -> Streaming.Graph.t -> Mapping.t -> t
 (** Degenerate replication (one replica per task): same loads as
     {!Steady_state.loads}. *)
 
-val replicas : t -> int -> int list
-
 val loads : Cell.Platform.t -> Streaming.Graph.t -> t -> Steady_state.loads
 (** Per-PE resource usage per period: compute split evenly across replicas;
     every data instance shipped from its producing replica to each
@@ -36,7 +34,6 @@ val loads : Cell.Platform.t -> Streaming.Graph.t -> t -> Steady_state.loads
     free); buffers allocated in full on every replica (the conservative
     model the paper assumes when arguing buffers grow). *)
 
-val period : Cell.Platform.t -> Streaming.Graph.t -> t -> float
 val throughput : Cell.Platform.t -> Streaming.Graph.t -> t -> float
 
 val violations :

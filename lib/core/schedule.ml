@@ -19,7 +19,6 @@ let build platform g mapping =
   in
   { platform; g; mapping; fp; period_seconds }
 
-let period t = t.period_seconds
 let throughput t = if t.period_seconds > 0. then 1. /. t.period_seconds else infinity
 let first_period t k = t.fp.(k)
 let warmup_periods t = Array.fold_left max 0 t.fp

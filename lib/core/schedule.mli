@@ -26,9 +26,6 @@ val build : Cell.Platform.t -> Streaming.Graph.t -> Mapping.t -> t
 (** Analyze the mapping; uses the paper's mapping-independent
     [firstPeriod]. *)
 
-val period : t -> float
-(** Duration [T] of one period (seconds). *)
-
 val throughput : t -> float
 
 val first_period : t -> int -> int

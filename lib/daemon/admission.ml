@@ -30,7 +30,6 @@ let create ~bound =
     inflight = 0;
   }
 
-let bound t = t.bound
 let pending t = Key_heap.length t.heap
 let inflight t = t.inflight
 let load t = pending t + t.inflight

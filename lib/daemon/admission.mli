@@ -13,8 +13,6 @@ type 'a t
 val create : bound:int -> 'a t
 (** @raise Invalid_argument on a non-positive bound. *)
 
-val bound : 'a t -> int
-
 val pending : 'a t -> int
 (** Admitted but not yet dispatched. *)
 

@@ -53,10 +53,6 @@ type parsed =
   | Malformed of { id : string option; reason : string }
       (** Reply with [ERROR]; [id] is echoed when it parsed. *)
 
-val max_id_length : int
-
-val valid_id : string -> bool
-
 val parse :
   load_graph:(string -> Streaming.Graph.t) ->
   ?default_spes:int ->

@@ -786,26 +786,41 @@ let write_all fd s =
   in
   go 0
 
-(* Split complete lines out of [buf], leaving a trailing partial line
-   (no '\n' yet) buffered for the next read. *)
-let drain_lines buf f =
-  if Buffer.length buf > 0 then begin
-    let s = Buffer.contents buf in
-    match String.index_opt s '\n' with
-    | None -> ()
-    | Some _ ->
-        Buffer.clear buf;
-        let n = String.length s in
-        let rec go start =
-          if start < n then
-            match String.index_from_opt s start '\n' with
-            | Some i ->
-                f (String.sub s start (i - start));
-                go (i + 1)
-            | None -> Buffer.add_substring buf s start (n - start)
-        in
-        go 0
-  end
+(* Line framing, shared by both serve loops. [pending] holds the bytes
+   after the last '\n' of the stream so far. [feed_lines] hands each line
+   that [chunk.[0 .. n-1]] completes to [f], in order and without its
+   '\n', and keeps the unterminated rest. It scans only the new bytes, so
+   a line that arrives in many chunks costs O(its length) in all. *)
+let feed_lines pending chunk n f =
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    if Bytes.get chunk i = '\n' then begin
+      let len = i - !start in
+      if Buffer.length pending = 0 then f (Bytes.sub_string chunk !start len)
+      else begin
+        Buffer.add_subbytes pending chunk !start len;
+        let line = Buffer.contents pending in
+        Buffer.clear pending;
+        f line
+      end;
+      start := i + 1
+    end
+  done;
+  Buffer.add_subbytes pending chunk !start (n - !start)
+
+(* One read from [fd] through [feed_lines]; [false] at end of input. An
+   interrupted read reads nothing. *)
+let read_lines fd chunk pending f =
+  match Unix.read fd chunk 0 (Bytes.length chunk) with
+  | 0 -> false
+  | n ->
+      feed_lines pending chunk n f;
+      true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+
+(* A final line without a trailing newline still deserves a reply. *)
+let final_line pending f =
+  if Buffer.length pending > 0 then f (Buffer.contents pending)
 
 let install_signals t =
   let handler = Sys.Signal_handle (fun _ -> request_shutdown t) in
@@ -831,18 +846,11 @@ let serve_fd ?on_reply ?load_graph config ~input ~output =
          | r, _, _ -> r <> []
          | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
        in
-       if readable then
-         match Unix.read input chunk 0 (Bytes.length chunk) with
-         | 0 -> eof := true
-         | n ->
-             Buffer.add_subbytes buf chunk 0 n;
-             drain_lines buf (handle_line t ~out)
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+       if readable && not (read_lines input chunk buf (handle_line t ~out))
+       then eof := true);
     poll t
   done;
-  (* A final line without a trailing newline still deserves a reply. *)
-  if Buffer.length buf > 0 && not (shutdown_requested t) then
-    handle_line t ~out (Buffer.contents buf);
+  if not (shutdown_requested t) then final_line buf (handle_line t ~out);
   if shutdown_requested t then shutdown t else finish t;
   t
 
@@ -885,16 +893,12 @@ let serve_socket ?on_reply ?load_graph config ~path =
               match Hashtbl.find_opt clients fd with
               | None -> ()
               | Some buf -> (
-                  match Unix.read fd chunk 0 (Bytes.length chunk) with
-                  | 0 ->
-                      if Buffer.length buf > 0 then
-                        handle_line t ~out:(client_out fd)
-                          (Buffer.contents buf);
+                  let reply = handle_line t ~out:(client_out fd) in
+                  match read_lines fd chunk buf reply with
+                  | true -> ()
+                  | false ->
+                      final_line buf reply;
                       close_client fd
-                  | n ->
-                      Buffer.add_subbytes buf chunk 0 n;
-                      drain_lines buf (handle_line t ~out:(client_out fd))
-                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
                   | exception Unix.Unix_error _ -> close_client fd))
           readable
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
@@ -905,3 +909,14 @@ let serve_socket ?on_reply ?load_graph config ~path =
   (try Unix.close srv with Unix.Unix_error _ -> ());
   (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
   t
+
+module For_testing = struct
+  let split_lines chunks =
+    let pending = Buffer.create 16 and lines = ref [] in
+    let add line = lines := line :: !lines in
+    List.iter
+      (fun c -> feed_lines pending (Bytes.of_string c) (String.length c) add)
+      chunks;
+    final_line pending add;
+    List.rev !lines
+end

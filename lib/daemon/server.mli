@@ -171,15 +171,6 @@ val idle : t -> bool
 val drain : t -> unit
 (** {!poll} until {!idle} — lets outstanding work complete normally. *)
 
-val flush : t -> unit
-(** Persist now: cache to [cache_path] (atomic, forced) and the
-    metrics file, when configured. *)
-
-val request_shutdown : t -> unit
-(** Signal-safe: sets the atomic stop flag, which also cancels
-    in-flight solves at their next check. The serve loops notice it on
-    their next iteration; engine users should call {!shutdown}. *)
-
 val shutdown_requested : t -> bool
 
 val finish : t -> unit
@@ -213,3 +204,12 @@ val serve_socket :
     clients with [select], ignore SIGPIPE, swallow writes to
     disconnected clients. [QUIT] or a signal stops the whole server
     ({!shutdown}); the socket file is unlinked on exit. *)
+
+(** {1 Testing hooks} *)
+
+module For_testing : sig
+  val split_lines : string list -> string list
+  (** The lines both serve loops hand to the engine when the input
+      arrives cut into the given chunks, an unterminated final line
+      included. *)
+end

@@ -34,14 +34,7 @@ let rec add a b =
 
 let scale k t = if k = 0. then [] else List.map (fun (v, c) -> (v, k *. c)) t
 let neg t = scale (-1.) t
-let sub a b = add a (neg b)
 let sum ts = List.fold_left add zero ts
-
-let coeff t v =
-  match List.assoc_opt v t with Some c -> c | None -> 0.
-
-let is_zero t = t = []
-let n_terms = List.length
 
 let eval f t = List.fold_left (fun acc (v, c) -> acc +. (c *. f v)) 0. t
 

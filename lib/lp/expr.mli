@@ -18,18 +18,10 @@ val to_list : t -> (int * float) list
 (** Terms with increasing variable index and non-zero coefficients. *)
 
 val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
 val neg : t -> t
 
 val sum : t list -> t
 (** Sum of many expressions (linear-time merge). *)
-
-val coeff : t -> int -> float
-(** Coefficient of a variable (0 if absent). *)
-
-val is_zero : t -> bool
-val n_terms : t -> int
 
 val eval : (int -> float) -> t -> float
 (** Evaluate under a variable assignment. *)

@@ -61,7 +61,6 @@ let set_objective t sense expr =
   t.obj_sense <- sense;
   t.obj <- expr
 
-let name t = t.pname
 let n_vars t = t.nv
 let n_constrs t = t.nc
 
@@ -71,10 +70,6 @@ let check_var t v =
 let var_name t v =
   check_var t v;
   t.vars.(v).vname
-
-let var_kind t v =
-  check_var t v;
-  t.vars.(v).vkind
 
 let lower_bound t v =
   check_var t v;

@@ -39,11 +39,9 @@ val set_objective : t -> sense -> Expr.t -> unit
 
 (** {1 Read-only access (for solvers)} *)
 
-val name : t -> string
 val n_vars : t -> int
 val n_constrs : t -> int
 val var_name : t -> var -> string
-val var_kind : t -> var -> kind
 val lower_bound : t -> var -> float
 val upper_bound : t -> var -> float
 val bounds_arrays : t -> float array * float array

@@ -67,9 +67,6 @@ type stats = {
   mutable warm_failures : int;  (** Warm starts that fell back cold. *)
 }
 
-val stats : stats
-(** Global counters (for benchmarks/diagnostics). *)
-
 val solve : ?lb:float array -> ?ub:float array -> Problem.t -> result
 (** Solve the LP relaxation. [lb]/[ub], when given, override the problem's
     variable bounds (arrays of length [Problem.n_vars]); this is how

@@ -63,7 +63,6 @@ let ring ?(capacity = 65536) ?(pid = 1) ~clock () =
     }
 
 let enabled = function Null -> false | Ring _ -> true
-let clock = function Null -> None | Ring r -> Some r.r_clock
 
 let emit sink ?(cat = "") ?(tid = 0) ?ts ?(phase = Instant) ?(args = []) name =
   match sink with
@@ -80,7 +79,6 @@ let emit sink ?(cat = "") ?(tid = 0) ?ts ?(phase = Instant) ?(args = []) name =
       r.buf.(r.next) <- e;
       r.next <- (r.next + 1) mod cap
 
-let length = function Null -> 0 | Ring r -> r.filled
 let dropped = function Null -> 0 | Ring r -> r.dropped
 
 let events = function

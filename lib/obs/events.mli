@@ -71,8 +71,6 @@ val ring : ?capacity:int -> ?pid:int -> clock:Clock.t -> unit -> sink
 val enabled : sink -> bool
 (** [false] only for {!null} — the guard instrumentation sites use. *)
 
-val clock : sink -> Clock.t option
-
 val emit :
   sink ->
   ?cat:string ->
@@ -86,7 +84,6 @@ val emit :
     defaults to {!Instant}; [cat] to [""]; [tid] to [0]. No-op on
     {!null}. *)
 
-val length : sink -> int
 val dropped : sink -> int
 
 val events : sink -> event list

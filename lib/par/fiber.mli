@@ -59,6 +59,3 @@ val parallel_map : ?pool:Pool.t -> ('a -> 'b) -> 'a array -> 'b array
     every fiber has finished; if any failed, re-raises the
     lowest-index error (deterministic, like {!Pool.parallel_map}).
     Same [?pool] defaulting as {!spawn}. *)
-
-val poll : 'a t -> ('a, exn * Printexc.raw_backtrace) result option
-(** Nonblocking completion probe. *)

@@ -77,11 +77,6 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
     error. Empty and singleton arrays are evaluated in the calling
     domain without touching the pool. *)
 
-val parallel_for : t -> ?chunk:int -> int -> (int -> unit) -> unit
-(** [parallel_for pool n f] runs [f i] for [0 <= i < n], grouped into
-    contiguous chunks (default: a balanced split over ~4 tasks per
-    worker). Same completion and error semantics as {!parallel_map}. *)
-
 val parallel_grow : t -> ('a -> 'a array) -> 'a array -> unit
 (** Dynamic fan-out: run [f] on every root item; the items [f] returns
     are resubmitted as fresh tasks (stolen like any other work), until
@@ -93,15 +88,6 @@ val parallel_grow : t -> ('a -> 'a array) -> 'a array -> unit
     no stable index order, so unlike {!parallel_map} the choice is not
     deterministic; callers needing determinism must capture their own
     errors. *)
-
-val race : t -> ((cancelled:(unit -> bool) -> 'a) list) -> 'a
-(** Run all entrants concurrently and return the value of whichever
-    completes first (inherently timing-dependent — do not use where
-    determinism is required; the deterministic alternative is
-    [parallel_map] plus an explicit reduction). Losers are not
-    interrupted but can poll [cancelled] to exit early; all entrants
-    have finished when [race] returns. If every entrant raises, the
-    lowest-index error is re-raised. *)
 
 (** {1 Statistics} *)
 

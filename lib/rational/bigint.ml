@@ -34,7 +34,6 @@ let of_int x =
   end
 
 let one = of_int 1
-let minus_one = of_int (-1)
 
 let sign t = t.sign
 let neg t = if t.sign = 0 then t else { t with sign = -t.sign }
@@ -104,7 +103,6 @@ let add a b =
     | _ -> normalize b.sign (sub_mag b.mag a.mag)
   end
 
-let sub a b = add a (neg b)
 
 let mul a b =
   if a.sign = 0 || b.sign = 0 then zero
@@ -285,5 +283,3 @@ let of_string s =
     | _ -> invalid_arg "Bigint.of_string: invalid character"
   done;
   if negative then neg !acc else !acc
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

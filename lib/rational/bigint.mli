@@ -9,7 +9,6 @@ type t
 
 val zero : t
 val one : t
-val minus_one : t
 
 val of_int : int -> t
 val to_int_opt : t -> int option
@@ -28,7 +27,6 @@ val neg : t -> t
 val abs : t -> t
 
 val add : t -> t -> t
-val sub : t -> t -> t
 val mul : t -> t -> t
 
 val divmod : t -> t -> t * t
@@ -40,5 +38,3 @@ val gcd : t -> t -> t
 
 val shift_left : t -> int -> t
 (** Multiplication by [2^k], [k >= 0]. *)
-
-val pp : Format.formatter -> t -> unit

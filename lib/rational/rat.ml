@@ -15,8 +15,6 @@ let normalize n d =
 
 let make n d = normalize n d
 let zero = { n = B.zero; d = B.one }
-let one = { n = B.one; d = B.one }
-let of_int i = { n = B.of_int i; d = B.one }
 let of_ints n d = normalize (B.of_int n) (B.of_int d)
 
 let of_float x =
@@ -60,16 +58,11 @@ let mul a b = normalize (B.mul a.n b.n) (B.mul a.d b.d)
 let inv a = normalize a.d a.n
 let div a b = mul a (inv b)
 let abs a = { a with n = B.abs a.n }
-let sign a = B.sign a.n
 
 let compare a b = B.compare (B.mul a.n b.d) (B.mul b.n a.d)
 let equal a b = compare a b = 0
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 let is_integer t = B.equal t.d B.one
 
 let to_string t =
   if is_integer t then B.to_string t.n
   else B.to_string t.n ^ "/" ^ B.to_string t.d
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -10,12 +10,10 @@
 type t
 
 val zero : t
-val one : t
 
 val make : Bigint.t -> Bigint.t -> t
 (** [make num den]; @raise Division_by_zero if [den] is zero. *)
 
-val of_int : int -> t
 val of_ints : int -> int -> t
 (** [of_ints num den]. *)
 
@@ -35,20 +33,10 @@ val mul : t -> t -> t
 val div : t -> t -> t
 (** @raise Division_by_zero. *)
 
-val neg : t -> t
 val abs : t -> t
-val inv : t -> t
-(** @raise Division_by_zero on zero. *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val sign : t -> int
-val min : t -> t -> t
-val max : t -> t -> t
-
-val is_integer : t -> bool
 
 val to_string : t -> string
 (** ["num/den"], or just ["num"] for integers. *)
-
-val pp : Format.formatter -> t -> unit

@@ -113,6 +113,4 @@ val run :
     @raise Invalid_argument on a non-positive stream length, an invalid
     plan or invalid options. *)
 
-val pp_incident : Cell.Platform.t -> Format.formatter -> incident -> unit
-
 val pp_report : Cell.Platform.t -> Format.formatter -> report -> unit

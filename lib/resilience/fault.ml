@@ -14,8 +14,6 @@ let slowdown ~pe ~factor ~from_ ~until =
 let link_degrade ~pe ~factor ~from_ ~until =
   { pe; kind = Link_degrade factor; start = from_; finish = until }
 
-let empty = []
-
 let same_kind a b =
   match (a, b) with
   | Fail_stop, Fail_stop -> true

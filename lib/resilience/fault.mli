@@ -39,8 +39,6 @@ val slowdown : pe:int -> factor:float -> from_:float -> until:float -> fault
 
 val link_degrade : pe:int -> factor:float -> from_:float -> until:float -> fault
 
-val empty : plan
-
 (** {1 Validation and normalization} *)
 
 val validate : Cell.Platform.t -> plan -> unit
@@ -85,7 +83,5 @@ val random_campaign :
     [n_fail_stops] or [horizon <= 0]. *)
 
 (** {1 Printing} *)
-
-val pp_fault : Cell.Platform.t -> Format.formatter -> fault -> unit
 
 val pp : Cell.Platform.t -> Format.formatter -> plan -> unit

@@ -38,9 +38,6 @@ type view = {
 
 type t
 
-val version : int
-(** Current on-disk format version (1). *)
-
 val create : ?max_entries:int -> ?max_bytes:int -> unit -> t
 (** Defaults: 1024 entries, 16 MiB. A cache publishes no size gauges of
     its own; {!Shard} reports [svc_shard_entries]/[svc_shard_bytes] per

@@ -91,20 +91,6 @@ let add t entry =
       Cache.add c entry;
       publish_shard t i c)
 
-let length t =
-  let n = ref 0 in
-  for i = 0 to shards t - 1 do
-    n := !n + locked t i Cache.length
-  done;
-  !n
-
-let bytes_used t =
-  let n = ref 0 in
-  for i = 0 to shards t - 1 do
-    n := !n + locked t i Cache.bytes_used
-  done;
-  !n
-
 let shard_stats t =
   Array.init (shards t) (fun i ->
       locked t i (fun c -> (Cache.length c, Cache.bytes_used c)))

@@ -35,8 +35,6 @@ val create : ?shards:int -> ?max_entries:int -> ?max_bytes:int -> unit -> t
     @raise Invalid_argument when [shards] is outside [1..max_shards]
     or a bound is non-positive. *)
 
-val shards : t -> int
-
 val per_shard_entries : t -> int
 val per_shard_bytes : t -> int
 (** The per-shard budgets actually in force ([max 1 (total/shards)]). *)
@@ -50,10 +48,6 @@ val find : t -> string -> Cache.entry option
 val add : t -> Cache.entry -> unit
 (** Locked insert into the owning shard; per-shard LRU bounds apply. *)
 
-val length : t -> int
-val bytes_used : t -> int
-(** Totals over all shards (each read under its shard's lock). *)
-
 val shard_stats : t -> (int * int) array
 (** Per-shard [(entries, bytes)], for operators and the hammer suite. *)
 
@@ -61,10 +55,6 @@ val view : t -> Cache.view
 (** This map as a {!Cache.view}: {!Batch} and {!Daemon.Server} route
     every cache touch through it, so serving code is identical at any
     shard count. *)
-
-val shard_path : string -> shards:int -> int -> string
-(** The on-disk file for shard [i]: [path] itself when [shards = 1],
-    else [path ^ ".shard" ^ i]. *)
 
 val save_files : ?force:bool -> t -> string -> (unit, string) result
 (** Save every shard (atomic per shard, see {!Cache.save_file});

@@ -9,16 +9,6 @@ type spec = {
   strategies : Request.strategy list;
 }
 
-let default_spec =
-  {
-    seed = 42;
-    requests = 200;
-    skew = 1.1;
-    graphs = [];
-    spes = [ 8 ];
-    strategies = [ Request.default_strategy ];
-  }
-
 (* The population is the cartesian product graphs × spes × strategies,
    in declaration order. Popularity rank is a seeded shuffle of that
    order, so "which problem is hot" is decided by the seed, not by the

@@ -26,10 +26,6 @@ type spec = {
   strategies : Request.strategy list;
 }
 
-val default_spec : spec
-(** seed 42, 200 requests, skew 1.1, 8 SPEs, the default portfolio
-    strategy — and an {e empty} graph list the caller must fill. *)
-
 val population : spec -> Request.t array
 (** The ranked population (index = popularity rank, hottest first).
     Exposed for tests and for sizing cache budgets against the number

@@ -38,6 +38,3 @@ let next t =
     Hashtbl.remove t.payloads seq;
     Some (time, payload)
   end
-
-let is_empty t = Heap.is_empty t.heap
-let pending t = Heap.length t.heap

@@ -14,6 +14,3 @@ val schedule : 'a t -> float -> 'a -> unit
 
 val next : 'a t -> (float * 'a) option
 (** Pop the earliest event (FIFO among ties) and advance the clock. *)
-
-val is_empty : 'a t -> bool
-val pending : 'a t -> int

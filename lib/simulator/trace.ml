@@ -6,13 +6,10 @@ type span = {
   finish : float;
 }
 
-type t = { mutable items : span list; mutable n : int }
+type t = { mutable items : span list }
 
-let create () = { items = []; n = 0 }
-
-let record t span =
-  t.items <- span :: t.items;
-  t.n <- t.n + 1
+let create () = { items = [] }
+let record t span = t.items <- span :: t.items
 
 (* The one start-time ordering used by every sorted consumer
    (spans/to_svg/to_chrome): a single comparator, not per-exporter
@@ -24,8 +21,6 @@ let spans t = List.sort by_start t.items
 let iter t f = List.iter f t.items
 
 let fold t ~init ~f = List.fold_left f init t.items
-
-let length t = t.n
 
 let busy_fraction t ~n_pes ~horizon =
   let busy = Array.make n_pes 0. in

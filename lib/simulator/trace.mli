@@ -23,16 +23,7 @@ val record : t -> span -> unit
 
 val spans : t -> span list
 (** All recorded spans sorted by start time. Allocates and sorts on
-    every call; streaming consumers should prefer {!iter}/{!fold}. *)
-
-val iter : t -> (span -> unit) -> unit
-(** Visit every span in recording order (unsorted) without building the
-    sorted list {!spans} allocates. *)
-
-val fold : t -> init:'a -> f:('a -> span -> 'a) -> 'a
-(** Fold over spans in recording order (unsorted). *)
-
-val length : t -> int
+    every call. *)
 
 val busy_fraction : t -> n_pes:int -> horizon:float -> float array
 (** Fraction of [0, horizon] each PE spends computing. *)
@@ -58,14 +49,11 @@ val to_svg :
   string
 (** Standalone SVG rendering of the same chart, one lane per PE. *)
 
-val to_events : Cell.Platform.t -> t -> Obs.Events.event list
-(** The trace as Chrome [trace_event] records: one [Complete] span per
-    recorded span (thread id = PE index, category ["compute"],
-    ["transfer"] or ["fault"]) preceded by thread-name metadata so lanes
-    carry platform PE names. *)
-
 val to_chrome : ?extra:Obs.Events.event list -> Cell.Platform.t -> t -> string
-(** Chrome/Perfetto trace JSON of {!to_events} (plus [extra] events,
-    e.g. counter samples drained from a {!Obs.Events.sink}); open the
+(** Chrome/Perfetto trace JSON: one [Complete] span per recorded span
+    (thread id = PE index, category ["compute"], ["transfer"] or
+    ["fault"]) after thread-name metadata naming each PE lane, plus
+    [extra] events, e.g. counter samples drained from a
+    {!Obs.Events.sink}. Open the
     written file in [chrome://tracing] or {{:https://ui.perfetto.dev}
     Perfetto}. *)

@@ -183,10 +183,6 @@ let adjacency g =
   ( csr g Graph.in_edges (fun e -> e.Graph.src),
     csr g Graph.out_edges (fun e -> e.Graph.dst) )
 
-let order g =
-  let ins, outs = adjacency g in
-  order_of g ins outs
-
 (* The {!Serialize} text of the graph relabelled [t0 .. tN-1] in
    canonical order, edges sorted by (source, destination) position —
    written piece by piece to [out] rather than through a rebuilt
@@ -257,5 +253,3 @@ let key g =
       done;
       set64 state 0 !h);
   (ord, get64 state 0)
-
-let fingerprint g = snd (key g)

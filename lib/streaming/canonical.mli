@@ -9,7 +9,7 @@
     in- and out-neighbour colours with the connecting edge sizes — and
     derives from it a canonical text form and a 64-bit FNV-1a
     fingerprint ({!Support.Fnv}, the same scheme as
-    [Cellsched.Mapping.fingerprint]).
+    [Cellsched.Mapping.fingerprint_array]).
 
     Guarantees and limits:
     - When refinement gives every task a distinct (colour, in-degree,
@@ -29,18 +29,13 @@
       the target graph (the service layer does; see DESIGN.md §14). *)
 
 val key : Graph.t -> int array * int64
-(** [(order g, fingerprint g)] from a single refinement pass — what
-    the service layer keys a request by. *)
-
-val order : Graph.t -> int array
-(** Task ids in canonical order: element [p] is the id of the task at
-    canonical position [p]. *)
+(** [(order, fingerprint)] from a single refinement pass — what the
+    service layer keys a request by. Element [p] of [order] is the id
+    of the task at canonical position [p]; [fingerprint] is the FNV-1a
+    hash of {!to_string}. *)
 
 val to_string : Graph.t -> string
 (** Canonical text form: the {!Serialize} format with tasks renamed
     [t0 .. tN-1] in canonical order and edges sorted by canonical
     endpoint positions. Equal strings for relabelled/reordered variants
     of the same graph, within the limits above. *)
-
-val fingerprint : Graph.t -> int64
-(** FNV-1a of {!to_string}. *)

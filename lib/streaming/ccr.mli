@@ -6,18 +6,14 @@
     performs on its stream elements is proportional to its SPE computation
     time: [ops = w_spe * ops_per_second].
 
-    The proportionality constant [ops_per_second] is calibrated so that the
-    paper's CCR range (0.775 computation-intensive … 4.6 communication-
-    intensive) spans the same regimes as on the hardware: at CCR 0.775 a
+    The proportionality constant [ops_per_second] (9.0e6, the default
+    [?ops_rate] below) is calibrated so that the paper's CCR range
+    (0.775 computation-intensive … 4.6 communication-intensive) spans the same regimes as on the hardware: at CCR 0.775 a
     50-task graph carries edges of a few kB — SPE local stores can hold
     several tasks' buffers, computation dominates — while at the 6x larger
     CCR 4.6 task buffer footprints approach the 192 kB local-store budget
     and most tasks are forced onto the PPE. This matches §6.4.3: at high CCR "the best policy
     is to map all tasks to the PPE". *)
-
-val ops_per_second : float
-(** Calibrated element-operations per second of SPE compute time
-    (9.0e6; see above). *)
 
 val compute : ?ops_rate:float -> Graph.t -> float
 (** CCR of a graph: (edge bytes + memory traffic bytes) per instance divided

@@ -179,8 +179,6 @@ let edge g e =
   if e < 0 || e >= n_edges g then invalid_arg "Graph.edge: id out of range";
   g.edges.(e)
 
-let tasks g = Array.copy g.tasks
-let edges g = Array.copy g.edges
 let flat g = g.flat
 
 let find_task g name =

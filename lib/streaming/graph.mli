@@ -45,8 +45,6 @@ val task : t -> int -> Task.t
 (** @raise Invalid_argument on out-of-range ids. *)
 
 val edge : t -> int -> edge
-val tasks : t -> Task.t array
-val edges : t -> edge array
 
 (** {1 Flat view}
 

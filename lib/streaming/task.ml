@@ -18,11 +18,3 @@ let make ?(peek = 0) ?(stateful = false) ?(read_bytes = 0.) ?(write_bytes = 0.)
   { name; w_ppe; w_spe; peek; stateful; read_bytes; write_bytes }
 
 let w t = function Cell.Platform.PPE -> t.w_ppe | Cell.Platform.SPE -> t.w_spe
-
-let pp ppf t =
-  Format.fprintf ppf "%s{wPPE=%.3g wSPE=%.3g peek=%d%s%s%s}" t.name t.w_ppe
-    t.w_spe t.peek
-    (if t.stateful then " stateful" else "")
-    (if t.read_bytes > 0. then Printf.sprintf " read=%.0fB" t.read_bytes else "")
-    (if t.write_bytes > 0. then Printf.sprintf " write=%.0fB" t.write_bytes
-     else "")

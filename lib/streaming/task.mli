@@ -37,5 +37,3 @@ val make :
 
 val w : t -> Cell.Platform.pe_class -> float
 (** Cost of the task on a PE of the given class. *)
-
-val pp : Format.formatter -> t -> unit

@@ -4,7 +4,6 @@ let empty = 0xcbf29ce484222325L
 let prime = 0x100000001b3L
 let add_value h v = Int64.mul (Int64.logxor h v) prime
 let add_int h i = add_value h (Int64.of_int i)
-let add_bool h b = add_value h (if b then 1L else 0L)
 let add_float h f = add_value h (Int64.bits_of_float f)
 
 let add_string h s =

@@ -7,9 +7,9 @@
     all fold through these primitives, so equal inputs hash equally
     across layers, runs and platforms.
 
-    Two granularities are provided. [add_string] is the textbook
+    Two granularities are provided. [of_string] is the textbook
     byte-wise FNV-1a. [add_value] folds one full 64-bit word per step
-    (xor then multiply) — the historical [Mapping.fingerprint] scheme,
+    (xor then multiply) — the historical [Mapping.fingerprint_array] scheme,
     kept bit-for-bit so existing fingerprints are unchanged. Both are
     fine as non-cryptographic fingerprints; neither resists
     adversarial collisions. *)
@@ -24,17 +24,13 @@ val add_value : t -> int64 -> t
 (** Fold one 64-bit word: [(h lxor v) * prime]. *)
 
 val add_int : t -> int -> t
-val add_bool : t -> bool -> t
 
 val add_float : t -> float -> t
 (** Folds [Int64.bits_of_float] — bitwise, so [-0.] and [0.] differ
     and every NaN payload is distinguished. *)
 
-val add_string : t -> string -> t
-(** Byte-wise FNV-1a over the string contents. *)
-
 val of_string : string -> t
-(** [add_string empty]. *)
+(** Byte-wise FNV-1a over the string contents. *)
 
 val to_hex : t -> string
 (** 16 lower-case hex digits, zero-padded. *)

@@ -18,8 +18,6 @@ let int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
-let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)
-
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling on the top bits to avoid modulo bias. *)

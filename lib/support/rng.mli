@@ -16,9 +16,6 @@ val copy : t -> t
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 
-val bits : t -> int
-(** 30 uniform random bits, like [Random.bits]. *)
-
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]. Requires [n > 0]. *)
 

@@ -4,9 +4,6 @@ let create headers = { headers; rows = [] }
 
 let add_row t row = t.rows <- row :: t.rows
 
-let add_float_row t ?(precision = 3) label xs =
-  add_row t (label :: List.map (Printf.sprintf "%.*f" precision) xs)
-
 let columns t = List.rev t.rows |> fun rows -> t.headers :: rows
 
 let print ?(oc = stdout) t =

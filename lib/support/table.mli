@@ -9,9 +9,6 @@ val create : string list -> t
 val add_row : t -> string list -> unit
 (** Append a row; extra/missing cells are padded. *)
 
-val add_float_row : t -> ?precision:int -> string -> float list -> unit
-(** [add_float_row t label xs] appends [label :: printed xs]. *)
-
 val print : ?oc:out_channel -> t -> unit
 (** Render with aligned columns. *)
 

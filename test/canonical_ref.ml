@@ -14,7 +14,7 @@ let task_color (t : Task.t) =
   let h = add_float h t.Task.w_ppe in
   let h = add_float h t.Task.w_spe in
   let h = add_int h t.Task.peek in
-  let h = add_bool h t.Task.stateful in
+  let h = add_int h (Bool.to_int t.Task.stateful) in
   let h = add_float h t.Task.read_bytes in
   add_float h t.Task.write_bytes
 

@@ -128,7 +128,7 @@ let test_buffer_sharing_option () =
   let g = figure3 () in
   let platform = platform2 () in
   (* Everything on the SPE: colocated edges count once when sharing. *)
-  let m = Cellsched.Mapping.all_on platform g 1 in
+  let m = Cellsched.Mapping.make platform g (Array.make (G.n_tasks g) 1) in
   let base = (SS.loads platform g m).SS.memory.(1) in
   let shared =
     (SS.loads ~share_colocated_buffers:true platform g m).SS.memory.(1)
@@ -138,7 +138,7 @@ let test_buffer_sharing_option () =
 let test_tight_pipeline_option () =
   let g = figure3 () in
   let platform = platform2 () in
-  let m = Cellsched.Mapping.all_on platform g 1 in
+  let m = Cellsched.Mapping.make platform g (Array.make (G.n_tasks g) 1) in
   let base = (SS.loads platform g m).SS.memory.(1) in
   let tight = (SS.loads ~tight_pipeline:true platform g m).SS.memory.(1) in
   Alcotest.(check bool) "tight pipeline shrinks buffers" true (tight < base)
@@ -383,7 +383,7 @@ let warm_start_roundtrip =
       let f = Cellsched.Milp_formulation.build_compact platform g in
       let x = Cellsched.Milp_formulation.warm_start f platform g m in
       let m' = Cellsched.Milp_formulation.mapping_of_solution f platform g x in
-      Cellsched.Mapping.equal m m')
+      Cellsched.Mapping.to_array m = Cellsched.Mapping.to_array m')
 
 let test_bottleneck () =
   let g = figure3 () in
@@ -431,8 +431,8 @@ let test_zero_spe_solver () =
   let g = Daggen.Presets.figure_2b () in
   let r = Cellsched.Milp_solver.solve platform g in
   Alcotest.(check bool) "everything on ppe" true
-    (Cellsched.Mapping.equal r.Cellsched.Milp_solver.mapping
-       (Cellsched.Heuristics.ppe_only platform g));
+    (Cellsched.Mapping.to_array r.Cellsched.Milp_solver.mapping
+    = Cellsched.Mapping.to_array (Cellsched.Heuristics.ppe_only platform g));
   Alcotest.(check (float 1e-9)) "period is the ppe work"
     (Streaming.Graph.total_work g Cell.Platform.PPE)
     r.Cellsched.Milp_solver.period
@@ -797,7 +797,7 @@ let first_periods_monotone =
       let fp = SS.first_periods g in
       Array.for_all
         (fun { G.src; dst; _ } -> fp.(dst) >= fp.(src) + 2)
-        (G.edges g))
+        (Array.init (G.n_edges g) (G.edge g)))
 
 let period_equals_max_resource =
   QCheck.Test.make ~count:60 ~name:"period is the max resource occupation"

@@ -940,6 +940,35 @@ let test_serve_socket_sigterm_flush () =
         (strip_source live_body) (strip_source hit_body);
       Server.finish h.server)
 
+(* The serve loops' line framing: however the byte stream is cut into
+   reads, the engine sees the lines of the uncut stream, an unterminated
+   final line included. One case in four streams a single long line. *)
+let chunked_lines_match =
+  QCheck.Test.make ~count:500
+    ~name:"line framing: chunked stream = uncut stream"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Support.Rng.create (abs seed) in
+      let long = Support.Rng.int rng 4 = 0 in
+      let s =
+        String.init (Support.Rng.int rng 400) (fun _ ->
+            if (not long) && Support.Rng.int rng 8 = 0 then '\n'
+            else Char.chr (Char.code 'a' + Support.Rng.int rng 3))
+      in
+      let s = if long && Support.Rng.int rng 2 = 0 then s ^ "\n" else s in
+      let rec cut i =
+        if i >= String.length s then []
+        else
+          let n = min (String.length s - i) (1 + Support.Rng.int rng 40) in
+          String.sub s i n :: cut (i + n)
+      in
+      let want =
+        match List.rev (String.split_on_char '\n' s) with
+        | "" :: lines | lines -> List.rev lines
+      in
+      let split = Server.For_testing.split_lines in
+      split (cut 0) = want && split [ s ] = want)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "daemon"
@@ -991,6 +1020,7 @@ let () =
       ( "serve",
         [
           Alcotest.test_case "pipe fds end to end" `Quick test_serve_pipe;
+          qt chunked_lines_match;
           Alcotest.test_case "socket: PING/solve/QUIT" `Quick
             test_serve_socket_quit;
           Alcotest.test_case "socket: SIGTERM flushes, restart is bitwise"

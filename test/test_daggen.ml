@@ -129,7 +129,7 @@ let generated_graphs_are_dags =
       Array.iteri (fun i k -> pos.(k) <- i) order;
       Array.for_all
         (fun { Streaming.Graph.src; dst; _ } -> pos.(src) < pos.(dst))
-        (Streaming.Graph.edges g)
+        (Array.init (Streaming.Graph.n_edges g) (Streaming.Graph.edge g))
       && Streaming.Graph.n_tasks g = n)
 
 let costs_within_ranges =
@@ -147,7 +147,7 @@ let costs_within_ranges =
           && t.Streaming.Task.w_spe <= hi
           && t.Streaming.Task.w_ppe >= t.Streaming.Task.w_spe *. rlo -. 1e-12
           && t.Streaming.Task.w_ppe <= t.Streaming.Task.w_spe *. rhi +. 1e-12)
-        (Streaming.Graph.tasks g))
+        (Array.init (Streaming.Graph.n_tasks g) (Streaming.Graph.task g)))
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

@@ -1,6 +1,6 @@
 (* Tests for the incremental evaluation engine: bitwise agreement with
    the from-scratch Steady_state analysis after arbitrary move/swap
-   replays, undo/probe purity, and the heuristics' repaired to-PPE DMA
+   replays and their inverses, probe purity, and the heuristics' repaired to-PPE DMA
    blind spot. *)
 
 module P = Cell.Platform
@@ -55,28 +55,50 @@ let random_mapping rng platform g =
   Cellsched.Mapping.make platform g
     (Array.init (G.n_tasks g) (fun _ -> Support.Rng.int rng n))
 
-(* Random move/swap replay through the journaled mutations. *)
+(* A move of a task to a PE, or a swap of two tasks: probed, applied,
+   or applied to reverse another. *)
+type probe = Move of int * int | Swap of int * int
+
+(* [E.apply_move], returning the move that reverses it. *)
+let move ev ~task ~pe =
+  let old = E.pe_of ev task in
+  E.apply_move ev ~task ~pe;
+  Move (task, old)
+
+let apply ev = function
+  | Move (task, pe) -> E.apply_move ev ~task ~pe
+  | Swap (k1, k2) -> E.apply_swap ev k1 k2
+
+(* Random move/swap replay; returns the inverse of each mutation, most
+   recent first. *)
 let replay rng ev nops =
   let g = E.graph ev in
   let nk = G.n_tasks g in
   let npes = P.n_pes (E.platform ev) in
+  let inverses = ref [] in
   for _ = 1 to nops do
     if Support.Rng.int rng 3 = 0 && nk >= 2 then begin
       let k1 = Support.Rng.int rng nk and k2 = Support.Rng.int rng nk in
-      if k1 <> k2 then E.apply_swap ev k1 k2
+      if k1 <> k2 then begin
+        E.apply_swap ev k1 k2;
+        inverses := Swap (k1, k2) :: !inverses
+      end
     end
     else
-      E.apply_move ev
-        ~task:(Support.Rng.int rng nk)
-        ~pe:(Support.Rng.int rng npes)
-  done
+      inverses :=
+        move ev
+          ~task:(Support.Rng.int rng nk)
+          ~pe:(Support.Rng.int rng npes)
+        :: !inverses
+  done;
+  !inverses
 
 (* --- the replay property -------------------------------------------------
 
    For every option combination: after a random sequence of moves and
    swaps, the engine's loads / period / violations are bitwise equal to a
-   from-scratch Steady_state evaluation of the final mapping; undoing the
-   whole journal restores the initial state bitwise. 4 combos x 60 cases
+   from-scratch Steady_state evaluation of the final mapping; applying
+   the inverses last-in first-out restores the initial state bitwise. 4 combos x 60 cases
    = 240 random graphs. *)
 
 let replay_case ~share ~tight (seed, n) =
@@ -94,7 +116,7 @@ let replay_case ~share ~tight (seed, n) =
     SS.loads ~share_colocated_buffers:share ~tight_pipeline:tight platform g m
   in
   let ev = E.create ~options platform g m0 in
-  replay rng ev (5 + Support.Rng.int rng 30);
+  let inverses = replay rng ev (5 + Support.Rng.int rng 30) in
   let m = E.mapping ev in
   let sl = scratch m in
   check_loads_equal (E.loads ev) sl;
@@ -108,10 +130,8 @@ let replay_case ~share ~tight (seed, n) =
   then QCheck.Test.fail_reportf "violations differ";
   if E.feasible ev <> (SS.violations_of_loads platform sl = []) then
     QCheck.Test.fail_reportf "feasible differs";
-  (* Undo the full journal: bitwise back to the initial state. *)
-  while E.undo_depth ev > 0 do
-    E.undo ev
-  done;
+  (* Reverse every mutation: bitwise back to the initial state. *)
+  List.iter (apply ev) inverses;
   check_loads_equal (E.loads ev) (scratch m0);
   true
 
@@ -174,8 +194,6 @@ let probe_is_pure ~share ~tight =
                (E.pe_of ev k2))
       done;
       check_loads_equal (E.loads ev) before;
-      if E.undo_depth ev <> 0 then
-        QCheck.Test.fail_reportf "probe left journal entries";
       true)
 
 (* --- the probe screen ------------------------------------------------------
@@ -253,7 +271,7 @@ let screen_is_exact ~share ~tight =
       in
       let nk = G.n_tasks g and npes = P.n_pes platform in
       for _ = 1 to 4 do
-        let before = E.loads ev and depth = E.undo_depth ev in
+        let before = E.loads ev in
         let current = E.period ev in
         for _ = 1 to 8 do
           let k = Support.Rng.int rng nk and pe = Support.Rng.int rng npes in
@@ -274,13 +292,12 @@ let screen_is_exact ~share ~tight =
           end
         done;
         check_loads_equal (E.loads ev) before;
-        if E.undo_depth ev <> depth then
-          QCheck.Test.fail_reportf "probe left journal entries";
         (* Move on to a different state, mostly a feasible one: that is
            where a wrongly rejected probe would show. *)
-        E.apply_move ev ~task:(Support.Rng.int rng nk)
-          ~pe:(Support.Rng.int rng npes);
-        if (not (E.feasible ev)) && Support.Rng.int rng 4 > 0 then E.undo ev
+        let back =
+          move ev ~task:(Support.Rng.int rng nk) ~pe:(Support.Rng.int rng npes)
+        in
+        if (not (E.feasible ev)) && Support.Rng.int rng 4 > 0 then apply ev back
       done;
       true)
 
@@ -293,8 +310,6 @@ let screen_is_exact ~share ~tight =
    is infeasible — and the probe still answers the exact value. Same-PE
    moves and swaps are drawn on purpose: the pre-screen must pass them,
    as their rows do not change. *)
-
-type probe = Move of int * int | Swap of int * int
 
 module V = E.For_testing
 
@@ -381,9 +396,10 @@ let prescreen_is_sound ~share ~tight =
               (thresholds current p)
           end
         done;
-        E.apply_move ev ~task:(Support.Rng.int rng nk)
-          ~pe:(Support.Rng.int rng npes);
-        if (not (E.feasible ev)) && Support.Rng.int rng 4 > 0 then E.undo ev
+        let back =
+          move ev ~task:(Support.Rng.int rng nk) ~pe:(Support.Rng.int rng npes)
+        in
+        if (not (E.feasible ev)) && Support.Rng.int rng 4 > 0 then apply ev back
       done;
       true)
 
@@ -500,7 +516,6 @@ let test_same_task_swap () =
   Alcotest.(check int) "all tasks assigned" (G.n_tasks g) (E.n_assigned ev);
   Alcotest.(check int) "task 3 kept its PE" (Cellsched.Mapping.pe m 3)
     (E.pe_of ev 3);
-  Alcotest.(check int) "journal untouched" 0 (E.undo_depth ev);
   check_loads_equal (E.loads ev) before;
   Alcotest.(check bool) "same mapping" true
     (Cellsched.Mapping.to_array (E.mapping ev) = Cellsched.Mapping.to_array m)
@@ -607,7 +622,7 @@ let test_partial_assignment_consistency () =
   done;
   let m' = E.mapping ev in
   check_loads_equal (E.loads ev) (SS.loads platform g m');
-  (* A journaled mutation discards the saved rows: once the first task
+  (* A move discards the saved rows: once the first task
      has moved, the rows saved on top of its old PE describe no prefix
      of the state, even after a later save deeper down. *)
   let ev = E.create_empty platform g in
@@ -618,7 +633,7 @@ let test_partial_assignment_consistency () =
   E.assign ev ~task:b ~pe:0;
   E.apply_move ev ~task:a ~pe:1;
   E.save_rows ev;
-  Alcotest.check_raises "retract after a journaled move"
+  Alcotest.check_raises "retract after a move"
     (Invalid_argument "Eval.retract: no rows saved before this assignment")
     (fun () -> E.retract ev ~task:b)
 
@@ -773,7 +788,8 @@ let assign_exceeds_is_sound ~share =
 
 let c_skipped = Obs.Metrics.counter "search_ls_probes_skipped_total"
 
-let reference_local_search ?(check = fun _ _ _ -> ()) platform g mapping =
+let reference_local_search ?(check = fun _ _ _ _ -> ()) platform g mapping =
+  let mutations = ref 0 in
   let max_passes = 50 in
   let ev = E.create platform g mapping in
   let n = P.n_pes platform in
@@ -790,7 +806,7 @@ let reference_local_search ?(check = fun _ _ _ -> ()) platform g mapping =
       for pe = 0 to n - 1 do
         if pe <> home then begin
           let t = E.probe_move_below ev ~task:k ~pe ~threshold:!threshold in
-          check ev (Move (k, pe)) t;
+          check ev !mutations (Move (k, pe)) t;
           if t < !threshold then begin
             accept t;
             best_move := Some pe
@@ -800,6 +816,7 @@ let reference_local_search ?(check = fun _ _ _ -> ()) platform g mapping =
       match !best_move with
       | Some pe ->
           improved := true;
+          incr mutations;
           E.apply_move ev ~task:k ~pe
       | None -> ()
     done;
@@ -807,10 +824,11 @@ let reference_local_search ?(check = fun _ _ _ -> ()) platform g mapping =
       for k2 = k1 + 1 to G.n_tasks g - 1 do
         if E.pe_of ev k1 <> E.pe_of ev k2 then begin
           let t = E.probe_swap_below ev k1 k2 ~threshold:!threshold in
-          check ev (Swap (k1, k2)) t;
+          check ev !mutations (Swap (k1, k2)) t;
           if t < !threshold then begin
             accept t;
             improved := true;
+            incr mutations;
             E.apply_swap ev k1 k2
           end
         end
@@ -886,20 +904,20 @@ let hot_set_case kind (seed, n) =
   in
   let nk = G.n_tasks g in
   let hot = Array.make nk false in
-  let beta = ref (-1) and seen_depth = ref (-1) in
-  (* The hot set of the state [ev] is in, refreshed when the journal
-     shows a new state. *)
-  let refresh ev =
-    if E.undo_depth ev <> !seen_depth then begin
-      seen_depth := E.undo_depth ev;
+  let beta = ref (-1) and seen = ref (-1) in
+  (* The hot set of the state [ev] is in, refreshed when the mutation
+     count shows a new state. *)
+  let refresh ev mutations =
+    if mutations <> !seen then begin
+      seen := mutations;
       beta := Cellsched.Heuristics.For_testing.refresh_hot ev hot;
       let code = E.bottleneck_row ev in
       if resource_of_row code <> fst (E.bottleneck ev) then
         QCheck.Test.fail_reportf "bottleneck_row %d is not bottleneck" code
     end
   in
-  let check ev probe t =
-    refresh ev;
+  let check ev mutations probe t =
+    refresh ev mutations;
     let skipped =
       match probe with
       | Move (k, pe) -> (not hot.(k)) && pe <> !beta

@@ -315,7 +315,7 @@ let test_event_ordering () =
     (List.map (fun e -> e.Ev.ts) evs);
   (* Emitting into the null sink is a no-op, not an error. *)
   Ev.emit Ev.null "ignored";
-  Alcotest.(check int) "null stays empty" 0 (Ev.length Ev.null)
+  Alcotest.(check int) "null stays empty" 0 (List.length (Ev.events Ev.null))
 
 let test_ring_overwrite () =
   let clock = Ev.Clock.fake () in
@@ -323,13 +323,13 @@ let test_ring_overwrite () =
   for i = 0 to 9 do
     Ev.emit sink (string_of_int i)
   done;
-  Alcotest.(check int) "length capped" 4 (Ev.length sink);
+  Alcotest.(check int) "length capped" 4 (List.length (Ev.events sink));
   Alcotest.(check int) "dropped" 6 (Ev.dropped sink);
   Alcotest.(check (list string)) "keeps the newest, oldest first"
     [ "6"; "7"; "8"; "9" ]
     (List.map (fun e -> e.Ev.name) (Ev.events sink));
   Ev.clear sink;
-  Alcotest.(check int) "clear" 0 (Ev.length sink)
+  Alcotest.(check int) "clear" 0 (List.length (Ev.events sink))
 
 (* --- Chrome trace JSON shape ---------------------------------------------- *)
 
@@ -411,7 +411,8 @@ let test_chrome_json_from_simulation () =
   in
   (* One X span per recorded compute/transfer, metadata naming each PE
      lane, and counter samples merged from the runtime sink. *)
-  Alcotest.(check int) "X = trace spans" (Simulator.Trace.length trace)
+  Alcotest.(check int) "X = trace spans"
+    (List.length (Simulator.Trace.spans trace))
     (phases "X");
   Alcotest.(check int) "one lane name per PE" (P.n_pes platform) (phases "M");
   Alcotest.(check bool) "counter samples present" true (phases "C" > 0)

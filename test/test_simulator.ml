@@ -130,7 +130,7 @@ let test_transfers_counted () =
   let assignment = Array.init (G.n_tasks g) (fun k -> k mod 2) in
   let m = Cellsched.Mapping.make platform g assignment in
   let remote_edges =
-    Array.to_list (G.edges g)
+    List.init (G.n_edges g) (G.edge g)
     |> List.filter (fun e -> Cellsched.Mapping.is_remote m e)
     |> List.length
   in

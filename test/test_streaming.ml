@@ -63,7 +63,7 @@ let test_topological_order () =
   Array.iter
     (fun { Streaming.Graph.src; dst; _ } ->
       Alcotest.(check bool) "edge forward" true (pos.(src) < pos.(dst)))
-    (Streaming.Graph.edges g)
+    (Array.init (Streaming.Graph.n_edges g) (Streaming.Graph.edge g))
 
 let test_chain () =
   let g = Streaming.Graph.chain (Array.init 5 (fun i -> mk_task (string_of_int i)))
@@ -274,9 +274,13 @@ let flat_matches_accessors =
       in
       let g = Daggen.Generator.generate ~rng ~shape ~costs:Daggen.Generator.default_costs in
       let shuffled =
-        let es = Array.map (fun e -> (e.G.src, e.G.dst, e.G.data_bytes)) (G.edges g) in
+        let es =
+          Array.init (G.n_edges g) (fun i ->
+              let e = G.edge g i in
+              (e.G.src, e.G.dst, e.G.data_bytes))
+        in
         Support.Rng.shuffle rng es;
-        G.of_tasks (G.tasks g) (Array.to_list es)
+        G.of_tasks (Array.init (G.n_tasks g) (G.task g)) (Array.to_list es)
       in
       let scaled =
         G.map_edges (fun _ e -> 3. *. e.G.data_bytes)

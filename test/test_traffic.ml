@@ -24,6 +24,10 @@ module Batch = Service.Batch
 module Wl = Service.Workload
 module Pool = Par.Pool
 
+(* Totals over every shard. *)
+let entries t = Array.fold_left (fun n (e, _) -> n + e) 0 (Shard.shard_stats t)
+let bytes t = Array.fold_left (fun n (_, b) -> n + b) 0 (Shard.shard_stats t)
+
 let counter_value name = Obs.Metrics.Counter.value (Obs.Metrics.counter name)
 
 let with_metrics f =
@@ -347,7 +351,7 @@ let test_budget_invariant_mid_hammer () =
         (len <= Shard.per_shard_entries t && bytes <= Shard.per_shard_bytes t))
     (Array.to_list (Shard.shard_stats t) |> Array.of_list);
   Alcotest.(check bool) "map total within the undivided budget" true
-    (Shard.length t <= 16 && Shard.bytes_used t <= 8192)
+    (entries t <= 16 && bytes t <= 8192)
 
 (* ====================================================================== *)
 (* (d) Crash-mid-flush recovery, migration, stale-file cleanup            *)
@@ -414,7 +418,7 @@ let test_crash_recovery () =
           let r0 = counter_value "svc_cache_recovered_total" in
           let back = Shard.load_files ~shards:4 path in
           Alcotest.(check int) "previous snapshot loads complete" 32
-            (Shard.length back);
+            (entries back);
           Alcotest.(check int) "clean files, no recovery event" 0
             (counter_value "svc_cache_recovered_total" - r0);
           List.iter
@@ -441,7 +445,7 @@ let test_crash_recovery () =
           Alcotest.(check int) "exactly one recovery event" 1
             (counter_value "svc_cache_recovered_total" - r1);
           Alcotest.(check int) "only the corrupt shard's entries lost"
-            (32 - lost) (Shard.length after);
+            (32 - lost) (entries after);
           Alcotest.(check bool) "something was actually at stake" true
             (lost > 0)))
 
@@ -464,7 +468,7 @@ let test_migration_and_stale_cleanup () =
         [ 0; 1; 2; 3 ];
       (* Shrink 4 -> 2: every entry re-routes by its own fingerprint. *)
       let t2 = Shard.load_files ~shards:2 path in
-      Alcotest.(check int) "4 files load into 2 shards" 20 (Shard.length t2);
+      Alcotest.(check int) "4 files load into 2 shards" 20 (entries t2);
       List.iter
         (fun fp ->
           if Shard.find t2 fp = None then
@@ -478,7 +482,7 @@ let test_migration_and_stale_cleanup () =
       (* Collapse to 1: the plain historical filename comes back and no
          .shardN file survives to shadow it. *)
       let t1 = Shard.load_files path in
-      Alcotest.(check int) "2 files load into 1 shard" 20 (Shard.length t1);
+      Alcotest.(check int) "2 files load into 1 shard" 20 (entries t1);
       (match Shard.save_files ~force:true t1 path with
       | Ok () -> ()
       | Error m -> Alcotest.failf "1-shard save failed: %s" m);
@@ -488,7 +492,7 @@ let test_migration_and_stale_cleanup () =
       (* Legacy single file into a freshly sharded daemon. *)
       let t8 = Shard.load_files ~shards:8 path in
       Alcotest.(check int) "legacy file loads into 8 shards" 20
-        (Shard.length t8);
+        (entries t8);
       List.iter
         (fun fp ->
           if Shard.find t8 fp = None then

@@ -386,14 +386,7 @@ let simulate_cmd =
         Some (Simulator.Trace.create ())
       else None
     in
-    (* The runtime stamps events with simulated time, so the sink clock is
-       irrelevant; a fake clock keeps the output reproducible. *)
-    let sink =
-      if trace_json <> None then
-        Obs.Events.ring ~clock:(Obs.Events.Clock.fake ()) ()
-      else Obs.Events.null
-    in
-    let m = Simulator.Runtime.run ?trace ~sink platform g mapping ~instances in
+    let m = Simulator.Runtime.run ?trace platform g mapping ~instances in
     Format.printf
       "simulated %d instances in %.3f s@.steady throughput: %.2f instances/s@.transfers: %d (%.1f kB)@."
       m.Simulator.Runtime.instances m.Simulator.Runtime.makespan
@@ -432,10 +425,7 @@ let simulate_cmd =
         | None -> ());
         match trace_json with
         | Some file ->
-            write_file ~force file
-              (Simulator.Trace.to_chrome
-                 ~extra:(Obs.Events.events sink)
-                 platform trace)
+            write_file ~force file (Simulator.Trace.to_chrome platform trace)
         | None -> ());
     dump_metrics ~force metrics;
     0

@@ -316,20 +316,10 @@ let reset registry =
 
 (* --- JSON --------------------------------------------------------------- *)
 
-let json_escape s =
+(* A quoted JSON string literal. *)
+let json_str s =
   let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  Support.Json.escape_string buf s;
   Buffer.contents buf
 
 let json_float v =
@@ -347,10 +337,9 @@ let to_json registry =
       if not !first_f then Buffer.add_char buf ',';
       first_f := false;
       Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"kind\":\"%s\",\"help\":\"%s\",\"labels\":[%s],\"samples\":["
-           (json_escape f.name) f.kind (json_escape f.help)
-           (String.concat ","
-              (List.map (fun l -> "\"" ^ json_escape l ^ "\"") f.label_names)));
+        (Printf.sprintf "{\"name\":%s,\"kind\":\"%s\",\"help\":%s,\"labels\":[%s],\"samples\":["
+           (json_str f.name) f.kind (json_str f.help)
+           (String.concat "," (List.map json_str f.label_names)));
       let first_s = ref true in
       List.iter
         (fun (values, v) ->
@@ -358,8 +347,7 @@ let to_json registry =
           first_s := false;
           Buffer.add_string buf
             (Printf.sprintf "{\"label_values\":[%s],"
-               (String.concat ","
-                  (List.map (fun l -> "\"" ^ json_escape l ^ "\"") values)));
+               (String.concat "," (List.map json_str values)));
           (match v with
           | Counter_v c -> Buffer.add_string buf (Printf.sprintf "\"value\":%d" c)
           | Gauge_v g ->

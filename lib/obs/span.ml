@@ -1,4 +1,8 @@
-type attr = Int of int | Float of float | String of string | Bool of bool
+type attr = Events.arg =
+  | Int of int
+  | Float of float
+  | String of string
+  | Bool of bool
 
 type span = {
   trace : string;
@@ -11,25 +15,11 @@ type span = {
   attrs : (string * attr) list;
 }
 
-(* FNV-1a 64. Inlined rather than pulled from Support.Fnv so obs keeps
-   its zero-dependency footprint (dune: unix only). *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv1a64 s =
-  let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
-  !h
-
 (* trace and path are combined with a NUL separator — no valid path
    contains one, so distinct (trace, path) pairs can't collide by
    concatenation. 0L is reserved as "no parent". *)
 let span_id ~trace ~path =
-  let h = fnv1a64 (trace ^ "\x00" ^ path) in
+  let h = Support.Fnv.of_string (trace ^ "\x00" ^ path) in
   if Int64.equal h 0L then 1L else h
 
 let now () = Unix.gettimeofday ()
@@ -140,32 +130,23 @@ let record ctx ?(attrs = []) ?t_start ?t_stop name =
 
 (* Rendering *)
 
-let to_event_arg = function
-  | Int i -> Events.Int i
-  | Float f -> Events.Float f
-  | String s -> Events.String s
-  | Bool b -> Events.Bool b
-
 let to_chrome_json spans_list =
   let t0 =
     List.fold_left (fun acc s -> Float.min acc s.t_start) infinity spans_list
   in
   let t0 = if Float.is_finite t0 then t0 else 0. in
   let events =
-    List.mapi
-      (fun i s ->
+    List.map
+      (fun s ->
         {
-          Events.seq = i;
-          ts = s.t_start -. t0;
+          Events.ts = s.t_start -. t0;
           name = s.name;
           cat = "span";
           pid = 0;
           tid = 0;
           phase = Events.Complete (Float.max 0. (s.t_stop -. s.t_start));
           args =
-            ("path", Events.String s.path)
-            :: ("trace", Events.String s.trace)
-            :: List.map (fun (k, v) -> (k, to_event_arg v)) s.attrs;
+            ("path", String s.path) :: ("trace", String s.trace) :: s.attrs;
         })
       spans_list
   in

@@ -28,7 +28,12 @@
     union by [(trace, path, t_start)] and returns a deterministic
     stream (timestamps aside). *)
 
-type attr = Int of int | Float of float | String of string | Bool of bool
+type attr = Events.arg =
+  | Int of int
+  | Float of float
+  | String of string
+  | Bool of bool
+(** The Chrome export's argument type, so attributes render unconverted. *)
 
 type span = {
   trace : string;  (** request-scoped trace id *)

@@ -56,7 +56,6 @@ type sim = {
   dma_ppe_count : int array;  (* concurrent SPE-to-PPE transfers per SPE *)
   dma_in_hw : int array;  (* high-water marks of the two queues *)
   dma_ppe_hw : int array;
-  sink : Obs.Events.sink;  (* structured-event stream; Null by default *)
   remote_ins : int array;  (* remote in-edges per task under the mapping *)
   mutable buffered : int;  (* instances sitting in remote consumer buffers *)
   pe_tasks : int array array;  (* tasks per PE in topological order *)
@@ -73,7 +72,7 @@ type sim = {
   mutable bytes_transferred : float;
 }
 
-let make_sim ~options ~trace ~sink ~faults platform g mapping n_instances =
+let make_sim ~options ~trace ~faults platform g mapping n_instances =
   let fp = Cellsched.Steady_state.first_periods g in
   let cap =
     Array.init (G.n_edges g) (fun e ->
@@ -110,7 +109,6 @@ let make_sim ~options ~trace ~sink ~faults platform g mapping n_instances =
     dma_ppe_count = Array.make (P.n_pes platform) 0;
     dma_in_hw = Array.make (P.n_pes platform) 0;
     dma_ppe_hw = Array.make (P.n_pes platform) 0;
-    sink;
     remote_ins =
       Array.init (G.n_tasks g) (fun k ->
           List.length
@@ -274,18 +272,15 @@ let start_transfer sim e =
     if sim.dma_ppe_count.(src_pe) > sim.dma_ppe_hw.(src_pe) then
       sim.dma_ppe_hw.(src_pe) <- sim.dma_ppe_count.(src_pe)
   end;
-  if Obs.Events.enabled sim.sink then
-    Obs.Events.emit sim.sink ~cat:"dma" ~tid:dst_pe ~ts:start
-      ~phase:Obs.Events.Counter
-      ~args:
-        [ ("queued", Obs.Events.Int sim.dma_in_count.(dst_pe)) ]
-      (Printf.sprintf "dma_in[%s]" (P.pe_name sim.platform dst_pe));
   sim.transfers <- sim.transfers + 1;
   sim.bytes_transferred <- sim.bytes_transferred +. edge.G.data_bytes;
   sim.pending_overhead.(src_pe) <-
     sim.pending_overhead.(src_pe) +. sim.options.comm_cpu_time;
   (match sim.trace with
   | Some trace ->
+      Trace.sample trace ~cat:"dma" ~lane:dst_pe ~ts:start
+        (Printf.sprintf "dma_in[%s]" (P.pe_name sim.platform dst_pe))
+        [ ("queued", Obs.Events.Int sim.dma_in_count.(dst_pe)) ];
       Trace.record trace
         {
           Trace.pe = dst_pe;
@@ -353,23 +348,19 @@ let handle sim = function
         sim.completion_times.(sim.completed_instances) <- Engine.now sim.engine;
         sim.completed_instances <- sim.completed_instances + 1
       done;
-      if advanced && Obs.Events.enabled sim.sink then begin
-        let now = Engine.now sim.engine in
-        Obs.Events.emit sim.sink ~cat:"stream" ~ts:now
-          ~phase:Obs.Events.Counter
-          ~args:[ ("completed", Obs.Events.Int sim.completed_instances) ]
-          "completed_instances";
-        if now > 0. then
-          Obs.Events.emit sim.sink ~cat:"stream" ~ts:now
-            ~phase:Obs.Events.Counter
-            ~args:
+      (match sim.trace with
+      | Some trace when advanced ->
+          let now = Engine.now sim.engine in
+          Trace.sample trace ~cat:"stream" ~ts:now "completed_instances"
+            [ ("completed", Obs.Events.Int sim.completed_instances) ];
+          if now > 0. then
+            Trace.sample trace ~cat:"stream" ~ts:now "achieved_throughput"
               [
                 ( "instances_per_s",
                   Obs.Events.Float
                     (float_of_int sim.completed_instances /. now) );
               ]
-            "achieved_throughput"
-      end
+      | _ -> ())
   | Transfer_done e ->
       let edge = G.edge sim.g e in
       let src_pe = Cellsched.Mapping.pe sim.mapping edge.G.src in
@@ -377,11 +368,12 @@ let handle sim = function
       sim.in_flight.(e) <- false;
       sim.transferred.(e) <- sim.transferred.(e) + 1;
       sim.buffered <- sim.buffered + 1;
-      if Obs.Events.enabled sim.sink then
-        Obs.Events.emit sim.sink ~cat:"buffers" ~ts:(Engine.now sim.engine)
-          ~phase:Obs.Events.Counter
-          ~args:[ ("instances", Obs.Events.Int sim.buffered) ]
-          "buffer_occupancy";
+      (match sim.trace with
+      | Some trace ->
+          Trace.sample trace ~cat:"buffers" ~ts:(Engine.now sim.engine)
+            "buffer_occupancy"
+            [ ("instances", Obs.Events.Int sim.buffered) ]
+      | None -> ());
       sim.pending_overhead.(dst_pe) <-
         sim.pending_overhead.(dst_pe) +. sim.options.comm_cpu_time;
       if P.is_spe sim.platform dst_pe then
@@ -505,12 +497,11 @@ let publish_metrics platform (m : metrics) =
       m.steady_throughput
   end
 
-let run ?(options = default_options) ?trace ?(sink = Obs.Events.null) platform g
-    mapping ~instances =
+let run ?(options = default_options) ?trace platform g mapping ~instances =
   if instances <= 0 then invalid_arg "Runtime.run: instances must be positive";
   check_deployable platform g mapping;
   let sim =
-    make_sim ~options ~trace ~sink ~faults:[||] platform g mapping instances
+    make_sim ~options ~trace ~faults:[||] platform g mapping instances
   in
   simulate sim;
   if sim.completed_instances <> instances then
@@ -534,14 +525,14 @@ let fault_label (f : Fault.fault) =
   | Fault.Slowdown factor -> Printf.sprintf "SLOW x%.1f" factor
   | Fault.Link_degrade factor -> Printf.sprintf "BW /%.1f" factor
 
-let run_with_faults ?(options = default_options) ?trace
-    ?(sink = Obs.Events.null) ~faults platform g mapping ~instances =
+let run_with_faults ?(options = default_options) ?trace ~faults platform g
+    mapping ~instances =
   if instances <= 0 then
     invalid_arg "Runtime.run_with_faults: instances must be positive";
   Fault.validate platform faults;
   check_deployable platform g mapping;
   let faults = Array.of_list (Fault.sorted faults) in
-  let sim = make_sim ~options ~trace ~sink ~faults platform g mapping instances in
+  let sim = make_sim ~options ~trace ~faults platform g mapping instances in
   simulate sim;
   let horizon = Engine.now sim.engine in
   (match trace with

@@ -55,20 +55,19 @@ type metrics = {
 val run :
   ?options:options ->
   ?trace:Trace.t ->
-  ?sink:Obs.Events.sink ->
   Cell.Platform.t ->
   Streaming.Graph.t ->
   Cellsched.Mapping.t ->
   instances:int ->
   metrics
 (** Simulate the stream; with [?trace], every compute slot and remote
-    transfer is recorded for {!Trace} post-processing. With [?sink]
-    (default {!Obs.Events.null}), the runtime streams counter events —
-    DMA-queue depth per destination PE, remote-buffer occupancy, completed
-    instances and achieved throughput — into the sink for Chrome-trace
-    export; when the process-wide {!Obs.Metrics} registry is enabled, the
-    run additionally publishes busy fractions, DMA high-water marks and
-    throughput there.
+    transfer is recorded for {!Trace} post-processing, together with the
+    counter samples of a Chrome-trace export: DMA-queue depth per
+    destination PE at each transfer start, remote-buffer occupancy at
+    each transfer completion, completed instances and achieved
+    throughput. Without [?trace] the run records nothing. When the
+    process-wide {!Obs.Metrics} registry is enabled, the run additionally
+    publishes busy fractions, DMA high-water marks and throughput there.
     @raise Invalid_argument if [instances <= 0] or the mapping overflows
     an SPE local store ({!Cellsched.Steady_state.Memory} violation).
     Mappings that merely exceed the MILP's per-period DMA-queue constraints
@@ -113,7 +112,6 @@ type fault_outcome = {
 val run_with_faults :
   ?options:options ->
   ?trace:Trace.t ->
-  ?sink:Obs.Events.sink ->
   faults:Fault.plan ->
   Cell.Platform.t ->
   Streaming.Graph.t ->
@@ -122,8 +120,8 @@ val run_with_faults :
   fault_outcome
 (** Simulate the stream under the fault plan. Unlike {!run}, a stalled
     stream is not an error: the outcome reports how far the stream got.
-    With [?trace], faults are additionally recorded as [`Fault] spans
-    (clipped to the simulated horizon) so Gantt output shows the
-    incident.
+    With [?trace], the run is recorded as by {!run}, and faults are
+    additionally recorded as [`Fault] spans (clipped to the simulated
+    horizon) so Gantt output shows the incident.
     @raise Invalid_argument on a non-positive stream length, an invalid
     plan ({!Fault.validate}) or a mapping that overflows a local store. *)

@@ -6,10 +6,16 @@ type span = {
   finish : float;
 }
 
-type t = { mutable items : span list }
+(* Counter samples are kept as ready Chrome events, newest first. *)
+type t = { mutable items : span list; mutable samples : Obs.Events.event list }
 
-let create () = { items = [] }
+let create () = { items = []; samples = [] }
 let record t span = t.items <- span :: t.items
+
+let sample t ~cat ?(lane = 0) ~ts name args =
+  t.samples <-
+    { Obs.Events.ts; name; cat; pid = 1; tid = lane; phase = Counter; args }
+    :: t.samples
 
 (* The one start-time ordering used by every sorted consumer
    (spans/to_svg/to_chrome): a single comparator, not per-exporter
@@ -135,32 +141,23 @@ let kind_cat = function
   | `Transfer -> "transfer"
   | `Fault -> "fault"
 
-let to_events platform t =
+let to_chrome platform t =
   let name_meta =
     List.init (Cell.Platform.n_pes platform) (fun pe ->
         Obs.Events.thread_name_event ~tid:pe (Cell.Platform.pe_name platform pe))
   in
-  let seq = ref 0 in
   let span_events =
     List.map
       (fun s ->
-        let e =
-          {
-            Obs.Events.seq = !seq;
-            ts = s.start;
-            name = s.label;
-            cat = kind_cat s.kind;
-            pid = 1;
-            tid = s.pe;
-            phase = Obs.Events.Complete (Float.max 0. (s.finish -. s.start));
-            args = [];
-          }
-        in
-        incr seq;
-        e)
+        {
+          Obs.Events.ts = s.start;
+          name = s.label;
+          cat = kind_cat s.kind;
+          pid = 1;
+          tid = s.pe;
+          phase = Complete (Float.max 0. (s.finish -. s.start));
+          args = [];
+        })
       (spans t)
   in
-  name_meta @ span_events
-
-let to_chrome ?(extra = []) platform t =
-  Obs.Events.to_chrome_json (to_events platform t @ extra)
+  Obs.Events.to_chrome_json (name_meta @ span_events @ List.rev t.samples)

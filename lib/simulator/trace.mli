@@ -1,10 +1,13 @@
-(** Execution traces of simulated runs.
+(** Execution traces of simulated runs — the simulator's one recorder.
 
     Pass a fresh trace to {!Runtime.run} via [?trace] to record every
     computation slot and every remote transfer with exact start/finish
-    times, then inspect utilization or render Gantt charts (text or SVG) —
-    the observability layer one would use on real hardware with a
-    profiler. *)
+    times, plus the runtime's counter samples (DMA-queue depth, buffer
+    occupancy, completed instances, achieved throughput), then inspect
+    utilization, render Gantt charts (text or SVG) or export everything
+    as a Chrome trace — the observability layer one would use on real
+    hardware with a profiler. Nothing is dropped: spans and samples are
+    kept in full, however long the run. *)
 
 type span = {
   pe : int;  (** Executing PE (for transfers: the destination PE). *)
@@ -20,6 +23,14 @@ val create : unit -> t
 
 val record : t -> span -> unit
 (** Used by the runtime; spans may arrive out of order. *)
+
+val sample :
+  t -> cat:string -> ?lane:int -> ts:float -> string ->
+  (string * Obs.Events.arg) list -> unit
+(** [sample t ~cat ~lane ~ts name args] records one value of counter
+    [name] at simulated time [ts]: the numeric [args] are its series,
+    [lane] (default 0) the Chrome thread it is drawn on. Used by the
+    runtime; samples keep their recording order. *)
 
 val spans : t -> span list
 (** All recorded spans sorted by start time. Allocates and sorts on
@@ -49,11 +60,9 @@ val to_svg :
   string
 (** Standalone SVG rendering of the same chart, one lane per PE. *)
 
-val to_chrome : ?extra:Obs.Events.event list -> Cell.Platform.t -> t -> string
-(** Chrome/Perfetto trace JSON: one [Complete] span per recorded span
-    (thread id = PE index, category ["compute"], ["transfer"] or
-    ["fault"]) after thread-name metadata naming each PE lane, plus
-    [extra] events, e.g. counter samples drained from a
-    {!Obs.Events.sink}. Open the
-    written file in [chrome://tracing] or {{:https://ui.perfetto.dev}
-    Perfetto}. *)
+val to_chrome : Cell.Platform.t -> t -> string
+(** Chrome/Perfetto trace JSON: thread-name metadata naming each PE lane,
+    then one [Complete] span per recorded span by start time (thread id
+    = PE index, category ["compute"], ["transfer"] or ["fault"]), then
+    every counter sample in recording order. Open the written file in
+    [chrome://tracing] or {{:https://ui.perfetto.dev} Perfetto}. *)

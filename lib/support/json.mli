@@ -26,6 +26,13 @@ val to_string : t -> string
     callers that must round-trip them exactly should box hex-float
     strings ([Printf "%h"]) instead. *)
 
+val escape_string : Buffer.t -> string -> unit
+(** Append the string as a quoted JSON string literal: double quote and
+    backslash escaped with a backslash, newline, CR and tab as their
+    two-character escapes, other control bytes as six-character
+    [\u00XX] escapes, every other byte verbatim. The one JSON string
+    escaper of the codebase. *)
+
 (** {1 Accessors} — shallow, [None] on shape mismatch. *)
 
 val member : string -> t -> t option

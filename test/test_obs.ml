@@ -1,8 +1,8 @@
 (* Tests for the observability layer: histogram bucket edges,
-   snapshot/reset semantics, deterministic event ordering under a fake
-   clock, the Chrome trace_event JSON shape, and the transparency
-   property — enabling metrics must not change any scheduling or
-   simulation result, bitwise. *)
+   snapshot/reset semantics, the Chrome trace_event JSON shape and its
+   exact bytes, a simulator trace that keeps every counter sample, and
+   the transparency property — enabling metrics or tracing must not
+   change any scheduling or simulation result, bitwise. *)
 
 module M = Obs.Metrics
 module Ev = Obs.Events
@@ -295,42 +295,6 @@ let test_export_parses () =
       if not (contains needle) then Alcotest.failf "missing %S" needle)
     [ "# TYPE c_total counter"; "h_seconds_bucket{le=\"+Inf\"}"; "h_seconds_count 1" ]
 
-(* --- event ordering under a fake clock ------------------------------------ *)
-
-let test_event_ordering () =
-  let clock = Ev.Clock.fake () in
-  let sink = Ev.ring ~capacity:8 ~clock () in
-  Alcotest.(check bool) "ring enabled" true (Ev.enabled sink);
-  Alcotest.(check bool) "null disabled" false (Ev.enabled Ev.null);
-  Ev.emit sink "a";
-  Ev.emit sink "b";  (* same timestamp: emission order must win *)
-  Ev.Clock.advance clock 1.5;
-  Ev.emit sink "c";
-  let evs = Ev.events sink in
-  Alcotest.(check (list string)) "order" [ "a"; "b"; "c" ]
-    (List.map (fun e -> e.Ev.name) evs);
-  Alcotest.(check (list int)) "seq" [ 0; 1; 2 ]
-    (List.map (fun e -> e.Ev.seq) evs);
-  Alcotest.(check (list (float 0.))) "ts" [ 0.; 0.; 1.5 ]
-    (List.map (fun e -> e.Ev.ts) evs);
-  (* Emitting into the null sink is a no-op, not an error. *)
-  Ev.emit Ev.null "ignored";
-  Alcotest.(check int) "null stays empty" 0 (List.length (Ev.events Ev.null))
-
-let test_ring_overwrite () =
-  let clock = Ev.Clock.fake () in
-  let sink = Ev.ring ~capacity:4 ~clock () in
-  for i = 0 to 9 do
-    Ev.emit sink (string_of_int i)
-  done;
-  Alcotest.(check int) "length capped" 4 (List.length (Ev.events sink));
-  Alcotest.(check int) "dropped" 6 (Ev.dropped sink);
-  Alcotest.(check (list string)) "keeps the newest, oldest first"
-    [ "6"; "7"; "8"; "9" ]
-    (List.map (fun e -> e.Ev.name) (Ev.events sink));
-  Ev.clear sink;
-  Alcotest.(check int) "clear" 0 (List.length (Ev.events sink))
-
 (* --- Chrome trace JSON shape ---------------------------------------------- *)
 
 let check_chrome_shape json_text ~expect_events =
@@ -361,25 +325,47 @@ let check_chrome_shape json_text ~expect_events =
           match Json.member "dur" e with
           | Some (Json.Num d) when d >= 0. -> ()
           | _ -> Alcotest.fail "X event without dur")
-      | "i" | "C" | "M" -> ()
+      | "C" | "M" -> ()
       | other -> Alcotest.failf "unexpected phase %S" other)
     evs;
   evs
 
+let json_str key e =
+  match Json.member key e with Some (Json.Str v) -> v | _ -> ""
+
 let test_chrome_json_handmade () =
-  let clock = Ev.Clock.fake () in
-  let sink = Ev.ring ~clock () in
-  Ev.emit sink ~cat:"compute" ~tid:2 ~phase:(Ev.Complete 0.25)
-    ~args:[ ("k", Ev.Int 1); ("ok", Ev.Bool true) ]
-    "slot";
-  Ev.Clock.advance clock 0.5;
-  Ev.emit sink ~phase:Ev.Instant "tick";
-  Ev.emit sink ~phase:Ev.Counter ~args:[ ("v", Ev.Float 1.5) ] "queue";
   let evs =
     check_chrome_shape ~expect_events:true
-      (Ev.to_chrome_json (Ev.thread_name_event ~tid:2 "SPE1" :: Ev.events sink))
+      (Ev.to_chrome_json
+         [
+           Ev.thread_name_event ~tid:2 "SPE1";
+           {
+             Ev.ts = 0.;
+             name = "slot";
+             cat = "compute";
+             pid = 1;
+             tid = 2;
+             phase = Ev.Complete 0.25;
+             args = [ ("k", Ev.Int 1); ("ok", Ev.Bool true) ];
+           };
+           {
+             Ev.ts = 0.5;
+             name = "queue";
+             cat = "";
+             pid = 1;
+             tid = 0;
+             phase = Ev.Counter;
+             args = [ ("v", Ev.Float 1.5) ];
+           };
+         ])
   in
-  Alcotest.(check int) "all four events" 4 (List.length evs);
+  (* Events come out in list order; an empty category reads "default". *)
+  Alcotest.(check (list string)) "list order"
+    [ "thread_name"; "slot"; "queue" ] (List.map (json_str "name") evs);
+  Alcotest.(check (list string)) "phases" [ "M"; "X"; "C" ]
+    (List.map (json_str "ph") evs);
+  Alcotest.(check string) "default category" "default"
+    (json_str "cat" (List.nth evs 2));
   (* ts is rescaled to microseconds. *)
   let tss =
     List.filter_map
@@ -389,33 +375,75 @@ let test_chrome_json_handmade () =
   in
   Alcotest.(check bool) "microseconds" true (List.mem 500000. tss)
 
-let test_chrome_json_from_simulation () =
-  let rng = Support.Rng.create 11 in
-  let g =
-    Daggen.Generator.generate ~rng
-      ~shape:
-        { Daggen.Generator.n = 12; fat = 0.5; density = 0.4; regularity = 0.5; jump = 2 }
-      ~costs:Daggen.Generator.default_costs
-  in
-  let platform = P.make ~n_ppe:1 ~n_spe:4 () in
+let daggen ~seed shape =
+  Daggen.Generator.generate ~rng:(Support.Rng.create seed) ~shape
+    ~costs:Daggen.Generator.default_costs
+
+let traced_run platform g ~instances =
   let mapping = Cellsched.Heuristics.greedy_cpu platform g in
   let trace = Simulator.Trace.create () in
-  let sink = Ev.ring ~clock:(Ev.Clock.fake ()) () in
-  let m = Simulator.Runtime.run ~trace ~sink platform g mapping ~instances:50 in
-  Alcotest.(check int) "completed" 50 m.Simulator.Runtime.instances;
-  let json = Simulator.Trace.to_chrome ~extra:(Ev.events sink) platform trace in
-  let evs = check_chrome_shape ~expect_events:true json in
-  let phases ph =
-    List.length
-      (List.filter (fun e -> Json.member "ph" e = Some (Json.Str ph)) evs)
+  let m = Simulator.Runtime.run ~trace platform g mapping ~instances in
+  (trace, m)
+
+let phase_count evs ph =
+  List.length (List.filter (fun e -> json_str "ph" e = ph) evs)
+
+let test_chrome_json_from_simulation () =
+  let platform = P.make ~n_ppe:1 ~n_spe:4 () in
+  let trace, m =
+    traced_run platform ~instances:50
+      (daggen ~seed:11
+         { Daggen.Generator.n = 12; fat = 0.5; density = 0.4; regularity = 0.5; jump = 2 })
   in
-  (* One X span per recorded compute/transfer, metadata naming each PE
-     lane, and counter samples merged from the runtime sink. *)
+  Alcotest.(check int) "completed" 50 m.Simulator.Runtime.instances;
+  let evs =
+    check_chrome_shape ~expect_events:true
+      (Simulator.Trace.to_chrome platform trace)
+  in
+  (* Metadata naming each PE lane, one X span per recorded
+     compute/transfer, and the runtime's counter samples. *)
   Alcotest.(check int) "X = trace spans"
     (List.length (Simulator.Trace.spans trace))
-    (phases "X");
-  Alcotest.(check int) "one lane name per PE" (P.n_pes platform) (phases "M");
-  Alcotest.(check bool) "counter samples present" true (phases "C" > 0)
+    (phase_count evs "X");
+  Alcotest.(check int) "one lane name per PE" (P.n_pes platform)
+    (phase_count evs "M");
+  Alcotest.(check bool) "counter samples present" true (phase_count evs "C" > 0)
+
+(* The graph of [generate --seed 7] (the CLI defaults) emits 104
+   counter samples per instance under greedy-cpu on a QS22 with 8 SPEs,
+   so 700 instances emit about 72,800: more than the 65,536 a bounded
+   buffer used to keep. Every transfer must still have its DMA-queue
+   and buffer-occupancy sample, and the counter tracks must start with
+   the run, not near its end. *)
+let test_chrome_json_keeps_every_sample () =
+  let platform = P.qs22 ~n_spe:8 () in
+  let trace, m =
+    traced_run platform ~instances:700
+      (Streaming.Ccr.scale_to ~target:0.775
+         (daggen ~seed:7
+            { Daggen.Generator.n = 50; fat = 0.3; density = 0.4; regularity = 0.6; jump = 2 }))
+  in
+  let evs =
+    check_chrome_shape ~expect_events:true
+      (Simulator.Trace.to_chrome platform trace)
+  in
+  let ts e = match Json.member "ts" e with Some (Json.Num t) -> t | _ -> nan in
+  let counters = List.filter (fun e -> json_str "ph" e = "C") evs in
+  Alcotest.(check bool) "more samples than 65,536" true
+    (List.length counters > 65_536);
+  let named p =
+    List.length (List.filter (fun e -> p (json_str "name" e)) counters)
+  in
+  let transfers = m.Simulator.Runtime.transfers in
+  Alcotest.(check int) "one dma_in sample per transfer" transfers
+    (named (String.starts_with ~prefix:"dma_in["));
+  Alcotest.(check int) "one buffer_occupancy sample per transfer" transfers
+    (named (String.equal "buffer_occupancy"));
+  let first_transfer =
+    List.find (fun e -> json_str "ph" e = "X" && json_str "cat" e = "transfer") evs
+  in
+  Alcotest.(check bool) "first sample no later than the first transfer" true
+    (ts (List.hd counters) <= ts first_transfer)
 
 (* --- histogram quantiles --------------------------------------------------- *)
 
@@ -638,6 +666,29 @@ let test_span_chrome_json () =
         (String.starts_with ~prefix:"  solve " second)
   | _ -> Alcotest.fail "render_tree too short")
 
+(* Byte-for-byte pin of the span export, hostile strings included: a
+   quote, a backslash and control bytes in names, paths, the trace id
+   and attributes, plus a non-finite float and a negative duration. *)
+let test_span_chrome_golden () =
+  let span ~name ~path ~t_start ~t_stop attrs =
+    { Sp.trace = "gold\"en"; id = Int64.of_int (Hashtbl.hash path);
+      parent = 0L; name; path; t_start; t_stop; attrs }
+  in
+  let spans =
+    [
+      span ~name:"re\"q\\\x01" ~path:"/re\"q\\\x01" ~t_start:100.25
+        ~t_stop:100.75
+        [ ("nodes", Sp.Int 4821); ("ok", Sp.Bool false) ];
+      span ~name:"solve" ~path:"/re\"q\\\x01/solve" ~t_start:100.5
+        ~t_stop:100.4
+        [ ("gap", Sp.Float 0.05); ("bound", Sp.Float infinity);
+          ("why", Sp.String "tab\there\nq\"\\\x1f") ];
+    ]
+  in
+  Alcotest.(check string) "exact bytes"
+    {|{"traceEvents":[{"name":"re\"q\\\u0001","cat":"span","ph":"X","ts":0.000,"dur":500000.000,"pid":0,"tid":0,"args":{"path":"/re\"q\\\u0001","trace":"gold\"en","nodes":4821,"ok":false}},{"name":"solve","cat":"span","ph":"X","ts":250000.000,"dur":0.000,"pid":0,"tid":0,"args":{"path":"/re\"q\\\u0001/solve","trace":"gold\"en","gap":0.050000000000000003,"bound":null,"why":"tab\there\nq\"\\\u001f"}}],"displayTimeUnit":"ms"}|}
+    (Sp.to_chrome_json spans)
+
 (* --- span-stream determinism across pool sizes ----------------------------- *)
 
 (* The PR-8 contract: for the same request list, the merged span stream
@@ -742,8 +793,8 @@ let metrics_transparent =
         QCheck.Test.fail_reportf "local search diverged under metrics";
       if base_period <> on_period then
         QCheck.Test.fail_reportf "period bits diverged under metrics";
-      (* The simulator too: counters and an event sink must not perturb
-         the discrete-event timeline. *)
+      (* The simulator too: counters and a trace recording spans and
+         samples must not perturb the discrete-event timeline. *)
       let sim () =
         let r = Simulator.Runtime.run platform g m0 ~instances:60 in
         ( Array.map Int64.bits_of_float r.Simulator.Runtime.completion_times,
@@ -753,15 +804,12 @@ let metrics_transparent =
       let on_sim =
         with_metrics_on (fun () ->
             let trace = Simulator.Trace.create () in
-            let sink = Ev.ring ~clock:(Ev.Clock.fake ()) () in
-            let r =
-              Simulator.Runtime.run ~trace ~sink platform g m0 ~instances:60
-            in
+            let r = Simulator.Runtime.run ~trace platform g m0 ~instances:60 in
             ( Array.map Int64.bits_of_float r.Simulator.Runtime.completion_times,
               r.Simulator.Runtime.transfers ))
       in
       if base_sim <> on_sim then
-        QCheck.Test.fail_reportf "simulation diverged under metrics/sink";
+        QCheck.Test.fail_reportf "simulation diverged under metrics/trace";
       true)
 
 let () =
@@ -786,12 +834,12 @@ let () =
         ] );
       ( "events",
         [
-          Alcotest.test_case "fake-clock ordering" `Quick test_event_ordering;
-          Alcotest.test_case "ring overwrite" `Quick test_ring_overwrite;
           Alcotest.test_case "Chrome JSON shape (handmade)" `Quick
             test_chrome_json_handmade;
           Alcotest.test_case "Chrome JSON shape (simulation)" `Quick
             test_chrome_json_from_simulation;
+          Alcotest.test_case "simulation keeps every counter sample" `Quick
+            test_chrome_json_keeps_every_sample;
         ] );
       ( "spans",
         [
@@ -803,6 +851,8 @@ let () =
             test_span_multidomain;
           Alcotest.test_case "Chrome JSON and renderings" `Quick
             test_span_chrome_json;
+          Alcotest.test_case "Chrome JSON exact bytes" `Quick
+            test_span_chrome_golden;
           qt spans_deterministic_across_pools;
         ] );
       ("transparency", [ qt metrics_transparent ]);

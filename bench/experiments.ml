@@ -31,7 +31,7 @@ let pool : Par.Pool.t option ref = ref None
 
 let pmap f arr =
   match !pool with
-  | Some p when Array.length arr > 1 -> Par.Pool.parallel_map p f arr
+  | Some p when Array.length arr > 1 -> Par.Fiber.parallel_map ~pool:p f arr
   | _ -> Array.map f arr
 
 let pmap_list f l = Array.to_list (pmap f (Array.of_list l))

@@ -197,17 +197,18 @@ let metrics_arg =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
 (* Output files refuse to clobber unless --force was given. *)
-let write_file ~force path contents =
+let write_with ~force path write =
   if (not force) && Sys.file_exists path then begin
     Printf.eprintf
       "cellsched: %s exists, not overwriting (pass --force to replace)\n" path;
     exit 2
   end;
   let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents);
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc);
   Printf.printf "wrote %s\n" path
+
+let write_file ~force path contents =
+  write_with ~force path (fun oc -> output_string oc contents)
 
 let enable_metrics = function
   | None -> ()
@@ -425,7 +426,10 @@ let simulate_cmd =
         | None -> ());
         match trace_json with
         | Some file ->
-            write_file ~force file (Simulator.Trace.to_chrome platform trace)
+            (* Streamed: the document is as large as the run is long. *)
+            write_with ~force file (fun oc ->
+                Simulator.Trace.write_chrome (Buffer.output_buffer oc) platform
+                  trace)
         | None -> ());
     dump_metrics ~force metrics;
     0
@@ -1495,8 +1499,10 @@ let traffic_cmd =
 
 let cache_cmd =
   let run path json clear force =
+    (* Through the shard map, like batch and serve: a sharded daemon's
+       [FILE.shardN] files are read, and cleared, with [FILE]. *)
     if clear then begin
-      match Service.Cache.save_file ~force (Service.Cache.create ()) path with
+      match Service.Shard.save_files ~force (Service.Shard.create ()) path with
       | Ok () ->
           Printf.printf "wrote %s (empty cache)\n" path;
           0
@@ -1504,20 +1510,14 @@ let cache_cmd =
           Printf.eprintf "cellsched: %s\n" m;
           2
     end
-    else if not (Sys.file_exists path) then begin
+    else if
+      not (Sys.file_exists path || Sys.file_exists (path ^ ".shard0"))
+    then begin
       Printf.printf "%s: no cache file (a batch run would start empty)\n" path;
       0
     end
     else begin
-      let contents = In_channel.with_open_bin path In_channel.input_all in
-      let cache =
-        match Service.Cache.load_string contents with
-        | Ok cache -> cache
-        | Error (cache, reason) ->
-            Printf.eprintf "cellsched: %s: corrupt cache (%s); treating as empty\n"
-              path reason;
-            cache
-      in
+      let cache = Service.Shard.(to_cache (load_files path)) in
       if json then print_endline (Service.Cache.to_json_string cache)
       else begin
         Printf.printf "%s: %d entr%s, ~%d bytes\n" path
@@ -1539,7 +1539,10 @@ let cache_cmd =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Cache file (as written by batch --cache).")
+      & info [] ~docv:"FILE"
+          ~doc:
+            "Cache file (as written by batch --cache or serve --cache); the \
+             $(i,FILE).shardN files of a sharded daemon are read with it.")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Dump the cache as JSON.")
@@ -1549,8 +1552,8 @@ let cache_cmd =
       value & flag
       & info [ "clear" ]
           ~doc:
-            "Write an empty cache to $(i,FILE) (refuses to overwrite an \
-             existing file without --force).")
+            "Write an empty cache to $(i,FILE) and remove its shard files \
+             (refuses when either exists, without --force).")
   in
   Cmd.v
     (Cmd.info "cache"

@@ -339,12 +339,13 @@ let m_subtrees =
    one open prefix, searches it depth-first on a private state, and when
    its budget runs out hands every still-open branch back as a fresh
    prefix instead of abandoning it — completeness never depends on the
-   budget. Tasks fan out dynamically over {!Par.Pool.parallel_grow}
-   (work-stealing keeps the domains saturated however lopsided the tree
-   is); the sequential path drains the same tasks off an explicit LIFO
-   stack. Only the *global* limits — the atomic node counter against
-   [max_nodes], the deadline and [should_stop] — abandon work, and they
-   mark the result as limit-hit.
+   budget. Tasks fan out dynamically as fibers, each mapping its spilled
+   prefixes out with {!Par.Fiber.parallel_map} (work-stealing keeps the
+   domains saturated however lopsided the tree is); the sequential path
+   drains the same tasks off an explicit LIFO stack. Only the *global*
+   limits — the atomic node counter against [max_nodes], the deadline
+   and [should_stop] — abandon work, and they mark the result as
+   limit-hit.
 
    Why the result is independent of execution order (and hence bitwise
    equal between sequential and parallel runs of any pool size):
@@ -565,7 +566,7 @@ let run_task ~share ctx platform g prefix =
     Array.of_list !spill
   end
 
-(* Sequential twin of {!Par.Pool.parallel_grow}: drain the task set off
+(* Sequential twin of the phase-B fiber fan-out: drain the task set off
    an explicit LIFO stack (depth-first overall, so memory stays bounded
    by the open prefixes of one root-to-leaf path per budget layer). *)
 let sequential_grow f roots =
@@ -671,7 +672,15 @@ let solve ?(span = Obs.Span.null) ?(options = default_options)
               in
               let run prefix = run_task ~share ctx platform g prefix in
               (match pool with
-              | Some p -> Par.Pool.parallel_grow p run [| [||] |]
+              | Some p ->
+                  (* Each spilled subtree is a fiber; a parent awaits its
+                     children, so the root returns once the whole task
+                     tree has drained, and an error re-raises
+                     lowest-index first. *)
+                  let rec grow prefix =
+                    ignore (Par.Fiber.parallel_map ~pool:p grow (run prefix))
+                  in
+                  Par.Fiber.run p (fun () -> grow [||])
               | None -> sequential_grow run [| [||] |]);
               ( Atomic.get ctx.c_limit,
                 [

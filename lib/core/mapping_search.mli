@@ -48,8 +48,9 @@
     The tree is explored as {e node-budgeted subtree tasks}: each task
     searches one open prefix depth-first and, when its budget runs out,
     hands every still-open branch back as a fresh task — so no work is
-    ever abandoned by the budget, and {!Par.Pool.parallel_grow}
-    work-steals the tasks across domains however lopsided the tree is
+    ever abandoned by the budget, and on a pool every task is a
+    {!Par.Fiber} that maps its spilled prefixes out as child fibers,
+    work-stolen across domains however lopsided the tree is
     (the sequential path drains the same tasks off an explicit LIFO
     stack). Incumbents live in an {!Incumbent.t} — a strict total order
     (period, fingerprint, assignment) folded by retry-CAS — and pruning

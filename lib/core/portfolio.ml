@@ -90,7 +90,8 @@ let solve ?(span = Obs.Span.null) ?pool ?(should_stop = fun () -> false)
   in
   let candidates =
     match pool with
-    | Some p when Array.length entrants > 1 -> Par.Pool.parallel_map p run entrants
+    | Some p when Array.length entrants > 1 ->
+        Par.Fiber.parallel_map ~pool:p run entrants
     | _ -> Array.map run entrants
   in
   let e =

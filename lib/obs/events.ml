@@ -46,16 +46,21 @@ let add_event buf e =
     e.args;
   Buffer.add_string buf "}}"
 
-let to_chrome_json evs =
-  let buf = Buffer.create 4096 in
+let write_chrome_json sink evs =
+  let buf = Buffer.create 256 in
+  let flush () =
+    sink buf;
+    Buffer.clear buf
+  in
   Buffer.add_string buf "{\"traceEvents\":[";
-  List.iteri
+  Seq.iteri
     (fun i e ->
       if i > 0 then Buffer.add_char buf ',';
-      add_event buf e)
+      add_event buf e;
+      flush ())
     evs;
   Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents buf
+  flush ()
 
 let thread_name_event ?(pid = 1) ~tid name =
   {

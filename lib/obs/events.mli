@@ -4,7 +4,7 @@
     sample or a metadata record. The recorders of the codebase
     ({!Span} for request-scoped tracing, [Simulator.Trace] for simulated
     runs) build their events in the order they should appear and render
-    them with {!to_chrome_json}, a JSON object Perfetto and
+    them with {!write_chrome_json}, a JSON object Perfetto and
     [chrome://tracing] open directly. *)
 
 type arg =
@@ -28,12 +28,17 @@ type event = {
   args : (string * arg) list;
 }
 
-val to_chrome_json : event list -> string
-(** A [{"traceEvents": [...], "displayTimeUnit": "ms"}] object with one
-    entry per event, in list order: phase ["X"] (with [dur]) for
-    {!Complete}, ["C"] for {!Counter}, ["M"] for {!Metadata}; [ts]/[dur]
-    in microseconds. Put metadata first so viewers name the lanes
-    before drawing them. *)
+val write_chrome_json : (Buffer.t -> unit) -> event Seq.t -> unit
+(** Render a [{"traceEvents": [...], "displayTimeUnit": "ms"}] object
+    with one entry per event, in sequence order: phase ["X"] (with
+    [dur]) for {!Complete}, ["C"] for {!Counter}, ["M"] for
+    {!Metadata}; [ts]/[dur] in microseconds. Put metadata first so
+    viewers name the lanes before drawing them.
+
+    The document goes to [sink] piece by piece, each event rendered
+    into one reused buffer: [Buffer.output_buffer oc] streams it to a
+    channel in memory bounded by the largest event, and
+    [Buffer.add_buffer out] collects it in [out]. *)
 
 val thread_name_event : ?pid:int -> tid:int -> string -> event
 (** The Chrome metadata event naming thread [tid] — use it so PE lanes

@@ -135,22 +135,21 @@ let to_chrome_json spans_list =
     List.fold_left (fun acc s -> Float.min acc s.t_start) infinity spans_list
   in
   let t0 = if Float.is_finite t0 then t0 else 0. in
-  let events =
-    List.map
-      (fun s ->
-        {
-          Events.ts = s.t_start -. t0;
-          name = s.name;
-          cat = "span";
-          pid = 0;
-          tid = 0;
-          phase = Events.Complete (Float.max 0. (s.t_stop -. s.t_start));
-          args =
-            ("path", String s.path) :: ("trace", String s.trace) :: s.attrs;
-        })
-      spans_list
+  let event s =
+    {
+      Events.ts = s.t_start -. t0;
+      name = s.name;
+      cat = "span";
+      pid = 0;
+      tid = 0;
+      phase = Events.Complete (Float.max 0. (s.t_stop -. s.t_start));
+      args = ("path", String s.path) :: ("trace", String s.trace) :: s.attrs;
+    }
   in
-  Events.to_chrome_json events
+  let out = Buffer.create 4096 in
+  Events.write_chrome_json (Buffer.add_buffer out)
+    (Seq.map event (List.to_seq spans_list));
+  Buffer.contents out
 
 let attr_to_string = function
   | Int i -> string_of_int i

@@ -135,20 +135,25 @@ let parallel_map ?pool f xs =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
-    let fibers = Array.map (fun x -> spawn ~pool (fun () -> f x)) xs in
-    (* Await in index order: every fiber completes before we return, and
-       on failure the lowest-index error wins — same determinism
-       contract as Pool.parallel_map. *)
-    let outcomes =
-      Array.map (fun fb -> match poll fb with
-          | Some o -> o
-          | None -> (
-              match Effect.perform (Await fb) with
-              | o -> o
-              | exception Effect.Unhandled (Await _) -> block fb))
-        fibers
-    in
-    Array.iter (function Error _ as e -> ignore (of_outcome e) | Ok _ -> ())
-      outcomes;
-    Array.map (function Ok v -> v | Error _ -> assert false) outcomes
+    (* One join for the whole map: the last child to finish resolves
+       [joined], so the caller suspends (or blocks) once, not once per
+       unfinished child. The slot writes precede each child's
+       decrement, and the caller reads them after seeing [joined]
+       resolved. *)
+    let outcomes = Array.make n None in
+    let remaining = Atomic.make n in
+    let joined = { pool; state = Atomic.make (Pending []) } in
+    Array.iteri
+      (fun i x ->
+        on_resolve
+          (spawn ~pool (fun () -> f x))
+          (fun o ->
+            outcomes.(i) <- Some o;
+            if Atomic.fetch_and_add remaining (-1) = 1 then
+              resolve joined (Ok ())))
+      xs;
+    await joined;
+    (* Every fiber has finished: the lowest-index error wins, whatever
+       the completion order. *)
+    Array.map (function Some o -> of_outcome o | None -> assert false) outcomes
   end

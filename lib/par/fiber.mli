@@ -22,7 +22,7 @@
     computation whose value depends only on its inputs yields the same
     value at any pool size and any interleaving; {!parallel_map}
     additionally re-raises the lowest-index error, independent of
-    completion order — the same PR-4 contract as {!Pool.parallel_map}. *)
+    completion order. *)
 
 type 'a t
 (** A fiber handle: a promise resolved when the fiber's body returns
@@ -55,7 +55,12 @@ val run : Pool.t -> (unit -> 'a) -> 'a
     usual entry point from a non-pool domain. *)
 
 val parallel_map : ?pool:Pool.t -> ('a -> 'b) -> 'a array -> 'b array
-(** Order-preserving map with one fiber per element. Returns only once
-    every fiber has finished; if any failed, re-raises the
-    lowest-index error (deterministic, like {!Pool.parallel_map}).
+(** Order-preserving map with one fiber per element: element [i] of
+    the result is produced by exactly one fiber evaluating [f xs.(i)].
+    Returns only once every fiber has finished; if any failed,
+    re-raises the lowest-index error, a choice independent of
+    completion order. Called from a fiber it suspends; called from
+    outside one it blocks as {!await} does. It fans out recursively
+    too: a fiber that maps over the subtasks it discovers is a dynamic
+    task tree whose root returns once the whole tree has drained.
     Same [?pool] defaulting as {!spawn}. *)

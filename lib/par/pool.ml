@@ -1,5 +1,5 @@
 (* Fixed domain pool over per-worker SPMC deques; see pool.mli for the
-   wakeup and determinism contracts. *)
+   wakeup and helping contracts. *)
 
 type task = unit -> unit
 
@@ -73,16 +73,14 @@ let find_task t id =
 let run_one t id (task : task) =
   Atomic.incr t.executed.(id);
   let t0 = Unix.gettimeofday () in
-  (* Task closures capture their own exceptions into their promise; an
-     exception escaping here means a raw closure leaked one, so count it
-     rather than lose it silently — [stats] exposes the tally and tests
-     assert it stays zero. *)
+  (* Fiber bodies capture their own exceptions into their promise; an
+     exception escaping here means a raw closure leaked one. Count it and
+     say so on stderr, so the failure is explained where it happened —
+     [stats] exposes the tally and tests assert it stays zero. *)
   (try task ()
    with e ->
      Atomic.incr t.shielded.(id);
-     if Sys.getenv_opt "CELLSTREAM_DEBUG" <> None then
-       Printf.eprintf "par: worker %d shielded %s\n%!" id
-         (Printexc.to_string e));
+     Printf.eprintf "par: worker %d shielded %s\n%!" id (Printexc.to_string e));
   Atomic.set t.busy.(id) (Atomic.get t.busy.(id) +. (Unix.gettimeofday () -. t0))
 
 (* ------------------------------------------------------------------ *)
@@ -127,11 +125,11 @@ let worker_loop t id =
   in
   loop ()
 
-let create ?size:(n = default_size ()) ?(deque_pow = 10) () =
+let create ?size:(n = default_size ()) () =
   if n < 1 then invalid_arg "Pool.create: size must be >= 1";
   let t =
     {
-      deques = Array.init n (fun _ -> Spmc_queue.create ~size_pow:deque_pow ());
+      deques = Array.init n (fun _ -> Spmc_queue.create ());
       injector = Queue.create ();
       m = Mutex.create ();
       cond = Condition.create ();
@@ -173,14 +171,12 @@ let inject t task =
   Queue.push task t.injector;
   Mutex.unlock t.m
 
-let submit_task t task =
+let run_async t task =
   (match Domain.DLS.get ctx_key with
   | Some c when c.cpool == t ->
       if not (Spmc_queue.push t.deques.(c.id) task) then inject t task
   | _ -> inject t task);
   wake t
-
-let run_async = submit_task
 
 let self () =
   match Domain.DLS.get ctx_key with
@@ -191,7 +187,7 @@ let self () =
    blocking cannot deadlock; an outside domain spins briefly then
    sleeps in 50 µs slices, which keeps single-core hosts from burning
    whole scheduler quanta polling. *)
-let wait_until t pred =
+let help_until t pred =
   let helper =
     match Domain.DLS.get ctx_key with
     | Some c when c.cpool == t -> Some c.id
@@ -212,96 +208,6 @@ let wait_until t pred =
         incr idle;
         if !idle > 100 then Unix.sleepf 5e-5 else Domain.cpu_relax ()
   done
-
-let help_until = wait_until
-
-type 'a promise = ('a, exn * Printexc.raw_backtrace) result option Atomic.t
-
-let submit t f =
-  let p = Atomic.make None in
-  submit_task t (fun () ->
-      let r =
-        try Ok (f ()) with e -> Error (e, Printexc.get_raw_backtrace ())
-      in
-      Atomic.set p (Some r));
-  p
-
-let await t p =
-  wait_until t (fun () -> Atomic.get p <> None);
-  match Atomic.get p with
-  | Some (Ok v) -> v
-  | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-  | None -> assert false
-
-(* ------------------------------------------------------------------ *)
-(* Combinators                                                         *)
-
-(* Await every slot, then fail on the lowest-index error: the reported
-   exception does not depend on completion order. *)
-let join_all t remaining (results : (_, exn * Printexc.raw_backtrace) result option array) =
-  wait_until t (fun () -> Atomic.get remaining = 0);
-  Array.iter
-    (function
-      | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-      | Some (Ok _) -> ()
-      | None -> assert false)
-    results
-
-let parallel_map t f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else if n = 1 then [| f xs.(0) |]
-  else begin
-    let results = Array.make n None in
-    let remaining = Atomic.make n in
-    for i = 0 to n - 1 do
-      submit_task t (fun () ->
-          let r =
-            try Ok (f xs.(i))
-            with e -> Error (e, Printexc.get_raw_backtrace ())
-          in
-          results.(i) <- Some r;
-          (* The decrement publishes the plain write above: the joiner
-             observes [remaining = 0] through an atomic read, which
-             orders it after every slot write. *)
-          Atomic.decr remaining)
-    done;
-    join_all t remaining results;
-    Array.map
-      (function Some (Ok v) -> v | _ -> assert false (* join_all raised *))
-      results
-  end
-
-(* Dynamic fan-out: run [f] on every item; the items it returns are
-   resubmitted as fresh tasks until the frontier drains. A child's
-   pending-count increment happens before its parent's decrement, so the
-   count can only reach zero when every transitively spawned item has
-   finished. *)
-let parallel_grow t f roots =
-  let n_roots = Array.length roots in
-  if n_roots > 0 then begin
-    let pending = Atomic.make n_roots in
-    let failure = Atomic.make None in
-    let rec launch item =
-      submit_task t (fun () ->
-          (match f item with
-          | children ->
-              let k = Array.length children in
-              if k > 0 then begin
-                ignore (Atomic.fetch_and_add pending k);
-                Array.iter launch children
-              end
-          | exception e ->
-              let bt = Printexc.get_raw_backtrace () in
-              ignore (Atomic.compare_and_set failure None (Some (e, bt))));
-          Atomic.decr pending)
-    in
-    Array.iter launch roots;
-    wait_until t (fun () -> Atomic.get pending = 0);
-    match Atomic.get failure with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)

@@ -1,23 +1,21 @@
-(** Fixed-size domain pool with per-worker work-stealing deques.
+(** Fixed-size domain pool with per-worker work-stealing deques: the
+    scheduler under {!Fiber}, which is the one way to put work on it.
 
     The pool spawns [size] worker domains at [create] and keeps them
-    until [shutdown]. Each worker owns one {!Spmc_queue.t}; tasks
-    submitted from a worker go to its own deque (falling back to the
-    shared injector when the deque is full), tasks submitted from
-    outside the pool go to a mutex-protected injector queue. Idle
-    workers scan own deque -> injector -> steal (rotating over peers),
-    then park on a condition variable; producers wake sleepers after
-    publishing work, using a sleeper count read after the (sequentially
-    consistent) work publication so wakeups cannot be lost.
+    until [shutdown]. Each worker owns one {!Spmc_queue.t} of 2^10
+    tasks; tasks submitted from a worker go to its own deque (falling
+    back to the shared injector when the deque is full), tasks
+    submitted from outside the pool go to a mutex-protected injector
+    queue. Idle workers scan own deque -> injector -> steal (rotating
+    over peers), then park on a condition variable; producers wake
+    sleepers after publishing work, using a sleeper count read after
+    the (sequentially consistent) work publication so wakeups cannot
+    be lost.
 
-    Blocking on results never deadlocks on nested use: when a worker
-    awaits, it helps — running pool tasks until its predicate holds —
-    instead of sleeping.
-
-    Exceptions raised by tasks are captured with their backtraces and
-    re-raised at the join point; combinators re-raise the error of the
-    {e lowest-indexed} failing task, a deterministic choice independent
-    of execution order. *)
+    Blocking never deadlocks on nested use: a worker that waits in
+    {!help_until} helps — runs pool tasks until its predicate holds —
+    instead of sleeping. Results, exception capture and the
+    lowest-index error order live in {!Fiber}. *)
 
 type t
 
@@ -26,16 +24,15 @@ val default_size : unit -> int
     it parses as a positive integer, else
     [Domain.recommended_domain_count ()]. *)
 
-val create : ?size:int -> ?deque_pow:int -> unit -> t
-(** Spawn [size] workers (default {!default_size}); each worker deque
-    holds [2^deque_pow] tasks (default 10). *)
+val create : ?size:int -> unit -> t
+(** Spawn [size] workers (default {!default_size}). *)
 
 val size : t -> int
 
 val shutdown : t -> unit
 (** Stop and join all workers. Call only when no submitted work is
-    outstanding (every combinator below awaits its own tasks, so this
-    holds whenever they are used). Idempotent. *)
+    outstanding (every fiber that was spawned has been awaited).
+    Idempotent. *)
 
 val with_pool : ?size:int -> (t -> 'a) -> 'a
 (** [create], run, then [shutdown] (also on exception). *)
@@ -50,8 +47,9 @@ val run_async : t -> (unit -> unit) -> unit
 (** Fire-and-forget submission: enqueue the closure (own deque when
     called from a worker of this pool, injector otherwise) and wake a
     sleeper. The closure must capture its own exceptions — anything it
-    leaks is shielded and counted in [shielded] ({!stats}), not
-    propagated. This is the primitive {!Fiber} schedules on. *)
+    leaks is shielded: counted in [shielded] ({!stats}) and reported on
+    stderr as [par: worker N shielded <exn>], not propagated. This is
+    the primitive {!Fiber} schedules on. *)
 
 val help_until : t -> (unit -> bool) -> unit
 (** Block until the predicate holds. A worker of this pool {e helps} —
@@ -59,35 +57,6 @@ val help_until : t -> (unit -> bool) -> unit
     deadlock; an outside domain spins briefly then sleeps in 50 µs
     slices. The predicate must eventually be made true by pool tasks
     or another domain. *)
-
-(** {1 Futures} *)
-
-type 'a promise
-
-val submit : t -> (unit -> 'a) -> 'a promise
-val await : t -> 'a promise -> 'a
-(** Re-raises the task's exception with its original backtrace. *)
-
-(** {1 Combinators} *)
-
-val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Order-preserving map; element [i] of the result is produced by
-    exactly one task evaluating [f xs.(i)]. Returns only once every
-    task has finished; if any failed, re-raises the lowest-index
-    error. Empty and singleton arrays are evaluated in the calling
-    domain without touching the pool. *)
-
-val parallel_grow : t -> ('a -> 'a array) -> 'a array -> unit
-(** Dynamic fan-out: run [f] on every root item; the items [f] returns
-    are resubmitted as fresh tasks (stolen like any other work), until
-    the whole transitively spawned frontier has drained. Built for
-    node-budgeted search subtrees that split themselves when their
-    budget runs out. Items communicate results through the caller's own
-    shared state. If any task raises, one captured exception is
-    re-raised after the drain — with dynamically spawned work there is
-    no stable index order, so unlike {!parallel_map} the choice is not
-    deterministic; callers needing determinism must capture their own
-    errors. *)
 
 (** {1 Statistics} *)
 

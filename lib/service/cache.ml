@@ -235,7 +235,10 @@ let load_file ?max_entries ?max_bytes path =
     | contents -> (
         match load_string ?max_entries ?max_bytes contents with
         | Ok t -> t
-        | Error (t, _) -> t)
+        | Error (t, reason) ->
+            Printf.eprintf "cache: %s: corrupt (%s); starting empty\n%!" path
+              reason;
+            t)
     | exception Sys_error _ ->
         if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_recovered;
         create ?max_entries ?max_bytes ()

@@ -72,15 +72,11 @@ val view : t -> view
 
 val to_json_string : t -> string
 
-val load_string : ?max_entries:int -> ?max_bytes:int ->
-  string -> (t, t * string) result
-(** Parse a persisted cache. [Error (empty, reason)] on any corruption
-    (and [svc_cache_recovered_total] is bumped). *)
-
 val load_file : ?max_entries:int -> ?max_bytes:int ->
   string -> t
-(** Total: missing file is a silent cold start; unreadable/corrupt
-    content recovers to empty as in {!load_string}. *)
+(** Total: missing file is a silent cold start; unreadable or corrupt
+    content recovers to empty and bumps [svc_cache_recovered_total], and
+    a corrupt document is reported on stderr with its reason. *)
 
 val save_file : ?force:bool -> t -> string -> (unit, string) result
 (** No-clobber unless [force = true]; [Error] carries the reason.

@@ -132,13 +132,23 @@ let save_files ?(force = false) t path =
       | Ok () -> go (i + 1)
       | Error _ as e -> e
   in
-  match go 0 with
-  | Ok () ->
-      (* A 1-shard save writes the plain [path], so even [.shard0] is
-         stale then. *)
-      remove_stale path ~from:(if n = 1 then 0 else n);
-      Ok ()
-  | Error _ as e -> e
+  (* Shard files are dense from [.shard0], so these two probes see every
+     cache file under [path]. *)
+  if
+    (not force)
+    && (Sys.file_exists path || Sys.file_exists (shard_path path ~shards:2 0))
+  then
+    Error
+      (Printf.sprintf "%s or its shard files exist, not overwriting (use force)"
+         path)
+  else
+    match go 0 with
+    | Ok () ->
+        (* A 1-shard save writes the plain [path], so even [.shard0] is
+           stale then. *)
+        remove_stale path ~from:(if n = 1 then 0 else n);
+        Ok ()
+    | Error _ as e -> e
 
 let load_files ?shards:(n = 1) ?max_entries ?max_bytes path =
   let t = create ~shards:n ?max_entries ?max_bytes () in
@@ -174,6 +184,17 @@ let load_files ?shards:(n = 1) ?max_entries ?max_bytes path =
       List.iter (add t) (List.rev (Cache.entries staged)))
     files;
   t
+
+let to_cache t =
+  let n = shards t in
+  let c =
+    Cache.create ~max_entries:(t.per_entries * n) ~max_bytes:(t.per_bytes * n)
+      ()
+  in
+  for i = 0 to n - 1 do
+    locked t i (fun s -> List.iter (Cache.add c) (List.rev (Cache.entries s)))
+  done;
+  c
 
 module For_testing = struct
   let with_shard t i f = locked t i f

@@ -59,8 +59,10 @@ val view : t -> Cache.view
 val save_files : ?force:bool -> t -> string -> (unit, string) result
 (** Save every shard (atomic per shard, see {!Cache.save_file});
     removes stale [path.shardJ] files left by a larger previous shard
-    count. Stops at the first failing shard and returns its reason —
-    already-written shards remain valid complete documents. *)
+    count. Without [force] it refuses, writing nothing, when the plain
+    [path] or any shard file exists. Stops at the first failing shard
+    and returns its reason — already-written shards remain valid
+    complete documents. *)
 
 val load_files :
   ?shards:int -> ?max_entries:int -> ?max_bytes:int -> string -> t
@@ -68,6 +70,12 @@ val load_files :
     corrupt ones recover to empty (per shard). Loads shard files when
     any exist, else the legacy plain [path], re-routing every entry
     through {!add} so shard-count changes migrate transparently. *)
+
+val to_cache : t -> Cache.t
+(** A fresh unsharded copy of every entry, each shard replayed oldest
+    first into one {!Cache.t} with this map's total budgets: what
+    [cellsched cache] lists and dumps. Later writes to either side do
+    not show in the other. *)
 
 (**/**)
 

@@ -18,7 +18,7 @@ let sample t ~cat ?(lane = 0) ~ts name args =
     :: t.samples
 
 (* The one start-time ordering used by every sorted consumer
-   (spans/to_svg/to_chrome): a single comparator, not per-exporter
+   (spans/to_svg/write_chrome): a single comparator, not per-exporter
    copies. *)
 let by_start a b = compare a.start b.start
 
@@ -141,23 +141,24 @@ let kind_cat = function
   | `Transfer -> "transfer"
   | `Fault -> "fault"
 
-let to_chrome platform t =
+let write_chrome sink platform t =
   let name_meta =
-    List.init (Cell.Platform.n_pes platform) (fun pe ->
+    Seq.init (Cell.Platform.n_pes platform) (fun pe ->
         Obs.Events.thread_name_event ~tid:pe (Cell.Platform.pe_name platform pe))
   in
-  let span_events =
-    List.map
-      (fun s ->
-        {
-          Obs.Events.ts = s.start;
-          name = s.label;
-          cat = kind_cat s.kind;
-          pid = 1;
-          tid = s.pe;
-          phase = Complete (Float.max 0. (s.finish -. s.start));
-          args = [];
-        })
-      (spans t)
+  let span_event s =
+    {
+      Obs.Events.ts = s.start;
+      name = s.label;
+      cat = kind_cat s.kind;
+      pid = 1;
+      tid = s.pe;
+      phase = Complete (Float.max 0. (s.finish -. s.start));
+      args = [];
+    }
   in
-  Obs.Events.to_chrome_json (name_meta @ span_events @ List.rev t.samples)
+  Obs.Events.write_chrome_json sink
+    (Seq.append name_meta
+       (Seq.append
+          (Seq.map span_event (List.to_seq (spans t)))
+          (List.to_seq (List.rev t.samples))))

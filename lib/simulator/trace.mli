@@ -60,9 +60,11 @@ val to_svg :
   string
 (** Standalone SVG rendering of the same chart, one lane per PE. *)
 
-val to_chrome : Cell.Platform.t -> t -> string
-(** Chrome/Perfetto trace JSON: thread-name metadata naming each PE lane,
-    then one [Complete] span per recorded span by start time (thread id
-    = PE index, category ["compute"], ["transfer"] or ["fault"]), then
-    every counter sample in recording order. Open the written file in
-    [chrome://tracing] or {{:https://ui.perfetto.dev} Perfetto}. *)
+val write_chrome : (Buffer.t -> unit) -> Cell.Platform.t -> t -> unit
+(** Chrome/Perfetto trace JSON, written to a sink as
+    {!Obs.Events.write_chrome_json} does: thread-name metadata naming
+    each PE lane, then one [Complete] span per recorded span by start
+    time (thread id = PE index, category ["compute"], ["transfer"] or
+    ["fault"]), then every counter sample in recording order. Open the
+    written file in [chrome://tracing] or
+    {{:https://ui.perfetto.dev} Perfetto}. *)

@@ -89,11 +89,11 @@ let test_await_outside_fiber () =
   Pool.with_pool ~size:2 (fun p ->
       let f = Fiber.spawn ~pool:p (fun () -> 5) in
       Alcotest.(check int) "main-domain await" 5 (Fiber.await f);
-      let task =
-        Pool.submit p (fun () ->
-            Fiber.await (Fiber.spawn (fun () -> 7)) + 1)
-      in
-      Alcotest.(check int) "pool-task await helps" 8 (Pool.await p task))
+      let r = Atomic.make 0 in
+      Pool.run_async p (fun () ->
+          Atomic.set r (Fiber.await (Fiber.spawn (fun () -> 7)) + 1));
+      Pool.help_until p (fun () -> Atomic.get r <> 0);
+      Alcotest.(check int) "pool-task await helps" 8 (Atomic.get r))
 
 let test_yield_outside_fiber () =
   (* safe anywhere: should_stop hooks call it unconditionally *)

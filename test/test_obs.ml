@@ -333,10 +333,21 @@ let check_chrome_shape json_text ~expect_events =
 let json_str key e =
   match Json.member key e with Some (Json.Str v) -> v | _ -> ""
 
+let collect write =
+  let out = Buffer.create 4096 in
+  write (Buffer.add_buffer out);
+  Buffer.contents out
+
+let chrome_json evs =
+  collect (fun sink -> Ev.write_chrome_json sink (List.to_seq evs))
+
+let trace_chrome platform trace =
+  collect (fun sink -> Simulator.Trace.write_chrome sink platform trace)
+
 let test_chrome_json_handmade () =
   let evs =
     check_chrome_shape ~expect_events:true
-      (Ev.to_chrome_json
+      (chrome_json
          [
            Ev.thread_name_event ~tid:2 "SPE1";
            {
@@ -398,7 +409,7 @@ let test_chrome_json_from_simulation () =
   Alcotest.(check int) "completed" 50 m.Simulator.Runtime.instances;
   let evs =
     check_chrome_shape ~expect_events:true
-      (Simulator.Trace.to_chrome platform trace)
+      (trace_chrome platform trace)
   in
   (* Metadata naming each PE lane, one X span per recorded
      compute/transfer, and the runtime's counter samples. *)
@@ -425,7 +436,7 @@ let test_chrome_json_keeps_every_sample () =
   in
   let evs =
     check_chrome_shape ~expect_events:true
-      (Simulator.Trace.to_chrome platform trace)
+      (trace_chrome platform trace)
   in
   let ts e = match Json.member "ts" e with Some (Json.Num t) -> t | _ -> nan in
   let counters = List.filter (fun e -> json_str "ph" e = "C") evs in

@@ -13,6 +13,7 @@ module Pf = Cellsched.Portfolio
 module Inc = Cellsched.Incumbent
 module R = Simulator.Runtime
 module Pool = Par.Pool
+module Fiber = Par.Fiber
 module Q = Par.Spmc_queue
 
 let pool_sizes = [ 1; 2; 4 ]
@@ -59,78 +60,96 @@ let test_spmc_steal () =
 let test_zero_tasks () =
   Pool.with_pool ~size:2 (fun p ->
       Alcotest.(check int) "empty map" 0
-        (Array.length (Pool.parallel_map p (fun x -> x) [||])))
+        (Array.length (Fiber.parallel_map ~pool:p (fun x -> x) [||])))
 
-let rec tree_sum p depth =
+(* Run [f] as a plain pool task, not a fiber, so every [Fiber.await]
+   inside it blocks by helping (runs pool tasks) instead of suspending;
+   wait for its result from the calling domain. *)
+let in_task p f =
+  let r = Atomic.make None in
+  Pool.run_async p (fun () ->
+      Atomic.set r
+        (Some (try Ok (f ()) with e -> Error (e, Printexc.get_raw_backtrace ()))));
+  Pool.help_until p (fun () -> Atomic.get r <> None);
+  match Atomic.get r with
+  | Some (Ok v) -> v
+  | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+  | None -> assert false
+
+let rec tree_sum depth =
   if depth = 0 then 1
   else begin
-    let left = Pool.submit p (fun () -> tree_sum p (depth - 1)) in
-    let right = tree_sum p (depth - 1) in
-    right + Pool.await p left
+    let left = Fiber.spawn (fun () -> tree_sum (depth - 1)) in
+    let right = tree_sum (depth - 1) in
+    right + Fiber.await left
   end
 
 let test_single_worker () =
-  (* A worker awaiting nested work must help, not deadlock, even when it
-     is the only worker. *)
+  (* A worker awaiting nested work must not deadlock, even when it is
+     the only worker: a fiber suspends, a plain task helps. *)
   Pool.with_pool ~size:1 (fun p ->
-      let sq = Pool.parallel_map p (fun i -> i * i) (Array.init 50 Fun.id) in
+      let sq =
+        Fiber.parallel_map ~pool:p (fun i -> i * i) (Array.init 50 Fun.id)
+      in
       Alcotest.(check int) "map on one worker" (49 * 49) sq.(49);
-      let total = Pool.await p (Pool.submit p (fun () -> tree_sum p 6)) in
-      Alcotest.(check int) "nested on one worker" 64 total)
+      Alcotest.(check int) "nested fibers on one worker" 64
+        (Fiber.run p (fun () -> tree_sum 6));
+      Alcotest.(check int) "nested helping task on one worker" 64
+        (in_task p (fun () -> tree_sum 6)))
 
 let test_nested_submit () =
   Pool.with_pool ~size:2 (fun p ->
-      let total = Pool.await p (Pool.submit p (fun () -> tree_sum p 8)) in
-      Alcotest.(check int) "tree sum" 256 total)
+      Alcotest.(check int) "tree sum" 256 (Fiber.run p (fun () -> tree_sum 8));
+      Alcotest.(check int) "tree sum, helping" 256
+        (in_task p (fun () -> tree_sum 8)))
 
 exception Boom of int
 
 let test_exception_propagation () =
   Pool.with_pool ~size:2 (fun p ->
       (match
-         Pool.parallel_map p
+         Fiber.parallel_map ~pool:p
            (fun i -> if i mod 3 = 1 then raise (Boom i) else i)
            (Array.init 10 Fun.id)
        with
       | _ -> Alcotest.fail "parallel_map should re-raise"
       | exception Boom i ->
           Alcotest.(check int) "lowest-index error wins" 1 i);
-      let pr = Pool.submit p (fun () -> raise (Boom 42)) in
-      match Pool.await p pr with
+      let f = Fiber.spawn ~pool:p (fun () -> raise (Boom 42)) in
+      match Fiber.await f with
       | _ -> Alcotest.fail "await should re-raise"
       | exception Boom i -> Alcotest.(check int) "await re-raises" 42 i)
 
-(* The capture path with the owner {e helping}: the driver worker fills
-   its own deque (one raiser among innocents) and then blocks in await,
-   which runs and steals tasks. Whichever domain executes the raiser —
-   owner helping or a stealing peer — the exception must land in its
-   promise and re-raise at the await, leaving the pool fully usable. A
-   finaliser then submits {e more} work while Boom is unwinding
-   (re-entrant submit during unwind) and awaits it. Nothing may leak
-   into the worker shield: [shielded] stays zero. *)
+(* The capture path with the owner {e helping}: the owner, a plain
+   task, fills its own deque with fibers (one raiser among innocents)
+   and then blocks in await, which runs and steals tasks. Whichever
+   domain executes the raiser — owner helping or a stealing peer — the
+   exception must land in its fiber and re-raise at the await, leaving
+   the pool fully usable. A finaliser then spawns {e more} work while
+   Boom is unwinding (re-entrant spawn during unwind) and awaits it.
+   Nothing may leak into the worker shield: [shielded] stays zero. *)
 let test_stolen_raise_while_helping () =
   Pool.with_pool ~size:2 (fun p ->
-      let driver =
-        Pool.submit p (fun () ->
-            let raiser = Pool.submit p (fun () -> raise (Boom 7)) in
-            let innocents = Array.init 32 (fun i -> Pool.submit p (fun () -> i)) in
-            let sum =
-              Array.fold_left (fun a pr -> a + Pool.await p pr) 0 innocents
-            in
-            match Pool.await p raiser with
-            | () -> Alcotest.fail "await of a raising task must re-raise"
-            | exception Boom i ->
-                let again = ref 0 in
-                (try
-                   Fun.protect
-                     ~finally:(fun () ->
-                       again := Pool.await p (Pool.submit p (fun () -> 21 + 21)))
-                     (fun () -> raise (Boom i))
-                 with Boom _ -> ());
-                sum + !again)
+      let owner () =
+        let raiser = Fiber.spawn (fun () -> raise (Boom 7)) in
+        let innocents = Array.init 32 (fun i -> Fiber.spawn (fun () -> i)) in
+        let sum =
+          Array.fold_left (fun a f -> a + Fiber.await f) 0 innocents
+        in
+        match Fiber.await raiser with
+        | () -> Alcotest.fail "await of a raising fiber must re-raise"
+        | exception Boom i ->
+            let again = ref 0 in
+            (try
+               Fun.protect
+                 ~finally:(fun () ->
+                   again := Fiber.await (Fiber.spawn (fun () -> 21 + 21)))
+                 (fun () -> raise (Boom i))
+             with Boom _ -> ());
+            sum + !again
       in
       Alcotest.(check int) "pool survives the unwind" (496 + 42)
-        (Pool.await p driver);
+        (in_task p owner);
       Alcotest.(check int) "no exception swallowed by the shield" 0
         (Array.fold_left
            (fun a (s : Pool.worker_stats) -> a + s.Pool.shielded)
@@ -143,10 +162,10 @@ let test_stealing_under_contention () =
   Pool.with_pool ~size:4 (fun p ->
       let n = 64 in
       let finished = Atomic.make 0 in
-      let driver =
-        Pool.submit p (fun () ->
+      let spinner =
+        Fiber.spawn ~pool:p (fun () ->
             for _ = 1 to n do
-              ignore (Pool.submit p (fun () -> Atomic.incr finished))
+              Pool.run_async p (fun () -> Atomic.incr finished)
             done;
             let deadline = Unix.gettimeofday () +. 60. in
             while Atomic.get finished < n do
@@ -155,7 +174,7 @@ let test_stealing_under_contention () =
               Domain.cpu_relax ()
             done)
       in
-      Pool.await p driver;
+      Fiber.await spinner;
       let stats = Pool.stats p in
       let sum f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
       Alcotest.(check int) "every task ran exactly once" (n + 1)
@@ -166,24 +185,24 @@ let test_stealing_under_contention () =
         (sum (fun s -> s.Pool.stolen) >= n))
 
 let test_deque_overflow () =
-  (* Ring of 4 slots: nested submissions overflow to the injector and
-     must still all run. *)
-  let p = Pool.create ~size:2 ~deque_pow:2 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
+  (* One fiber spawns more fibers than its worker's 1,024-slot deque
+     holds. On a one-worker pool nothing drains the deque meanwhile, so
+     the spawns past the 1,024th overflow to the injector, and all of
+     them must still run. *)
+  Pool.with_pool ~size:1 (fun p ->
+      let n = 1100 in
       let total =
-        Pool.await p
-          (Pool.submit p (fun () ->
-               let promises = Array.init 64 (fun i -> Pool.submit p (fun () -> i)) in
-               Array.fold_left (fun acc pr -> acc + Pool.await p pr) 0 promises))
+        Fiber.run p (fun () ->
+            let fibers = Array.init n (fun i -> Fiber.spawn (fun () -> i)) in
+            Array.fold_left (fun acc f -> acc + Fiber.await f) 0 fibers)
       in
-      Alcotest.(check int) "all overflowed tasks ran" (63 * 64 / 2) total)
+      Alcotest.(check int) "all overflowed tasks ran" (n * (n - 1) / 2) total)
 
 let test_pool_stats_shape () =
   Pool.with_pool ~size:3 (fun p ->
       Alcotest.(check int) "size" 3 (Pool.size p);
-      ignore (Pool.parallel_map p (fun i -> i + 1) (Array.init 32 Fun.id));
+      ignore
+        (Fiber.parallel_map ~pool:p (fun i -> i + 1) (Array.init 32 Fun.id));
       let stats = Pool.stats p in
       Alcotest.(check int) "one stat row per worker" 3 (Array.length stats);
       let executed = Array.fold_left (fun a s -> a + s.Pool.executed) 0 stats in

@@ -499,6 +499,46 @@ let test_migration_and_stale_cleanup () =
             Alcotest.failf "entry %s lost in legacy migration" fp)
         fps)
 
+(* What [cellsched cache] does with a sharded daemon's files: reading
+   the plain name merges every shard, and clearing it refuses without
+   force and otherwise leaves nothing for the next load to resurrect. *)
+let test_inspect_and_clear_shard_files () =
+  let path = temp_base () in
+  Fun.protect
+    ~finally:(fun () -> cleanup path)
+    (fun () ->
+      let rng = Support.Rng.create 12 in
+      let t2 = Shard.create ~shards:2 () in
+      let fps = populate t2 rng 10 in
+      (match Shard.save_files ~force:true t2 path with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "save failed: %s" m);
+      let merged = Shard.to_cache (Shard.load_files path) in
+      Alcotest.(check int) "both shard files read under the plain name" 10
+        (Cache.length merged);
+      List.iter
+        (fun fp ->
+          if Cache.find merged fp = None then
+            Alcotest.failf "entry %s missing from the merged copy" fp)
+        fps;
+      (match Shard.save_files (Shard.create ()) path with
+      | Ok () -> Alcotest.fail "an unforced clear overwrote shard files"
+      | Error _ -> ());
+      Alcotest.(check bool) "refusal writes no plain file" false
+        (Sys.file_exists path);
+      Alcotest.(check int) "refusal keeps every entry" 10
+        (entries (Shard.load_files ~shards:2 path));
+      (match Shard.save_files ~force:true (Shard.create ()) path with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "forced clear failed: %s" m);
+      List.iter
+        (fun n ->
+          Alcotest.(check int)
+            (Printf.sprintf "cleared cache loads empty at %d shards" n)
+            0
+            (entries (Shard.load_files ~shards:n path)))
+        [ 1; 2 ])
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "traffic"
@@ -534,5 +574,7 @@ let () =
             `Quick test_crash_recovery;
           Alcotest.test_case "shard-count migration + stale cleanup" `Quick
             test_migration_and_stale_cleanup;
+          Alcotest.test_case "inspect and clear a sharded cache by its name"
+            `Quick test_inspect_and_clear_shard_files;
         ] );
     ]

@@ -981,20 +981,34 @@ let search_par () =
           prio = 0;
         })
   in
-  let render_all responses =
-    String.concat "" (List.map Service.Batch.render responses)
-  in
-  let batch ?pool () =
+  (* The engine as the batch command drives it: every request admitted
+     up front, reply frames collected in request order; inline at size
+     1, one fiber per solve on a pool otherwise. *)
+  let batch size =
     time_of (fun () ->
-        render_all
-          (Service.Batch.run_view ?pool
-             ~view:(Service.Cache.view (Service.Cache.create ()))
-             fiber_reqs))
+        let n = List.length fiber_reqs in
+        let frames = Array.make n "" in
+        let server =
+          Daemon.Server.create
+            {
+              Daemon.Server.default_config with
+              bound = n;
+              concurrency = size;
+              fibers = size > 1;
+              flush_period = 0.;
+            }
+        in
+        List.iteri
+          (fun i r ->
+            Daemon.Server.submit server
+              ~out:(fun s -> frames.(i) <- s)
+              ~id:(string_of_int i) ~trace:false r)
+          fiber_reqs;
+        Daemon.Server.finish server;
+        String.concat "" (Array.to_list frames))
   in
-  let out_seq, t_seq = batch () in
-  let out_fiber, t_fiber =
-    Par.Pool.with_pool ~size:(min 4 (max 2 host)) (fun pool -> batch ~pool ())
-  in
+  let out_seq, t_seq = batch 1 in
+  let out_fiber, t_fiber = batch (min 4 (max 2 host)) in
   let fiber_identical = String.equal out_seq out_fiber in
   if not fiber_identical then all_identical := false;
   (* scheduling-rate microbench: tiny fibers, nothing but spawn/await *)
@@ -1165,6 +1179,15 @@ let search_bb () =
       "WARNING: a 50-task preset the rebuilt engine must close stayed open";
   print_newline ()
 
+(* One request through the cache-or-solve path, as the daemon engine
+   answers it. *)
+let serve_one view r =
+  match Service.Batch.try_cache_view ~view r with
+  | Some hit -> hit
+  | None ->
+      let assignment, period, _bound = Service.Batch.solve_request r in
+      Service.Batch.solved_response_view ~view r (assignment, period)
+
 (* Mapping-service latency: cache-hit path (fingerprint + transport +
    validate) vs solve path (full portfolio run) on every preset graph.
    The acceptance bar is a >=10x hit-path advantage; in practice the gap
@@ -1199,14 +1222,8 @@ let service () =
           prio = 0;
         }
       in
-      let cache = Service.Cache.create () in
-      let one () =
-        match
-          Service.Batch.run_view ~view:(Service.Cache.view cache) [ request ]
-        with
-        | [ r ] -> r
-        | _ -> assert false
-      in
+      let view = Service.Cache.view (Service.Cache.create ()) in
+      let one () = serve_one view request in
       let solved, t_solve = time_of one in
       assert (solved.Service.Batch.source = Service.Batch.Solved);
       (* The hit path is microseconds; amortize over many repeats and
@@ -1548,8 +1565,7 @@ let traffic () =
         (fun r ->
           let fp = Service.Request.fingerprint r in
           if not (Hashtbl.mem entries fp) then begin
-            ignore
-              (Service.Batch.run_view ~view:(Service.Cache.view base) [ r ]);
+            ignore (serve_one (Service.Cache.view base) r);
             match Service.Cache.find base fp with
             | Some e -> Hashtbl.add entries fp e
             | None -> assert false

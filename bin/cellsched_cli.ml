@@ -217,11 +217,7 @@ let enable_metrics = function
 let dump_metrics ~force = function
   | None -> ()
   | Some path ->
-      let render =
-        if Filename.check_suffix path ".prom" then Obs.Metrics.to_prometheus
-        else Obs.Metrics.to_json
-      in
-      write_file ~force path (render Obs.Metrics.default)
+      write_file ~force path (Obs.Metrics.to_file_format path Obs.Metrics.default)
 
 (* --- generate ------------------------------------------------------------ *)
 
@@ -978,42 +974,70 @@ let batch_cmd =
         |> List.mapi (fun i line ->
                Service.Request.parse_line ~load_graph ~default_spes:n_spe
                  (i + 1) line)
-        |> List.filter_map Fun.id
+        |> List.filter_map Fun.id |> Array.of_list
       with Failure m ->
         Printf.eprintf "cellsched: %s: %s\n" requests_path m;
         exit 2
     in
-    (* The daemon's cache front end with one shard: the same file
-       format, and [.shardN] files left by a sharded daemon migrate. *)
-    let cache =
-      match cache_path with
-      | Some path -> Service.Shard.load_files path
-      | None -> Service.Shard.create ()
+    (* The daemon's engine answers the batch: every request is admitted
+       up front (bound = request count), in file order (batch never
+       reorders or cancels, so priorities and deadlines are cleared),
+       and duplicates of a miss become hits on its solve. A one-shard
+       cache: the daemon's file format, and [.shardN] files left by a
+       sharded daemon migrate. *)
+    let n = Array.length requests in
+    let concurrency, fibers =
+      match parallel with
+      | None -> (1, false)
+      | Some k -> ((if k <= 0 then Par.Pool.default_size () else k), true)
     in
-    let responses =
-      with_optional_pool parallel (fun pool ->
-          Service.Batch.run_view ?pool ~view:(Service.Shard.view cache)
-            requests)
+    let statuses = Array.make n `Rejected and frames = Array.make n "" in
+    let engine =
+      Daemon.Server.create
+        ~on_reply:(fun r ->
+          statuses.(int_of_string r.Daemon.Server.id) <- r.Daemon.Server.status)
+        ~load_graph
+        {
+          Daemon.Server.default_config with
+          bound = max 1 n;
+          concurrency;
+          fibers;
+          cache_path;
+          flush_period = 0.;
+        }
     in
-    List.iter (fun r -> print_string (Service.Batch.render r)) responses;
+    Array.iteri
+      (fun i r ->
+        Daemon.Server.submit engine
+          ~out:(fun s -> frames.(i) <- s)
+          ~id:(string_of_int i) ~trace:false
+          { r with Service.Request.deadline_ms = None; prio = 0 })
+      requests;
+    Daemon.Server.finish engine;
+    Array.iteri
+      (fun i -> function
+        | `Error reason ->
+            Printf.eprintf "cellsched: %s: %s\n"
+              requests.(i).Service.Request.label reason;
+            exit 2
+        | _ -> ())
+      statuses;
+    (* Each reply is "BEGIN <id> ok\n" ^ {!Service.Batch.render} ^
+       "END <id>\n": print the render the engine already made. *)
+    Array.iter
+      (fun frame ->
+        let start = String.index frame '\n' + 1 in
+        let stop = String.rindex_from frame (String.length frame - 2) '\n' + 1 in
+        print_string (String.sub frame start (stop - start)))
+      frames;
     let hits =
-      List.length
-        (List.filter (fun r -> r.Service.Batch.source = Service.Batch.Hit)
-           responses)
+      Array.fold_left (fun k s -> if s = `Hit then k + 1 else k) 0 statuses
     in
-    Printf.eprintf "batch: %d request(s), %d from cache, %d solved\n"
-      (List.length responses) hits
-      (List.length responses - hits);
-    (match cache_path with
-    | None -> ()
-    | Some path -> (
-        (* Read-modify-write of the named cache file: writing back over
-           the file we loaded is the contract, no --force needed. *)
-        match Service.Shard.save_files ~force:true cache path with
-        | Ok () -> ()
-        | Error m ->
-            Printf.eprintf "cellsched: %s\n" m;
-            exit 2));
+    Printf.eprintf "batch: %d request(s), %d from cache, %d solved\n" n hits
+      (n - hits);
+    (* The engine's final flush wrote the cache back over the file it
+       loaded (the read-modify-write contract, no --force needed). *)
+    if (Daemon.Server.stats engine).Daemon.Server.flush_errors > 0 then exit 2;
     dump_metrics ~force metrics;
     0
   in

@@ -577,7 +577,7 @@ let sequential_grow f roots =
   done
 
 let solve ?(span = Obs.Span.null) ?(options = default_options)
-    ?(should_stop = fun () -> false) ?incumbent ?(extra_lower_bound = 0.) ?pool
+    ?(should_stop = fun () -> false) ?incumbent ?pool
     platform g =
   let share = options.share_colocated_buffers in
   let st = make_state ~share platform g in
@@ -612,10 +612,7 @@ let solve ?(span = Obs.Span.null) ?(options = default_options)
   let det_thr = init_period *. (1. -. options.rel_gap) in
   let deadline = Unix.gettimeofday () +. options.time_limit in
   let root_bound = node_bound st ~pos:0 ~hi:init_period in
-  let root_bound =
-    Float.max root_bound
-      (Float.max extra_lower_bound (Bounds.root_bound st.bnd))
-  in
+  let root_bound = Float.max root_bound (Bounds.root_bound st.bnd) in
   let ctx =
     {
       inc;

@@ -23,11 +23,6 @@ type options = {
   time_limit : float;  (** Seconds (default 60). *)
   max_nodes : int;
   engine : engine;
-  root_lp : bool;
-      (** For [Search]: solve the compact LP relaxation at the root to
-          tighten the reported bound. Defaults to [false]: the LP takes
-          tens of seconds on paper-scale graphs while the search's own
-          combinatorial relaxation gives a comparable bound. *)
   share_colocated_buffers : bool;  (** Model the §7 buffer sharing. *)
 }
 

@@ -165,7 +165,7 @@ type job = {
   out : string -> unit;
   received : float;
   deadline : float;  (* absolute seconds; [infinity] when none *)
-  trace : Obs.Span.collector;  (* this request's private span buffer *)
+  trace : Obs.Span.collector option;  (* this request's private span buffer *)
   span : Obs.Span.ctx;  (* position under the request root span *)
   (* The request's canonical key, computed once at receipt and reused by
      every probe and by the store of its solve. *)
@@ -185,6 +185,7 @@ type stats = {
   solved : int;
   partials : int;
   replies : int;
+  flush_errors : int;
 }
 
 type t = {
@@ -202,6 +203,12 @@ type t = {
      touched exclusively from the main loop. *)
   completed : done_item Queue.t;
   completed_mutex : Mutex.t;
+  (* With a pool: a self-pipe (read end, write end), both non-blocking.
+     A solve fiber writes a byte after queueing its completion, and
+     every wait on the main loop selects on the read end, so a finished
+     solve wakes the loop at once. [None] without a pool (inline solves
+     need no wake-up) and after [finish] closes it. *)
+  mutable wake : (Unix.file_descr * Unix.file_descr) option;
   (* Reply sequencer, main-loop-only like the cache: done items keyed by
      slot, emitted in contiguous slot order. [deferred] holds popped jobs
      whose fingerprint is being solved by an earlier slot;
@@ -230,6 +237,7 @@ type t = {
   mutable solved : int;
   mutable partials : int;
   mutable replies : int;
+  mutable flush_errors : int;
 }
 
 let default_loader () =
@@ -278,6 +286,14 @@ let create ?(on_reply = fun _ -> ()) ?load_graph config =
     admission = Admission.create ~bound:config.bound;
     completed = Queue.create ();
     completed_mutex = Mutex.create ();
+    wake =
+      (if pooled then begin
+         let r, w = Unix.pipe ~cloexec:true () in
+         Unix.set_nonblock r;
+         Unix.set_nonblock w;
+         Some (r, w)
+       end
+       else None);
     ready = Hashtbl.create 64;
     deferred = Queue.create ();
     inflight_fps = Hashtbl.create 64;
@@ -300,6 +316,7 @@ let create ?(on_reply = fun _ -> ()) ?load_graph config =
     solved = 0;
     partials = 0;
     replies = 0;
+    flush_errors = 0;
   }
 
 let shard t = t.shard
@@ -314,6 +331,7 @@ let stats t =
     solved = t.solved;
     partials = t.partials;
     replies = t.replies;
+    flush_errors = t.flush_errors;
   }
 
 let request_shutdown t = Atomic.set t.stop true
@@ -353,11 +371,7 @@ let stage_span span hist name f =
 (* --- persistence ---------------------------------------------------------- *)
 
 let write_metrics_file path =
-  let text =
-    if Filename.check_suffix path ".json" then
-      Obs.Metrics.to_json Obs.Metrics.default
-    else Obs.Metrics.to_prometheus Obs.Metrics.default
-  in
+  let text = Obs.Metrics.to_file_format path Obs.Metrics.default in
   match
     let oc = open_out_bin path in
     Fun.protect
@@ -365,7 +379,7 @@ let write_metrics_file path =
       (fun () -> output_string oc text)
   with
   | () -> ()
-  | exception Sys_error m -> Printf.eprintf "cellsched serve: %s\n%!" m
+  | exception Sys_error m -> Printf.eprintf "cellsched: %s\n%!" m
 
 let flush t =
   (match t.config.cache_path with
@@ -375,8 +389,11 @@ let flush t =
           t.dirty <- false;
           t.last_flush <- Unix.gettimeofday ();
           metrics_inc m_flushes
-      | Error m -> Printf.eprintf "cellsched serve: cache flush: %s\n%!" m)
+      | Error m ->
+          t.flush_errors <- t.flush_errors + 1;
+          Printf.eprintf "cellsched: cache flush: %s\n%!" m)
   | None -> ());
+  Option.iter Par.Pool.publish_stats t.pool;
   match t.config.metrics_file with
   | Some path -> write_metrics_file path
   | None -> ()
@@ -396,28 +413,28 @@ let next_id t =
 
 let max_retained_traces = 256
 
-let write_trace_file t (job : job) spans =
+let write_trace_file t id spans =
   match t.config.trace_dir with
   | None -> ()
   | Some dir -> (
-      let path = Filename.concat dir (job.id ^ ".json") in
+      let path = Filename.concat dir (id ^ ".json") in
       try
         let oc = open_out_bin path in
         Fun.protect
           ~finally:(fun () -> close_out oc)
           (fun () -> output_string oc (Obs.Span.to_chrome_json spans))
-      with Sys_error m -> Printf.eprintf "cellsched serve: trace: %s\n%!" m)
+      with Sys_error m -> Printf.eprintf "cellsched: trace: %s\n%!" m)
 
-let store_trace t (job : job) spans =
-  if not (Hashtbl.mem t.traces job.id) then begin
-    Queue.push job.id t.trace_order;
+let store_trace t id spans =
+  if not (Hashtbl.mem t.traces id) then begin
+    Queue.push id t.trace_order;
     while Queue.length t.trace_order > max_retained_traces do
       Hashtbl.remove t.traces (Queue.pop t.trace_order)
     done
   end;
   (* An id reused by the client keeps its latest tree (no extra FIFO
      slot, so eviction order stays first-completion). *)
-  Hashtbl.replace t.traces job.id spans
+  Hashtbl.replace t.traces id spans
 
 let send_reply t (job : job) ~partial ?bound response =
   stage_span job.span h_stage_reply "reply" (fun () ->
@@ -442,24 +459,27 @@ let send_reply t (job : job) ~partial ?bound response =
   end;
   (* Close the request root span and retain the finished tree for the
      TRACE verb and the per-request Chrome file. *)
-  Obs.Span.record
-    (Obs.Span.root job.trace ~trace:job.id)
-    ~t_start:job.received ~t_stop:now
-    ~attrs:
-      [
-        ( "status",
-          Obs.Span.String
-            (match status with
-            | `Partial -> "partial"
-            | `Hit -> "hit"
-            | _ -> "solved") );
-        ("prio", Obs.Span.Int job.request.Request.prio);
-        ("slo_met", Obs.Span.Bool met);
-      ]
-    "request";
-  let spans = Obs.Span.spans job.trace in
-  store_trace t job spans;
-  write_trace_file t job spans;
+  Option.iter
+    (fun trace ->
+      Obs.Span.record
+        (Obs.Span.root trace ~trace:job.id)
+        ~t_start:job.received ~t_stop:now
+        ~attrs:
+          [
+            ( "status",
+              Obs.Span.String
+                (match status with
+                | `Partial -> "partial"
+                | `Hit -> "hit"
+                | _ -> "solved") );
+            ("prio", Obs.Span.Int job.request.Request.prio);
+            ("slo_met", Obs.Span.Bool met);
+          ]
+        "request";
+      let spans = Obs.Span.spans trace in
+      store_trace t job.id spans;
+      write_trace_file t job.id spans)
+    job.trace;
   t.on_reply { id = job.id; status; response = Some response; latency }
 
 let send_error t ~id ~out reason =
@@ -481,7 +501,7 @@ let run_job t (job : job) =
   in
   let should_stop () =
     tick ();
-    if Unix.gettimeofday () > job.deadline then begin
+    if job.deadline < infinity && Unix.gettimeofday () > job.deadline then begin
       deadline_hit := true;
       cancelled := true;
       true
@@ -566,6 +586,27 @@ let finish_job t { job; outcome } =
    [spawn_solve] runs the solve on the spot, so nothing is ever
    deferred and each [poll] runs at most one solve. *)
 
+(* After the push, so a loop that reaped before the push still finds
+   the byte. A full pipe already holds a wake-up: EAGAIN is fine. *)
+let signal_wake t =
+  match t.wake with
+  | Some (_, w) -> (
+      try ignore (Unix.single_write_substring w "!" 0 1)
+      with Unix.Unix_error _ -> ())
+  | None -> ()
+
+let clear_wake t =
+  match t.wake with
+  | Some (r, _) ->
+      let buf = Bytes.create 64 in
+      let rec go () =
+        match Unix.read r buf 0 64 with
+        | 64 -> go ()
+        | _ | (exception Unix.Unix_error _) -> ()
+      in
+      go ()
+  | None -> ()
+
 let spawn_solve t (job : job) =
   Hashtbl.replace t.inflight_fps job.key.Request.fingerprint ();
   match t.pool with
@@ -576,7 +617,8 @@ let spawn_solve t (job : job) =
              let item = run_job t job in
              Mutex.lock t.completed_mutex;
              Queue.push item t.completed;
-             Mutex.unlock t.completed_mutex))
+             Mutex.unlock t.completed_mutex;
+             signal_wake t))
 
 (* Probe-or-spawn for a job already holding a slot; shared between
    first dispatch and deferred retries so both produce the exact bytes
@@ -654,6 +696,59 @@ let poll t =
   maybe_flush t;
   publish_queue t
 
+let submit t ~out ?id ?(trace = true) request =
+  t.received <- t.received + 1;
+  metrics_inc m_requests;
+  let id = match id with Some id -> id | None -> next_id t in
+  let received = Unix.gettimeofday () in
+  (* A traced request gets a private span collector rooted at its id;
+     the root "request" span itself is recorded when the reply goes
+     out, but children nest under it from the first probe on. *)
+  let trace = if trace then Some (Obs.Span.collector ()) else None in
+  let span =
+    match trace with
+    | Some col -> Obs.Span.sub (Obs.Span.root col ~trace:id) "request"
+    | None -> Obs.Span.null
+  in
+  (* The warm-cache hit path never queues: it is answered inline,
+     bypassing admission control entirely, so an overloaded daemon
+     keeps serving everything it already knows. *)
+  let key, hit =
+    stage_span span h_stage_cache "cache" (fun () ->
+        let key = Request.key request in
+        (key, Batch.try_cache_view ~key ~view:t.view request))
+  in
+  let job deadline =
+    { id; request; out; received; deadline; trace; span; key; slot = -1 }
+  in
+  match hit with
+  | Some response ->
+      t.accepted <- t.accepted + 1;
+      t.hits <- t.hits + 1;
+      metrics_inc m_accepted;
+      metrics_inc m_hits;
+      send_reply t (job infinity) ~partial:false response
+  | None ->
+      let job =
+        job
+          (match request.Request.deadline_ms with
+          | Some ms -> received +. (ms /. 1000.)
+          | None -> infinity)
+      in
+      if Admission.admit t.admission ~prio:request.Request.prio job then begin
+        t.accepted <- t.accepted + 1;
+        metrics_inc m_accepted;
+        publish_queue t
+      end
+      else begin
+        t.rejected <- t.rejected + 1;
+        t.replies <- t.replies + 1;
+        metrics_inc m_rejected;
+        out (Protocol.render_reject ~id);
+        t.on_reply
+          { id; status = `Rejected; response = None; latency = 0. }
+      end
+
 let handle_line t ~out line =
   t.line_no <- t.line_no + 1;
   match
@@ -682,89 +777,46 @@ let handle_line t ~out line =
       metrics_inc m_requests;
       let id = match id with Some id -> id | None -> next_id t in
       send_error t ~id ~out reason
-  | Protocol.Command (Protocol.Submit { id; request }) -> (
-      t.received <- t.received + 1;
-      metrics_inc m_requests;
-      let id = match id with Some id -> id | None -> next_id t in
-      let received = Unix.gettimeofday () in
-      (* Every request gets a private span collector rooted at its id;
-         the root "request" span itself is recorded when the reply goes
-         out, but children nest under it from the first probe on. *)
-      let trace = Obs.Span.collector () in
-      let span = Obs.Span.sub (Obs.Span.root trace ~trace:id) "request" in
-      (* The warm-cache hit path never queues: it is answered inline,
-         bypassing admission control entirely, so an overloaded daemon
-         keeps serving everything it already knows. *)
-      let key, hit =
-        stage_span span h_stage_cache "cache" (fun () ->
-            let key = Request.key request in
-            (key, Batch.try_cache_view ~key ~view:t.view request))
-      in
-      match hit with
-      | Some response ->
-          t.accepted <- t.accepted + 1;
-          t.hits <- t.hits + 1;
-          metrics_inc m_accepted;
-          metrics_inc m_hits;
-          send_reply t
-            {
-              id;
-              request;
-              out;
-              received;
-              deadline = infinity;
-              trace;
-              span;
-              key;
-              slot = -1;
-            }
-            ~partial:false response
-      | None ->
-          let deadline =
-            match request.Request.deadline_ms with
-            | Some ms -> received +. (ms /. 1000.)
-            | None -> infinity
-          in
-          let job =
-            {
-              id;
-              request;
-              out;
-              received;
-              deadline;
-              trace;
-              span;
-              key;
-              slot = -1;
-            }
-          in
-          if Admission.admit t.admission ~prio:request.Request.prio job then begin
-            t.accepted <- t.accepted + 1;
-            metrics_inc m_accepted;
-            publish_queue t
-          end
-          else begin
-            t.rejected <- t.rejected + 1;
-            t.replies <- t.replies + 1;
-            metrics_inc m_rejected;
-            out (Protocol.render_reject ~id);
-            t.on_reply
-              { id; status = `Rejected; response = None; latency = 0. }
-          end)
+  | Protocol.Command (Protocol.Submit { id; request }) -> submit t ~out ?id request
 
 (* --- lifecycle ------------------------------------------------------------ *)
 
+(* Block until one of [fds] is readable, a pooled solve completes, or
+   50 ms pass; returns the readable [fds]. A pool-less engine with
+   queued work never blocks: its next [poll] runs that work, so the
+   wait only polls [fds] (and is skipped when there are none). *)
+let wait t fds =
+  let inline_work = t.pool = None && Admission.pending t.admission > 0 in
+  if inline_work && fds = [] then []
+  else
+    let wake = match t.wake with Some (r, _) -> [ r ] | None -> [] in
+    match
+      Unix.select (wake @ fds) [] [] (if inline_work then 0. else 0.05)
+    with
+    | readable, _, _ ->
+        if List.exists (fun fd -> List.memq fd wake) readable then clear_wake t;
+        List.filter (fun fd -> List.memq fd fds) readable
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+
 let drain t =
+  poll t;
   while not (idle t) do
-    poll t;
-    if not (idle t) then Unix.sleepf 0.002
+    ignore (wait t []);
+    poll t
   done
 
 let finish t =
   drain t;
   flush t;
   publish_queue t;
-  match t.pool with Some pool -> Par.Pool.shutdown pool | None -> ()
+  Option.iter Par.Pool.shutdown t.pool;
+  (* After the shutdown joined every worker: no fiber writes it now. *)
+  Option.iter
+    (fun (r, w) ->
+      t.wake <- None;
+      Unix.close r;
+      Unix.close w)
+    t.wake
 
 let shutdown t =
   (* The stop flag cancels every in-flight solve; [drain] then
@@ -839,18 +891,16 @@ let serve_fd ?on_reply ?load_graph config ~input ~output =
   let chunk = Bytes.create 65536 in
   let eof = ref false in
   while (not (shutdown_requested t)) && not (!eof && idle t) do
-    (if !eof then Unix.sleepf 0.002
-     else
-       let readable =
-         match Unix.select [ input ] [] [] 0.05 with
-         | r, _, _ -> r <> []
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-       in
-       if readable && not (read_lines input chunk buf (handle_line t ~out))
-       then eof := true);
+    (* At EOF the unterminated final line goes to the engine at once,
+       exactly as the socket loop hands over a closing client's. *)
+    (if wait t (if !eof then [] else [ input ]) <> []
+        && not (read_lines input chunk buf (handle_line t ~out))
+     then begin
+       final_line buf (handle_line t ~out);
+       eof := true
+     end);
     poll t
   done;
-  if not (shutdown_requested t) then final_line buf (handle_line t ~out);
   if shutdown_requested t then shutdown t else finish t;
   t
 
@@ -869,9 +919,17 @@ let serve_socket ?on_reply ?load_graph config ~path =
   let t = create ?on_reply ?load_graph config in
   install_signals t;
   let clients : (Unix.file_descr, Buffer.t) Hashtbl.t = Hashtbl.create 8 in
-  let close_client fd =
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    Hashtbl.remove clients fd
+  (* A client at end of input is no longer read, but its fd stays open
+     until the engine is idle: replies to its queued requests still
+     reach it (as the pipe loop answers everything before exiting), and
+     no reply can land on a later client that reuses the fd number. *)
+  let closing = ref [] in
+  let end_client fd =
+    Hashtbl.remove clients fd;
+    closing := fd :: !closing
+  in
+  let close_all fds =
+    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds
   in
   (* A job's reply may outlive its client: swallow write failures so a
      disconnect never kills the daemon (SIGPIPE is already ignored). *)
@@ -881,31 +939,33 @@ let serve_socket ?on_reply ?load_graph config ~path =
   let chunk = Bytes.create 65536 in
   while not (shutdown_requested t) do
     let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) clients [ srv ] in
-    (match Unix.select fds [] [] 0.05 with
-    | readable, _, _ ->
-        List.iter
-          (fun fd ->
-            if fd == srv then (
-              match Unix.accept srv with
-              | cfd, _ -> Hashtbl.replace clients cfd (Buffer.create 1024)
-              | exception Unix.Unix_error _ -> ())
-            else
-              match Hashtbl.find_opt clients fd with
-              | None -> ()
-              | Some buf -> (
-                  let reply = handle_line t ~out:(client_out fd) in
-                  match read_lines fd chunk buf reply with
-                  | true -> ()
-                  | false ->
-                      final_line buf reply;
-                      close_client fd
-                  | exception Unix.Unix_error _ -> close_client fd))
-          readable
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    poll t
+    List.iter
+      (fun fd ->
+        if fd == srv then (
+          match Unix.accept srv with
+          | cfd, _ -> Hashtbl.replace clients cfd (Buffer.create 1024)
+          | exception Unix.Unix_error _ -> ())
+        else
+          match Hashtbl.find_opt clients fd with
+          | None -> ()
+          | Some buf -> (
+              let reply = handle_line t ~out:(client_out fd) in
+              match read_lines fd chunk buf reply with
+              | true -> ()
+              | false ->
+                  final_line buf reply;
+                  end_client fd
+              | exception Unix.Unix_error _ -> end_client fd))
+      (wait t fds);
+    poll t;
+    if !closing <> [] && idle t then begin
+      close_all !closing;
+      closing := []
+    end
   done;
   shutdown t;
-  Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) clients;
+  close_all !closing;
+  close_all (Hashtbl.fold (fun fd _ acc -> fd :: acc) clients []);
   (try Unix.close srv with Unix.Unix_error _ -> ());
   (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
   t

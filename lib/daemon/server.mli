@@ -1,9 +1,12 @@
-(** Long-lived scheduling server: {!Service.Batch} promoted to a
-    persistent event loop.
+(** The one engine that answers request streams: the {!Service.Batch}
+    request path behind admission, deduplication and a slot-ordered
+    reply sequencer.
 
-    One engine drives both transports ([stdin] pipe mode and a
-    Unix-domain socket): lines come in through {!handle_line}, work
-    advances through {!poll}. The split keeps every policy decision
+    It drives both daemon transports ([stdin] pipe mode and a
+    Unix-domain socket) and the [batch] command, which submits its
+    whole request file and calls {!finish}. Lines come in through
+    {!handle_line} (parsed requests through {!submit}), work advances
+    through {!poll}. The split keeps every policy decision
     unit-testable without a file descriptor in sight:
 
     - {b Hits are free}: a request answered by the warm {!Service.Cache}
@@ -102,8 +105,9 @@ type config = {
       (** Seconds between background flushes; [0.] disables the
           periodic flush (shutdown still flushes). *)
   metrics_file : string option;
-      (** Rewritten at every flush and at shutdown; Prometheus text, or
-          JSON when the path ends in [.json]. *)
+      (** Rewritten at every flush and at shutdown, in the format
+          {!Obs.Metrics.to_file_format} picks for the path. With a pool
+          each flush first publishes its [par_*] worker stats. *)
   trace_dir : string option;
       (** When set (created if missing), every completed request writes
           its span tree to [<dir>/<id>.json] as a Chrome trace. *)
@@ -133,6 +137,9 @@ type stats = {
   solved : int;
   partials : int;
   replies : int;  (** Every reply sent, [REJECT]/[ERROR] included. *)
+  flush_errors : int;
+      (** Cache flushes that failed (each reported on stderr); the
+          batch command exits 2 when its final flush fails. *)
 }
 
 type t
@@ -154,10 +161,18 @@ val shard : t -> Service.Shard.t
 
 val stats : t -> stats
 
+val submit :
+  t -> out:(string -> unit) -> ?id:string -> ?trace:bool -> Service.Request.t -> unit
+(** Act on one parsed request: a cache hit or an admission rejection
+    replies immediately through [out]; an admitted miss waits for
+    {!poll}. [id] defaults to the next [q<N>]. [trace] (default
+    [true]) records the request's span tree for the [TRACE] verb and
+    [config.trace_dir]; [false] records nothing, for callers that can
+    never ask (the batch command). *)
+
 val handle_line : t -> out:(string -> unit) -> string -> unit
-(** Parse and act on one protocol line. Verbs, malformed lines, cache
-    hits and admission rejections reply immediately through [out];
-    admitted misses wait for {!poll}. *)
+(** Parse and act on one protocol line. Verbs and malformed lines reply
+    immediately through [out]; requests go to {!submit}. *)
 
 val poll : t -> unit
 (** Advance the engine: reap completed solves and reply in slot order
@@ -169,13 +184,17 @@ val idle : t -> bool
 (** No pending, in-flight or unreaped work. *)
 
 val drain : t -> unit
-(** {!poll} until {!idle} — lets outstanding work complete normally. *)
+(** {!poll} until {!idle} — lets outstanding work complete normally.
+    Between polls it blocks only while pooled solves run, and a
+    completing solve wakes it at once; queued inline work runs without
+    a pause. *)
 
 val shutdown_requested : t -> bool
 
 val finish : t -> unit
 (** Graceful end-of-input (the pipe EOF path): drain letting solves
-    complete, flush, stop the pool. *)
+    complete, flush, stop the pool and close its wake-up pipe. Call it
+    (or {!shutdown}) once per engine. *)
 
 val shutdown : t -> unit
 (** Fast stop (the SIGTERM/QUIT path): cancel in-flight solves, reply
@@ -190,8 +209,10 @@ val serve_fd :
   t
 (** Pipe mode: read lines from [input], write replies to [output],
     until EOF (then {!finish}) or SIGINT/SIGTERM/[QUIT] (then
-    {!shutdown}). Enables metrics and installs signal handlers.
-    Returns the engine for post-mortem {!stats}. *)
+    {!shutdown}). An unterminated final line is handed to the engine
+    at EOF, as {!serve_socket} does for a closing client. Enables
+    metrics and installs signal handlers. Returns the engine for
+    post-mortem {!stats}. *)
 
 val serve_socket :
   ?on_reply:(reply -> unit) ->
@@ -202,7 +223,10 @@ val serve_socket :
 (** Unix-domain-socket mode: listen on [path] (an existing socket file
     is replaced; anything else there fails), multiplex any number of
     clients with [select], ignore SIGPIPE, swallow writes to
-    disconnected clients. [QUIT] or a signal stops the whole server
+    disconnected clients. A client at end of input is no longer read;
+    its final unterminated line goes to the engine, and its fd stays
+    open until the engine is idle, so every reply it is owed reaches
+    it. [QUIT] or a signal stops the whole server
     ({!shutdown}); the socket file is unlinked on exit. *)
 
 (** {1 Testing hooks} *)

@@ -93,45 +93,6 @@ let objective t = (t.obj_sense, t.obj)
 
 let eval_objective t x = Expr.eval (fun v -> x.(v)) t.obj
 
-let check_feasible ?(tol = 1e-6) ?(check_integrality = true) t x =
-  if Array.length x <> t.nv then Error "assignment has wrong arity"
-  else begin
-    let problem = ref None in
-    let note msg = if !problem = None then problem := Some msg in
-    for v = 0 to t.nv - 1 do
-      let { vname; vkind; lb; ub } = t.vars.(v) in
-      let scale = Float.max 1. (Float.max (abs_float lb) (abs_float ub)) in
-      if x.(v) < lb -. (tol *. scale) || x.(v) > ub +. (tol *. scale) then
-        note
-          (Printf.sprintf "variable %s = %g outside [%g, %g]" vname x.(v) lb ub);
-      if
-        check_integrality && vkind = Integer
-        && abs_float (x.(v) -. Float.round x.(v)) > tol
-      then
-        note (Printf.sprintf "variable %s = %g not integral" vname x.(v))
-    done;
-    let check_constr { cname; expr; rel; rhs } =
-      let lhs = Expr.eval (fun v -> x.(v)) expr in
-      let scale =
-        List.fold_left
-          (fun acc (v, c) -> acc +. abs_float (c *. x.(v)))
-          (abs_float rhs) (Expr.to_list expr)
-      in
-      let slack = tol *. Float.max 1. scale in
-      let ok =
-        match rel with
-        | Le -> lhs <= rhs +. slack
-        | Ge -> lhs >= rhs -. slack
-        | Eq -> abs_float (lhs -. rhs) <= slack
-      in
-      if not ok then
-        note
-          (Printf.sprintf "constraint %s violated: lhs=%g rhs=%g" cname lhs rhs)
-    in
-    List.iter check_constr (List.rev t.constrs);
-    match !problem with None -> Ok () | Some msg -> Error msg
-  end
-
 let pp ppf t =
   let pp_var ppf v = Format.pp_print_string ppf t.vars.(v).vname in
   let sense = match t.obj_sense with Minimize -> "minimize" | Maximize -> "maximize" in

@@ -58,12 +58,5 @@ val objective : t -> sense * Expr.t
 val eval_objective : t -> float array -> float
 (** Objective value under an assignment. *)
 
-val check_feasible :
-  ?tol:float -> ?check_integrality:bool -> t -> float array -> (unit, string) result
-(** Verify bounds, integrality and every constraint under an assignment;
-    [Error] carries a description of the first violation. [tol] defaults to
-    [1e-6] and scales with the magnitude of each row; pass
-    [~check_integrality:false] to validate LP-relaxation solutions. *)
-
 val pp : Format.formatter -> t -> unit
 (** Human-readable LP listing. *)

@@ -458,3 +458,6 @@ let to_prometheus registry =
         f.samples)
     (snapshot registry);
   Buffer.contents buf
+
+let to_file_format path =
+  if Filename.check_suffix path ".prom" then to_prometheus else to_json

@@ -145,6 +145,13 @@ val to_prometheus : t -> string
     escapes backslash and newline; label values additionally escape
     the double quote. *)
 
+val to_file_format : string -> t -> string
+(** The exporter a metrics file at [path] is written with — the one
+    rule every [--metrics] style option follows: Prometheus text
+    ({!to_prometheus}) when [path] ends in [.prom] (the suffix a
+    Prometheus textfile collector reads), JSON ({!to_json}) for any
+    other path. *)
+
 val histogram_quantile : (float * int) array -> float -> float
 (** [histogram_quantile buckets q] estimates the [q]-quantile from
     non-cumulative buckets as returned by {!Histogram.buckets} or

@@ -14,26 +14,10 @@ type response = {
   bottleneck : string;
 }
 
-let m_requests =
-  Obs.Metrics.counter ~help:"Requests accepted by the batch front end"
-    "svc_requests_total"
-
-let m_hits =
-  Obs.Metrics.counter ~help:"Requests answered from the mapping cache"
-    "svc_hits_total"
-
-let m_misses =
-  Obs.Metrics.counter ~help:"Requests answered by a fresh solver run"
-    "svc_misses_total"
-
 let m_rejects =
   Obs.Metrics.counter
     ~help:"Cache hits whose transported mapping failed validation"
     "svc_transport_rejects_total"
-
-let h_batch =
-  Obs.Metrics.histogram ~help:"Wall-clock latency of one batch run"
-    "svc_batch_seconds"
 
 (* Returns the assignment, its period and the best proven lower bound
    on the optimal period (the combinatorial {!Cellsched.Bounds} root
@@ -111,9 +95,9 @@ let validate (r : Request.t) (entry : Cache.entry) assignment =
   Int64.bits_of_float p = Int64.bits_of_float entry.Cache.period
   || Float.abs (p -. entry.Cache.period) <= 1e-9 *. Float.abs entry.Cache.period
 
-(* One cache probe. The daemon and [run_view] pass the request's
-   precomputed key, so a request is canonicalised once however many
-   probes and stores it goes through. Every cache touch goes through a
+(* One cache probe. The daemon passes the request's precomputed key, so
+   a request is canonicalised once however many probes and stores it
+   goes through. Every cache touch goes through a
    {!Cache.view}, so the same code serves one plain cache or a
    fingerprint-sharded map ({!Shard.view}) — the reply bytes depend
    only on what the probe returns, which is why sharded and single
@@ -169,89 +153,6 @@ let solved_response_view ?(store = true) ?key ~(view : Cache.view)
     throughput;
     bottleneck;
   }
-
-let run_view ?(span = Obs.Span.null) ?pool ~view requests =
-  Obs.Span.with_span span "batch" @@ fun span ->
-  let t0 = Unix.gettimeofday () in
-  let requests = Array.of_list requests in
-  let n = Array.length requests in
-  let keys = Array.map Request.key requests in
-  let fps = Array.map (fun k -> k.Request.fingerprint) keys in
-  let responses : response option array = Array.make n None in
-  let try_hit i =
-    match try_cache_view ~key:keys.(i) ~view requests.(i) with
-    | Some r ->
-        responses.(i) <- Some r;
-        true
-    | None -> false
-  in
-  (* Classify in request order: hit, in-batch duplicate, or miss. *)
-  let planned = Hashtbl.create 16 in
-  let misses = ref [] and duplicates = ref [] in
-  for i = 0 to n - 1 do
-    if not (try_hit i) then
-      if Hashtbl.mem planned fps.(i) then duplicates := i :: !duplicates
-      else begin
-        Hashtbl.add planned fps.(i) ();
-        misses := i :: !misses
-      end
-  done;
-  let record_solved (i, assignment, period) =
-    responses.(i) <-
-      Some
-        (solved_response_view ~key:keys.(i) ~view requests.(i)
-           (assignment, period))
-  in
-  (* Miss spans are named by the request fingerprint, so the merged
-     stream is independent of which worker solved which miss. *)
-  let solve_one i =
-    Obs.Span.with_span span ("solve:" ^ String.sub fps.(i) 0 12) @@ fun span ->
-    (* The yield tick suspends a fiber-run solve at node-budget
-       boundaries so more misses than domains still interleave; it is
-       a no-op on the sequential path and never stops the solver, so
-       both paths compute identical results. *)
-    let tick = Par.Fiber.yielder ~every:1 in
-    let should_stop () =
-      tick ();
-      false
-    in
-    let assignment, period, _bound =
-      solve_request ~span ~should_stop requests.(i)
-    in
-    (i, assignment, period)
-  in
-  (* Distinct misses fan out over the pool as suspendable fibers; each
-     inner solve is deterministic, so fibered and sequential batches
-     agree bitwise. *)
-  let miss_indices = Array.of_list (List.rev !misses) in
-  let solved =
-    match pool with
-    | Some p when Array.length miss_indices > 1 ->
-        Par.Fiber.run p (fun () -> Par.Fiber.parallel_map solve_one miss_indices)
-    | _ -> Array.map solve_one miss_indices
-  in
-  Array.iter record_solved solved;
-  (* Duplicates are served by the entries the misses just filled in;
-     the fallback solve only fires on a validation reject (hash
-     collision or refinement tie — pathological, but kept correct). *)
-  List.iter
-    (fun i -> if not (try_hit i) then record_solved (solve_one i))
-    (List.rev !duplicates);
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.Counter.add m_requests n;
-    Array.iter
-      (fun r ->
-        match r with
-        | Some { source = Hit; _ } -> Obs.Metrics.Counter.inc m_hits
-        | Some { source = Solved; _ } -> Obs.Metrics.Counter.inc m_misses
-        | None -> ())
-      responses;
-    Obs.Metrics.Histogram.observe h_batch (Unix.gettimeofday () -. t0)
-  end;
-  Array.to_list responses
-  |> List.map (function
-       | Some r -> r
-       | None -> assert false (* every index is classified above *))
 
 let render r =
   let buf = Buffer.create 256 in

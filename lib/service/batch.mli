@@ -1,22 +1,21 @@
-(** Batched mapping front end: answer a stream of {!Request}s from the
-    {!Cache}, solving only the distinct misses.
+(** The mapping front end's request path: answer a {!Request} from the
+    {!Cache}, or solve it and store the result. [Daemon.Server] is the
+    one engine that drives these calls for a stream of requests — the
+    [serve] daemon and the [batch] command alike — and adds admission,
+    in-stream deduplication and the fiber fan-out.
 
-    {b Pipeline.} Each request's {!Request.key} is computed once, and
-    requests are classified in order:
-    cache hits are answered by {e transporting} the stored canonical
-    assignment onto the request graph through its own canonical order;
-    duplicate fingerprints within the batch defer to the first
-    occurrence's solve; the remaining distinct misses are dispatched —
-    as {!Par.Fiber}s over a {!Par.Pool.t} when given, in order
-    otherwise — to the requested solver ({!Cellsched.Portfolio} or
-    {!Cellsched.Mapping_search}).
+    {b Pipeline.} A request's {!Request.key} is computed once. A cache
+    hit is answered by {e transporting} the stored canonical assignment
+    onto the request graph through its own canonical order
+    ({!try_cache_view}); a miss goes to the requested solver
+    ({!Cellsched.Portfolio} or {!Cellsched.Mapping_search}) through
+    {!solve_request}, and {!solved_response_view} records the result.
 
-    {b Determinism.} Parallelism is {e across} requests only and every
-    solver call is deterministic (PR-4 contract: fixed seeds, node
-    budgets instead of wall-clock cutoffs), so the response list —
-    sources included — is a pure function of (cache state, request
-    list): byte-identical between a sequential per-request loop and
-    fibered batches over a pool of any size.
+    {b Determinism.} Every solver call is deterministic (fixed seeds,
+    node budgets instead of wall-clock cutoffs), so a response — source
+    included — is a pure function of (cache state, request): the engine
+    answers a stream with identical bytes inline and on a pool of any
+    size.
 
     {b Hit validation.} A fingerprint match does not prove the graphs
     isomorphic (a 64-bit hash can collide), and tasks that colour
@@ -29,13 +28,13 @@
     is solved under its own key ({!Streaming.Canonical}): refinement's
     limits cost time, never correctness.
 
-    Observability ([svc_*] families, default-off like every other
-    layer): requests/hits/misses/transport-rejects counters and a batch
-    latency histogram here; evictions, recoveries and size gauges in
-    {!Cache}. *)
+    Observability (default-off like every other layer): the
+    transport-rejects counter here; evictions, recoveries and size
+    gauges in {!Cache} and {!Shard}; request, hit and solve counts in
+    the daemon's [daemon_*] families. *)
 
 type source =
-  | Hit  (** Answered from the cache (incl. in-batch duplicates). *)
+  | Hit  (** Answered from the cache (incl. in-stream duplicates). *)
   | Solved  (** A fresh solver run (misses and validation fallbacks). *)
 
 type response = {
@@ -68,11 +67,9 @@ val try_cache_view :
   ?key:Request.key -> view:Cache.view -> Request.t -> response option
 (** The pure hit path: probe, transport, validate. [key] is the
     request's {!Request.key} when the caller already has it (computed
-    here otherwise). [Some] is a [Hit] response bitwise identical to
-    what {!run_view} would return for a singleton batch hitting the same
-    entry; [None] is a miss (a failed transport validation bumps
-    [svc_transport_rejects_total], exactly as in {!run_view}). Never
-    solves. Every cache touch goes through the [view], so a plain
+    here otherwise). [Some] is a [Hit] response; [None] is a miss (a
+    failed transport validation bumps [svc_transport_rejects_total]).
+    Never solves. Every cache touch goes through the [view], so a plain
     {!Cache.t} ({!Cache.view}) and a {!Shard.t} serve requests through
     identical code — the basis of the sharded-vs-single bitwise-identity
     guarantee. *)
@@ -90,27 +87,6 @@ val solved_response_view :
     through the view; the daemon passes [store:false] for deadline-
     cancelled partial results so a timing-dependent incumbent can never
     poison the deterministic cache. *)
-
-val run_view :
-  ?span:Obs.Span.ctx ->
-  ?pool:Par.Pool.t ->
-  view:Cache.view ->
-  Request.t list ->
-  response list
-(** Responses in request order. The cache behind [view] is updated in
-    place with every fresh solve.
-
-    With a [pool], distinct misses fan out as suspendable
-    {!Par.Fiber}s, each yielding its domain at solver node-budget
-    boundaries so more misses than domains interleave; without one
-    they are solved in order. Both produce identical bytes — fibers
-    schedule execution, never results.
-
-    [span] (default {!Obs.Span.null}: free) records one ["batch"] span
-    with a ["solve:<fp12>"] child per distinct miss (named by the first
-    12 hex digits of the request fingerprint, so the merged stream is
-    independent of which pool worker ran which solve), each containing
-    the underlying solver's flight-recorder spans. *)
 
 val render : response -> string
 (** Deterministic multi-line text block (the CLI output format; the

@@ -31,7 +31,7 @@ type view = {
   probe : string -> entry option;  (** Fingerprint lookup. *)
   insert : entry -> unit;
 }
-(** A cache as the batch front end sees it: probe and insert, nothing
+(** A cache as the request path sees it: probe and insert, nothing
     else. {!Batch} routes every cache touch through a [view], so one
     plain {!t} ({!val-view}) and a fingerprint-sharded map
     ({!Shard.view}) serve requests through the same code path. *)

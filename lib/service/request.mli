@@ -1,6 +1,6 @@
 (** A mapping request: solve one (graph, platform, solver options)
-    triple. The unit of work of the batched front end ({!Batch}) and
-    the key domain of the mapping cache ({!Cache}).
+    triple. The unit of work of the request path ({!Batch}) and the key
+    domain of the mapping cache ({!Cache}).
 
     Requests are keyed by a {e canonical} fingerprint — 32 hex digits
     combining {!Streaming.Canonical.fingerprint} of the graph with
@@ -29,12 +29,14 @@ type t = {
       (** Wall-clock reply budget in milliseconds, counted by the daemon
           from admission: when it expires the solve is cancelled and the
           best incumbent so far is returned, tagged partial. [None] (the
-          default, and the batch front end's behaviour) never cancels.
+          default) never cancels; the batch command clears it, as it
+          never cancels.
           Not part of the fingerprint — the problem is the same whatever
           the caller's patience. *)
   prio : int;
       (** Dispatch priority in the daemon's pending queue: higher first,
-          FIFO within a level. Default [0]. Not part of the fingerprint. *)
+          FIFO within a level. Default [0]; the batch command clears it,
+          as it answers in file order. Not part of the fingerprint. *)
 }
 
 val default_strategy : strategy
@@ -55,9 +57,9 @@ type key = {
 }
 (** Everything the cache needs to know about a request, from one
     canonical pass ({!Streaming.Canonical.key}). Compute it once per
-    request and pass it along: the batch front end and the daemon both
-    do, so a request is canonicalised exactly once however many cache
-    probes and stores it goes through. *)
+    request and pass it along: the request engine does, so a request is
+    canonicalised exactly once however many cache probes and stores it
+    goes through. *)
 
 val key : t -> key
 (** Bumps [svc_canonical_keys_total] when metrics are enabled. *)

@@ -268,11 +268,7 @@ let test_render_error_flattens () =
 let test_reply_framing () =
   let r = request () in
   let cache = Cache.create () in
-  let response =
-    match Batch.run_view ~view:(Cache.view cache) [ r ] with
-    | [ x ] -> x
-    | _ -> assert false
-  in
+  let response = Engine_batch.serve_one ~view:(Cache.view cache) r in
   Alcotest.(check string)
     "ok frame" ("BEGIN j7 ok\n" ^ Batch.render response ^ "END j7\n")
     (Proto.render_reply ~id:"j7" ~partial:false response);
@@ -505,9 +501,7 @@ let test_shutdown_flush_warm_restart () =
         ((reply_of h2 "a").Server.status = `Hit);
       let batch_cache = Cache.load_file cache_path in
       let batch_hit =
-        match Batch.run_view ~view:(Cache.view batch_cache) [ request () ] with
-        | [ r ] -> r
-        | _ -> assert false
+        Engine_batch.serve_one ~view:(Cache.view batch_cache) (request ())
       in
       Alcotest.(check bool) "batch sees a hit" true
         (batch_hit.Batch.source = Batch.Hit);
@@ -868,7 +862,8 @@ let with_socket_server ?cache_path ~stop dialogue =
                     Alcotest.failf "socket dialogue timed out with %S"
                       (Buffer.contents buf)
                 in
-                dialogue ~send ~read_until;
+                let hangup () = Unix.shutdown fd Unix.SHUTDOWN_SEND in
+                dialogue ~send ~read_until ~hangup;
                 stop ~send ~pid;
                 let _, status = Unix.waitpid [] pid in
                 (Buffer.contents buf, status)))
@@ -879,7 +874,7 @@ let test_serve_socket_quit () =
   let captured, status =
     with_socket_server
       ~stop:(fun ~send ~pid:_ -> send "QUIT\n")
-      (fun ~send ~read_until ->
+      (fun ~send ~read_until ~hangup:_ ->
         send "PING\n";
         send (Printf.sprintf "gA spes=4 %s id=s1\n" bb_attrs);
         read_until (fun s -> count_sub "END s1\n" s = 1))
@@ -895,7 +890,7 @@ let test_serve_socket_sigterm_flush () =
       let captured, status =
         with_socket_server ~cache_path
           ~stop:(fun ~send:_ ~pid -> Unix.kill pid Sys.sigterm)
-          (fun ~send ~read_until ->
+          (fun ~send ~read_until ~hangup:_ ->
             send (Printf.sprintf "gB spes=5 %s id=k1\n" bb_attrs);
             read_until (fun s -> count_sub "END k1\n" s = 1))
       in
@@ -939,6 +934,111 @@ let test_serve_socket_sigterm_flush () =
       Alcotest.(check string) "bitwise identical mapping across restart"
         (strip_source live_body) (strip_source hit_body);
       Server.finish h.server)
+
+(* Both loops follow one end-of-input rule: an unterminated final line
+   goes to the engine at EOF, where admission may order it ahead of
+   queued work, and every request is answered before the connection
+   closes. One byte stream, whose last line outranks the queued one,
+   must give the same transcript through a pipe and through a socket
+   the client half-closes. *)
+let test_eof_rule_one_transcript () =
+  let stream =
+    Printf.sprintf "gA spes=4 %s id=a\ngB spes=5 %s id=b\ngC spes=6 %s prio=5 id=c"
+      bb_attrs bb_attrs bb_attrs
+  in
+  let piped =
+    with_metrics (fun () ->
+        let input_path = temp_file ".in" and output_path = temp_file ".out" in
+        Fun.protect ~finally:(fun () -> cleanup [ input_path; output_path ])
+          (fun () ->
+            Out_channel.with_open_bin input_path (fun oc ->
+                output_string oc stream);
+            let input = Unix.openfile input_path [ Unix.O_RDONLY ] 0 in
+            let output =
+              Unix.openfile output_path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600
+            in
+            Fun.protect
+              ~finally:(fun () -> Unix.close input; Unix.close output)
+              (fun () ->
+                ignore (Server.serve_fd ~load_graph (config ()) ~input ~output));
+            read_file output_path))
+  in
+  let socketed, _ =
+    with_socket_server
+      ~stop:(fun ~send:_ ~pid -> Unix.kill pid Sys.sigterm)
+      (fun ~send ~read_until ~hangup ->
+        send stream;
+        hangup ();
+        read_until (fun s -> count_sub "END " s = 3))
+  in
+  let position sub s =
+    let m = String.length sub in
+    let rec go i = if String.sub s i m = sub then i else go (i + 1) in
+    go 0
+  in
+  Alcotest.(check bool) "the final line overtakes the queued one" true
+    (position "BEGIN c " piped < position "BEGIN b " piped);
+  Alcotest.(check string) "pipe transcript = socket transcript" piped socketed
+
+(* Pipelined misses over a pipe the client holds open: each reply must
+   follow its solve, not the loop's 50 ms select timeout — the inline
+   engine runs queued work without waiting for input, and a completing
+   fiber wakes the pooled loop. Eight small solves take a few ms each;
+   one timeout per reply would take 8 x 50 ms. *)
+let test_pipelined_replies_prompt () =
+  List.iter
+    (fun (mode, cfg) ->
+      with_metrics (fun () ->
+          let in_r, in_w = Unix.pipe ~cloexec:true ()
+          and out_r, out_w = Unix.pipe ~cloexec:true () in
+          let server =
+            Domain.spawn (fun () ->
+                ignore (Server.serve_fd ~load_graph cfg ~input:in_r ~output:out_w))
+          in
+          let lines =
+            String.concat ""
+              (List.init 8 (fun i ->
+                   Printf.sprintf "%s spes=%d %s id=p%d\n"
+                     (List.nth [ "gA"; "gB"; "gC" ] (i mod 3))
+                     (4 + (i / 3)) bb_attrs i))
+          in
+          let t0 = Unix.gettimeofday () in
+          ignore (Unix.write_substring in_w lines 0 (String.length lines));
+          let buf = Buffer.create 4096 and chunk = Bytes.create 4096 in
+          while
+            count_sub "END p" (Buffer.contents buf) < 8
+            && Unix.gettimeofday () -. t0 < 10.
+          do
+            match Unix.select [ out_r ] [] [] 0.1 with
+            | [ _ ], _, _ ->
+                Buffer.add_subbytes buf chunk 0
+                  (Unix.read out_r chunk 0 (Bytes.length chunk))
+            | _ -> ()
+          done;
+          let elapsed = Unix.gettimeofday () -. t0 in
+          Unix.close in_w;
+          Domain.join server;
+          List.iter Unix.close [ in_r; out_r; out_w ];
+          Alcotest.(check int) (mode ^ ": eight ok replies") 8
+            (count_sub " ok\n" (Buffer.contents buf));
+          if elapsed > 0.2 then
+            Alcotest.failf "%s: eight pipelined replies took %.0f ms" mode
+              (elapsed *. 1000.)))
+    [
+      ("inline", config ());
+      ("fibers", { (config ()) with Server.fibers = true });
+    ]
+
+(* The wake-up pipe belongs to the engine: finish closes it. *)
+let test_wake_pipe_closed () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = open_fds () in
+  for _ = 1 to 1000 do
+    Server.finish
+      (Server.create ~load_graph { (config ()) with Server.fibers = true })
+  done;
+  Alcotest.(check int) "open fds after 1000 create/finish cycles" before
+    (open_fds ())
 
 (* The serve loops' line framing: however the byte stream is cut into
    reads, the engine sees the lines of the uncut stream, an unterminated
@@ -1020,11 +1120,19 @@ let () =
       ( "serve",
         [
           Alcotest.test_case "pipe fds end to end" `Quick test_serve_pipe;
+          Alcotest.test_case "one EOF rule: pipe = socket transcript" `Quick
+            test_eof_rule_one_transcript;
           qt chunked_lines_match;
           Alcotest.test_case "socket: PING/solve/QUIT" `Quick
             test_serve_socket_quit;
           Alcotest.test_case "socket: SIGTERM flushes, restart is bitwise"
             `Quick test_serve_socket_sigterm_flush;
+          (* These two start domains, after which the process may no
+             longer fork: they run after the socket tests. *)
+          Alcotest.test_case "pipelined replies wake the loop" `Quick
+            test_pipelined_replies_prompt;
+          Alcotest.test_case "finish closes the wake-up pipe" `Quick
+            test_wake_pipe_closed;
         ] );
       ( "pool",
         [

@@ -2,6 +2,52 @@
    and a brute-force vertex-enumeration oracle; branch & bound against
    exhaustive grid search. *)
 
+(* Test oracle: bounds, integrality and every constraint of [p] under
+   [x], each within [tol] scaled by the row's magnitude; [Error]
+   describes the first violation. [~check_integrality:false] validates
+   LP-relaxation points. *)
+let check_feasible ?(tol = 1e-6) ?(check_integrality = true) p x =
+  let module Pb = Lp.Problem in
+  if Array.length x <> Pb.n_vars p then Error "assignment has wrong arity"
+  else begin
+    let problem = ref None in
+    let note msg = if !problem = None then problem := Some msg in
+    let integer = Pb.integer_vars p in
+    for v = 0 to Pb.n_vars p - 1 do
+      let lb = Pb.lower_bound p v and ub = Pb.upper_bound p v in
+      let scale = Float.max 1. (Float.max (abs_float lb) (abs_float ub)) in
+      if x.(v) < lb -. (tol *. scale) || x.(v) > ub +. (tol *. scale) then
+        note
+          (Printf.sprintf "variable %s = %g outside [%g, %g]" (Pb.var_name p v)
+             x.(v) lb ub);
+      if
+        check_integrality && List.mem v integer
+        && abs_float (x.(v) -. Float.round x.(v)) > tol
+      then
+        note (Printf.sprintf "variable %s = %g not integral" (Pb.var_name p v) x.(v))
+    done;
+    Array.iter
+      (fun { Pb.cname; expr; rel; rhs } ->
+        let lhs = Lp.Expr.eval (fun v -> x.(v)) expr in
+        let scale =
+          List.fold_left
+            (fun acc (v, c) -> acc +. abs_float (c *. x.(v)))
+            (abs_float rhs) (Lp.Expr.to_list expr)
+        in
+        let slack = tol *. Float.max 1. scale in
+        let ok =
+          match rel with
+          | Pb.Le -> lhs <= rhs +. slack
+          | Pb.Ge -> lhs >= rhs -. slack
+          | Pb.Eq -> abs_float (lhs -. rhs) <= slack
+        in
+        if not ok then
+          note
+            (Printf.sprintf "constraint %s violated: lhs=%g rhs=%g" cname lhs rhs))
+      (Pb.constraints p);
+    match !problem with None -> Ok () | Some msg -> Error msg
+  end
+
 let check_float = Alcotest.(check (float 1e-6))
 
 let solve_opt problem =
@@ -244,7 +290,7 @@ let random_lp_agrees_with_brute_force =
       let expected = brute_force_lp ~n ~rows ~lb ~ub ~obj ~maximize in
       match (Lp.Simplex.solve p, expected) with
       | Lp.Simplex.Optimal sol, Some best ->
-          (match Lp.Problem.check_feasible p sol.Lp.Simplex.x with
+          (match check_feasible p sol.Lp.Simplex.x with
           | Ok () -> ()
           | Error msg -> QCheck.Test.fail_reportf "solution infeasible: %s" msg);
           if abs_float (sol.Lp.Simplex.objective -. best) > 1e-5 then
@@ -470,7 +516,7 @@ let random_warm_equals_cold =
                            ub.(i))
                      w.Lp.Simplex.sol.Lp.Simplex.x;
                    (match
-                      Lp.Problem.check_feasible p w.Lp.Simplex.sol.Lp.Simplex.x
+                      check_feasible p w.Lp.Simplex.sol.Lp.Simplex.x
                     with
                    | Ok () -> ()
                    | Error msg ->
@@ -578,13 +624,13 @@ let test_check_feasible_reports () =
   let p = Lp.Problem.create () in
   let x = Lp.Problem.binary p "x" in
   Lp.Problem.add_constr p (Lp.Expr.term x) Lp.Problem.Le 0.5;
-  (match Lp.Problem.check_feasible p [| 1. |] with
+  (match check_feasible p [| 1. |] with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "violation not reported");
-  (match Lp.Problem.check_feasible p [| 0.3 |] with
+  (match check_feasible p [| 0.3 |] with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "non-integrality not reported");
-  match Lp.Problem.check_feasible p [| 0. |] with
+  match check_feasible p [| 0. |] with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "false violation: %s" msg
 
@@ -1099,7 +1145,7 @@ let test_failed_refactorization () =
       (fun () -> solve_detailed_opt p)
   in
   let x = s.Lp.Simplex.sol.Lp.Simplex.x in
-  (match Lp.Problem.check_feasible ~tol:1e-7 ~check_integrality:false p x with
+  (match check_feasible ~tol:1e-7 ~check_integrality:false p x with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "point after a failed refactorization: %s" msg);
   Alcotest.(check int)

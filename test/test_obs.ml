@@ -295,6 +295,23 @@ let test_export_parses () =
       if not (contains needle) then Alcotest.failf "missing %S" needle)
     [ "# TYPE c_total counter"; "h_seconds_bucket{le=\"+Inf\"}"; "h_seconds_count 1" ]
 
+(* One rule picks every metrics file's format (batch/map --metrics and
+   serve --metrics-file alike): Prometheus text for .prom, JSON for any
+   other path. *)
+let test_file_format_rule () =
+  let r = M.create () in
+  M.Counter.inc (M.counter ~registry:r "fmt_total");
+  List.iter
+    (fun (path, want, name) ->
+      Alcotest.(check string) (path ^ " is " ^ name) (want r)
+        (M.to_file_format path r))
+    [
+      ("m.prom", M.to_prometheus, "Prometheus text");
+      ("dir.json/m.json", M.to_json, "JSON");
+      ("m.txt", M.to_json, "JSON");
+      ("m.prom.txt", M.to_json, "JSON");
+    ]
+
 (* --- Chrome trace JSON shape ---------------------------------------------- *)
 
 let check_chrome_shape json_text ~expect_events =
@@ -702,17 +719,13 @@ let test_span_chrome_golden () =
 
 (* --- span-stream determinism across pool sizes ----------------------------- *)
 
-(* The PR-8 contract: for the same request list, the merged span stream
-   — ids, parentage, paths, names, attrs; timestamps excluded — is
-   identical whether the batch runs sequentially or on pools of 2 or 4
-   workers. Uses the portfolio strategy: its span set is structural
-   (entrants by name), unlike the B&B phase-B subtree family whose task
-   *set* is timing-dependent by the PR-4 contract. *)
-let span_skeleton col =
-  List.map
-    (fun s -> (s.Sp.trace, s.Sp.path, s.Sp.id, s.Sp.parent, s.Sp.name, s.Sp.attrs))
-    (Sp.spans col)
-
+(* The span-determinism contract: for the same request list, every
+   request's span tree — paths, parentage (content-derived ids), names,
+   attrs; timestamps excluded — is identical whether the engine solves
+   inline or as fibers on pools of 1, 2 or 4 workers. Uses the
+   portfolio strategy: its span set is structural (entrants by name),
+   unlike the B&B phase-B subtree family whose task *set* is
+   timing-dependent by design. *)
 let spans_deterministic_across_pools =
   QCheck.Test.make ~count:5 ~name:"span stream identical at pools 1/2/4"
     QCheck.(int_bound 10_000)
@@ -736,39 +749,49 @@ let spans_deterministic_across_pools =
               prio = 0;
             })
       in
-      (* A duplicate of the first request exercises the in-batch
-         duplicate path (no second solve span). *)
+      (* A duplicate of the first request exercises the in-stream
+         duplicate path (a dispatch-time hit: no solve span). *)
       let requests = requests @ [ List.hd requests ] in
-      let run pool_size =
-        let col = Sp.collector () in
-        let span = Sp.root col ~trace:"batch" in
-        let view = Service.Cache.view (Service.Cache.create ()) in
-        (match pool_size with
-        | 1 -> ignore (Service.Batch.run_view ~span ~view requests)
-        | n ->
-            Par.Pool.with_pool ~size:n (fun pool ->
-                ignore (Service.Batch.run_view ~span ~pool ~view requests)));
-        span_skeleton col
+      let run (concurrency, fibers) =
+        let server, _ =
+          Engine_batch.run ~concurrency ~fibers ~trace:true requests
+        in
+        (* The TRACE body, one "span <path> dur_ms=<t> <attrs>" line per
+           span: drop the duration, keep everything else. *)
+        List.concat
+          (List.mapi
+             (fun i _ ->
+               let buf = Buffer.create 1024 in
+               Daemon.Server.handle_line server ~out:(Buffer.add_string buf)
+                 (Printf.sprintf "TRACE %d" i);
+               String.split_on_char '\n' (Buffer.contents buf)
+               |> List.filter_map (fun line ->
+                      match String.split_on_char ' ' line with
+                      | "span" :: path :: _dur :: attrs ->
+                          Some (String.concat " " (path :: attrs))
+                      | _ -> None))
+             requests)
       in
-      let seq = run 1 and p2 = run 2 and p4 = run 4 in
-      if seq <> p2 then
-        QCheck.Test.fail_reportf "span stream diverged between pool 1 and 2";
-      if seq <> p4 then
-        QCheck.Test.fail_reportf "span stream diverged between pool 1 and 4";
-      (* Sanity: the stream is non-trivial and contains the batch root
-         plus one solve child per distinct miss. *)
-      if not (List.exists (fun (_, p, _, _, _, _) -> p = "/batch") seq) then
-        QCheck.Test.fail_reportf "missing batch root span";
-      let solves =
-        List.filter
-          (fun (_, p, _, _, name, _) ->
-            String.starts_with ~prefix:"solve:" name
-            && String.length p = String.length "/batch/solve:" + 12)
-          seq
+      let inline = run (1, false) in
+      List.iter
+        (fun size ->
+          if run (size, true) <> inline then
+            QCheck.Test.fail_reportf "span trees diverged at pool %d" size)
+        [ 1; 2; 4 ];
+      (* Sanity: the trees are non-trivial — a request root per request
+         and one solve per distinct request. *)
+      let count path =
+        List.length
+          (List.filter
+             (fun l -> List.hd (String.split_on_char ' ' l) = path)
+             inline)
       in
-      if List.length solves <> 3 then
+      if count "/request" <> 4 then
+        QCheck.Test.fail_reportf "expected 4 request roots, got %d"
+          (count "/request");
+      if count "/request/solve" <> 3 then
         QCheck.Test.fail_reportf "expected 3 solve spans, got %d"
-          (List.length solves);
+          (count "/request/solve");
       true)
 
 (* --- transparency: metrics on = metrics off, bitwise ---------------------- *)
@@ -838,6 +861,8 @@ let () =
             test_multidomain_hammer;
           Alcotest.test_case "JSON and Prometheus exports" `Quick
             test_export_parses;
+          Alcotest.test_case "one file-format rule" `Quick
+            test_file_format_rule;
           Alcotest.test_case "histogram quantile estimation" `Quick
             test_histogram_quantile;
           Alcotest.test_case "Prometheus hostile labels and help" `Quick

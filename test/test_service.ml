@@ -212,11 +212,8 @@ let portfolio_strategy = Req.Portfolio { seed = 1234; restarts = 2 }
 let request ?(label = "g") ?(strategy = portfolio_strategy) platform graph =
   { Req.label; platform; graph; strategy; deadline_ms = None; prio = 0 }
 
-(* One request through the batch front end. *)
-let serve cache r =
-  match Batch.run_view ~view:(Cache.view cache) [ r ] with
-  | [ x ] -> x
-  | _ -> assert false
+(* One request through the cache-or-solve path. *)
+let serve cache r = Engine_batch.serve_one ~view:(Cache.view cache) r
 
 let hit_equals_fresh_portfolio =
   QCheck.Test.make ~count:40
@@ -338,7 +335,7 @@ let test_refinement_ties_stay_correct () =
     replay
 
 (* ====================================================================== *)
-(* Differential: batched (pools of 1/2/4) vs sequential per-request loop  *)
+(* Differential: the engine (inline, pools of 1/2/4) vs per-request loop  *)
 (* ====================================================================== *)
 
 let differential_requests () =
@@ -361,42 +358,39 @@ let differential_requests () =
       g0;
   ]
 
-let render_all responses = String.concat "" (List.map Batch.render responses)
-
-(* The rendered responses must not depend on how requests were batched
-   or how many domains solved the misses — except for the label, which
-   is deliberately per-request, so duplicates keep distinct labels. *)
+(* The rendered responses must not depend on how the engine ran the
+   stream or how many domains solved the misses — except for the label,
+   which is deliberately per-request, so duplicates keep distinct
+   labels. *)
 let test_differential_batch () =
   with_metrics (fun () ->
       let requests = differential_requests () in
       let n = List.length requests in
-      let hits0 = counter_value "svc_hits_total"
-      and misses0 = counter_value "svc_misses_total" in
+      let hits0 = counter_value "daemon_hits_total"
+      and solved0 = counter_value "daemon_solved_total" in
       let reference =
         let cache = Cache.create () in
-        List.map (serve cache) requests
-        |> render_all
+        Engine_batch.render_all (List.map (serve cache) requests)
       in
-      let runs = ref 1 in
+      let runs =
+        [ ("inline", 1, false); ("pool=1", 1, true); ("pool=2", 2, true);
+          ("pool=4", 4, true) ]
+      in
       List.iter
-        (fun size ->
-          Pool.with_pool ~size (fun pool ->
-              let cache = Cache.create () in
-              let out =
-                render_all
-                  (Batch.run_view ~pool ~view:(Cache.view cache) requests)
-              in
-              incr runs;
-              Alcotest.(check string)
-                (Printf.sprintf "pool=%d byte-identical to sequential loop" size)
-                reference out))
-        [ 1; 2; 4 ];
-      let hits = counter_value "svc_hits_total" - hits0
-      and misses = counter_value "svc_misses_total" - misses0 in
+        (fun (name, concurrency, fibers) ->
+          Alcotest.(check string)
+            (name ^ " byte-identical to the per-request loop")
+            reference
+            (Engine_batch.render_all
+               (Engine_batch.responses ~concurrency ~fibers requests)))
+        runs;
+      let runs = List.length runs in
+      let hits = counter_value "daemon_hits_total" - hits0
+      and solved = counter_value "daemon_solved_total" - solved0 in
       Alcotest.(check int)
-        "svc_hits + svc_misses = requests served" (!runs * n) (hits + misses);
+        "daemon hits + solved = requests served" (runs * n) (hits + solved);
       (* The duplicate, isomorphic-duplicate and repeated requests hit. *)
-      Alcotest.(check int) "hits per run" (!runs * 3) hits)
+      Alcotest.(check int) "hits per run" (runs * 3) hits)
 
 (* ====================================================================== *)
 (* Persistence                                                            *)

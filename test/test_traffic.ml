@@ -5,8 +5,9 @@
 
    (a) replies are bitwise identical to a single cache for the same
        workload seed, at shard counts 1/2/4/8 and pool sizes 1/2/4;
-   (b) hit + miss counters exactly equal the request count even when
-       concurrent domains storm the map with duplicate fingerprints;
+   (b) every request probes the map exactly once and duplicate
+       replies agree bitwise even when concurrent domains storm the map
+       with duplicate fingerprints;
    (c) per-shard LRU budgets are never exceeded, probed mid-hammer
        through the [Shard.For_testing.with_shard] hook;
    (d) a flush killed mid-write leaves every shard file loadable, with
@@ -217,20 +218,16 @@ let test_budget_split () =
 (* (a) Bitwise identity across shard counts and pool sizes                *)
 (* ====================================================================== *)
 
-let render_all responses = String.concat "\n" (List.map Batch.render responses)
-
+(* The reference: the per-request loop over one plain cache. *)
 let serve_reference requests =
-  render_all (Batch.run_view ~view:(Cache.view (Cache.create ())) requests)
+  let view = Cache.view (Cache.create ()) in
+  Engine_batch.render_all (List.map (Engine_batch.serve_one ~view) requests)
 
+(* The engine over a sharded map; pool size 1 is the inline engine. *)
 let serve_sharded ~shards ~pool_size requests =
-  let shard = Shard.create ~shards ~max_entries:256 () in
-  let view = Shard.view shard in
-  if pool_size = 1 then render_all (Batch.run_view ~view requests)
-  else
-    let pool = Pool.create ~size:pool_size () in
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> render_all (Batch.run_view ~pool ~view requests))
+  Engine_batch.render_all
+    (Engine_batch.responses ~concurrency:pool_size ~shards ~cache_entries:256
+       requests)
 
 let test_bitwise_grid () =
   (* The full published matrix: one zipfian stream, served through a
@@ -261,7 +258,7 @@ let bitwise_random_seeds =
         (serve_sharded ~shards ~pool_size requests))
 
 (* ====================================================================== *)
-(* (b) Counter conservation under a concurrent duplicate storm            *)
+(* (b) Probe conservation under a concurrent duplicate storm              *)
 (* ====================================================================== *)
 
 let test_counter_conservation () =
@@ -270,25 +267,35 @@ let test_counter_conservation () =
       let parts = Wl.split ~domains:4 stream in
       let shard = Shard.create ~shards:4 () in
       let view = Shard.view shard in
-      let req0 = counter_value "svc_requests_total"
-      and hit0 = counter_value "svc_hits_total"
-      and miss0 = counter_value "svc_misses_total" in
+      let probes () =
+        List.fold_left
+          (fun n i ->
+            n
+            + Obs.Metrics.Counter.value
+                (Obs.Metrics.counter_family "svc_shard_probes_total"
+                   ~labels:[ "shard" ] [ string_of_int i ]))
+          0 [ 0; 1; 2; 3 ]
+      in
+      let probes0 = probes () in
       let domains =
         Array.map
           (fun part ->
-            Domain.spawn (fun () -> Batch.run_view ~view (Array.to_list part)))
+            Domain.spawn (fun () ->
+                Array.to_list (Array.map (Engine_batch.serve_one ~view) part)))
           parts
       in
       let responses = Array.to_list domains |> List.concat_map Domain.join in
-      Alcotest.(check int) "every request classified exactly once" 200
-        (counter_value "svc_requests_total" - req0);
-      (* The conservation law: a request is a hit or a miss, never both,
-         never neither — even when two domains race to solve the same
-         fingerprint. *)
-      Alcotest.(check int) "hits + misses = requests" 200
-        (counter_value "svc_hits_total" - hit0
-        + (counter_value "svc_misses_total" - miss0));
+      (* The conservation law: every request probes the map exactly
+         once — a hit or a miss, never both, never neither — even when
+         two domains race to solve the same fingerprint. *)
+      Alcotest.(check int) "one probe per request" 200 (probes () - probes0);
       Alcotest.(check int) "every reply delivered" 200 (List.length responses);
+      List.iter
+        (fun r ->
+          if r.Batch.source = Batch.Solved
+             && Option.is_none (Shard.find shard r.Batch.fingerprint)
+          then Alcotest.failf "solve of %s not stored" r.Batch.fingerprint)
+        responses;
       (* Duplicate fingerprints must agree bitwise wherever they were
          answered: racing solves are deterministic, so the period bits
          are the same whichever domain's insert won. *)

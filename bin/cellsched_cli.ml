@@ -181,7 +181,8 @@ let report_mapping platform g mapping =
     (if period <= 0. then infinity else 1. /. period);
   Format.printf "bottleneck: %a (%.4f ms per instance)@."
     (Cellsched.Steady_state.pp_resource platform)
-    resource (time *. 1e3)
+    resource (time *. 1e3);
+  Cellsched.Eval.publish ev
 
 (* --- observability plumbing ----------------------------------------------- *)
 
@@ -944,6 +945,17 @@ let obs_cmd =
           the $(b,spans) sub-command renders recorded span traces")
     [ obs_spans_cmd ]
 
+(* [Cmd.group ~default] reads the first positional argument after [obs]
+   as a sub-command name, so the graph-first form [obs GRAPH OPTIONS]
+   would fail as an unknown command. It is the default term's form with
+   the graph moved after the options, which is how it is handed on. *)
+let graph_after_obs_options argv =
+  match Array.to_list argv with
+  | prog :: "obs" :: first :: rest
+    when first <> "spans" && first <> "" && first.[0] <> '-' ->
+      Array.of_list ((prog :: "obs" :: rest) @ [ first ])
+  | _ -> argv
+
 (* --- batch ------------------------------------------------------------------ *)
 
 let batch_cmd =
@@ -1607,7 +1619,7 @@ let () =
   let doc = "Steady-state scheduling of streaming applications on the Cell" in
   let info = Cmd.info "cellsched" ~version:"1.0.0" ~doc in
   exit
-    (Cmd.eval'
+    (Cmd.eval' ~argv:(graph_after_obs_options Sys.argv)
        (Cmd.group info
           [
             generate_cmd;

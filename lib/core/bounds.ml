@@ -30,33 +30,43 @@ let create platform g =
   let n_pes = P.n_pes platform in
   let n_ppes = platform.P.n_ppe in
   let bw = platform.P.bw in
+  let fl = G.flat g in
   let min_w = Array.make nk 0. in
   let reads = Array.make nk 0. in
   let writes = Array.make nk 0. in
   let forced_wppe = Array.make nk 0. in
   let per_task = ref 0. in
   for k = 0 to nk - 1 do
-    let task = G.task g k in
-    let w_ppe = task.Streaming.Task.w_ppe /. platform.P.ppe_speedup in
-    let w_spe = task.Streaming.Task.w_spe in
+    let w_ppe = fl.G.w_ppe.(k) /. platform.P.ppe_speedup in
+    let w_spe = fl.G.w_spe.(k) in
     (* One copy of each incident buffer must fit the local store for the
        task to be SPE-eligible at all — true with or without colocated
-       buffer sharing. *)
-    let sum = List.fold_left (fun acc e -> acc +. buff.(e)) 0. in
-    let eligible =
-      sum (G.out_edges g k) +. sum (G.in_edges g k) <= budget +. 1e-9
-    in
+       buffer sharing. Out-edges first, each sum from 0. *)
+    let sum_out = ref 0. and sum_in = ref 0. in
+    for i = fl.G.out_start.(k) to fl.G.out_start.(k + 1) - 1 do
+      sum_out := !sum_out +. buff.(fl.G.out_ids.(i))
+    done;
+    for i = fl.G.in_start.(k) to fl.G.in_start.(k + 1) - 1 do
+      sum_in := !sum_in +. buff.(fl.G.in_ids.(i))
+    done;
+    let eligible = !sum_out +. !sum_in <= budget +. 1e-9 in
     min_w.(k) <- (if eligible then Float.min w_ppe w_spe else w_ppe);
     if not eligible then forced_wppe.(k) <- w_ppe;
-    reads.(k) <- task.Streaming.Task.read_bytes;
-    writes.(k) <- task.Streaming.Task.write_bytes;
+    reads.(k) <- fl.G.read_bytes.(k);
+    writes.(k) <- fl.G.write_bytes.(k);
     (* Whatever PE hosts task k spends at least min_w compute seconds and
        moves the task's own reads and writes through its interface. *)
     per_task :=
       Float.max !per_task
         (Float.max min_w.(k) (Float.max reads.(k) writes.(k) /. bw))
   done;
-  let sum a = Array.fold_left ( +. ) 0. a in
+  let sum a =
+    let acc = ref 0. in
+    for k = 0 to Array.length a - 1 do
+      acc := !acc +. a.(k)
+    done;
+    !acc
+  in
   (* Unrelated-machine load bound: even split across every PE, each task
      at its cheapest cost; plus the PPE-only pool of ineligible tasks. *)
   let avg_compute = sum min_w /. float_of_int n_pes in

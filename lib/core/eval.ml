@@ -7,7 +7,9 @@ let default_options = { share_colocated_buffers = false; tight_pipeline = false 
 
 (* Default-off observability hooks. Counters only — the instrumentation
    never touches the float state, so metrics-on runs stay bitwise equal
-   to metrics-off runs (property-tested in test_obs). *)
+   to metrics-off runs (property-tested in test_obs). An engine counts
+   in plain fields of its own and [publish] adds them to these once per
+   solve: no shared atomic on the probe path. *)
 let m_probes =
   Obs.Metrics.counter ~help:"Eval probes, screened or exact"
        "search_eval_probes_total"
@@ -63,7 +65,7 @@ type screen = {
 type t = {
   platform : P.t;
   g : G.t;
-  opts : options;
+  mutable opts : options;
   (* Plain-array views read by the sweeps, [detach]/[attach] and the
      screen instead of cross-module accessors: the graph's own [fl],
      shared by every engine on it, and per-PE platform facts. *)
@@ -89,7 +91,9 @@ type t = {
   link_in : float array;
   mutable links_dirty : bool;
   buff : float array;  (* per-edge buffer bytes *)
-  mutable buff_dirty : bool;  (* only under [tight_pipeline] *)
+  mutable buff_dirty : bool;  (* under [tight_pipeline], or new options *)
+  fp : int array;  (* first periods, [recompute_buffers]' scratch *)
+  view : Steady_state.loads;  (* the rows above, shared: [rows] *)
   (* Preallocated scratch for the probe fast path: a probe saves the
      validated float state, mutates, evaluates, reverses the integer
      state and blits the floats back — a bitwise restoration with no
@@ -100,8 +104,17 @@ type t = {
   save_memory : float array;
   save_link_out : float array;
   save_link_in : float array;
-  save_buff : float array;
+  mutable save_buff : float array;  (* under [tight_pipeline] only *)
   screen : screen;
+  probe_period : float array;  (* an exact probe's answer, unboxed *)
+  mutable probe_feasible : bool;
+  (* Counts for [publish]. *)
+  mutable n_probes : int;
+  mutable n_exact : int;
+  mutable n_moves : int;
+  mutable n_swaps : int;
+  mutable n_dirty_rows : int;
+  mutable n_sweeps : int;
   (* Backtrack stack of [save_rows]/[retract], allocated by the first
      [save_rows]: depth [d]'s block of [snaps] holds the validated float
      rows of the first [d] assignments (compute, bytes in, bytes out and
@@ -122,35 +135,34 @@ let n_assigned t = t.n_assigned
 
 (* --- buffer sizes --------------------------------------------------- *)
 
-(* Under [tight_pipeline] the first periods — hence the buffer sizes —
-   depend on which edges are colocated. For partial assignments an edge
-   counts as colocated when both endpoints are assigned to the same PE,
-   which coincides with [Steady_state.first_periods ~mapping] once the
-   assignment is complete. Integer arithmetic throughout: exact. *)
+(* Buffer sizes from first periods, as {!Steady_state.buffer_sizes}
+   computes them, into [t.fp] and [t.buff]. Under [tight_pipeline] the
+   first periods — hence the buffer sizes — depend on which edges are
+   colocated. For partial assignments an edge counts as colocated when
+   both endpoints are assigned to the same PE, which coincides with
+   [Steady_state.first_periods ~mapping] once the assignment is
+   complete; without [tight_pipeline] no edge does, as in
+   [Steady_state.first_periods g]. Integer arithmetic until the last
+   product: exact. *)
 let recompute_buffers t =
-  let g = t.g in
-  let fp = Array.make (G.n_tasks g) 0 in
-  let colocated e =
-    let { G.src; dst; _ } = G.edge g e in
-    let sp = t.assignment.(src) in
-    sp >= 0 && sp = t.assignment.(dst)
-  in
-  let compute k =
-    match G.in_edges g k with
-    | [] -> fp.(k) <- 0
-    | ins ->
-        let peek = (G.task g k).Streaming.Task.peek in
-        let over_pred acc e =
-          let j = (G.edge g e).G.src in
-          let comm = if colocated e then 0 else 1 in
-          max acc (fp.(j) + 1 + comm + peek)
-        in
-        fp.(k) <- List.fold_left over_pred 0 ins
-  in
-  Array.iter compute (G.topological_order g);
-  for e = 0 to G.n_edges g - 1 do
-    let { G.src; dst; data_bytes } = G.edge g e in
-    t.buff.(e) <- data_bytes *. float_of_int (fp.(dst) - fp.(src))
+  let fl = t.fl and fp = t.fp in
+  let tight = t.opts.tight_pipeline in
+  for i = 0 to Array.length fl.G.topo - 1 do
+    let k = fl.G.topo.(i) in
+    let peek = fl.G.peek.(k) in
+    let acc = ref 0 in
+    for j = fl.G.in_start.(k) to fl.G.in_start.(k + 1) - 1 do
+      let src = fl.G.edge_src.(fl.G.in_ids.(j)) in
+      let sp = t.assignment.(src) in
+      let comm = if tight && sp >= 0 && sp = t.assignment.(k) then 0 else 1 in
+      acc := max !acc (fp.(src) + 1 + comm + peek)
+    done;
+    fp.(k) <- !acc
+  done;
+  for e = 0 to Array.length fl.G.edge_src - 1 do
+    t.buff.(e) <-
+      fl.G.edge_data.(e)
+      *. float_of_int (fp.(fl.G.edge_dst.(e)) - fp.(fl.G.edge_src.(e)))
   done
 
 let flush_buffers t =
@@ -177,16 +189,10 @@ let[@inline] work_on t k pe =
 let recompute_dirty_rows t =
   let fl = t.fl in
   let n = Array.length t.compute in
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.Counter.inc m_sweeps;
-    let dirty = ref 0 in
-    for pe = 0 to n - 1 do
-      if t.row_dirty.(pe) then incr dirty
-    done;
-    Obs.Metrics.Counter.add m_row_recomputes !dirty
-  end;
+  t.n_sweeps <- t.n_sweeps + 1;
   for pe = 0 to n - 1 do
     if t.row_dirty.(pe) then begin
+      t.n_dirty_rows <- t.n_dirty_rows + 1;
       t.compute.(pe) <- 0.;
       t.bytes_in.(pe) <- 0.;
       t.bytes_out.(pe) <- 0.;
@@ -348,6 +354,11 @@ let create_screen platform g =
 let create_empty ?(options = default_options) platform g =
   let n = P.n_pes platform in
   let m = G.n_edges g in
+  let compute = Array.make n 0. and bytes_in = Array.make n 0. in
+  let bytes_out = Array.make n 0. and memory = Array.make n 0. in
+  let dma_in = Array.make n 0 and dma_to_ppe = Array.make n 0 in
+  let link_out = Array.make platform.P.n_cells 0. in
+  let link_in = Array.make platform.P.n_cells 0. in
   let t =
     {
       platform;
@@ -359,32 +370,56 @@ let create_empty ?(options = default_options) platform g =
       budget = float_of_int (P.spe_memory_budget platform);
       assignment = Array.make (G.n_tasks g) (-1);
       n_assigned = 0;
-      compute = Array.make n 0.;
-      bytes_in = Array.make n 0.;
-      bytes_out = Array.make n 0.;
-      memory = Array.make n 0.;
+      compute;
+      bytes_in;
+      bytes_out;
+      memory;
       row_dirty = Array.make n false;
-      dma_in = Array.make n 0;
-      dma_to_ppe = Array.make n 0;
-      link_out = Array.make platform.P.n_cells 0.;
-      link_in = Array.make platform.P.n_cells 0.;
+      dma_in;
+      dma_to_ppe;
+      link_out;
+      link_in;
       links_dirty = false;
-      buff = Steady_state.buffer_sizes ~first_periods:(Steady_state.first_periods g) g;
+      buff = Array.create_float m;
       buff_dirty = false;
+      fp = Array.make (G.n_tasks g) 0;
+      view =
+        {
+          Steady_state.compute;
+          bytes_in;
+          bytes_out;
+          memory;
+          dma_in;
+          dma_to_ppe;
+          link_out;
+          link_in;
+        };
       save_compute = Array.make n 0.;
       save_bytes_in = Array.make n 0.;
       save_bytes_out = Array.make n 0.;
       save_memory = Array.make n 0.;
       save_link_out = Array.make platform.P.n_cells 0.;
       save_link_in = Array.make platform.P.n_cells 0.;
-      save_buff = Array.make m 0.;
+      save_buff =
+        (if options.tight_pipeline then Array.create_float m else [||]);
       screen = create_screen platform g;
+      probe_period = Array.make 1 0.;
+      probe_feasible = false;
+      n_probes = 0;
+      n_exact = 0;
+      n_moves = 0;
+      n_swaps = 0;
+      n_dirty_rows = 0;
+      n_sweeps = 0;
       snaps = [||];
       snap_task = [||];
       snap_floor = 0;
       snap_valid = 0;
     }
   in
+  (* Every task unassigned: no edge is colocated, so these are the
+     buffers of [Steady_state.first_periods g] under either option. *)
+  recompute_buffers t;
   t
 
 let check_pe t pe =
@@ -401,6 +436,25 @@ let assign t ~task ~pe =
   end;
   attach t task pe
 
+let reset t =
+  Array.fill t.assignment 0 (Array.length t.assignment) (-1);
+  t.n_assigned <- 0;
+  let n = Array.length t.compute and c = Array.length t.link_out in
+  Array.fill t.compute 0 n 0.;
+  Array.fill t.bytes_in 0 n 0.;
+  Array.fill t.bytes_out 0 n 0.;
+  Array.fill t.memory 0 n 0.;
+  Array.fill t.row_dirty 0 n false;
+  Array.fill t.dma_in 0 n 0;
+  Array.fill t.dma_to_ppe 0 n 0;
+  Array.fill t.link_out 0 c 0.;
+  Array.fill t.link_in 0 c 0.;
+  t.links_dirty <- false;
+  if t.opts.tight_pipeline || t.buff_dirty then recompute_buffers t;
+  t.buff_dirty <- false;
+  t.snap_floor <- 0;
+  t.snap_valid <- 0
+
 let create ?options platform g m =
   let t = create_empty ?options platform g in
   for k = 0 to G.n_tasks g - 1 do
@@ -410,15 +464,13 @@ let create ?options platform g m =
 
 (* --- accessors ------------------------------------------------------- *)
 
-let compute_on t pe = validate_rows t; t.compute.(pe)
-let memory_on t pe = validate_rows t; t.memory.(pe)
-let dma_in_on t pe = t.dma_in.(pe)
-let dma_to_ppe_on t pe = t.dma_to_ppe.(pe)
+let validate = validate_all
 
 (* Sum, left to right from 0, of [t.buff.(e)] over the edge ids
    [e = ids.(lo) .. ids.(hi - 1)]; when [pe >= 0], only over the edges
-   whose end [ends.(e)] is on [pe]. *)
-let sum_buffers t ids lo hi ends pe =
+   whose end [ends.(e)] is on [pe]. Inlined, so that its callers box no
+   float. *)
+let[@inline] sum_buffers t ids lo hi ends pe =
   let acc = ref 0. in
   for i = lo to hi - 1 do
     let e = ids.(i) in
@@ -426,16 +478,23 @@ let sum_buffers t ids lo hi ends pe =
   done;
   !acc
 
-let task_buffer_bytes t k =
-  flush_buffers t;
+(* Task [k]'s incident buffers, out-edges first. *)
+let[@inline] incident_buffers t k =
   let fl = t.fl in
   sum_buffers t fl.G.out_ids fl.G.out_start.(k) fl.G.out_start.(k + 1)
     fl.G.edge_dst (-1)
   +. sum_buffers t fl.G.in_ids fl.G.in_start.(k) fl.G.in_start.(k + 1)
        fl.G.edge_src (-1)
 
-let assign_memory_delta t ~task ~pe =
-  let base = task_buffer_bytes t task in
+let task_buffer_bytes t k =
+  flush_buffers t;
+  incident_buffers t k
+
+(* The memory [pe] gains when [task] is assigned there: its incident
+   buffers, minus one copy of each buffer shared with a neighbour on
+   [pe] under [share_colocated_buffers]. *)
+let[@inline] memory_delta t task pe =
+  let base = incident_buffers t task in
   if not t.opts.share_colocated_buffers then base
   else begin
     let fl = t.fl in
@@ -450,27 +509,28 @@ let assign_memory_delta t ~task ~pe =
     base -. (saved_in +. saved_out)
   end
 
+let assign_memory_fits t ~task ~pe ~slack =
+  check_pe t pe;
+  validate_rows t;
+  t.memory.(pe) +. memory_delta t task pe <= t.budget +. slack
+
+let remote_in_edges t ~task ~pe =
+  let fl = t.fl in
+  let n = ref 0 in
+  for i = fl.G.in_start.(task) to fl.G.in_start.(task + 1) - 1 do
+    let p = t.assignment.(fl.G.edge_src.(fl.G.in_ids.(i))) in
+    if p >= 0 && p <> pe then incr n
+  done;
+  !n
+
 let mapping t =
   if t.n_assigned <> G.n_tasks t.g then
     invalid_arg "Eval.mapping: partial assignment";
-  Mapping.make t.platform t.g (Array.copy t.assignment)
+  Mapping.make t.platform t.g t.assignment
 
-(* Loads view sharing the internal arrays: its float rows are current
-   only after [validate_all] (or a blit that restores validated rows),
-   and readers must not write to it. *)
-let internal_loads t =
-  {
-    Steady_state.compute = t.compute;
-    bytes_in = t.bytes_in;
-    bytes_out = t.bytes_out;
-    memory = t.memory;
-    dma_in = t.dma_in;
-    dma_to_ppe = t.dma_to_ppe;
-    link_out = t.link_out;
-    link_in = t.link_in;
-  }
-
-let rows = internal_loads
+(* The engine's own rows: current after [validate_all] (or a blit that
+   restores validated rows), and readers must not write to them. *)
+let rows t = t.view
 
 let loads t =
   validate_all t;
@@ -485,17 +545,38 @@ let loads t =
     link_in = Array.copy t.link_in;
   }
 
+(* [Steady_state.period] of the rows, the same fold in the same order,
+   written out here and inlined so that no float is boxed. *)
+let[@inline] rows_period t =
+  let p = t.platform in
+  let m = ref 0. in
+  for pe = 0 to Array.length t.compute - 1 do
+    m := Float.max !m t.compute.(pe);
+    m := Float.max !m (t.bytes_in.(pe) /. p.P.bw);
+    m := Float.max !m (t.bytes_out.(pe) /. p.P.bw)
+  done;
+  for c = 0 to Array.length t.link_out - 1 do
+    m := Float.max !m (t.link_out.(c) /. p.P.inter_cell_bw);
+    m := Float.max !m (t.link_in.(c) /. p.P.inter_cell_bw)
+  done;
+  !m
+
 let period t =
   validate_all t;
-  Steady_state.period t.platform (internal_loads t)
+  rows_period t
+
+let period_exceeds t ~at_least ~above =
+  validate_all t;
+  let p = rows_period t in
+  p >= at_least || p > above
 
 let bottleneck t =
   validate_all t;
-  Steady_state.bottleneck t.platform (internal_loads t)
+  Steady_state.bottleneck t.platform t.view
 
 let violations t =
   validate_all t;
-  Steady_state.violations_of_loads t.platform (internal_loads t)
+  Steady_state.violations_of_loads t.platform t.view
 
 (* [bottleneck], int-coded; the same scan and tie-breaking (first
    strictly larger term wins, starting from compute 0 at 0). *)
@@ -557,7 +638,7 @@ let apply_move t ~task ~pe =
   detach t task;
   attach t task pe;
   forget_saves t;
-  if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_moves
+  t.n_moves <- t.n_moves + 1
 
 (* Swapping a task with itself would detach it twice. *)
 let check_swap name t k1 k2 =
@@ -573,7 +654,20 @@ let apply_swap t k1 k2 =
   attach t k1 p2;
   attach t k2 p1;
   forget_saves t;
-  if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_swaps
+  t.n_swaps <- t.n_swaps + 1
+
+(* Rows and buffers are a pure function of the assignment and the
+   options, so marking them all stale gives bitwise the state [create
+   ~options] would build; no saved block describes the new rows. *)
+let set_options t options =
+  if options <> t.opts then begin
+    t.opts <- options;
+    if options.tight_pipeline && Array.length t.save_buff = 0 then
+      t.save_buff <- Array.create_float (Array.length t.buff);
+    t.buff_dirty <- true;
+    Array.fill t.row_dirty 0 (Array.length t.row_dirty) true;
+    forget_saves t
+  end
 
 (* Probe fast path: snapshot the fully validated float state, mutate,
    evaluate, reverse the integer state with the mirror detach/attach
@@ -657,47 +751,58 @@ let retract t ~task =
   Array.blit t.snaps (o + (4 * n) + c) t.link_in 0 c;
   t.links_dirty <- false
 
-let count_probe () =
-  if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_probes
+let count_probe t = t.n_probes <- t.n_probes + 1
+
+(* The exact probes leave their answer in [t.probe_period.(0)] and
+   [t.probe_feasible] rather than return a pair: a probe that the
+   caller rejects then boxes nothing. *)
+let evaluate_probe t =
+  validate_all t;
+  t.probe_period.(0) <- rows_period t;
+  t.probe_feasible <- feasible t
 
 let exact_move t ~task ~pe ~old_pe =
-  if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_exact_probes;
+  t.n_exact <- t.n_exact + 1;
   save_floats t;
   detach t task;
   attach t task pe;
-  let p = period t in
-  let f = feasible t in
+  evaluate_probe t;
   detach t task;
   attach t task old_pe;
-  restore_floats t;
-  (p, f)
+  restore_floats t
 
 let exact_swap t k1 k2 =
-  if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_exact_probes;
+  t.n_exact <- t.n_exact + 1;
   let p1 = t.assignment.(k1) and p2 = t.assignment.(k2) in
   save_floats t;
   detach t k1;
   detach t k2;
   attach t k1 p2;
   attach t k2 p1;
-  let p = period t in
-  let f = feasible t in
+  evaluate_probe t;
   detach t k1;
   detach t k2;
   attach t k1 p1;
   attach t k2 p2;
-  restore_floats t;
-  (p, f)
+  restore_floats t
 
 let probe_move t ~task ~pe =
   let old_pe = check_move "Eval.probe_move" t ~task ~pe in
-  count_probe ();
-  exact_move t ~task ~pe ~old_pe
+  count_probe t;
+  exact_move t ~task ~pe ~old_pe;
+  (t.probe_period.(0), t.probe_feasible)
 
 let probe_swap t k1 k2 =
   check_swap "Eval.probe_swap" t k1 k2;
-  count_probe ();
-  exact_swap t k1 k2
+  count_probe t;
+  exact_swap t k1 k2;
+  (t.probe_period.(0), t.probe_feasible)
+
+(* [probe_move_below]'s answer after an exact probe: only an accepted
+   probe boxes its period. *)
+let probe_answer t threshold =
+  let p = t.probe_period.(0) in
+  if t.probe_feasible && p < threshold then p else infinity
 
 (* --- the probe screen -------------------------------------------------
 
@@ -1052,7 +1157,7 @@ let screen_rejects t threshold =
 
 let probe_move_below t ~task ~pe ~threshold =
   let old_pe = check_move "Eval.probe_move_below" t ~task ~pe in
-  count_probe ();
+  count_probe t;
   validate_all t;
   if prescreen_move t task pe old_pe threshold <> Pass then infinity
   else begin
@@ -1060,14 +1165,15 @@ let probe_move_below t ~task ~pe ~threshold =
     screen_task t task pe 1;
     screen_incident t task task pe (-1) (-1) (-1);
     if screen_rejects t threshold then infinity
-    else
-      let p, f = exact_move t ~task ~pe ~old_pe in
-      if f && p < threshold then p else infinity
+    else begin
+      exact_move t ~task ~pe ~old_pe;
+      probe_answer t threshold
+    end
   end
 
 let probe_swap_below t k1 k2 ~threshold =
   check_swap "Eval.probe_swap_below" t k1 k2;
-  count_probe ();
+  count_probe t;
   validate_all t;
   if prescreen_swap t k1 k2 threshold <> Pass then infinity
   else begin
@@ -1079,17 +1185,43 @@ let probe_swap_below t k1 k2 ~threshold =
     screen_incident t k1 k1 p2 k2 p1 (-1);
     screen_incident t k2 k1 p2 k2 p1 k1;
     if screen_rejects t threshold then infinity
-    else
-      let p, f = exact_swap t k1 k2 in
-      if f && p < threshold then p else infinity
+    else begin
+      exact_swap t k1 k2;
+      probe_answer t threshold
+    end
   end
+
+(* --- counters ----------------------------------------------------------- *)
+
+let publish t =
+  if Obs.Metrics.enabled () then begin
+    Obs.Metrics.Counter.add m_probes t.n_probes;
+    Obs.Metrics.Counter.add m_exact_probes t.n_exact;
+    Obs.Metrics.Counter.add m_moves t.n_moves;
+    Obs.Metrics.Counter.add m_swaps t.n_swaps;
+    Obs.Metrics.Counter.add m_row_recomputes t.n_dirty_rows;
+    Obs.Metrics.Counter.add m_sweeps t.n_sweeps
+  end;
+  t.n_probes <- 0;
+  t.n_exact <- 0;
+  t.n_moves <- 0;
+  t.n_swaps <- 0;
+  t.n_dirty_rows <- 0;
+  t.n_sweeps <- 0
 
 (* --- scratch wrappers ------------------------------------------------ *)
 
-let scratch_period ?options platform g m = period (create ?options platform g m)
+let scratch_period ?options platform g m =
+  let t = create ?options platform g m in
+  let p = period t in
+  publish t;
+  p
 
 let scratch_feasible ?options platform g m =
-  feasible (create ?options platform g m)
+  let t = create ?options platform g m in
+  let f = feasible t in
+  publish t;
+  f
 
 module For_testing = struct
   type verdict = prescreen = Pass | Compute_row | Memory_row

@@ -73,6 +73,19 @@ val create_empty : ?options:options -> Cell.Platform.t -> Streaming.Graph.t -> t
 (** Engine with every task unassigned — the root of a placement walk or a
     branch-and-bound tree. *)
 
+val set_options : t -> options -> unit
+(** Evaluate the current assignment under other options from now on:
+    every accessor then answers bitwise what an engine built by
+    {!create} [~options] on the same assignment would. Marks every row
+    stale (the next accessor re-sweeps them) and discards the saved row
+    blocks; a no-op when the options are unchanged. *)
+
+val reset : t -> unit
+(** Unassign every task: the engine is then bitwise the one
+    {!create_empty} built with its options, its saved row blocks
+    discarded but its arrays kept. O(tasks + PEs); allocates nothing.
+    Counts not yet published are kept. *)
+
 val platform : t -> Cell.Platform.t
 
 val graph : t -> Streaming.Graph.t
@@ -97,6 +110,10 @@ val period : t -> float
     [Steady_state.period platform (loads t)] without the copy. O(PEs)
     plus the lazy revalidation of dirtied rows. *)
 
+val period_exceeds : t -> at_least:float -> above:float -> bool
+(** [period t >= at_least || period t > above], without boxing the
+    period: the branch-and-bound's node test. *)
+
 val bottleneck : t -> Steady_state.resource * float
 (** Why the period is what it is; ties broken like
     {!Steady_state.bottleneck}. *)
@@ -114,34 +131,37 @@ val violations : t -> Steady_state.violation list
 val feasible : t -> bool
 (** [violations t = []], without materializing the list. *)
 
-val compute_on : t -> int -> float
-(** Committed compute seconds per period on a PE. *)
-
-val memory_on : t -> int -> float
-(** Committed local-store bytes on a PE. *)
-
-val dma_in_on : t -> int -> int
-
-val dma_to_ppe_on : t -> int -> int
-
 val rows : t -> Steady_state.loads
-(** The engine's own row arrays, shared, not copied: a loop that reads
-    many rows reads them with one load each, with no accessor call and
-    no boxed float. The arrays are updated in place, never replaced, so
-    one view serves for the engine's lifetime. The DMA counters are
-    always current; the float rows are current after any call that
-    validates them — {!period}, {!feasible}, {!loads}, {!save_rows},
-    {!retract}, {!assign_exceeds} — and until the next mutation. Callers
-    must not write to them. *)
+(** The engine's own row arrays, shared, not copied, and the same record
+    on every call: a loop that reads many rows reads them with one load
+    each, with no accessor call and no boxed float. The arrays are
+    updated in place, never replaced, so one view serves for the
+    engine's lifetime. The DMA counters are always current; the float
+    rows are current after any call that validates them — {!validate},
+    {!period}, {!period_exceeds}, {!feasible}, {!loads}, {!save_rows},
+    {!retract}, {!assign_exceeds}, {!assign_memory_fits} — and until
+    the next mutation. Callers must not write to them. *)
+
+val validate : t -> unit
+(** Bring the float rows of {!rows} up to date: the lazy revalidation
+    every accessor runs first. *)
 
 val task_buffer_bytes : t -> int -> float
 (** Sum of the buffer sizes of a task's incident edges — its local-store
     footprint before any colocation saving. *)
 
-val assign_memory_delta : t -> task:int -> pe:int -> float
-(** Memory the PE would gain by assigning the (unassigned) task to it:
-    the task's incident buffers, minus one copy of every buffer shared
-    with a neighbour already on [pe] when [share_colocated_buffers]. *)
+val assign_memory_fits : t -> task:int -> pe:int -> slack:float -> bool
+(** Whether [pe]'s memory row plus what assigning the (unassigned) task
+    there would add stays within the SPE memory budget plus [slack]
+    ([<= budget +. slack]): the task's incident buffers, minus
+    one copy of every buffer shared with a neighbour already on [pe]
+    when [share_colocated_buffers]. Validates the rows; allocates
+    nothing.
+    @raise Invalid_argument if [pe] is out of range. *)
+
+val remote_in_edges : t -> task:int -> pe:int -> int
+(** In-edges of [task] from assigned tasks on PEs other than [pe]: the
+    incoming DMA slots placing it on [pe] would take. *)
 
 (** {1 Mutation}
 
@@ -252,6 +272,20 @@ val probe_move_below : t -> task:int -> pe:int -> threshold:float -> float
 val probe_swap_below : t -> int -> int -> threshold:float -> float
 (** Same for {!probe_swap}.
     @raise Invalid_argument if the two tasks are the same. *)
+
+(** {1 Counters}
+
+    An engine counts its probes (screened and exact), moves, swaps, row
+    sweeps and recomputed rows in plain fields of its own, not in the
+    shared registry: the probe path touches no atomic and no cache line
+    another domain writes. *)
+
+val publish : t -> unit
+(** Add the engine's counts to the [search_eval_*] counters of
+    {!Obs.Metrics} (when metrics are enabled) and reset them. Whoever
+    owns an engine publishes it once, at the end of its solve; the
+    functions of this library that build an engine publish it
+    themselves. *)
 
 (** {1 Scratch wrappers}
 

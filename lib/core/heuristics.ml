@@ -7,132 +7,170 @@ let ppe_only platform g = Mapping.all_on_ppe platform g
    {!Eval} engine: the engine is the authority on per-PE compute load,
    SPE memory footprint, and DMA counters while tasks are placed in
    topological order (so a task's predecessors are always placed before
-   it). *)
+   it). The walks read the graph's flat arrays and the engine's rows
+   directly: a placement step allocates nothing. Each step first
+   validates the rows it reads. *)
 
-(* Number of in-edges of [k] whose (already placed) producer is remote. *)
-let remote_in_edges ev k pe =
-  List.length
-    (List.filter
-       (fun e ->
-         let src = (G.edge (Eval.graph ev) e).G.src in
-         Eval.pe_of ev src >= 0 && Eval.pe_of ev src <> pe)
-       (G.in_edges (Eval.graph ev) k))
-
-(* Per-SPE count of to-PPE transfers a PPE placement of [k] would add:
-   one per in-edge from a task already placed on that SPE. *)
-let spe_pred_counts ev k =
-  List.fold_left
-    (fun acc e ->
-      let src = (G.edge (Eval.graph ev) e).G.src in
-      let pe = Eval.pe_of ev src in
-      if pe >= 0 && P.is_spe (Eval.platform ev) pe then
-        let cur = try List.assoc pe acc with Not_found -> 0 in
-        (pe, cur + 1) :: List.remove_assoc pe acc
-      else acc)
-    []
-    (G.in_edges (Eval.graph ev) k)
-
+(* Whether [k] may go on [pe]: on an SPE, the local store must hold the
+   task's buffers and the incoming DMA queue its remote in-edges; on a
+   PPE, each SPE hosting predecessors of [k] must have a to-PPE DMA slot
+   for every in-edge it feeds. *)
 let can_place ev k pe =
   let platform = Eval.platform ev in
-  if P.is_spe platform pe then begin
-    let budget = float_of_int (P.spe_memory_budget platform) in
-    Eval.memory_on ev pe +. Eval.task_buffer_bytes ev k <= budget
-    && Eval.dma_in_on ev pe + remote_in_edges ev k pe <= platform.P.max_dma_in
+  if P.is_spe platform pe then
+    Eval.assign_memory_fits ev ~task:k ~pe ~slack:0.
+    && (Eval.rows ev).Steady_state.dma_in.(pe) + Eval.remote_in_edges ev ~task:k ~pe
+       <= platform.P.max_dma_in
+  else begin
+    let fl = G.flat (Eval.graph ev) in
+    let dma_to_ppe = (Eval.rows ev).Steady_state.dma_to_ppe in
+    let lo = fl.G.in_start.(k) and hi = fl.G.in_start.(k + 1) in
+    let ok = ref true and i = ref lo in
+    while !ok && !i < hi do
+      let spe = Eval.pe_of ev fl.G.edge_src.(fl.G.in_ids.(!i)) in
+      if spe >= 0 && P.is_spe platform spe then begin
+        (* The slots this SPE's in-edges would take, counted again at
+           each of them: the verdict is the same. *)
+        let count = ref 0 in
+        for j = lo to hi - 1 do
+          if Eval.pe_of ev fl.G.edge_src.(fl.G.in_ids.(j)) = spe then incr count
+        done;
+        if dma_to_ppe.(spe) + !count > platform.P.max_dma_to_ppe then ok := false
+      end;
+      incr i
+    done;
+    !ok
   end
-  else
-    (* A PPE placement consumes a to-PPE DMA slot per remote in-edge from
-       an SPE predecessor. *)
-    List.for_all
-      (fun (spe, count) ->
-        Eval.dma_to_ppe_on ev spe + count <= platform.P.max_dma_to_ppe)
-      (spe_pred_counts ev k)
 
 (* The greedy fallback (no PE passes [can_place]) forces tasks onto the
    PPE, which can overflow a predecessor SPE's to-PPE DMA queue — the
    blind spot the old incremental bookkeeping documented and never fixed.
    Repair: while some SPE exceeds its to-PPE queue, move one of its
-   PPE-feeding tasks to the PPE. Each step strictly shrinks the SPE-hosted
-   task population (to-PPE pressure on an SPE only comes from tasks it
-   hosts), so the loop terminates with no [Dma_to_ppe] violation; SPE
-   memory only decreases along the way. *)
+   PPE-feeding tasks (the least id) to the PPE. Each step strictly
+   shrinks the SPE-hosted task population (to-PPE pressure on an SPE
+   only comes from tasks it hosts), so the loop terminates with no
+   [Dma_to_ppe] violation; SPE memory only decreases along the way. *)
 let repair_to_ppe ev =
-  let platform = Eval.platform ev and g = Eval.graph ev in
+  let platform = Eval.platform ev in
+  let fl = G.flat (Eval.graph ev) in
+  let dma_to_ppe = (Eval.rows ev).Steady_state.dma_to_ppe in
+  let n = P.n_pes platform and nk = G.n_tasks (Eval.graph ev) in
   let overflowing () =
-    List.find_opt
-      (fun spe -> Eval.dma_to_ppe_on ev spe > platform.P.max_dma_to_ppe)
-      (P.spes platform)
+    let spe = ref platform.P.n_ppe in
+    while !spe < n && dma_to_ppe.(!spe) <= platform.P.max_dma_to_ppe do
+      incr spe
+    done;
+    if !spe < n then !spe else -1
   in
   let feeds_a_ppe k =
-    List.exists
-      (fun e ->
-        let dst = (G.edge g e).G.dst in
-        let pe = Eval.pe_of ev dst in
-        pe >= 0 && P.is_ppe platform pe)
-      (G.out_edges g k)
+    let found = ref false in
+    for i = fl.G.out_start.(k) to fl.G.out_start.(k + 1) - 1 do
+      let pe = Eval.pe_of ev fl.G.edge_dst.(fl.G.out_ids.(i)) in
+      if pe >= 0 && P.is_ppe platform pe then found := true
+    done;
+    !found
   in
-  let rec fix () =
-    match overflowing () with
-    | None -> ()
-    | Some spe ->
-        (* A culprit always exists: every to-PPE slot of [spe] belongs to
-           a task hosted there with a PPE consumer. *)
-        let victim =
-          List.find
-            (fun k -> Eval.pe_of ev k = spe && feeds_a_ppe k)
-            (List.init (G.n_tasks g) Fun.id)
-        in
-        Eval.apply_move ev ~task:victim ~pe:0;
-        fix ()
-  in
-  fix ()
+  let spe = ref (overflowing ()) in
+  while !spe >= 0 do
+    (* A culprit always exists: every to-PPE slot of [spe] belongs to a
+       task hosted there with a PPE consumer. *)
+    let victim = ref 0 in
+    while
+      !victim < nk && not (Eval.pe_of ev !victim = !spe && feeds_a_ppe !victim)
+    do
+      incr victim
+    done;
+    if !victim = nk then failwith "Heuristics.repair_to_ppe: no culprit";
+    Eval.apply_move ev ~task:!victim ~pe:0;
+    spe := overflowing ()
+  done
 
-let greedy_generic ~choose platform g =
-  let ev = Eval.create_empty platform g in
-  let order = G.topological_order g in
-  let handle k =
-    match choose ev k with
-    | Some pe -> Eval.assign ev ~task:k ~pe
-    | None -> Eval.assign ev ~task:k ~pe:0
-  in
-  Array.iter handle order;
-  repair_to_ppe ev;
-  Eval.mapping ev
+(* An engine's complete mapping, its counts published: the end of every
+   walk that owns its engine. *)
+let finish ev =
+  let m = Eval.mapping ev in
+  Eval.publish ev;
+  m
+
+(* Walk the tasks in topological order, placing each on [choose ev k]'s
+   PE (PPE0 when it answers -1), then repair. *)
+let place_generic ~choose ev =
+  let topo = (G.flat (Eval.graph ev)).G.topo in
+  for i = 0 to Array.length topo - 1 do
+    let k = topo.(i) in
+    Eval.validate ev;
+    let pe = choose ev k in
+    Eval.assign ev ~task:k ~pe:(if pe < 0 then 0 else pe)
+  done;
+  repair_to_ppe ev
+
+let place_ppe_only ev =
+  for k = 0 to G.n_tasks (Eval.graph ev) - 1 do
+    Eval.assign ev ~task:k ~pe:0
+  done
+
+(* Among the SPEs [can_place] admits, the first with the least memory. *)
+let choose_mem ev k =
+  let platform = Eval.platform ev in
+  let memory = (Eval.rows ev).Steady_state.memory in
+  let best = ref (-1) in
+  for pe = platform.P.n_ppe to P.n_pes platform - 1 do
+    if can_place ev k pe && (!best < 0 || memory.(pe) < memory.(!best)) then
+      best := pe
+  done;
+  !best
+
+let place_greedy_mem ev = place_generic ~choose:choose_mem ev
+
+(* PE [pe]'s compute load with task [k] added. *)
+let[@inline] load platform (fl : G.flat) compute k pe =
+  if P.is_spe platform pe then compute.(pe) +. fl.G.w_spe.(k)
+  else compute.(pe) +. (fl.G.w_ppe.(k) /. platform.P.ppe_speedup)
+
+(* Among the PEs [can_place] admits, the first with the least compute
+   load once [k] is added. *)
+let choose_cpu ev k =
+  let platform = Eval.platform ev in
+  let fl = G.flat (Eval.graph ev) in
+  let compute = (Eval.rows ev).Steady_state.compute in
+  let best = ref (-1) in
+  for pe = 0 to P.n_pes platform - 1 do
+    if
+      can_place ev k pe
+      && (!best < 0
+         || load platform fl compute k pe < load platform fl compute k !best)
+    then best := pe
+  done;
+  !best
+
+let place_greedy_cpu ev = place_generic ~choose:choose_cpu ev
+
+(* Seeded random feasible start: uniform among the PEs [can_place]
+   admits, listed in a per-walk buffer. Exactly one [rng] draw per task
+   with at least one admissible PE, so the mapping is a pure function
+   of the seed. *)
+let place_random_feasible ~rng ev =
+  let n = P.n_pes (Eval.platform ev) in
+  let admissible = Array.make n 0 in
+  place_generic ev ~choose:(fun ev k ->
+      let count = ref 0 in
+      for pe = 0 to n - 1 do
+        if can_place ev k pe then begin
+          admissible.(!count) <- pe;
+          incr count
+        end
+      done;
+      if !count = 0 then -1 else admissible.(Support.Rng.int rng !count))
 
 let greedy_mem platform g =
-  let choose ev k =
-    let candidates = List.filter (can_place ev k) (P.spes platform) in
-    match candidates with
-    | [] -> None
-    | first :: rest ->
-        Some
-          (List.fold_left
-             (fun best pe ->
-               if Eval.memory_on ev pe < Eval.memory_on ev best then pe
-               else best)
-             first rest)
-  in
-  greedy_generic ~choose platform g
+  let ev = Eval.create_empty platform g in
+  place_greedy_mem ev;
+  finish ev
 
 let greedy_cpu platform g =
-  let choose ev k =
-    let load pe =
-      let cls = P.pe_class platform pe in
-      let w = Streaming.Task.w (G.task g k) cls in
-      let w = if cls = P.PPE then w /. platform.P.ppe_speedup else w in
-      Eval.compute_on ev pe +. w
-    in
-    let candidates =
-      List.filter (can_place ev k) (List.init (P.n_pes platform) Fun.id)
-    in
-    match candidates with
-    | [] -> None
-    | first :: rest ->
-        Some
-          (List.fold_left
-             (fun best pe -> if load pe < load best then pe else best)
-             first rest)
-  in
-  greedy_generic ~choose platform g
+  let ev = Eval.create_empty platform g in
+  place_greedy_cpu ev;
+  finish ev
 
 (* Offload tasks to SPEs by decreasing value density w_ppe / memory
    footprint: the optimal structure when the SPE local stores are the
@@ -140,66 +178,41 @@ let greedy_cpu platform g =
    observation that SPE memory dominates the mapping problem). *)
 let density_pack platform g =
   let ev = Eval.create_empty platform g in
+  let fl = G.flat g in
   let nk = G.n_tasks g in
-  let w_ppe k = (G.task g k).Streaming.Task.w_ppe /. platform.P.ppe_speedup in
-  let density k =
+  let density = Array.create_float nk in
+  for k = 0 to nk - 1 do
     let mem = Eval.task_buffer_bytes ev k in
-    if mem <= 0. then infinity else w_ppe k /. mem
-  in
+    density.(k) <-
+      (if mem <= 0. then infinity
+       else fl.G.w_ppe.(k) /. platform.P.ppe_speedup /. mem)
+  done;
   let by_density = Array.init nk Fun.id in
-  Array.sort (fun a b -> compare (density b) (density a)) by_density;
-  let budget = float_of_int (P.spe_memory_budget platform) in
-  let spes = Array.of_list (P.spes platform) in
-  let place_spe k =
+  Array.sort (fun a b -> Float.compare density.(b) density.(a)) by_density;
+  let compute = (Eval.rows ev).Steady_state.compute in
+  for i = 0 to nk - 1 do
+    let k = by_density.(i) in
     (* Least-loaded (compute) SPE with room for the buffers. *)
     let best = ref (-1) in
-    Array.iter
-      (fun pe ->
-        if Eval.memory_on ev pe +. Eval.task_buffer_bytes ev k <= budget then
-          match !best with
-          | -1 -> best := pe
-          | b -> if Eval.compute_on ev pe < Eval.compute_on ev b then best := pe)
-      spes;
-    !best
-  in
-  Array.iter
-    (fun k ->
-      match place_spe k with
-      | -1 -> Eval.assign ev ~task:k ~pe:0
-      | pe -> Eval.assign ev ~task:k ~pe)
-    by_density;
+    for pe = platform.P.n_ppe to P.n_pes platform - 1 do
+      if
+        Eval.assign_memory_fits ev ~task:k ~pe ~slack:0.
+        && (!best < 0 || compute.(pe) < compute.(!best))
+      then best := pe
+    done;
+    Eval.assign ev ~task:k ~pe:(if !best < 0 then 0 else !best)
+  done;
   repair_to_ppe ev;
-  Eval.mapping ev
+  finish ev
 
 let random ~rng platform g =
   let n = P.n_pes platform in
   Mapping.make platform g
     (Array.init (G.n_tasks g) (fun _ -> Support.Rng.int rng n))
 
-(* Seeded random *feasible* start: topological placement walk choosing
-   uniformly among the PEs [can_place] admits — the restart generator
-   for portfolio local search. Consumes exactly one [rng] draw per task
-   with at least one admissible PE, so the mapping is a pure function
-   of the seed. *)
-let random_feasible ~rng platform g =
-  let ev = Eval.create_empty platform g in
-  let n = P.n_pes platform in
-  Array.iter
-    (fun k ->
-      let admissible =
-        List.filter (can_place ev k) (List.init n Fun.id)
-      in
-      match admissible with
-      | [] -> Eval.assign ev ~task:k ~pe:0
-      | pes ->
-          let pick = Support.Rng.int rng (List.length pes) in
-          Eval.assign ev ~task:k ~pe:(List.nth pes pick))
-    (G.topological_order g);
-  repair_to_ppe ev;
-  Eval.mapping ev
-
-(* Default-off observability hooks: local-search acceptance counters
-   (probe counts live in Eval). Registered eagerly at module init so no
+(* Default-off observability hooks: local-search acceptance counters,
+   counted in locals and published once per search (probe counts live
+   in the engine). Registered eagerly at module init so no
    lazy cell is forced from pool worker domains (racy under OCaml 5). *)
 let m_ls_passes =
   Obs.Metrics.counter ~help:"Local-search improvement passes"
@@ -239,10 +252,8 @@ module For_testing = struct
   let refresh_hot = refresh_hot
 end
 
-let local_search ?(options = Eval.default_options) ?(max_passes = 50) platform g
-    mapping =
-  let ev = Eval.create ~options platform g mapping in
-  let n = P.n_pes platform and nk = G.n_tasks g in
+let improve ?(max_passes = 50) ev =
+  let n = P.n_pes (Eval.platform ev) and nk = G.n_tasks (Eval.graph ev) in
   (* A move is taken when it is feasible and beats the best period by
      more than 1e-12: the screened probes answer exactly that, and reach
      the exact sweep only for the few candidates their O(degree) screen
@@ -261,35 +272,31 @@ let local_search ?(options = Eval.default_options) ?(max_passes = 50) platform g
   let hot = Array.make nk false in
   let beta = ref (refresh_hot ev hot) in
   let improved = ref true in
-  let passes = ref 0 in
-  let obs = Obs.Metrics.enabled () in
+  let passes = ref 0 and moves = ref 0 and swaps = ref 0 and skipped = ref 0 in
   while !improved && !passes < max_passes do
     improved := false;
     incr passes;
-    if obs then Obs.Metrics.Counter.inc m_ls_passes;
-    let skipped = ref 0 in
     (* Single-task moves. *)
     for k = 0 to nk - 1 do
       let home = Eval.pe_of ev k in
-      let best_move = ref None in
+      let best_move = ref (-1) in
       for pe = 0 to n - 1 do
         if pe <> home then
           if hot.(k) || pe = !beta then begin
             let t = Eval.probe_move_below ev ~task:k ~pe ~threshold:!threshold in
             if t < !threshold then begin
               accept t;
-              best_move := Some pe
+              best_move := pe
             end
           end
           else incr skipped
       done;
-      match !best_move with
-      | Some pe ->
-          improved := true;
-          if obs then Obs.Metrics.Counter.inc m_ls_moves;
-          Eval.apply_move ev ~task:k ~pe;
-          beta := refresh_hot ev hot
-      | None -> ()
+      if !best_move >= 0 then begin
+        improved := true;
+        incr moves;
+        Eval.apply_move ev ~task:k ~pe:!best_move;
+        beta := refresh_hot ev hot
+      end
     done;
     (* Pairwise swaps: essential when the local stores are full, where no
        single move is feasible but exchanging tasks is. *)
@@ -301,17 +308,27 @@ let local_search ?(options = Eval.default_options) ?(max_passes = 50) platform g
             if t < !threshold then begin
               accept t;
               improved := true;
-              if obs then Obs.Metrics.Counter.inc m_ls_swaps;
+              incr swaps;
               Eval.apply_swap ev k1 k2;
               beta := refresh_hot ev hot
             end
           end
           else incr skipped
       done
-    done;
-    if obs then Obs.Metrics.Counter.add m_ls_skipped !skipped
+    done
   done;
-  Eval.mapping ev
+  if Obs.Metrics.enabled () then begin
+    Obs.Metrics.Counter.add m_ls_passes !passes;
+    Obs.Metrics.Counter.add m_ls_moves !moves;
+    Obs.Metrics.Counter.add m_ls_swaps !swaps;
+    Obs.Metrics.Counter.add m_ls_skipped !skipped
+  end
+
+let local_search ?(options = Eval.default_options) ?max_passes platform g
+    mapping =
+  let ev = Eval.create ~options platform g mapping in
+  improve ?max_passes ev;
+  finish ev
 
 (* Past this row count the rounding skips the LP and falls back to the
    density heuristic. The simplex keeps a dense m x m basis inverse (32 MB
@@ -321,7 +338,7 @@ let local_search ?(options = Eval.default_options) ?(max_passes = 50) platform g
    of every graph whose relaxation it crosses. *)
 let lp_rounding_row_limit = 2000
 
-let lp_rounding ?(improve = true) platform g =
+let lp_rounding ?improve:(improve_it = true) platform g =
   let formulation = Milp_formulation.build_compact platform g in
   let fallback () =
     let m = density_pack platform g in
@@ -350,10 +367,10 @@ let lp_rounding ?(improve = true) platform g =
       in
       Array.iter handle order;
       repair_to_ppe ev;
-      let mapping = Eval.mapping ev in
-      if improve && Steady_state.feasible platform g mapping then
-        local_search platform g mapping
-      else mapping
+      (* One engine from the rounding through the polish: [Eval.feasible]
+         is [Steady_state.feasible] of its mapping. *)
+      if improve_it && Eval.feasible ev then improve ev;
+      finish ev
 
 let best_feasible platform g candidates =
   (* One engine pass per candidate: feasibility and period in a single
@@ -362,7 +379,11 @@ let best_feasible platform g candidates =
     List.filter_map
       (fun (name, m) ->
         let ev = Eval.create platform g m in
-        if Eval.feasible ev then Some ((name, m), Eval.period ev) else None)
+        let scored =
+          if Eval.feasible ev then Some ((name, m), Eval.period ev) else None
+        in
+        Eval.publish ev;
+        scored)
       candidates
   in
   match scored with

@@ -39,12 +39,33 @@ val density_pack : Cell.Platform.t -> Streaming.Graph.t -> Mapping.t
 val random : rng:Support.Rng.t -> Cell.Platform.t -> Streaming.Graph.t -> Mapping.t
 (** Uniformly random PE per task (may be infeasible); for tests. *)
 
-val random_feasible :
-  rng:Support.Rng.t -> Cell.Platform.t -> Streaming.Graph.t -> Mapping.t
+(** {1 Placement walks on a caller's engine}
+
+    The walks behind [ppe_only], [greedy_mem] and [greedy_cpu], and the
+    {!Portfolio}'s seeded restarts, run on an engine the caller owns so
+    that one engine can carry a mapping from its construction through
+    {!improve} to its score. Each takes an engine with every task
+    unassigned and leaves the mapping the function of the same name
+    returns (the greedy and random walks include the to-PPE repair).
+    The walks read the engine's memory rows, so they expect the paper's
+    model ({!Eval.default_options}); switch options with
+    {!Eval.set_options} afterwards. A placement step allocates nothing. *)
+
+val place_ppe_only : Eval.t -> unit
+val place_greedy_mem : Eval.t -> unit
+val place_greedy_cpu : Eval.t -> unit
+
+val place_random_feasible : rng:Support.Rng.t -> Eval.t -> unit
 (** Seeded random placement walk in topological order, choosing
     uniformly among the PEs the incremental feasibility check admits
     (PPE0 when none), followed by the to-PPE DMA repair pass — the
-    restart generator for {!Portfolio}. A pure function of the seed. *)
+    restart generator for {!Portfolio}. One [rng] draw per task with an
+    admissible PE, so the mapping is a pure function of the seed. *)
+
+val improve : ?max_passes:int -> Eval.t -> unit
+(** {!local_search} in place, on the engine's current (complete,
+    feasible) assignment and options. The engine's counts are left for
+    its owner to {!Eval.publish}. *)
 
 val local_search :
   ?options:Eval.options ->

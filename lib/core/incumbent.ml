@@ -2,9 +2,20 @@ type entry = { period : float; fp : int64; arr : int array }
 
 type t = entry option Atomic.t
 
+(* FNV-1a over PE indices (offset by one so a leading PPE0 run still
+   stirs the state): 64-bit, endian-free, stable across runs. The fold
+   of [Support.Fnv.add_int], written out and inlined so that the state
+   stays unboxed. *)
+let[@inline] fingerprint (arr : int array) =
+  let h = ref Support.Fnv.empty in
+  for k = 0 to Array.length arr - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (arr.(k) + 1))) Support.Fnv.prime
+  done;
+  !h
+
 let entry ~period arr =
   let arr = Array.copy arr in
-  { period; fp = Mapping.fingerprint_array arr; arr }
+  { period; fp = fingerprint arr; arr }
 
 let create () = Atomic.make None
 
@@ -32,7 +43,22 @@ let rec offer_entry t e =
   else if Atomic.compare_and_set t cur (Some e) then true
   else offer_entry t e
 
-let offer t ~period arr = offer_entry t (entry ~period arr)
+(* [better (entry ~period arr) b] for an equal period, without building
+   the entry: the fingerprint stays unboxed and is compared unsigned,
+   with the sign bit flipped. Allocates nothing. *)
+let ties_better arr b =
+  let fp = Int64.logxor (fingerprint arr) Int64.min_int
+  and bfp = Int64.logxor b.fp Int64.min_int in
+  if fp <> bfp then fp < bfp else Stdlib.compare arr b.arr < 0
+
+(* A candidate the current best already beats is rejected before its
+   entry (a copy of the array and its fingerprint) is built: later
+   bests only beat it by more, so the verdict is [offer_entry]'s. *)
+let offer t ~period arr =
+  match Atomic.get t with
+  | Some b when b.period < period -> false
+  | Some b when b.period = period && not (ties_better arr b) -> false
+  | _ -> offer_entry t (entry ~period arr)
 
 let best t = Atomic.get t
 

@@ -32,14 +32,6 @@ let is_remote t (edge : Streaming.Graph.edge) =
 
 let to_array = Array.copy
 
-(* FNV-1a over PE indices (offset by one so a leading PPE0 run still
-   stirs the state). 64-bit, endian-free, stable across runs — the
-   deterministic tiebreak key for equal-period incumbents. *)
-let fingerprint_array (a : int array) =
-  Array.fold_left
-    (fun h pe -> Support.Fnv.add_int h (pe + 1))
-    Support.Fnv.empty a
-
 let pp platform graph ppf t =
   Format.fprintf ppf "@[<v>";
   let print_pe pe =

@@ -31,10 +31,5 @@ val is_remote : t -> Streaming.Graph.edge -> bool
 val to_array : t -> int array
 (** Fresh copy of the assignment. *)
 
-val fingerprint_array : int array -> int64
-(** Order-sensitive FNV-1a hash of an assignment (no validation) — a
-    stable, platform-independent key used to break period ties
-    deterministically in parallel searches. *)
-
 val pp : Cell.Platform.t -> Streaming.Graph.t -> Format.formatter -> t -> unit
 (** Per-PE listing of the hosted tasks. *)

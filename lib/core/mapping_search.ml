@@ -30,32 +30,29 @@ type result = {
 (* Branch nodes extend one incremental {!Eval} engine: [Eval.save_rows]
    at a node, [Eval.assign] on the way down, [Eval.retract] (a blit of
    the saved rows, no sweep) on backtrack, and the engine is the
-   authority on the committed resource state ([Eval.period] is the
+   authority on the committed resource state (its period is the
    assigned-resources bound). [rows] is the engine's own row arrays,
    read directly: they are current at node entry, after a retract and
-   after [Eval.period], which is when the search reads them. The search
-   keeps only its own relaxation machinery: the assignment order,
-   effective costs, knapsack orders and suffix sums feeding the
-   divisible bound. Node expansion allocates no list and no closure: PE
-   ids, the budget and per-depth candidate buffers are arrays built
-   with the state. *)
-type state = {
+   after [Eval.period_exceeds], which is when the search reads them.
+   The search keeps only its own relaxation machinery: the assignment
+   order, effective costs, knapsack orders and suffix sums feeding the
+   divisible bound. These are per-solve invariants ([inv]), built once
+   and shared read-only by every subtree task; a task's own [state] is
+   its engine and its candidate buffers. Node expansion allocates
+   nothing: every query it makes of the engine answers a bool or an
+   int, or is read from the rows, and the float helpers below are
+   inlined so that no float is boxed. *)
+type inv = {
   platform : P.t;
   g : G.t;
   fl : G.flat;
-  ev : Eval.t;
-  rows : Steady_state.loads;  (* [Eval.rows ev] *)
+  share : bool;
   ppes : int array;  (* [P.ppes] and [P.spes], in their order *)
   spes : int array;
   budget : float;  (* SPE local-store bytes for buffers *)
-  cands : int array;
-      (* candidate PEs of depth [pos] in [cands.(pos * n_pes ..)], sorted
-         by the keys in [keys] at the same indices *)
-  keys : float array;
-  order : int array;  (* assignment order: hardest first, see [make_state] *)
+  order : int array;  (* assignment order: hardest first, see [make_inv] *)
   w_ppe : float array;  (* effective PPE cost (speedup applied) *)
   w_spe : float array;
-  mutable used_spes : int;  (* SPEs in use are spes.(0 .. used_spes-1) *)
   by_ratio : int array;  (* tasks sorted by w_spe/w_ppe descending *)
   suffix_wspe : float array;  (* sum of w_spe over order.(pos..) *)
   mem_need : float array;  (* per-task SPE buffer footprint *)
@@ -71,40 +68,67 @@ type state = {
   suffix_task_lb : float array;  (* max per-task bound over order.(pos..) *)
 }
 
-let make_state ~share platform g =
+type state = {
+  inv : inv;
+  ev : Eval.t;
+  rows : Steady_state.loads;  (* [Eval.rows ev] *)
+  cands : int array;
+      (* candidate PEs of depth [pos] in [cands.(pos * n_pes ..)], sorted
+         by the keys in [keys] at the same indices *)
+  keys : float array;
+  leaf : int array;  (* a leaf's assignment, offered to the incumbent *)
+  mutable used_spes : int;  (* SPEs in use are spes.(0 .. used_spes-1) *)
+}
+
+(* Tasks sorted by [num.(k) / den.(k)] descending ([infinity] when
+   [den.(k) <= 0]), the ratios computed once. *)
+let by_ratio_desc num den =
+  let nk = Array.length num in
+  let ratio = Array.create_float nk in
+  for k = 0 to nk - 1 do
+    ratio.(k) <- (if den.(k) <= 0. then infinity else num.(k) /. den.(k))
+  done;
+  let by = Array.init nk Fun.id in
+  Array.sort (fun a b -> Float.compare ratio.(b) ratio.(a)) by;
+  by
+
+let make_inv ~share platform g =
   let nk = G.n_tasks g in
-  let fp = Steady_state.first_periods g in
-  let w_ppe =
-    Array.init nk (fun k ->
-        (G.task g k).Streaming.Task.w_ppe /. platform.P.ppe_speedup)
+  let fl = G.flat g in
+  let w_ppe = Array.create_float nk in
+  for k = 0 to nk - 1 do
+    w_ppe.(k) <- fl.G.w_ppe.(k) /. platform.P.ppe_speedup
+  done;
+  let w_spe = fl.G.w_spe in
+  let by_ratio = by_ratio_desc w_spe w_ppe in
+  let buff =
+    Steady_state.buffer_sizes ~first_periods:(Steady_state.first_periods g) g
   in
-  let w_spe = Array.init nk (fun k -> (G.task g k).Streaming.Task.w_spe) in
-  let ratio k = if w_ppe.(k) <= 0. then infinity else w_spe.(k) /. w_ppe.(k) in
-  let by_ratio = Array.init nk Fun.id in
-  Array.sort (fun a b -> compare (ratio b) (ratio a)) by_ratio;
-  let buff = Steady_state.buffer_sizes ~first_periods:fp g in
+  (* Per task, one copy of each incident buffer, out-edges first. *)
+  let incident = Array.create_float nk in
+  for k = 0 to nk - 1 do
+    let sum_out = ref 0. and sum_in = ref 0. in
+    for i = fl.G.out_start.(k) to fl.G.out_start.(k + 1) - 1 do
+      sum_out := !sum_out +. buff.(fl.G.out_ids.(i))
+    done;
+    for i = fl.G.in_start.(k) to fl.G.in_start.(k + 1) - 1 do
+      sum_in := !sum_in +. buff.(fl.G.in_ids.(i))
+    done;
+    incident.(k) <- !sum_out +. !sum_in
+  done;
   (* Per-task memory footprint used by the divisible relaxation. Under the
      sharing model a single buffer per edge suffices when both endpoints
      share an SPE, so half the incident mass is a valid lower bound. *)
-  let mem_need =
-    let factor = if share then 0.5 else 1.0 in
-    Array.init nk (fun k ->
-        let sum = List.fold_left (fun acc e -> acc +. buff.(e)) 0. in
-        factor *. (sum (G.out_edges g k) +. sum (G.in_edges g k)))
-  in
-  let mem_ratio k =
-    if w_ppe.(k) <= 0. then infinity else mem_need.(k) /. w_ppe.(k)
-  in
-  let by_mem_ratio = Array.init nk Fun.id in
-  Array.sort (fun a b -> compare (mem_ratio b) (mem_ratio a)) by_mem_ratio;
+  let factor = if share then 0.5 else 1.0 in
+  let mem_need = Array.create_float nk in
+  for k = 0 to nk - 1 do
+    mem_need.(k) <- factor *. incident.(k)
+  done;
+  let by_mem_ratio = by_ratio_desc mem_need w_ppe in
   (* A task needs at least one copy of each incident buffer on its SPE,
      sharing or not; beyond the budget it can only live on a PPE. *)
   let budget = float_of_int (P.spe_memory_budget platform) in
-  let spe_eligible =
-    Array.init nk (fun k ->
-        let sum = List.fold_left (fun acc e -> acc +. buff.(e)) 0. in
-        sum (G.out_edges g k) +. sum (G.in_edges g k) <= budget +. 1e-9)
-  in
+  let spe_eligible = Array.init nk (fun k -> incident.(k) <= budget +. 1e-9) in
   let bnd = Bounds.create platform g in
   (* Assignment order: hardest tasks first. Committing the tasks that
      dominate the binding resources (local-store footprint, then raw
@@ -114,10 +138,10 @@ let make_state ~share platform g =
   let order = Array.init nk Fun.id in
   Array.sort
     (fun a b ->
-      let c = compare mem_need.(b) mem_need.(a) in
+      let c = Float.compare mem_need.(b) mem_need.(a) in
       if c <> 0 then c
       else
-        let c = compare (Float.min w_ppe.(b) w_spe.(b))
+        let c = Float.compare (Float.min w_ppe.(b) w_spe.(b))
                   (Float.min w_ppe.(a) w_spe.(a)) in
         if c <> 0 then c else compare a b)
     order;
@@ -141,27 +165,17 @@ let make_state ~share platform g =
     suffix_task_lb.(pos) <-
       Float.max suffix_task_lb.(pos + 1) (Bounds.task_lb bnd k)
   done;
-  let n_pes = P.n_pes platform in
-  let ev =
-    Eval.create_empty
-      ~options:{ Eval.share_colocated_buffers = share; tight_pipeline = false }
-      platform g
-  in
   {
     platform;
     g;
-    fl = G.flat g;
-    ev;
-    rows = Eval.rows ev;
+    fl;
+    share;
     ppes = Array.of_list (P.ppes platform);
     spes = Array.of_list (P.spes platform);
     budget;
-    cands = Array.make (nk * n_pes) 0;
-    keys = Array.make (nk * n_pes) 0.;
     order;
     w_ppe;
     w_spe;
-    used_spes = 0;
     by_ratio;
     suffix_wspe;
     mem_need;
@@ -175,42 +189,50 @@ let make_state ~share platform g =
     suffix_task_lb;
   }
 
-(* In-edges of task [k] from a task assigned to a PE other than [pe]. *)
-let remote_in_edges st k pe =
-  let fl = st.fl in
-  let n = ref 0 in
-  for i = fl.G.in_start.(k) to fl.G.in_start.(k + 1) - 1 do
-    let p = Eval.pe_of st.ev fl.G.edge_src.(fl.G.in_ids.(i)) in
-    if p >= 0 && p <> pe then incr n
-  done;
-  !n
+let make_state inv =
+  let nk = G.n_tasks inv.g and n_pes = P.n_pes inv.platform in
+  let ev =
+    Eval.create_empty
+      ~options:
+        { Eval.share_colocated_buffers = inv.share; tight_pipeline = false }
+      inv.platform inv.g
+  in
+  {
+    inv;
+    ev;
+    rows = Eval.rows ev;
+    cands = Array.make (nk * n_pes) 0;
+    keys = Array.create_float (nk * n_pes);
+    leaf = Array.make nk 0;
+    used_spes = 0;
+  }
 
 (* Every in-edge of task [k] from another assigned SPE leaves that SPE
    a to-PPE slot: each is checked on its own, +1 per edge. *)
 let to_ppe_fits st k pe =
-  let fl = st.fl in
+  let iv = st.inv in
+  let fl = iv.fl in
   let ok = ref true and i = ref fl.G.in_start.(k) in
   while !ok && !i < fl.G.in_start.(k + 1) do
     let p = Eval.pe_of st.ev fl.G.edge_src.(fl.G.in_ids.(!i)) in
     if
-      p >= 0 && p <> pe && P.is_spe st.platform p
-      && st.rows.Steady_state.dma_to_ppe.(p) + 1 > st.platform.P.max_dma_to_ppe
+      p >= 0 && p <> pe && P.is_spe iv.platform p
+      && st.rows.Steady_state.dma_to_ppe.(p) + 1 > iv.platform.P.max_dma_to_ppe
     then ok := false;
     incr i
   done;
   !ok
 
 let can_place st k pe =
-  if P.is_spe st.platform pe then
-    st.rows.Steady_state.memory.(pe)
-    +. Eval.assign_memory_delta st.ev ~task:k ~pe
-    <= st.budget +. 1e-9
-    && st.rows.Steady_state.dma_in.(pe) + remote_in_edges st k pe
-       <= st.platform.P.max_dma_in
+  let platform = st.inv.platform in
+  if P.is_spe platform pe then
+    Eval.assign_memory_fits st.ev ~task:k ~pe ~slack:1e-9
+    && st.rows.Steady_state.dma_in.(pe) + Eval.remote_in_edges st.ev ~task:k ~pe
+       <= platform.P.max_dma_in
   else to_ppe_fits st k pe
 
 (* Sum, in the order of [pes], of [max 0 (t - compute)] over [pes]. *)
-let spare_compute st pes t =
+let[@inline] spare_compute st pes t =
   let compute = st.rows.Steady_state.compute in
   let acc = ref 0. in
   for i = 0 to Array.length pes - 1 do
@@ -222,7 +244,8 @@ let spare_compute st pes t =
    resource with pool capacity [pool]; the excess must be offloaded to the
    PPEs, cheapest (largest amount-per-PPE-second) first. Returns true when
    the offload fits in [cap_ppe]. *)
-let offload_fits st ~order_by ~(amount : float array) ~pool ~total ~cap_ppe =
+let[@inline] offload_fits st ~order_by ~(amount : float array) ~pool ~total
+    ~cap_ppe =
   let deficit = total -. pool in
   if deficit <= 0. then true
   else begin
@@ -231,16 +254,17 @@ let offload_fits st ~order_by ~(amount : float array) ~pool ~total ~cap_ppe =
     let nk = Array.length order_by in
     while !removed < deficit && !i < nk do
       let k = order_by.(!i) in
-      if Eval.pe_of st.ev k < 0 && st.spe_eligible.(k) && amount.(k) > 0. then begin
+      if Eval.pe_of st.ev k < 0 && st.inv.spe_eligible.(k) && amount.(k) > 0.
+      then begin
         let need = deficit -. !removed in
         if amount.(k) <= need then begin
           removed := !removed +. amount.(k);
-          ppe_used := !ppe_used +. st.w_ppe.(k)
+          ppe_used := !ppe_used +. st.inv.w_ppe.(k)
         end
         else begin
           let fraction = need /. amount.(k) in
           removed := deficit;
-          ppe_used := !ppe_used +. (fraction *. st.w_ppe.(k))
+          ppe_used := !ppe_used +. (fraction *. st.inv.w_ppe.(k))
         end
       end;
       incr i
@@ -248,7 +272,7 @@ let offload_fits st ~order_by ~(amount : float array) ~pool ~total ~cap_ppe =
     !removed >= deficit -. 1e-12 && !ppe_used <= cap_ppe +. 1e-12
   end
 
-let covers cap need = cap >= need -. (1e-9 *. Float.max 1. need)
+let[@inline] covers cap need = cap >= need -. (1e-9 *. Float.max 1. need)
 
 (* Divisible relaxation check: can the tasks of order.(pos..) be
    fractionally completed within period [t]? Two necessary conditions are
@@ -260,41 +284,43 @@ let covers cap need = cap >= need -. (1e-9 *. Float.max 1. need)
    (writes) through its host PE's input (output) interface, so the spare
    interface capacity at period [t] — summed over every PE — must cover
    the remaining bytes. O(n_pes), monotone in [t]. *)
-let interface_feasible st ~pos t =
-  let tb = t *. st.platform.P.bw and n = P.n_pes st.platform in
+let[@inline] interface_feasible st ~pos t =
+  let iv = st.inv in
+  let tb = t *. iv.platform.P.bw and n = P.n_pes iv.platform in
   let { Steady_state.bytes_in; bytes_out; _ } = st.rows in
   let cap = ref 0. in
   for pe = 0 to n - 1 do
     cap := !cap +. Float.max 0. (tb -. bytes_in.(pe))
   done;
-  covers !cap st.suffix_reads.(pos)
+  covers !cap iv.suffix_reads.(pos)
   && begin
        cap := 0.;
        for pe = 0 to n - 1 do
          cap := !cap +. Float.max 0. (tb -. bytes_out.(pe))
        done;
-       covers !cap st.suffix_writes.(pos)
+       covers !cap iv.suffix_writes.(pos)
      end
 
 let divisible_feasible st ~pos t =
+  let iv = st.inv in
   (* O(1): some PE must grant every remaining task its per-task bound. *)
-  t +. 1e-12 >= st.suffix_task_lb.(pos)
+  t +. 1e-12 >= iv.suffix_task_lb.(pos)
   && interface_feasible st ~pos t
   &&
   (* Tasks whose buffers exceed the local store are PPE-bound: their work
      consumes PPE capacity before any offloading happens. *)
-  let cap_ppe = spare_compute st st.ppes t -. st.suffix_forced_wppe.(pos) in
+  let cap_ppe = spare_compute st iv.ppes t -. iv.suffix_forced_wppe.(pos) in
   cap_ppe >= -1e-12
-  && offload_fits st ~order_by:st.by_ratio ~amount:st.w_spe
-       ~pool:(spare_compute st st.spes t) ~total:st.suffix_wspe.(pos) ~cap_ppe
+  && offload_fits st ~order_by:iv.by_ratio ~amount:iv.w_spe
+       ~pool:(spare_compute st iv.spes t) ~total:iv.suffix_wspe.(pos) ~cap_ppe
   && begin
        let mem_pool = ref 0. in
-       for i = 0 to Array.length st.spes - 1 do
-         let free = st.budget -. st.rows.Steady_state.memory.(st.spes.(i)) in
+       for i = 0 to Array.length iv.spes - 1 do
+         let free = iv.budget -. st.rows.Steady_state.memory.(iv.spes.(i)) in
          mem_pool := !mem_pool +. Float.max 0. free
        done;
-       offload_fits st ~order_by:st.by_mem_ratio ~amount:st.mem_need
-         ~pool:!mem_pool ~total:st.suffix_mem.(pos) ~cap_ppe
+       offload_fits st ~order_by:iv.by_mem_ratio ~amount:iv.mem_need
+         ~pool:!mem_pool ~total:iv.suffix_mem.(pos) ~cap_ppe
      end
 
 (* Tight node bound via bisection (used for reporting at the root). *)
@@ -302,7 +328,9 @@ let node_bound st ~pos ~hi =
   let lo = ref (Eval.period st.ev) in
   if divisible_feasible st ~pos !lo then !lo
   else begin
-    let hi = ref (Float.max hi (2. *. (!lo +. st.suffix_wspe.(pos) +. 1e-9))) in
+    let hi =
+      ref (Float.max hi (2. *. (!lo +. st.inv.suffix_wspe.(pos) +. 1e-9)))
+    in
     for _ = 1 to 50 do
       let mid = 0.5 *. (!lo +. !hi) in
       if divisible_feasible st ~pos mid then hi := mid else lo := mid
@@ -367,19 +395,30 @@ let m_subtrees =
 
 let subtree_budget = 4096
 
-let assignment st =
-  Array.init (G.n_tasks st.g) (fun k -> Eval.pe_of st.ev k)
-
 (* Offer the complete assignment at a leaf, if it is feasible:
    [can_place] checks each DMA queue against the placed neighbours only,
-   one edge at a time, so a leaf can still overflow a queue. The period
-   pre-check keeps the per-leaf allocation off the common (losing)
-   path. *)
+   one edge at a time, so a leaf can still overflow a queue. A leaf is
+   offered only when its period is at most the incumbent's [shared];
+   one equal to it is offered with [shared] itself (equal periods have
+   equal bits: the rows are sums of non-negative terms, never -0), and
+   {!Incumbent.offer} settles the tie on the assignment without
+   allocating, so a losing leaf allocates nothing. *)
 let offer_leaf inc st =
-  let p = Eval.period st.ev in
-  if p <= Incumbent.period inc && Eval.feasible st.ev then
-    Incumbent.offer inc ~period:p (assignment st)
-  else false
+  let shared = Incumbent.period inc in
+  if
+    Eval.period_exceeds st.ev ~at_least:infinity ~above:shared
+    || not (Eval.feasible st.ev)
+  then false
+  else begin
+    for k = 0 to Array.length st.leaf - 1 do
+      st.leaf.(k) <- Eval.pe_of st.ev k
+    done;
+    let period =
+      if Eval.period_exceeds st.ev ~at_least:shared ~above:infinity then shared
+      else Eval.period st.ev
+    in
+    Incumbent.offer inc ~period st.leaf
+  end
 
 (* Stable insertion sort of [cands.(lo .. lo + n - 1)] by the keys at
    the same indices, ascending under [Float.compare]: equal keys keep
@@ -403,18 +442,19 @@ let sort_candidates cands keys lo n =
    to the ones in use plus one fresh; most promising (smallest resulting
    compute load) first, ties keeping the PPE-before-SPE base order. *)
 let candidates st pos k =
-  let lo = pos * P.n_pes st.platform and np = Array.length st.ppes in
+  let iv = st.inv in
+  let lo = pos * P.n_pes iv.platform and np = Array.length iv.ppes in
   let compute = st.rows.Steady_state.compute in
   for i = 0 to np - 1 do
-    let pe = st.ppes.(i) in
+    let pe = iv.ppes.(i) in
     st.cands.(lo + i) <- pe;
-    st.keys.(lo + i) <- compute.(pe) +. st.w_ppe.(k)
+    st.keys.(lo + i) <- compute.(pe) +. iv.w_ppe.(k)
   done;
-  let ns = min (st.used_spes + 1) (Array.length st.spes) in
+  let ns = min (st.used_spes + 1) (Array.length iv.spes) in
   for s = 0 to ns - 1 do
-    let pe = st.spes.(s) in
+    let pe = iv.spes.(s) in
     st.cands.(lo + np + s) <- pe;
-    st.keys.(lo + np + s) <- compute.(pe) +. st.w_spe.(k)
+    st.keys.(lo + np + s) <- compute.(pe) +. iv.w_spe.(k)
   done;
   sort_candidates st.cands st.keys lo (np + ns);
   np + ns
@@ -423,30 +463,52 @@ let candidates st pos k =
    [p >= det_thr] and infeasibility at [det_thr] are the deterministic
    gap rules; [p > shared] and infeasibility at [shared] are the
    result-safe sharing rules. One divisible check at the min threshold
-   covers both (infeasibility is monotone: harder at smaller t). *)
+   covers both (infeasibility is monotone: harder at smaller t). The
+   threshold is whichever of the two boxed floats is smaller, passed
+   as is. *)
 let child_pruned st ~pos ~det_thr ~inc =
-  let p = Eval.period st.ev in
   let shared = Incumbent.period inc in
-  p >= det_thr || p > shared
-  || not (divisible_feasible st ~pos (Float.min det_thr shared))
+  Eval.period_exceeds st.ev ~at_least:det_thr ~above:shared
+  || not
+       (divisible_feasible st ~pos
+          (if Float.min det_thr shared = det_thr then det_thr else shared))
 
 let bump_used_spes st pe =
+  let spes = st.inv.spes in
   if
-    P.is_spe st.platform pe
-    && st.used_spes < Array.length st.spes
-    && pe = st.spes.(st.used_spes)
+    P.is_spe st.inv.platform pe
+    && st.used_spes < Array.length spes
+    && pe = spes.(st.used_spes)
   then st.used_spes <- st.used_spes + 1
 
 let replay st prefix =
-  Array.iteri
-    (fun i pe ->
-      bump_used_spes st pe;
-      Eval.assign st.ev ~task:st.order.(i) ~pe)
-    prefix
+  for i = 0 to Array.length prefix - 1 do
+    bump_used_spes st prefix.(i);
+    Eval.assign st.ev ~task:st.inv.order.(i) ~pe:prefix.(i)
+  done
+
+(* Idle task states of one solve, for the next task to take instead of
+   building its own: an engine reset to every task unassigned is
+   bitwise a fresh one, and every candidate buffer is written before it
+   is read. A lock-free stack, so that pooled tasks share it too. *)
+let rec take_state free inv =
+  match Atomic.get free with
+  | [] -> make_state inv
+  | st :: rest as cur ->
+      if Atomic.compare_and_set free cur rest then begin
+        Eval.reset st.ev;
+        st.used_spes <- 0;
+        st
+      end
+      else take_state free inv
+
+let rec give_state free st =
+  let cur = Atomic.get free in
+  if not (Atomic.compare_and_set free cur (st :: cur)) then give_state free st
 
 (* Shared, mutation-only search context: the incumbent cell, the fixed
-   deterministic threshold, the global limits and the atomic counters
-   every subtree task folds into. *)
+   deterministic threshold, the global limits, the atomic counters
+   every subtree task folds into and the idle task states. *)
 type ctx = {
   inc : Incumbent.t;
   det_thr : float;
@@ -459,6 +521,7 @@ type ctx = {
   c_subtrees : int Atomic.t;
   c_limit : bool Atomic.t;
   sctx : Obs.Span.ctx;  (* parent span of this phase's subtree spans *)
+  free : state list Atomic.t;
 }
 
 (* One budgeted subtree task: fresh state, replay the prefix, depth-first
@@ -468,7 +531,7 @@ type ctx = {
    which is also when the global limits are polled. Returns the
    handed-back prefixes; [Limit_hit] abandons the remainder and flags
    [c_limit]. *)
-let run_task ~share ctx platform g prefix =
+let run_task ctx inv prefix =
   if Atomic.get ctx.c_limit then [||]
   else begin
     (* Flight-recorder span: one per subtree task, named by the prefix
@@ -479,8 +542,8 @@ let run_task ~share ctx platform g prefix =
     let t_start =
       if Obs.Span.active ctx.sctx then Obs.Span.now () else 0.
     in
-    let st = make_state ~share platform g in
-    let nk = G.n_tasks g and n_pes = P.n_pes platform in
+    let st = take_state ctx.free inv in
+    let nk = G.n_tasks inv.g and n_pes = P.n_pes inv.platform in
     replay st prefix;
     let nodes = ref 0 and flushed = ref 0 in
     let pruned = ref 0 and incumbents = ref 0 in
@@ -497,7 +560,9 @@ let run_task ~share ctx platform g prefix =
         raise Limit_hit
       end
     in
-    let prefix_of pos = Array.init pos (fun i -> Eval.pe_of st.ev st.order.(i)) in
+    let prefix_of pos =
+      Array.init pos (fun i -> Eval.pe_of st.ev inv.order.(i))
+    in
     let rec explore pos =
       if !nodes >= subtree_budget && pos < nk then
         (* Budget spent: hand the whole open subtree back as a task.
@@ -511,7 +576,7 @@ let run_task ~share ctx platform g prefix =
           if offer_leaf ctx.inc st then incr incumbents
         end
         else begin
-          let k = st.order.(pos) in
+          let k = inv.order.(pos) in
           Eval.save_rows st.ev;
           let n = candidates st pos k in
           for i = pos * n_pes to (pos * n_pes) + n - 1 do
@@ -551,6 +616,8 @@ let run_task ~share ctx platform g prefix =
     ignore (Atomic.fetch_and_add ctx.c_pruned !pruned);
     ignore (Atomic.fetch_and_add ctx.c_incumbents !incumbents);
     ignore (Atomic.fetch_and_add ctx.c_subtrees 1);
+    Eval.publish st.ev;
+    give_state ctx.free st;
     if Obs.Span.active ctx.sctx then
       Obs.Span.record ctx.sctx ~t_start
         ~attrs:
@@ -580,16 +647,20 @@ let solve ?(span = Obs.Span.null) ?(options = default_options)
     ?(should_stop = fun () -> false) ?incumbent ?pool
     platform g =
   let share = options.share_colocated_buffers in
-  let st = make_state ~share platform g in
+  let inv = make_inv ~share platform g in
   let eval_options =
     { Eval.share_colocated_buffers = share; tight_pipeline = false }
   in
-  let incumbent_mapping =
+  let incumbent_mapping, init_period =
     match incumbent with
     | Some m ->
-        if not (Eval.scratch_feasible ~options:eval_options platform g m) then
+        let ev = Eval.create ~options:eval_options platform g m in
+        let feasible = Eval.feasible ev in
+        let period = Eval.period ev in
+        Eval.publish ev;
+        if not feasible then
           invalid_arg "Mapping_search.solve: incumbent is infeasible";
-        m
+        (m, period)
     | None ->
         (* Portfolio seed: every standard candidate plus the seeded
            restarts, each polished by local search. Every point of
@@ -597,13 +668,13 @@ let solve ?(span = Obs.Span.null) ?(options = default_options)
            whole tree — on the paper's 50-task instances the difference
            is between closing at the root and millions of open nodes.
            The portfolio is bitwise deterministic at any pool size, so
-           the determinism contract is unaffected. *)
-        (Portfolio.solve ~span ?pool ~should_stop
-           ~share_colocated_buffers:share platform g)
-          .Portfolio.best
-  in
-  let init_period =
-    Eval.scratch_period ~options:eval_options platform g incumbent_mapping
+           the determinism contract is unaffected. Its period is the
+           canonical one of its best mapping under [eval_options]. *)
+        let r =
+          Portfolio.solve ~span ?pool ~should_stop
+            ~share_colocated_buffers:share platform g
+        in
+        (r.Portfolio.best, r.Portfolio.period)
   in
   let inc =
     Incumbent.of_option (Some (init_period, Mapping.to_array incumbent_mapping))
@@ -611,8 +682,13 @@ let solve ?(span = Obs.Span.null) ?(options = default_options)
   (* Fixed before the search: the deterministic gap-prune threshold. *)
   let det_thr = init_period *. (1. -. options.rel_gap) in
   let deadline = Unix.gettimeofday () +. options.time_limit in
-  let root_bound = node_bound st ~pos:0 ~hi:init_period in
-  let root_bound = Float.max root_bound (Bounds.root_bound st.bnd) in
+  let root = make_state inv in
+  let root_bound =
+    Float.max
+      (node_bound root ~pos:0 ~hi:init_period)
+      (Bounds.root_bound inv.bnd)
+  in
+  Eval.publish root.ev;
   let ctx =
     {
       inc;
@@ -626,6 +702,7 @@ let solve ?(span = Obs.Span.null) ?(options = default_options)
       c_subtrees = Atomic.make 0;
       c_limit = Atomic.make false;
       sctx = Obs.Span.null;
+      free = Atomic.make [ root ];
     }
   in
   (* The combinatorial root bound can prove the (polished) incumbent
@@ -638,9 +715,7 @@ let solve ?(span = Obs.Span.null) ?(options = default_options)
          whatever the pool size. Hardest-first DFS typically lands
          within a fraction of a percent of the optimum here. *)
       Obs.Span.with_span_attrs span "dive" (fun dspan ->
-          sequential_grow
-            (run_task ~share { ctx with sctx = dspan } platform g)
-            [| [||] |];
+          sequential_grow (run_task { ctx with sctx = dspan } inv) [| [||] |];
           ((), [ ("nodes", Obs.Span.Int (Atomic.get ctx.c_nodes)) ]));
       if not (Atomic.get ctx.c_limit) then false
       else if Unix.gettimeofday () > deadline || should_stop () then true
@@ -667,7 +742,7 @@ let solve ?(span = Obs.Span.null) ?(options = default_options)
                   sctx = fspan;
                 }
               in
-              let run prefix = run_task ~share ctx platform g prefix in
+              let run prefix = run_task ctx inv prefix in
               (match pool with
               | Some p ->
                   (* Each spilled subtree is a fiber; a parent awaits its

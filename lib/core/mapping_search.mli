@@ -45,6 +45,15 @@
     leaf becomes an incumbent only if {!Eval.feasible} accepts it: the
     placement test checks each DMA queue one edge at a time.
 
+    A node allocates nothing: the engine answers the search's queries
+    with bools and ints ({!Eval.assign_memory_fits},
+    {!Eval.period_exceeds}) or through its rows, and a losing leaf is
+    turned away by {!Incumbent.offer} before any copy. The assignment
+    order, costs and suffix sums are built once per solve and shared by
+    every subtree task, and a task takes the engine and buffers of a
+    finished one ({!Eval.reset}) when one is idle, so a solve allocates
+    well under a word per node on trees of thousands of nodes.
+
     The tree is explored as {e node-budgeted subtree tasks}: each task
     searches one open prefix depth-first and, when its budget runs out,
     hands every still-open branch back as a fresh task — so no work is
@@ -98,7 +107,8 @@ val solve :
   Streaming.Graph.t ->
   result
 (** [incumbent] seeds the search (it must be feasible; default: the best
-    standard heuristic). [pool] fans the root subtrees out over worker domains;
+    mapping of the full {!Portfolio}, every entrant polished by local
+    search). [pool] fans the root subtrees out over worker domains;
     the result is bitwise identical to the sequential run (see above).
 
     [span] (default {!Obs.Span.null}: free) records the solver flight

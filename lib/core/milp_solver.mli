@@ -10,8 +10,8 @@
     - [`Exact]: the generic {!Lp.Branch_bound} on the compact formulation
       (exact within the gap; right for small and mid-size graphs);
     - [`Search]: the specialized {!Mapping_search} branch and bound,
-      optionally bounded below by the root LP relaxation (scales to the
-      paper's 50–94-task graphs).
+      bounded below by its combinatorial relaxations, with no LP at any
+      node (scales to the paper's 50–94-task graphs).
 
     A PPE-only mapping is always feasible, so [solve] always returns a
     mapping. *)

@@ -22,23 +22,24 @@ let m_candidates =
   Obs.Metrics.counter ~help:"Portfolio strategies and restarts evaluated"
     "portfolio_candidates_total"
 
-(* One entrant: produce a mapping, score it canonically, and offer it
-   to the shared incumbent. Every entrant builds its own Eval states
-   (inside the heuristics and the local search), so entrants share
-   nothing but the incumbent cell; the score comes from one fresh
-   engine on the final mapping, a canonical recomputation bitwise
-   independent of which worker ran the entrant. *)
-let run_entrant ~eval_options ~max_passes ~inc platform g (name, make_start) =
-  let start = make_start () in
-  let mapping =
-    if Steady_state.feasible platform g start then
-      Heuristics.local_search ~options:eval_options ~max_passes platform g
-        start
-    else start
-  in
-  let ev = Eval.create ~options:eval_options platform g mapping in
+(* One entrant, on one engine of its own from start to score: its walk
+   places the start in the paper's model, where a feasible start is
+   polished by local search under [eval_options]; the same engine then
+   scores the result and offers it to the shared incumbent. Entrants
+   share nothing but the incumbent cell. The engine's rows are a pure
+   function of the assignment and the options, so the score is the
+   canonical one, bitwise what a fresh engine on the final mapping
+   reads, whichever worker ran the entrant. *)
+let run_entrant ~eval_options ~max_passes ~inc platform g (name, place) =
+  let ev = Eval.create_empty platform g in
+  place ev;
+  let start_feasible = Eval.feasible ev in
+  Eval.set_options ev eval_options;
+  if start_feasible then Heuristics.improve ~max_passes ev;
   let feasible = Eval.feasible ev in
   let period = if feasible then Eval.period ev else infinity in
+  let mapping = Eval.mapping ev in
+  Eval.publish ev;
   if feasible then
     ignore (Incumbent.offer inc ~period (Mapping.to_array mapping));
   if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_candidates;
@@ -54,18 +55,19 @@ let solve ?(span = Obs.Span.null) ?pool ?(should_stop = fun () -> false)
   let entrants =
     Array.of_list
       ([
-         (* The safety net: always feasible, never worth local search. *)
-         ("ppe-only", fun () -> Heuristics.ppe_only platform g);
-         ("greedy-mem", fun () -> Heuristics.greedy_mem platform g);
-         ("greedy-cpu", fun () -> Heuristics.greedy_cpu platform g);
+         (* The safety net: always feasible (local search then polishes
+            it like any other start). *)
+         ("ppe-only", Heuristics.place_ppe_only);
+         ("greedy-mem", Heuristics.place_greedy_mem);
+         ("greedy-cpu", Heuristics.place_greedy_cpu);
        ]
       @ List.init restarts (fun i ->
             ( Printf.sprintf "restart-%d" i,
-              fun () ->
+              fun ev ->
                 (* Independent stream per restart: the draw sequence of
                    entrant i never depends on how many others ran. *)
                 let rng = Support.Rng.create (seed + (1000003 * i)) in
-                Heuristics.random_feasible ~rng platform g )))
+                Heuristics.place_random_feasible ~rng ev )))
   in
   let inc = Incumbent.create () in
   let run_one = run_entrant ~eval_options ~max_passes ~inc platform g in

@@ -1,14 +1,16 @@
 (** Portfolio mapping search: race the constructive heuristics and a
     set of seeded random restarts, keep the best.
 
-    Entrants — GreedyMem, GreedyCpu (each polished by
-    {!Heuristics.local_search}), the PPE-only safety net, and
-    [restarts] seeded {!Heuristics.random_feasible} walks (each with
-    its own [Support.Rng] stream derived from [seed], also polished) —
-    run independently on private {!Eval} states and fold their scores
-    into a shared {!Incumbent.t}. Periods are canonical
-    ({!Eval.scratch_period}) and the incumbent order is strict and
-    total (period, then fingerprint), so the winner is a pure function
+    Entrants — the PPE-only safety net, GreedyMem, GreedyCpu and
+    [restarts] seeded {!Heuristics.place_random_feasible} walks (each with
+    its own [Support.Rng] stream derived from [seed]), every one with a
+    feasible start polished by {!Heuristics.local_search} — run
+    independently, each on one {!Eval} engine of its own from its start
+    through local search to its score, and fold their scores into a
+    shared {!Incumbent.t}. Periods are canonical (bitwise
+    {!Eval.scratch_period} of the mapping) and the incumbent order is
+    strict and total (period, then fingerprint), so the winner is a
+    pure function
     of [(seed, restarts, graph, platform)]: running on a {!Par.Pool.t}
     of any size returns bitwise the same mapping and period as the
     sequential fold. *)

@@ -1,36 +1,43 @@
 module G = Streaming.Graph
 module P = Cell.Platform
 
+(* Both walk the graph's flat view: one int array and one float array
+   are all they allocate, so an {!Eval} engine can afford them per
+   creation. *)
 let first_periods ?mapping g =
+  let fl = G.flat g in
   let fp = Array.make (G.n_tasks g) 0 in
-  let colocated e =
-    match mapping with
-    | None -> false
-    | Some m -> not (Mapping.is_remote m (G.edge g e))
-  in
-  let compute k =
-    match G.in_edges g k with
-    | [] -> fp.(k) <- 0
-    | ins ->
-        let peek = (G.task g k).Streaming.Task.peek in
-        let over_pred acc e =
-          let j = (G.edge g e).G.src in
-          (* One period for the predecessor's computation, plus one for the
-             communication unless the edge stays on the same PE. *)
-          let comm = if colocated e then 0 else 1 in
-          max acc (fp.(j) + 1 + comm + peek)
-        in
-        fp.(k) <- List.fold_left over_pred 0 ins
-  in
-  Array.iter compute (G.topological_order g);
+  for i = 0 to Array.length fl.G.topo - 1 do
+    let k = fl.G.topo.(i) in
+    let peek = fl.G.peek.(k) in
+    let acc = ref 0 in
+    for j = fl.G.in_start.(k) to fl.G.in_start.(k + 1) - 1 do
+      let e = fl.G.in_ids.(j) in
+      let src = fl.G.edge_src.(e) in
+      (* One period for the predecessor's computation, plus one for the
+         communication unless the edge stays on the same PE. *)
+      let comm =
+        match mapping with
+        | Some m when Mapping.pe m src = Mapping.pe m k -> 0
+        | _ -> 1
+      in
+      acc := max !acc (fp.(src) + 1 + comm + peek)
+    done;
+    fp.(k) <- !acc
+  done;
   fp
 
 let buffer_sizes ~first_periods g =
-  let size e =
-    let { G.src; dst; data_bytes } = G.edge g e in
-    data_bytes *. float_of_int (first_periods.(dst) - first_periods.(src))
-  in
-  Array.init (G.n_edges g) size
+  let fl = G.flat g in
+  let m = Array.length fl.G.edge_src in
+  let buff = Array.create_float m in
+  for e = 0 to m - 1 do
+    buff.(e) <-
+      fl.G.edge_data.(e)
+      *. float_of_int
+           (first_periods.(fl.G.edge_dst.(e)) - first_periods.(fl.G.edge_src.(e)))
+  done;
+  buff
 
 type loads = {
   compute : float array;

@@ -152,8 +152,7 @@ let migration options g buffers cur_mapping survivors old_to_new new_mapping =
   done;
   (!moved, !bytes)
 
-let period_of platform g mapping =
-  Cellsched.Eval.period (Cellsched.Eval.create platform g mapping)
+let period_of platform g mapping = Cellsched.Eval.scratch_period platform g mapping
 
 (* Default-off observability: incident-level counters and latency
    distributions, published when the process registry is enabled. *)

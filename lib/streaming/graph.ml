@@ -8,10 +8,12 @@ type flat = {
   w_spe : float array;
   read_bytes : float array;
   write_bytes : float array;
+  peek : int array;
   in_start : int array;
   in_ids : int array;
   out_start : int array;
   out_ids : int array;
+  topo : int array;
 }
 
 type t = {
@@ -19,7 +21,6 @@ type t = {
   edges : edge array;
   out_edges : int list array;  (* edge ids leaving each task *)
   in_edges : int list array;  (* edge ids entering each task *)
-  topo : int array;  (* task ids, topologically sorted *)
   flat : flat;  (* the same data as plain arrays, built with the graph *)
 }
 
@@ -68,14 +69,16 @@ let task_arrays (tasks : Task.t array) =
   let n = Array.length tasks in
   let w_ppe = Array.create_float n and w_spe = Array.create_float n in
   let read_bytes = Array.create_float n and write_bytes = Array.create_float n in
+  let peek = Array.make n 0 in
   for k = 0 to n - 1 do
     let t = tasks.(k) in
     w_ppe.(k) <- t.w_ppe;
     w_spe.(k) <- t.w_spe;
     read_bytes.(k) <- t.read_bytes;
-    write_bytes.(k) <- t.write_bytes
+    write_bytes.(k) <- t.write_bytes;
+    peek.(k) <- t.peek
   done;
-  (w_ppe, w_spe, read_bytes, write_bytes)
+  (w_ppe, w_spe, read_bytes, write_bytes, peek)
 
 let edge_data (edges : edge array) =
   let data = Array.create_float (Array.length edges) in
@@ -97,9 +100,35 @@ let csr n ends =
     ends;
   (start, ids)
 
+module Ready = Support.Binary_heap.Make (Int)
+
+(* Kahn's algorithm, smallest ready id first; raises if a cycle
+   remains. *)
+let topo_sort ~in_start ~out_start ~out_ids ~edge_dst =
+  let n = Array.length in_start - 1 in
+  let indeg = Array.init n (fun v -> in_start.(v + 1) - in_start.(v)) in
+  let ready = Ready.create () in
+  for v = 0 to n - 1 do
+    if indeg.(v) = 0 then Ready.add ready v
+  done;
+  let order = Array.make n (-1) in
+  let filled = ref 0 in
+  while not (Ready.is_empty ready) do
+    let v = Ready.pop_min ready in
+    order.(!filled) <- v;
+    incr filled;
+    for i = out_start.(v) to out_start.(v + 1) - 1 do
+      let w = edge_dst.(out_ids.(i)) in
+      indeg.(w) <- indeg.(w) - 1;
+      if indeg.(w) = 0 then Ready.add ready w
+    done
+  done;
+  if !filled <> n then invalid_arg "Graph.build: the graph contains a cycle";
+  order
+
 let make_flat tasks (edges : edge array) =
   let n = Array.length tasks in
-  let w_ppe, w_spe, read_bytes, write_bytes = task_arrays tasks in
+  let w_ppe, w_spe, read_bytes, write_bytes, peek = task_arrays tasks in
   let edge_src = Array.map (fun e -> e.src) edges in
   let edge_dst = Array.map (fun e -> e.dst) edges in
   let in_start, in_ids = csr n edge_dst and out_start, out_ids = csr n edge_src in
@@ -111,37 +140,13 @@ let make_flat tasks (edges : edge array) =
     w_spe;
     read_bytes;
     write_bytes;
+    peek;
     in_start;
     in_ids;
     out_start;
     out_ids;
+    topo = topo_sort ~in_start ~out_start ~out_ids ~edge_dst;
   }
-
-module Ready = Support.Binary_heap.Make (Int)
-
-(* Kahn's algorithm, smallest ready id first; raises if a cycle
-   remains. *)
-let topo_sort f =
-  let n = Array.length f.in_start - 1 in
-  let indeg = Array.init n (fun v -> f.in_start.(v + 1) - f.in_start.(v)) in
-  let ready = Ready.create () in
-  for v = 0 to n - 1 do
-    if indeg.(v) = 0 then Ready.add ready v
-  done;
-  let order = Array.make n (-1) in
-  let filled = ref 0 in
-  while not (Ready.is_empty ready) do
-    let v = Ready.pop_min ready in
-    order.(!filled) <- v;
-    incr filled;
-    for i = f.out_start.(v) to f.out_start.(v + 1) - 1 do
-      let w = f.edge_dst.(f.out_ids.(i)) in
-      indeg.(w) <- indeg.(w) - 1;
-      if indeg.(w) = 0 then Ready.add ready w
-    done
-  done;
-  if !filled <> n then invalid_arg "Graph.build: the graph contains a cycle";
-  order
 
 let build b =
   let tasks = Array.of_list (List.rev b.btasks) in
@@ -155,7 +160,7 @@ let build b =
     out_edges.(src) <- e :: out_edges.(src);
     in_edges.(dst) <- e :: in_edges.(dst)
   done;
-  { tasks; edges; out_edges; in_edges; topo = topo_sort flat; flat }
+  { tasks; edges; out_edges; in_edges; flat }
 
 let of_tasks tasks edge_list =
   let b = builder () in
@@ -200,7 +205,7 @@ let sources g =
 let sinks g =
   List.filter (fun k -> g.out_edges.(k) = []) (List.init (n_tasks g) Fun.id)
 
-let topological_order g = Array.copy g.topo
+let topological_order g = Array.copy g.flat.topo
 
 let depth g =
   if n_tasks g = 0 then 0
@@ -213,7 +218,7 @@ let depth g =
       in
       List.iter bump g.out_edges.(k)
     in
-    Array.iter relax g.topo;
+    Array.iter relax g.flat.topo;
     Array.fold_left max 0 level
   end
 
@@ -230,8 +235,8 @@ let total_memory_bytes g =
 
 let map_tasks f g =
   let tasks = Array.mapi f g.tasks in
-  let w_ppe, w_spe, read_bytes, write_bytes = task_arrays tasks in
-  { g with tasks; flat = { g.flat with w_ppe; w_spe; read_bytes; write_bytes } }
+  let w_ppe, w_spe, read_bytes, write_bytes, peek = task_arrays tasks in
+  { g with tasks; flat = { g.flat with w_ppe; w_spe; read_bytes; write_bytes; peek } }
 
 let map_edges f g =
   let edges =

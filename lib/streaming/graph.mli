@@ -50,7 +50,8 @@ val edge : t -> int -> edge
 
     The graph as plain arrays, built once with the graph and shared by
     every reader, for hot loops that would otherwise pay a call per
-    element ([Cellsched.Eval]'s sweeps and probe screen). The arrays
+    element or walk a list ([Cellsched.Eval]'s sweeps and probe screen,
+    the placement walks and the branch-and-bound nodes). The arrays
     are the graph's own: treat them as read-only. *)
 
 type flat = {
@@ -61,6 +62,7 @@ type flat = {
   w_spe : float array;
   read_bytes : float array;
   write_bytes : float array;
+  peek : int array;
   in_start : int array;
       (** CSR over {!in_edges}: task [k]'s in-edge ids are
           [in_ids.(i)] for [in_start.(k) <= i < in_start.(k + 1)], in
@@ -68,6 +70,7 @@ type flat = {
   in_ids : int array;
   out_start : int array;  (** Same over {!out_edges}. *)
   out_ids : int array;
+  topo : int array;  (** {!topological_order}, shared. *)
 }
 
 val flat : t -> flat

@@ -20,8 +20,13 @@ type t = int64
 val empty : t
 (** The FNV-1a offset basis, [0xcbf29ce484222325]. *)
 
+val prime : t
+(** The FNV-1a 64-bit prime, [0x100000001b3]. *)
+
 val add_value : t -> int64 -> t
-(** Fold one 64-bit word: [(h lxor v) * prime]. *)
+(** Fold one 64-bit word: [(h lxor v) * prime]. A loop that writes the
+    fold out with [prime] keeps its state unboxed; a call per word
+    boxes it. *)
 
 val add_int : t -> int -> t
 

@@ -55,6 +55,12 @@ let random_mapping rng platform g =
   Cellsched.Mapping.make platform g
     (Array.init (G.n_tasks g) (fun _ -> Support.Rng.int rng n))
 
+(* The portfolio's seeded restart walk, on an engine of its own. *)
+let random_feasible ~rng platform g =
+  let ev = E.create_empty platform g in
+  Cellsched.Heuristics.place_random_feasible ~rng ev;
+  E.mapping ev
+
 (* A move of a task to a PE, or a swap of two tasks: probed, applied,
    or applied to reverse another. *)
 type probe = Move of int * int | Swap of int * int
@@ -267,7 +273,7 @@ let screen_is_exact ~share ~tight =
       let ev =
         E.create ~options:(options_of ~share ~tight) platform g
           (if Support.Rng.int rng 4 = 0 then random_mapping rng platform g
-           else Cellsched.Heuristics.random_feasible ~rng platform g)
+           else random_feasible ~rng platform g)
       in
       let nk = G.n_tasks g and npes = P.n_pes platform in
       for _ = 1 to 4 do
@@ -353,7 +359,7 @@ let prescreen_is_sound ~share ~tight =
       let ev =
         E.create ~options:(options_of ~share ~tight) platform g
           (if Support.Rng.int rng 4 = 0 then random_mapping rng platform g
-           else Cellsched.Heuristics.random_feasible ~rng platform g)
+           else random_feasible ~rng platform g)
       in
       let nk = G.n_tasks g and npes = P.n_pes platform in
       let thresholds current p =
@@ -454,6 +460,8 @@ let test_screen_allocates_nothing () =
     (fun pr ->
       let x0 = Obs.Metrics.Counter.value c_exact in
       ignore (probe pr);
+      (* The engine counts in its own fields until published. *)
+      E.publish ev;
       if Obs.Metrics.Counter.value c_exact = x0 then begin
         let v =
           match pr with
@@ -835,6 +843,7 @@ let reference_local_search ?(check = fun _ _ _ _ -> ()) platform g mapping =
       done
     done
   done;
+  E.publish ev;
   E.mapping ev
 
 type ls_kind =
@@ -900,7 +909,7 @@ let hot_set_case kind (seed, n) =
     match Support.Rng.int rng 3 with
     | 0 -> Cellsched.Heuristics.greedy_mem platform g
     | 1 -> Cellsched.Heuristics.greedy_cpu platform g
-    | _ -> Cellsched.Heuristics.random_feasible ~rng platform g
+    | _ -> random_feasible ~rng platform g
   in
   let nk = G.n_tasks g in
   let hot = Array.make nk false in
@@ -1010,12 +1019,14 @@ let test_refresh_hot_allocates_nothing () =
     platforms
 
 (* Engines share their graph's flat arrays: what [create_empty] allocates
-   beyond the per-task assignment, the per-edge buffer table (and its
-   first-periods scratch) and the probe's saved copy of it does not grow
-   with the graph. On QS22 with 8 SPEs the engine before the flat view
-   left a residual of 306 words (OCaml 5.1, measured with this function);
-   the per-PE SPE flags and Cell indices may add O(PEs) to it, nothing
-   more. *)
+   beyond the per-task assignment and the per-edge buffer table (and its
+   first-periods scratch) does not grow with the graph; the probe's saved
+   copy of the buffers is allocated only under [tight_pipeline]. On
+   QS22 with 8 SPEs the residual is bounded by 306 words (the engine
+   before the flat view, OCaml 5.1, measured with this function), plus
+   21 for the engine's row view (a 9-word record), its first-periods
+   array, counts and exact-probe answer (10 more fields, a 2-word float
+   array), plus O(PEs) for the per-PE SPE flags and Cell indices. *)
 let test_create_empty_words () =
   let platform = P.qs22 ~n_spe:8 () in
   let residual n =
@@ -1025,16 +1036,284 @@ let test_create_empty_words () =
           ignore (SS.buffer_sizes ~first_periods:(SS.first_periods g) g))
     in
     let engine = allocated (fun () -> ignore (E.create_empty platform g)) in
-    engine -. buffers
-    -. float_of_int (G.n_tasks g + 1)
-    -. float_of_int (G.n_edges g + 1)
+    engine -. buffers -. float_of_int (G.n_tasks g + 1)
   in
   let small = residual 8 and large = residual 60 in
   Alcotest.(check (float 0.)) "residual independent of the graph" small large;
-  let parent = 306. and pes = float_of_int (P.n_pes platform + 1) in
+  let parent = 306. +. 21. and pes = float_of_int (P.n_pes platform + 1) in
   if small > parent +. (5. *. pes) then
     Alcotest.failf "create_empty residual %.0f words, over %.0f + 5 per PE"
       small parent
+
+(* --- list-based placement walks, kept as the oracle ----------------------
+
+   The constructive heuristics as they were written over the graph's
+   edge lists, one [List.filter] of candidate PEs per task: the walks
+   now read the flat arrays and the engine's rows, and must place every
+   task on the same PE with the same [rng] draws. *)
+module Walk_oracle = struct
+  let memory_on ev pe =
+    E.validate ev;
+    (E.rows ev).SS.memory.(pe)
+
+  let compute_on ev pe =
+    E.validate ev;
+    (E.rows ev).SS.compute.(pe)
+
+  let remote_in_edges ev k pe =
+    List.length
+      (List.filter
+         (fun e ->
+           let src = (G.edge (E.graph ev) e).G.src in
+           E.pe_of ev src >= 0 && E.pe_of ev src <> pe)
+         (G.in_edges (E.graph ev) k))
+
+  let spe_pred_counts ev k =
+    List.fold_left
+      (fun acc e ->
+        let src = (G.edge (E.graph ev) e).G.src in
+        let pe = E.pe_of ev src in
+        if pe >= 0 && P.is_spe (E.platform ev) pe then
+          let cur = try List.assoc pe acc with Not_found -> 0 in
+          (pe, cur + 1) :: List.remove_assoc pe acc
+        else acc)
+      []
+      (G.in_edges (E.graph ev) k)
+
+  let can_place ev k pe =
+    let platform = E.platform ev in
+    if P.is_spe platform pe then begin
+      let budget = float_of_int (P.spe_memory_budget platform) in
+      memory_on ev pe +. E.task_buffer_bytes ev k <= budget
+      && (E.rows ev).SS.dma_in.(pe) + remote_in_edges ev k pe
+         <= platform.P.max_dma_in
+    end
+    else
+      List.for_all
+        (fun (spe, count) ->
+          (E.rows ev).SS.dma_to_ppe.(spe) + count <= platform.P.max_dma_to_ppe)
+        (spe_pred_counts ev k)
+
+  let repair_to_ppe ev =
+    let platform = E.platform ev and g = E.graph ev in
+    let overflowing () =
+      List.find_opt
+        (fun spe -> (E.rows ev).SS.dma_to_ppe.(spe) > platform.P.max_dma_to_ppe)
+        (P.spes platform)
+    in
+    let feeds_a_ppe k =
+      List.exists
+        (fun e ->
+          let pe = E.pe_of ev (G.edge g e).G.dst in
+          pe >= 0 && P.is_ppe platform pe)
+        (G.out_edges g k)
+    in
+    let rec fix () =
+      match overflowing () with
+      | None -> ()
+      | Some spe ->
+          let victim =
+            List.find
+              (fun k -> E.pe_of ev k = spe && feeds_a_ppe k)
+              (List.init (G.n_tasks g) Fun.id)
+          in
+          E.apply_move ev ~task:victim ~pe:0;
+          fix ()
+    in
+    fix ()
+
+  let greedy_generic ~choose platform g =
+    let ev = E.create_empty platform g in
+    Array.iter
+      (fun k ->
+        match choose ev k with
+        | Some pe -> E.assign ev ~task:k ~pe
+        | None -> E.assign ev ~task:k ~pe:0)
+      (G.topological_order g);
+    repair_to_ppe ev;
+    E.mapping ev
+
+  let greedy_mem platform g =
+    let choose ev k =
+      match List.filter (can_place ev k) (P.spes platform) with
+      | [] -> None
+      | first :: rest ->
+          Some
+            (List.fold_left
+               (fun best pe ->
+                 if memory_on ev pe < memory_on ev best then pe else best)
+               first rest)
+    in
+    greedy_generic ~choose platform g
+
+  let greedy_cpu platform g =
+    let choose ev k =
+      let load pe =
+        let cls = P.pe_class platform pe in
+        let w = Streaming.Task.w (G.task g k) cls in
+        let w = if cls = P.PPE then w /. platform.P.ppe_speedup else w in
+        compute_on ev pe +. w
+      in
+      match
+        List.filter (can_place ev k) (List.init (P.n_pes platform) Fun.id)
+      with
+      | [] -> None
+      | first :: rest ->
+          Some
+            (List.fold_left
+               (fun best pe -> if load pe < load best then pe else best)
+               first rest)
+    in
+    greedy_generic ~choose platform g
+
+  let density_pack platform g =
+    let ev = E.create_empty platform g in
+    let nk = G.n_tasks g in
+    let w_ppe k = (G.task g k).Streaming.Task.w_ppe /. platform.P.ppe_speedup in
+    let density k =
+      let mem = E.task_buffer_bytes ev k in
+      if mem <= 0. then infinity else w_ppe k /. mem
+    in
+    let by_density = Array.init nk Fun.id in
+    Array.sort (fun a b -> compare (density b) (density a)) by_density;
+    let budget = float_of_int (P.spe_memory_budget platform) in
+    let place_spe k =
+      let best = ref (-1) in
+      List.iter
+        (fun pe ->
+          if memory_on ev pe +. E.task_buffer_bytes ev k <= budget then
+            match !best with
+            | -1 -> best := pe
+            | b -> if compute_on ev pe < compute_on ev b then best := pe)
+        (P.spes platform);
+      !best
+    in
+    Array.iter
+      (fun k ->
+        match place_spe k with
+        | -1 -> E.assign ev ~task:k ~pe:0
+        | pe -> E.assign ev ~task:k ~pe)
+      by_density;
+    repair_to_ppe ev;
+    E.mapping ev
+
+  let random_feasible ~rng platform g =
+    let ev = E.create_empty platform g in
+    let n = P.n_pes platform in
+    Array.iter
+      (fun k ->
+        match List.filter (can_place ev k) (List.init n Fun.id) with
+        | [] -> E.assign ev ~task:k ~pe:0
+        | pes ->
+            let pick = Support.Rng.int rng (List.length pes) in
+            E.assign ev ~task:k ~pe:(List.nth pes pick))
+      (G.topological_order g);
+    repair_to_ppe ev;
+    E.mapping ev
+end
+
+(* Random DAGs on six platform kinds: one and two Cells, QS22, a local
+   store holding a sixth to a half of the graph's buffers, and two with
+   one- and two-slot DMA queues, where the to-PPE repair runs. *)
+let walk_platform rng g kind =
+  match kind with
+  | 0 -> P.make ~n_ppe:1 ~n_spe:4 ()
+  | 1 -> P.make ~n_ppe:2 ~n_spe:6 ~n_cells:2 ~ppe_speedup:1.5 ()
+  | 2 -> P.qs22 ~n_spe:8 ()
+  | 3 ->
+      let buff =
+        SS.buffer_sizes ~first_periods:(SS.first_periods g) g
+        |> Array.fold_left ( +. ) 0.
+      in
+      let share = (1. /. 6.) +. Support.Rng.float rng (1. /. 3.) in
+      P.make ~n_ppe:1 ~n_spe:4 ~code_size:0
+        ~local_store:(max 1 (int_of_float (buff *. share)))
+        ()
+  | 4 -> P.make ~n_ppe:1 ~n_spe:6 ~max_dma_in:2 ~max_dma_to_ppe:1 ()
+  | _ -> P.make ~n_ppe:2 ~n_spe:6 ~n_cells:2 ~max_dma_in:1 ~max_dma_to_ppe:1 ()
+
+let walks_match_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"placement walks equal the list-based oracle"
+    QCheck.(pair (int_bound 100_000) (int_range 5 40))
+    (fun (seed, n) ->
+      let n = max 5 n and seed = abs seed in
+      let rng = Support.Rng.create (seed + 12_000_000) in
+      let g = random_graph rng n in
+      let platform = walk_platform rng g (seed mod 6) in
+      let same name got want =
+        if Cellsched.Mapping.to_array got <> Cellsched.Mapping.to_array want
+        then QCheck.Test.fail_reportf "%s: mappings differ" name
+      in
+      let module H = Cellsched.Heuristics in
+      same "greedy_mem" (H.greedy_mem platform g)
+        (Walk_oracle.greedy_mem platform g);
+      same "greedy_cpu" (H.greedy_cpu platform g)
+        (Walk_oracle.greedy_cpu platform g);
+      same "density_pack" (H.density_pack platform g)
+        (Walk_oracle.density_pack platform g);
+      let r1 = Support.Rng.create seed and r2 = Support.Rng.create seed in
+      same "random_feasible" (random_feasible ~rng:r1 platform g)
+        (Walk_oracle.random_feasible ~rng:r2 platform g);
+      (* The same number of draws: the streams stay in step. *)
+      Support.Rng.int64 r1 = Support.Rng.int64 r2)
+
+(* --- allocation bounds ------------------------------------------------------ *)
+
+(* Branch-and-bound nodes allocate nothing: a whole solve, set-up and
+   subtree hand-backs included, stays under one word per node on a tree
+   of 20,000 nodes. *)
+let test_bb_words_per_node () =
+  let g = random_graph (Support.Rng.create 1026) 26 in
+  let platform = P.qs22 ~n_spe:4 () in
+  let incumbent = Cellsched.Heuristics.greedy_mem platform g in
+  let options =
+    {
+      Cellsched.Mapping_search.default_options with
+      max_nodes = 20_000;
+      time_limit = 3600.;
+    }
+  in
+  let nodes = ref 0 in
+  let words =
+    allocated (fun () ->
+        let r = Cellsched.Mapping_search.solve ~options ~incumbent platform g in
+        nodes := r.Cellsched.Mapping_search.nodes)
+  in
+  if !nodes < 500 then Alcotest.failf "only %d nodes" !nodes;
+  if words >= float_of_int !nodes then
+    Alcotest.failf "%.0f words for %d nodes (%.2f per node)" words !nodes
+      (words /. float_of_int !nodes)
+
+(* A constructive heuristic allocates its engine, its result and a few
+   words per task (the seeded walk's draws), never a list per task or a
+   float per candidate: at most c * (tasks + PEs) words, c = 40, on
+   graphs of 10 to 160 tasks and platforms of 5 to 18 PEs. Measured on
+   OCaml 5.1, the walks take 5 to 30 words per task or PE here, the
+   list walks of [Walk_oracle] 48 to 252. *)
+let test_walk_words_bound () =
+  List.iter
+    (fun n ->
+      let g = random_graph (Support.Rng.create (90 + n)) n in
+      List.iter
+        (fun platform ->
+          let bound =
+            40. *. float_of_int (G.n_tasks g + P.n_pes platform)
+          in
+          let check name f =
+            let words = allocated (fun () -> ignore (f ())) in
+            if words > bound then
+              Alcotest.failf "%s: %.0f words on %d tasks x %d PEs (bound %.0f)"
+                name words (G.n_tasks g) (P.n_pes platform) bound
+          in
+          let module H = Cellsched.Heuristics in
+          check "greedy_mem" (fun () -> H.greedy_mem platform g);
+          check "greedy_cpu" (fun () -> H.greedy_cpu platform g);
+          check "density_pack" (fun () -> H.density_pack platform g);
+          check "random_feasible" (fun () ->
+              random_feasible ~rng:(Support.Rng.create n) platform g))
+        [ P.make ~n_ppe:1 ~n_spe:4 (); P.qs22 ~n_spe:8 (); P.qs22_dual () ])
+    [ 10; 40; 160 ]
 
 (* --- portfolio golden digest ----------------------------------------------
 
@@ -1170,6 +1449,66 @@ let test_bb_digest () =
     "digest of every branch-and-bound result" bb_golden_digest
     (Digest.to_hex (Digest.string (bb_rendering ())))
 
+(* --- pinned counter totals --------------------------------------------------
+
+   Engines and local search count in their own fields and publish once
+   per solve. Over the portfolio corpus, then the first 20 instances'
+   branch and bound at 2,000 nodes with buffer sharing off and on, every
+   probe, move, swap, local-search, node, prune, incumbent, subtree and
+   candidate count equals what the shared per-event counters recorded
+   before (pinned below from that build). The row-sweep counts are left
+   out: one engine per portfolio entrant sweeps less. *)
+let pinned_counts =
+  [
+    ("search_eval_probes_total", 400_691);
+    ("search_eval_exact_probes_total", 11_082);
+    ("search_eval_moves_total", 4_427);
+    ("search_eval_swaps_total", 6_303);
+    ("search_ls_passes_total", 2_998);
+    ("search_ls_moves_accepted_total", 4_427);
+    ("search_ls_swaps_accepted_total", 6_303);
+    ("search_ls_probes_skipped_total", 529_539);
+    ("search_bb_nodes_total", 18_204);
+    ("search_bb_pruned_total", 52_137);
+    ("search_bb_incumbents_total", 47);
+    ("search_bb_subtrees_total", 19);
+    ("portfolio_candidates_total", 900);
+  ]
+
+let test_counter_totals () =
+  let counters =
+    List.map (fun (name, _) -> Obs.Metrics.counter name) pinned_counts
+  in
+  let values () = List.map Obs.Metrics.Counter.value counters in
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  let before = values () in
+  let corpus = portfolio_corpus () in
+  List.iter
+    (fun (g, platform) -> ignore (Cellsched.Portfolio.solve platform g))
+    corpus;
+  List.iteri
+    (fun i (g, platform) ->
+      if i < 20 then
+        List.iter
+          (fun share ->
+            let options =
+              {
+                Cellsched.Mapping_search.default_options with
+                max_nodes = 2_000;
+                share_colocated_buffers = share;
+              }
+            in
+            ignore (Cellsched.Mapping_search.solve ~options platform g))
+          [ false; true ])
+    corpus;
+  let after = values () in
+  Obs.Metrics.set_enabled was;
+  List.iteri
+    (fun i (name, want) ->
+      Alcotest.(check int) name want (List.nth after i - List.nth before i))
+    pinned_counts
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "eval"
@@ -1220,6 +1559,14 @@ let () =
           Alcotest.test_case "create_empty shares the graph's arrays" `Quick
             test_create_empty_words;
         ] );
+      ( "walks",
+        [
+          qt walks_match_oracle;
+          Alcotest.test_case "branch-and-bound: under a word per node" `Quick
+            test_bb_words_per_node;
+          Alcotest.test_case "heuristic words bounded by tasks + PEs" `Quick
+            test_walk_words_bound;
+        ] );
       ( "blind-spot",
         [
           Alcotest.test_case "heuristics repair to-PPE overflow" `Quick
@@ -1245,5 +1592,7 @@ let () =
           qt candidate_order_is_list_sort;
           Alcotest.test_case "exact sweeps at most 5% of probes" `Quick
             test_exact_sweep_share;
+          Alcotest.test_case "counter totals as pinned" `Quick
+            test_counter_totals;
         ] );
     ]

@@ -846,6 +846,62 @@ let metrics_transparent =
         QCheck.Test.fail_reportf "simulation diverged under metrics/trace";
       true)
 
+(* --- the obs command's two forms ---------------------------------------------
+
+   [cellsched obs] is a command group whose default term maps and
+   simulates a graph. Options before the graph and the graph first are
+   the same request: both exit 0 and dump the same deterministic solver
+   counters. *)
+
+let cli = Filename.concat ".." (Filename.concat "bin" "cellsched_cli.exe")
+
+let run_cli args =
+  let out = Filename.temp_file "cellsched_obs" ".out" in
+  let code =
+    Sys.command (Filename.quote_command cli args ~stdout:out ~stderr:out)
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  (code, text)
+
+let counter_value text name =
+  match Support.Json.parse text with
+  | Error m -> Alcotest.failf "obs output is not JSON: %s" m
+  | Ok json ->
+      let module J = Support.Json in
+      let families =
+        Option.value ~default:[]
+          (Option.bind (J.member "families" json) J.to_list)
+      in
+      let family =
+        List.find_opt
+          (fun f -> Option.bind (J.member "name" f) J.to_str = Some name)
+          families
+      in
+      Option.bind family (fun f ->
+          match Option.bind (J.member "samples" f) J.to_list with
+          | Some [ s ] -> Option.bind (J.member "value" s) J.to_float
+          | _ -> None)
+
+let test_obs_graph_first () =
+  let graph = Filename.temp_file "cellsched_obs" ".stream" in
+  let code, _ =
+    run_cli [ "generate"; "-n"; "12"; "--seed"; "3"; "-o"; graph ]
+  in
+  Alcotest.(check int) "generate exits 0" 0 code;
+  let options = [ "-s"; "lp-round"; "-n"; "200" ] in
+  let first_code, first = run_cli (("obs" :: graph :: options)) in
+  let last_code, last = run_cli (("obs" :: options) @ [ graph ]) in
+  Sys.remove graph;
+  Alcotest.(check int) ("obs GRAPH OPTIONS exits 0: " ^ first) 0 first_code;
+  Alcotest.(check int) "obs OPTIONS GRAPH exits 0" 0 last_code;
+  List.iter
+    (fun name ->
+      match (counter_value first name, counter_value last name) with
+      | Some a, Some b -> Alcotest.(check (float 0.)) name b a
+      | _ -> Alcotest.failf "%s missing from the obs output" name)
+    [ "lp_simplex_pivots_total"; "search_eval_probes_total" ]
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "obs"
@@ -892,4 +948,9 @@ let () =
           qt spans_deterministic_across_pools;
         ] );
       ("transparency", [ qt metrics_transparent ]);
+      ( "cli",
+        [
+          Alcotest.test_case "obs takes the graph first or last" `Quick
+            test_obs_graph_first;
+        ] );
     ]

@@ -305,6 +305,7 @@ let flat_matches_accessors =
         in
         Array.length f.G.in_start = G.n_tasks g + 1
         && G.topological_order g = reference
+        && f.G.topo = reference
         && List.for_all
              (fun e ->
                let edge = G.edge g e in
@@ -319,6 +320,7 @@ let flat_matches_accessors =
                && bits f.G.w_spe.(k) = bits t.Streaming.Task.w_spe
                && bits f.G.read_bytes.(k) = bits t.Streaming.Task.read_bytes
                && bits f.G.write_bytes.(k) = bits t.Streaming.Task.write_bytes
+               && f.G.peek.(k) = t.Streaming.Task.peek
                && csr f.G.in_start f.G.in_ids k = G.in_edges g k
                && csr f.G.out_start f.G.out_ids k = G.out_edges g k)
              (List.init (G.n_tasks g) Fun.id)

@@ -352,18 +352,23 @@ let lp_rounding ?improve:(improve_it = true) platform g =
   | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded -> fallback ()
   | Lp.Simplex.Optimal sol ->
       let alpha = formulation.Milp_formulation.alpha in
+      let x = sol.Lp.Simplex.x in
       let ev = Eval.create_empty platform g in
       let order = G.topological_order g in
+      let ranked = Array.make (P.n_pes platform) 0 in
+      let rec first_placeable k r =
+        if r = Array.length ranked then 0
+        else if can_place ev k ranked.(r) then ranked.(r)
+        else first_placeable k (r + 1)
+      in
       let handle k =
-        (* PEs by decreasing fractional alpha, filtered by feasibility. *)
-        let ranked =
-          List.sort
-            (fun a b -> compare sol.Lp.Simplex.x.(alpha.(k).(b)) sol.Lp.Simplex.x.(alpha.(k).(a)))
-            (List.init (P.n_pes platform) Fun.id)
-        in
-        match List.find_opt (can_place ev k) ranked with
-        | Some pe -> Eval.assign ev ~task:k ~pe
-        | None -> Eval.assign ev ~task:k ~pe:0
+        (* PEs by decreasing fractional alpha, ties in increasing PE
+           order (the sort is stable), the first feasible one taken. *)
+        for r = 0 to Array.length ranked - 1 do
+          ranked.(r) <- r
+        done;
+        Array.stable_sort (fun a b -> compare x.(alpha.(k).(b)) x.(alpha.(k).(a))) ranked;
+        Eval.assign ev ~task:k ~pe:(first_placeable k 0)
       in
       Array.iter handle order;
       repair_to_ppe ev;

@@ -20,22 +20,6 @@ let of_list terms =
 
 let to_list t = t
 
-(* Merge of two sorted term lists. *)
-let rec add a b =
-  match (a, b) with
-  | [], e | e, [] -> e
-  | (v, c) :: ra, (v', c') :: rb ->
-      if v < v' then (v, c) :: add ra b
-      else if v > v' then (v', c') :: add a rb
-      else begin
-        let s = c +. c' in
-        if s = 0. then add ra rb else (v, s) :: add ra rb
-      end
-
-let scale k t = if k = 0. then [] else List.map (fun (v, c) -> (v, k *. c)) t
-let neg t = scale (-1.) t
-let sum ts = List.fold_left add zero ts
-
 let eval f t = List.fold_left (fun acc (v, c) -> acc +. (c *. f v)) 0. t
 
 let max_var t = List.fold_left (fun acc (v, _) -> max acc v) (-1) t

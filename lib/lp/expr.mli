@@ -12,16 +12,13 @@ val term : ?coeff:float -> int -> t
 (** [term ~coeff v] is [coeff * x_v] (default coefficient 1). *)
 
 val of_list : (int * float) list -> t
-(** Normalize an arbitrary term list (duplicates summed, zeros dropped). *)
+(** Normalize an arbitrary term list: sorted stably by variable, the
+    coefficients of a repeated variable summed left to right, zero sums
+    dropped.
+    @raise Invalid_argument on a negative variable index. *)
 
 val to_list : t -> (int * float) list
 (** Terms with increasing variable index and non-zero coefficients. *)
-
-val add : t -> t -> t
-val neg : t -> t
-
-val sum : t list -> t
-(** Sum of many expressions (linear-time merge). *)
 
 val eval : (int -> float) -> t -> float
 (** Evaluate under a variable assignment. *)

@@ -1,15 +1,6 @@
 type solution = { x : float array; objective : float; iterations : int }
 type result = Optimal of solution | Infeasible | Unbounded
 
-type stats = {
-  mutable solves : int;
-  mutable total_iterations : int;
-  mutable warm_solves : int;
-  mutable warm_failures : int;
-}
-
-let stats = { solves = 0; total_iterations = 0; warm_solves = 0; warm_failures = 0 }
-
 (* Default-off observability hooks (see lib/obs): registered eagerly at
    module init — forcing a lazy cell from several domains is racy. *)
 let m_solves =
@@ -47,13 +38,18 @@ type status = At_lower | At_upper | Basic | Free_nb
 type basis = { vstatus : status array; vbasis : int array }
 
 (* Computational form: min c.x, A x = b (slack per row), l <= x <= u.
-   Columns are sparse; the basis inverse is dense and column-major. *)
+   Columns are sparse, stored flat: column j's entries sit at positions
+   [col_start.(j)] to [col_start.(j+1) - 1] of [row_idx] (by increasing
+   row) and [col_val]. The basis inverse is dense and column-major. The
+   column arrays, [lb], [ub], [x] and [status] have room for an
+   artificial per row; only the first [ntot] columns are read. *)
 type tableau = {
   m : int;  (* rows *)
   ntot : int;  (* structural + slack + artificial columns *)
   n_struct : int;
-  col_idx : int array array;  (* row indices per column *)
-  col_val : float array array;
+  col_start : int array;
+  row_idx : int array;
+  col_val : float array;
   b : float array;
   c : float array;  (* current-phase cost *)
   lb : float array;
@@ -73,59 +69,79 @@ type tableau = {
   gamma : float array;  (* Devex reference weights, one per column *)
 }
 
+(* The problem in computational form: columns, right-hand side and the
+   bounds of the structural and slack columns, every array with room for
+   the artificials. Structural columns 0..n-1 are the problem's rows
+   transposed by a counting pass, so each lists its rows in increasing
+   order; slack n+i is the unit column of row i, and artificial n+m+k
+   gets the next slot when [cold_tableau] appends it. *)
 let build problem ~lb_over ~ub_over =
-  let n = Problem.n_vars problem in
-  let constrs = Problem.constraints problem in
-  let m = Array.length constrs in
-  let plb, pub = Problem.bounds_arrays problem in
-  let lb_s = match lb_over with Some a -> a | None -> plb in
-  let ub_s = match ub_over with Some a -> a | None -> pub in
-  if Array.length lb_s <> n || Array.length ub_s <> n then
-    invalid_arg "Simplex.solve: override bounds have wrong length";
-  Array.iteri
-    (fun v l -> if l > ub_s.(v) then invalid_arg "Simplex.solve: lb > ub")
-    lb_s;
-  (* Columns: structural 0..n-1, slack n..n+m-1, artificials appended. *)
+  let n = Problem.n_vars problem and m = Problem.n_constrs problem in
+  let pv = Problem.view problem in
+  let bounds over own =
+    match over with
+    | Some a ->
+        if Array.length a <> n then
+          invalid_arg "Simplex.solve: override bounds have wrong length";
+        a
+    | None -> own
+  in
+  let lb_s = bounds lb_over pv.Problem.var_lb and ub_s = bounds ub_over pv.Problem.var_ub in
+  for v = 0 to n - 1 do
+    if lb_s.(v) > ub_s.(v) then invalid_arg "Simplex.solve: lb > ub"
+  done;
   let max_cols = n + (2 * m) in
-  let col_idx = Array.make max_cols [||] in
-  let col_val = Array.make max_cols [||] in
-  let rows_of_var = Array.make n [] in
+  let nnz = pv.Problem.row_start.(m) in
+  let col_start = Array.make (max_cols + 1) 0 in
+  let row_idx = Array.make (nnz + (2 * m)) 0 in
+  let col_val = Array.make (nnz + (2 * m)) 0. in
+  (* Count each column's entries into col_start.(v+1); the prefix sums
+     then make col_start.(v) column v's start. *)
+  for k = 0 to nnz - 1 do
+    let v = pv.Problem.row_var.(k) + 1 in
+    col_start.(v) <- col_start.(v) + 1
+  done;
+  for v = 1 to n do
+    col_start.(v) <- col_start.(v) + col_start.(v - 1)
+  done;
+  for j = n + 1 to max_cols do
+    col_start.(j) <- nnz + (j - n)
+  done;
   let b = Array.make m 0. in
   (* Row equilibration: divide every row by its largest coefficient so that
      rows mixing unit-scale and bandwidth-scale terms keep meaningful
-     tolerances. Pure row scaling leaves the solution unchanged. *)
-  let row_scale = Array.make m 1. in
-  Array.iteri
-    (fun i { Problem.expr; _ } ->
-      let biggest =
-        List.fold_left
-          (fun acc (_, coef) -> Float.max acc (abs_float coef))
-          0. (Expr.to_list expr)
-      in
-      if biggest > 0. then row_scale.(i) <- biggest)
-    constrs;
-  Array.iteri
-    (fun i { Problem.expr; rhs; _ } ->
-      b.(i) <- rhs /. row_scale.(i);
-      List.iter
-        (fun (v, coef) ->
-          rows_of_var.(v) <- (i, coef /. row_scale.(i)) :: rows_of_var.(v))
-        (Expr.to_list expr))
-    constrs;
-  for v = 0 to n - 1 do
-    let entries = List.rev rows_of_var.(v) in
-    col_idx.(v) <- Array.of_list (List.map fst entries);
-    col_val.(v) <- Array.of_list (List.map snd entries)
+     tolerances. Pure row scaling leaves the solution unchanged. Each
+     entry goes to its column's cursor, col_start.(v), which ends one
+     column further on. *)
+  for i = 0 to m - 1 do
+    let lo = pv.Problem.row_start.(i) and hi = pv.Problem.row_start.(i + 1) in
+    let biggest = ref 0. in
+    for k = lo to hi - 1 do
+      biggest := Float.max !biggest (abs_float pv.Problem.row_coef.(k))
+    done;
+    let scale = if !biggest > 0. then !biggest else 1. in
+    b.(i) <- pv.Problem.row_rhs.(i) /. scale;
+    for k = lo to hi - 1 do
+      let v = pv.Problem.row_var.(k) in
+      let p = col_start.(v) in
+      row_idx.(p) <- i;
+      col_val.(p) <- pv.Problem.row_coef.(k) /. scale;
+      col_start.(v) <- p + 1
+    done
   done;
+  for v = n downto 1 do
+    col_start.(v) <- col_start.(v - 1)
+  done;
+  col_start.(0) <- 0;
   let lb = Array.make max_cols 0. and ub = Array.make max_cols infinity in
   Array.blit lb_s 0 lb 0 n;
   Array.blit ub_s 0 ub 0 n;
   (* One slack per row; its bounds encode the relation. *)
   for i = 0 to m - 1 do
     let s = n + i in
-    col_idx.(s) <- [| i |];
-    col_val.(s) <- [| 1. |];
-    (match constrs.(i).Problem.rel with
+    row_idx.(nnz + i) <- i;
+    col_val.(nnz + i) <- 1.;
+    match pv.Problem.row_rel.(i) with
     | Problem.Le ->
         lb.(s) <- 0.;
         ub.(s) <- infinity
@@ -134,30 +150,28 @@ let build problem ~lb_over ~ub_over =
         ub.(s) <- 0.
     | Problem.Eq ->
         lb.(s) <- 0.;
-        ub.(s) <- 0.)
+        ub.(s) <- 0.
   done;
-  (m, n, col_idx, col_val, b, lb, ub, constrs)
+  (m, n, col_start, row_idx, col_val, b, lb, ub)
 
-(* Set every non-slack, non-artificial variable to its initial nonbasic
-   value: the finite bound nearest zero, or 0 for free variables. *)
-let initial_nonbasic_value lb ub =
-  if lb = neg_infinity && ub = infinity then (0., Free_nb)
-  else if lb = neg_infinity then (ub, At_upper)
-  else if ub = infinity then (lb, At_lower)
-  else if abs_float lb <= abs_float ub then (lb, At_lower)
-  else (ub, At_upper)
+(* Every non-slack, non-artificial variable starts nonbasic at the finite
+   bound nearest zero, or at 0 when free. *)
+let[@inline] initial_status lb ub =
+  if lb = neg_infinity && ub = infinity then Free_nb
+  else if lb = neg_infinity then At_upper
+  else if ub = infinity then At_lower
+  else if abs_float lb <= abs_float ub then At_lower
+  else At_upper
 
 (* Residual of row i given nonbasic values: b_i - sum_j a_ij x_j over
    structural columns. *)
-let residuals n col_idx col_val b x =
+let residuals n col_start row_idx col_val b x =
   let r = Array.copy b in
   for v = 0 to n - 1 do
-    if x.(v) <> 0. then begin
-      let idx = col_idx.(v) and vl = col_val.(v) in
-      for k = 0 to Array.length idx - 1 do
-        r.(idx.(k)) <- r.(idx.(k)) -. (vl.(k) *. x.(v))
+    if x.(v) <> 0. then
+      for k = col_start.(v) to col_start.(v + 1) - 1 do
+        r.(row_idx.(k)) <- r.(row_idx.(k)) -. (col_val.(k) *. x.(v))
       done
-    end
   done;
   r
 
@@ -227,12 +241,14 @@ let check_sizes ~m binv u v =
   if Array.length binv < m * m || Array.length u < m || Array.length v < m then
     invalid_arg "Simplex: kernel arrays shorter than the basis"
 
-(* FTRAN: w = B^-1 a for the sparse column (idx, vl), one contiguous axpy
-   per nonzero. *)
-let ftran ~m binv idx vl w =
+(* FTRAN: w = B^-1 a for the sparse column held at positions [lo, hi) of
+   (idx, vl), one contiguous axpy per nonzero. *)
+let ftran ~m binv idx vl lo hi w =
   check_sizes ~m binv w w;
+  if lo < 0 || hi > Array.length idx || hi > Array.length vl then
+    invalid_arg "Simplex.ftran: column out of range";
   Array.fill w 0 m 0.;
-  for k = 0 to Array.length idx - 1 do
+  for k = lo to hi - 1 do
     let col = idx.(k) and v = vl.(k) in
     if col < 0 || col >= m then invalid_arg "Simplex.ftran: row index out of range";
     let base = col * m in
@@ -331,12 +347,10 @@ let refresh_basics tab =
   let r = tab.y in
   Array.blit tab.b 0 r 0 m;
   for v = 0 to tab.ntot - 1 do
-    if tab.status.(v) <> Basic && tab.x.(v) <> 0. then begin
-      let idx = tab.col_idx.(v) and vl = tab.col_val.(v) in
-      for k = 0 to Array.length idx - 1 do
-        r.(idx.(k)) <- r.(idx.(k)) -. (vl.(k) *. tab.x.(v))
+    if tab.status.(v) <> Basic && tab.x.(v) <> 0. then
+      for k = tab.col_start.(v) to tab.col_start.(v + 1) - 1 do
+        r.(tab.row_idx.(k)) <- r.(tab.row_idx.(k)) -. (tab.col_val.(k) *. tab.x.(v))
       done
-    end
   done;
   apply_inverse ~m tab.binv r tab.w;
   for i = 0 to m - 1 do
@@ -349,11 +363,10 @@ let compute_multipliers tab =
 
 (* Reduced cost of column q against the multipliers in tab.y. *)
 let reduced_cost tab q =
-  let idx = tab.col_idx.(q) and vl = tab.col_val.(q) in
   let d = ref tab.c.(q) in
   let y = tab.y in
-  for k = 0 to Array.length idx - 1 do
-    d := !d -. (y.(idx.(k)) *. vl.(k))
+  for k = tab.col_start.(q) to tab.col_start.(q + 1) - 1 do
+    d := !d -. (y.(tab.row_idx.(k)) *. tab.col_val.(k))
   done;
   !d
 
@@ -452,9 +465,8 @@ let refactorize tab =
   let a = Array.make (m * m) 0. in
   for j = 0 to m - 1 do
     let v = tab.basis.(j) in
-    let idx = tab.col_idx.(v) and vl = tab.col_val.(v) in
-    for k = 0 to Array.length idx - 1 do
-      a.((idx.(k) * m) + j) <- vl.(k)
+    for k = tab.col_start.(v) to tab.col_start.(v + 1) - 1 do
+      a.((tab.row_idx.(k) * m) + j) <- tab.col_val.(k)
     done
   done;
   let inv = Array.make (m * m) 0. in
@@ -479,11 +491,11 @@ let refactorize tab =
    separate pass. gamma_q is read from column [pend_q], now basic, whose
    weight no sweep writes and no pivot touches while the update is
    pending (a reset drops it). *)
-let devex_column tab ~pend_q idx vl j =
+let devex_column tab ~pend_q j =
   let gq = tab.gamma.(pend_q) in
   let a = ref 0. in
-  for k = 0 to Array.length idx - 1 do
-    a := !a +. (tab.rowr.(idx.(k)) *. vl.(k))
+  for k = tab.col_start.(j) to tab.col_start.(j + 1) - 1 do
+    a := !a +. (tab.rowr.(tab.row_idx.(k)) *. tab.col_val.(k))
   done;
   let cand = !a *. !a *. gq in
   if cand > tab.gamma.(j) then tab.gamma.(j) <- cand
@@ -491,8 +503,7 @@ let devex_column tab ~pend_q idx vl j =
 (* The pending update as its own pass. *)
 let devex_pass tab ~pend_q ~pend_lv =
   for j = 0 to tab.ntot - 1 do
-    if j <> pend_lv && tab.status.(j) <> Basic then
-      devex_column tab ~pend_q tab.col_idx.(j) tab.col_val.(j) j
+    if j <> pend_lv && tab.status.(j) <> Basic then devex_column tab ~pend_q j
   done
 
 (* Pricing: the entering column, or -1 at optimality. Devex takes the
@@ -516,11 +527,10 @@ let price tab ~bland ~pend_q ~pend_lv =
     (match tab.status.(q) with
     | Basic -> ()
     | st ->
-        let idx = tab.col_idx.(q) and vl = tab.col_val.(q) in
-        if pend_q >= 0 && q <> pend_lv then devex_column tab ~pend_q idx vl q;
+        if pend_q >= 0 && q <> pend_lv then devex_column tab ~pend_q q;
         let d = ref tab.c.(q) in
-        for k = 0 to Array.length idx - 1 do
-          d := !d -. (y.(idx.(k)) *. vl.(k))
+        for k = tab.col_start.(q) to tab.col_start.(q + 1) - 1 do
+          d := !d -. (y.(tab.row_idx.(k)) *. tab.col_val.(k))
         done;
         let improving =
           match st with
@@ -590,7 +600,7 @@ let optimize tab ~max_iters =
       in
       (* FTRAN: w = B^-1 A_q. *)
       let w = tab.w in
-      ftran ~m tab.binv tab.col_idx.(q) tab.col_val.(q) w;
+      ftran ~m tab.binv tab.row_idx tab.col_val tab.col_start.(q) tab.col_start.(q + 1) w;
       (* Ratio test: entering moves by t >= 0 in direction [dir]; basic i
          moves by delta_i * t with delta_i = -dir * w_i. *)
       let t_bound =
@@ -719,10 +729,9 @@ let dual_optimize tab ~max_iters =
         match tab.status.(j) with
         | Basic -> ()
         | st ->
-            let idx = tab.col_idx.(j) and vl = tab.col_val.(j) in
             let a = ref 0. in
-            for k = 0 to Array.length idx - 1 do
-              a := !a +. (rowr.(idx.(k)) *. vl.(k))
+            for k = tab.col_start.(j) to tab.col_start.(j + 1) - 1 do
+              a := !a +. (rowr.(tab.row_idx.(k)) *. tab.col_val.(k))
             done;
             let alpha = !a in
             let candidate =
@@ -752,7 +761,7 @@ let dual_optimize tab ~max_iters =
       if !q < 0 then raise Exit (* dual unbounded: primal infeasible *);
       let q = !q in
       let w = tab.w in
-      ftran ~m tab.binv tab.col_idx.(q) tab.col_val.(q) w;
+      ftran ~m tab.binv tab.row_idx tab.col_val tab.col_start.(q) tab.col_start.(q + 1) w;
       if abs_float w.(r) < pivot_tol then raise Numerics;
       let bi = tab.basis.(r) in
       let target = if up then tab.ub.(bi) else tab.lb.(bi) in
@@ -822,27 +831,29 @@ let structural_reduced_costs tab =
 (* Build the phase-1 tableau: nonbasic structurals at a bound, slacks
    basic where the residual fits, artificials elsewhere. *)
 let cold_tableau problem ~lb_over ~ub_over =
-  let m, n, col_idx, col_val, b, lb, ub, _constrs =
-    build problem ~lb_over ~ub_over
-  in
+  let m, n, col_start, row_idx, col_val, b, lb, ub = build problem ~lb_over ~ub_over in
   let max_cols = n + (2 * m) in
   let x = Array.make max_cols 0. in
   let status = Array.make max_cols At_lower in
   for v = 0 to n - 1 do
-    let value, st = initial_nonbasic_value lb.(v) ub.(v) in
-    x.(v) <- value;
-    status.(v) <- st
+    let st = initial_status lb.(v) ub.(v) in
+    status.(v) <- st;
+    x.(v) <- (match st with At_lower -> lb.(v) | At_upper -> ub.(v) | Basic | Free_nb -> 0.)
   done;
-  let r = residuals n col_idx col_val b x in
+  let r = residuals n col_start row_idx col_val b x in
   let basis = Array.make m 0 in
-  let art_sign = Array.make m 1. in
+  (* B starts as a signed identity: slack rows carry +1, rows held by a
+     negatively-signed artificial carry -1, so B^-1 = B. *)
+  let binv = inverse_buffer m in
+  Array.fill binv 0 (m * m) 0.;
   let n_art = ref 0 in
   for i = 0 to m - 1 do
     let s = n + i in
     if r.(i) >= lb.(s) -. 1e-12 && r.(i) <= ub.(s) +. 1e-12 then begin
       basis.(i) <- s;
       status.(s) <- Basic;
-      x.(s) <- r.(i)
+      x.(s) <- r.(i);
+      binv.((i * m) + i) <- 1.
     end
     else begin
       let clamped = if r.(i) > ub.(s) then ub.(s) else lb.(s) in
@@ -852,14 +863,14 @@ let cold_tableau problem ~lb_over ~ub_over =
       incr n_art;
       let gap = r.(i) -. clamped in
       let sigma = if gap >= 0. then 1. else -1. in
-      art_sign.(i) <- sigma;
-      col_idx.(a) <- [| i |];
-      col_val.(a) <- [| sigma |];
+      row_idx.(col_start.(a)) <- i;
+      col_val.(col_start.(a)) <- sigma;
       lb.(a) <- 0.;
       ub.(a) <- infinity;
       x.(a) <- abs_float gap;
       status.(a) <- Basic;
-      basis.(i) <- a
+      basis.(i) <- a;
+      binv.((i * m) + i) <- sigma
     end
   done;
   let ntot = n + m + !n_art in
@@ -868,24 +879,17 @@ let cold_tableau problem ~lb_over ~ub_over =
       m;
       ntot;
       n_struct = n;
-      col_idx;
+      col_start;
+      row_idx;
       col_val;
       b;
       c = Array.make ntot 0.;
-      lb = Array.sub lb 0 ntot;
-      ub = Array.sub ub 0 ntot;
-      x = Array.sub x 0 ntot;
-      status = Array.sub status 0 ntot;
+      lb;
+      ub;
+      x;
+      status;
       basis;
-      (* B starts as a signed identity: slack rows carry +1, rows held by a
-         negatively-signed artificial carry -1, so B^-1 = B. *)
-      binv =
-        (let a = inverse_buffer m in
-         Array.fill a 0 (m * m) 0.;
-         for i = 0 to m - 1 do
-           a.((i * m) + i) <- art_sign.(i)
-         done;
-         a);
+      binv;
       rowr = Array.make m 0.;
       y = Array.make m 0.;
       w = Array.make m 0.;
@@ -936,7 +940,6 @@ let run_two_phases tab ~n_art problem ~max_iters =
   iters1 + iters2
 
 let record_iterations iterations =
-  stats.total_iterations <- stats.total_iterations + iterations;
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.Counter.add m_pivots iterations;
     Obs.Metrics.Histogram.observe m_iterations (float_of_int iterations)
@@ -959,12 +962,10 @@ let primal_violation tab =
   Array.blit tab.b 0 r 0 tab.m;
   for v = 0 to tab.ntot - 1 do
     let xv = tab.x.(v) in
-    if xv <> 0. then begin
-      let idx = tab.col_idx.(v) and vl = tab.col_val.(v) in
-      for k = 0 to Array.length idx - 1 do
-        r.(idx.(k)) <- r.(idx.(k)) -. (vl.(k) *. xv)
+    if xv <> 0. then
+      for k = tab.col_start.(v) to tab.col_start.(v + 1) - 1 do
+        r.(tab.row_idx.(k)) <- r.(tab.row_idx.(k)) -. (tab.col_val.(k) *. xv)
       done
-    end
   done;
   let worst = ref 0. in
   for i = 0 to tab.m - 1 do
@@ -1003,7 +1004,6 @@ let check_point tab ~max_iters =
 
 let solve ?lb:lb_over ?ub:ub_over problem =
   let tab, n_art = cold_tableau problem ~lb_over ~ub_over in
-  stats.solves <- stats.solves + 1;
   if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_solves;
   let max_iters = max 20_000 (4 * (tab.m + tab.n_struct)) in
   try
@@ -1053,7 +1053,6 @@ let finish_detailed tab problem ~iterations ~max_iters ~warm =
 
 let cold_detailed problem ~lb_over ~ub_over =
   let tab, n_art = cold_tableau problem ~lb_over ~ub_over in
-  stats.solves <- stats.solves + 1;
   if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_solves;
   let max_iters = max 20_000 (4 * (tab.m + tab.n_struct)) in
   try
@@ -1069,9 +1068,7 @@ let cold_detailed problem ~lb_over ~ub_over =
    inverse is refactorized from scratch.
    @raise Numerics when the basis does not fit the problem. *)
 let import_tableau problem ~lb_over ~ub_over (bas : basis) =
-  let m, n, col_idx, col_val, b, lb, ub, _constrs =
-    build problem ~lb_over ~ub_over
-  in
+  let m, n, col_start, row_idx, col_val, b, lb, ub = build problem ~lb_over ~ub_over in
   if Array.length bas.vstatus <> n + m || Array.length bas.vbasis <> m then
     raise Numerics;
   let ntot = n + m in
@@ -1102,12 +1099,13 @@ let import_tableau problem ~lb_over ~ub_over (bas : basis) =
       m;
       ntot;
       n_struct = n;
-      col_idx = Array.sub col_idx 0 ntot;
-      col_val = Array.sub col_val 0 ntot;
+      col_start;
+      row_idx;
+      col_val;
       b;
       c = Array.make ntot 0.;
-      lb = Array.sub lb 0 ntot;
-      ub = Array.sub ub 0 ntot;
+      lb;
+      ub;
       x;
       status;
       basis;
@@ -1139,7 +1137,6 @@ let dual_feasible tab =
 
 let warm_detailed problem ~lb_over ~ub_over bas =
   let tab = import_tableau problem ~lb_over ~ub_over bas in
-  stats.solves <- stats.solves + 1;
   if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_solves;
   set_phase2_costs tab problem;
   let max_iters = max 20_000 (4 * (tab.m + tab.n_struct)) in
@@ -1170,18 +1167,16 @@ let solve_detailed ?lb:lb_over ?ub:ub_over ?warm problem =
   | Some bas -> (
       match warm_detailed problem ~lb_over ~ub_over bas with
       | r ->
-          stats.warm_solves <- stats.warm_solves + 1;
           if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_warm;
           r
       | exception (Numerics | Iteration_limit) ->
-          stats.warm_failures <- stats.warm_failures + 1;
           if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_warm_fail;
           cold_detailed problem ~lb_over ~ub_over)
 
 module For_testing = struct
   type nonrec status = status = At_lower | At_upper | Basic | Free_nb
 
-  let ftran = ftran
+  let ftran ~m binv idx vl w = ftran ~m binv idx vl 0 (Array.length idx) w
 
   let btran ~m binv c basis y = btran ~m binv c basis (Array.make m 0) (Array.make m 0.) y
 
@@ -1195,14 +1190,15 @@ module For_testing = struct
   let gauss_jordan ~m a inv =
     match gauss_jordan ~m a inv with () -> true | exception Numerics -> false
 
-  let price ~col_idx ~col_val ~c ~y ~status ~gamma ~rowr ~bland ~pend_q ~pend_lv =
+  let price ~col_start ~row_idx ~col_val ~c ~y ~status ~gamma ~rowr ~bland ~pend_q ~pend_lv =
     let m = Array.length y and ntot = Array.length status in
     let tab =
       {
         m;
         ntot;
         n_struct = ntot;
-        col_idx;
+        col_start;
+        row_idx;
         col_val;
         b = [||];
         c;

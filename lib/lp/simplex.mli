@@ -60,13 +60,6 @@ type result =
   | Infeasible
   | Unbounded
 
-type stats = {
-  mutable solves : int;
-  mutable total_iterations : int;
-  mutable warm_solves : int;  (** Solves answered by the dual warm path. *)
-  mutable warm_failures : int;  (** Warm starts that fell back cold. *)
-}
-
 val solve : ?lb:float array -> ?ub:float array -> Problem.t -> result
 (** Solve the LP relaxation. [lb]/[ub], when given, override the problem's
     variable bounds (arrays of length [Problem.n_vars]); this is how
@@ -137,8 +130,9 @@ module For_testing : sig
       are then left part-way eliminated. *)
 
   val price :
-    col_idx:int array array ->
-    col_val:float array array ->
+    col_start:int array ->
+    row_idx:int array ->
+    col_val:float array ->
     c:float array ->
     y:float array ->
     status:status array ->
@@ -148,8 +142,10 @@ module For_testing : sig
     pend_q:int ->
     pend_lv:int ->
     int
-  (** One pricing sweep over the columns [(col_idx, col_val)] with costs
-      [c] and multipliers [y]: the entering column, or -1. When [pend_q]
+  (** One pricing sweep over the columns with costs
+      [c] and multipliers [y], column j's entries at positions
+      [col_start.(j)] to [col_start.(j+1) - 1] of [row_idx] and [col_val]:
+      the entering column, or -1. When [pend_q]
       >= 0 (a basic column), the Devex update of the basis change that
       brought it in, with scaled pivot row [rowr] and leaving variable
       [pend_lv], is applied to [gamma] on the way. *)

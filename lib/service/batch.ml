@@ -58,7 +58,7 @@ let solve_request ?(span = Obs.Span.null) ?(should_stop = fun () -> false)
 let summary (r : Request.t) assignment period =
   let m = M.make r.Request.platform r.Request.graph assignment in
   let loads = SS.loads r.platform r.graph m in
-  let feasible = SS.feasible r.platform r.graph m in
+  let feasible = SS.violations_of_loads r.platform loads = [] in
   let resource, _ = SS.bottleneck r.platform loads in
   let bottleneck =
     Format.asprintf "%a" (SS.pp_resource r.platform) resource

@@ -688,7 +688,7 @@ let test_expr_algebra () =
   let e1 = Lp.Expr.of_list [ (0, 1.); (2, 2.); (0, 3.) ] in
   let terms = Alcotest.(list (pair int (float 0.))) in
   Alcotest.check terms "combined" [ (0, 4.); (2, 2.) ] (Lp.Expr.to_list e1);
-  let e2 = Lp.Expr.add e1 (Lp.Expr.neg (Lp.Expr.term ~coeff:2. 2)) in
+  let e2 = Lp.Expr.of_list (Lp.Expr.to_list e1 @ [ (2, -2.) ]) in
   Alcotest.check terms "cancelled" [ (0, 4.) ] (Lp.Expr.to_list e2);
   let v = Lp.Expr.eval (fun v -> float_of_int v +. 1.) e1 in
   Alcotest.(check (float 1e-9)) "eval" 10. v
@@ -1074,7 +1074,10 @@ let devex_fold_matches_two_passes =
       gamma.(lv) <- Float.max (gamma.(q) /. (wr *. wr)) 1.;
       if reset then Array.fill gamma 0 ntot 1.;
       let got =
-        price ~col_idx ~col_val ~c ~y ~status ~gamma ~rowr ~bland
+        let col_start = Array.make (ntot + 1) 0 in
+        Array.iteri (fun j idx -> col_start.(j + 1) <- col_start.(j) + Array.length idx) col_idx;
+        price ~col_start ~row_idx:(Array.concat (Array.to_list col_idx))
+          ~col_val:(Array.concat (Array.to_list col_val)) ~c ~y ~status ~gamma ~rowr ~bland
           ~pend_q:(if reset then -1 else q) ~pend_lv:lv
       in
       if got <> best then QCheck.Test.fail_reportf "entering: two-pass %d, folded %d" best got;
@@ -1265,6 +1268,151 @@ let test_drift_fails_loudly () =
   loud (fun () -> ignore (Lp.Simplex.solve p));
   loud (fun () -> ignore (Lp.Simplex.solve_detailed p))
 
+(* --- array rows ---------------------------------------------------------- *)
+
+(* Term lists over variables 0..5 with repeated variables, cancelling
+   pairs, zero and negative-zero coefficients, and now and then a
+   negative or out-of-range (6) index. One list in four is longer than
+   the insertion-sorted runs, so the merge is exercised. *)
+let random_terms rng =
+  let len =
+    if Support.Rng.int rng 4 = 0 then 17 + Support.Rng.int rng 60 else Support.Rng.int rng 17
+  in
+  let var () =
+    match Support.Rng.int rng 40 with 0 -> -1 | 1 -> 6 | _ -> Support.Rng.int rng 6
+  in
+  let coef () =
+    match Support.Rng.int rng 6 with
+    | 0 -> 0.
+    | 1 -> -0.
+    | 2 -> 1.
+    | 3 -> -1.
+    | _ -> Support.Rng.float_in rng (-4.) 4.
+  in
+  List.concat
+    (List.init len (fun _ ->
+         let v = var () and c = coef () in
+         if Support.Rng.int rng 5 = 0 then [ (v, c); (v, -.c) ] else [ (v, c) ]))
+
+(* The row a path added to a fresh six-variable problem, its terms in
+   bits, or the row count after the path raised [Invalid_argument]. *)
+let added_row add =
+  let p = Lp.Problem.create () in
+  for v = 0 to 5 do
+    ignore (Lp.Problem.add_var p (Printf.sprintf "x%d" v))
+  done;
+  match add p with
+  | () ->
+      let { Lp.Problem.cname; expr; rel; rhs } = (Lp.Problem.constraints p).(0) in
+      let bits = List.map (fun (v, c) -> (v, Int64.bits_of_float c)) (Lp.Expr.to_list expr) in
+      Ok (Lp.Problem.n_constrs p, cname, bits, rel, rhs)
+  | exception Invalid_argument _ -> Error (Lp.Problem.n_constrs p)
+
+let add_row_matches_of_list =
+  QCheck.Test.make ~count:2000 ~name:"add_row normalises as Expr.of_list"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let terms = random_terms (Support.Rng.create seed) in
+      let via_list =
+        added_row (fun p ->
+            Lp.Problem.add_constr p ~name:"r_3" (Lp.Expr.of_list terms) Lp.Problem.Le 2.5)
+      in
+      (* Arrays longer than the row: only the first [len] terms count. *)
+      let vars = Array.of_list (List.map fst terms @ [ -7 ]) in
+      let coefs = Array.of_list (List.map snd terms @ [ 1. ]) in
+      let via_arrays =
+        added_row (fun p ->
+            Lp.Problem.add_row p "r" 3 (-1) vars coefs (List.length terms) Lp.Problem.Le 2.5)
+      in
+      if via_list <> via_arrays then
+        QCheck.Test.fail_reportf "Expr.of_list and add_row disagree on %s"
+          (String.concat "; " (List.map (fun (v, c) -> Printf.sprintf "(%d, %h)" v c) terms));
+      (match via_arrays with Error n when n <> 0 -> QCheck.Test.fail_report "rejected row kept" | _ -> ());
+      true)
+
+(* Paper graph 1's compact formulation at 4 SPEs, listed by [Problem.pp]
+   and checked by [Certify] at four points. The digest, lines and
+   messages were recorded when every name was formatted as its variable
+   or row was added and every row was built from term lists. *)
+let test_compact_listing () =
+  let g = Daggen.Presets.random_graph_1 () in
+  let platform = Cell.Platform.qs22 ~n_spe:4 () in
+  let f = Cellsched.Milp_formulation.build_compact platform g in
+  let p = f.Cellsched.Milp_formulation.problem in
+  let listing = Format.asprintf "%a" Lp.Problem.pp p in
+  Alcotest.(check int) "listing length" 96520 (String.length listing);
+  let lines = Array.of_list (String.split_on_char '\n' listing) in
+  Alcotest.(check string) "line 0" "cell-mapping-compact: minimize T" lines.(0);
+  Alcotest.(check string) "line 1" "  assign_0: a_0_0 + a_0_1 + a_0_2 + a_0_3 + a_0_4 = 1" lines.(1);
+  Alcotest.(check string) "line 60" "  def_in_0_2: a_0_2 - a_2_2 + in_0_2 >= 0" lines.(60);
+  Alcotest.(check string) "listing digest" "a6a8ca74c882935ada3c872a8657d1a5"
+    (Digest.to_hex (Digest.string listing));
+  let m = Cellsched.Heuristics.greedy_mem platform g in
+  let base = f.Cellsched.Milp_formulation.encode m in
+  let alpha = f.Cellsched.Milp_formulation.alpha in
+  let certify name x ~check ~worst ~integral =
+    let got = match Lp.Certify.check p x with Ok () -> "ok" | Error e -> e in
+    Alcotest.(check string) (name ^ ": check") check got;
+    let r = Lp.Certify.analyze p x in
+    Alcotest.(check (option string)) (name ^ ": worst") worst r.Lp.Certify.worst;
+    Alcotest.(check bool) (name ^ ": integral") integral r.Lp.Certify.integral
+  in
+  let x = Array.copy base in
+  x.(f.Cellsched.Milp_formulation.t_var) <- x.(f.Cellsched.Milp_formulation.t_var) *. 0.5;
+  certify "half period" x
+    ~check:"violation 504948081894101857/9223372036854775808 > tolerance 1/1000000 at compute_0"
+    ~worst:(Some "compute_0") ~integral:true;
+  let x = Array.copy base in
+  let pe = Cellsched.Mapping.pe m 7 in
+  x.(alpha.(7).(pe)) <- 0.9999999;
+  x.(alpha.(7).((pe + 1) mod 5)) <- 0.0000001;
+  certify "alpha within tolerance" x ~check:"ok" ~worst:(Some "def_in_6_3") ~integral:false;
+  (* Task 0 split between its PE and a PPE, every indicator of its edges
+     raised and the period stretched: only integrality fails. *)
+  let x = Array.copy base in
+  let pe = Cellsched.Mapping.pe m 0 in
+  x.(f.Cellsched.Milp_formulation.t_var) <- x.(f.Cellsched.Milp_formulation.t_var) *. 10.;
+  x.(alpha.(0).(pe)) <- 0.5;
+  x.(alpha.(0).(if pe = 0 then 1 else 0)) <- 0.5;
+  for v = 0 to Lp.Problem.n_vars p - 1 do
+    match String.split_on_char '_' (Lp.Problem.var_name p v) with
+    | [ ("in" | "out" | "g"); e; _ ] ->
+        let { Streaming.Graph.src; dst; _ } = Streaming.Graph.edge g (int_of_string e) in
+        if src = 0 || dst = 0 then x.(v) <- 1.
+    | _ -> ()
+  done;
+  certify "half alpha" x ~check:"variable a_0_0 = 0.5 not integral within tolerance" ~worst:None
+    ~integral:false;
+  let x = Array.copy base in
+  x.(Lp.Problem.n_vars p - 1) <- 1.5;
+  certify "last variable over its bound" x
+    ~check:"violation 1/2 > tolerance 1/1000000 at g_63_4" ~worst:(Some "g_63_4") ~integral:true
+
+(* Building the compact relaxation of a 12-task DagGen graph at 8 SPEs
+   and solving it allocates at most [words_per_entry] minor-heap words
+   per nonzero, row and column. Rows built from term lists, names
+   formatted up front and columns assembled through lists took about 60. *)
+let words_per_entry = 6.
+
+let test_build_solve_allocation () =
+  let platform = Cell.Platform.qs22 ~n_spe:8 () and g = golden_graph 1 in
+  let run () =
+    let p = (Cellsched.Milp_formulation.build_compact platform g).Cellsched.Milp_formulation.problem in
+    ignore (solve_opt p);
+    p
+  in
+  (* The first run sizes this domain's inverse buffer. *)
+  let p = run () in
+  let before = Gc.minor_words () in
+  ignore (run ());
+  let words = Gc.minor_words () -. before in
+  let rows = Lp.Problem.n_constrs p and cols = Lp.Problem.n_vars p in
+  let nnz = (Lp.Problem.view p).Lp.Problem.row_start.(rows) in
+  let entries = float_of_int (nnz + rows + cols) in
+  if words > words_per_entry *. entries then
+    Alcotest.failf "build and solve allocated %.0f minor words, %.2f per entry (%d nonzeros, %d rows, %d columns)"
+      words (words /. entries) nnz rows cols
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "lp"
@@ -1302,6 +1450,9 @@ let () =
         [
           Alcotest.test_case "check_feasible" `Quick test_check_feasible_reports;
           Alcotest.test_case "pp" `Quick test_problem_pp;
+          qt add_row_matches_of_list;
+          Alcotest.test_case "compact listing and Certify messages" `Quick test_compact_listing;
+          Alcotest.test_case "build and solve allocation" `Quick test_build_solve_allocation;
         ] );
       ("expr", [ Alcotest.test_case "algebra" `Quick test_expr_algebra ]);
       ("golden", [ Alcotest.test_case "lp-relax digest" `Quick test_golden_digest ]);

@@ -11,11 +11,14 @@ type t = {
   n_pes : int;
   n_ppes : int;
   bw : float;  (* per-interface bandwidth, bytes/s each direction *)
+  fl : G.flat;  (* the graph's own view: per-task reads and writes *)
+  buffers : float array;  (* per edge: [Steady_state.buffer_sizes] *)
+  footprint : float array;
+      (* per task: one copy of each incident buffer, the SPE local-store
+         bytes of constraint (1i) without colocated-buffer sharing *)
   min_w : float array;
       (* per task: cheapest effective compute cost over its admissible
          PEs (SPE-ineligible tasks only have their PPE cost) *)
-  reads : float array;  (* per task: input-interface bytes per period *)
-  writes : float array;
   forced_wppe : float array;
       (* effective PPE cost for tasks whose buffers exceed the SPE local
          store (they can only live on a PPE); 0 for eligible tasks *)
@@ -25,40 +28,40 @@ type t = {
 let create platform g =
   let nk = G.n_tasks g in
   let fp = Steady_state.first_periods g in
-  let buff = Steady_state.buffer_sizes ~first_periods:fp g in
+  let buffers = Steady_state.buffer_sizes ~first_periods:fp g in
   let budget = float_of_int (P.spe_memory_budget platform) in
   let n_pes = P.n_pes platform in
   let n_ppes = platform.P.n_ppe in
   let bw = platform.P.bw in
   let fl = G.flat g in
+  let footprint = Array.make nk 0. in
   let min_w = Array.make nk 0. in
-  let reads = Array.make nk 0. in
-  let writes = Array.make nk 0. in
   let forced_wppe = Array.make nk 0. in
   let per_task = ref 0. in
   for k = 0 to nk - 1 do
     let w_ppe = fl.G.w_ppe.(k) /. platform.P.ppe_speedup in
     let w_spe = fl.G.w_spe.(k) in
-    (* One copy of each incident buffer must fit the local store for the
-       task to be SPE-eligible at all — true with or without colocated
-       buffer sharing. Out-edges first, each sum from 0. *)
+    (* The task's footprint, the one place it is summed: out-edges
+       first, each sum from 0. One copy of each incident buffer must fit
+       the local store for the task to be SPE-eligible at all — true
+       with or without colocated buffer sharing. *)
     let sum_out = ref 0. and sum_in = ref 0. in
     for i = fl.G.out_start.(k) to fl.G.out_start.(k + 1) - 1 do
-      sum_out := !sum_out +. buff.(fl.G.out_ids.(i))
+      sum_out := !sum_out +. buffers.(fl.G.out_ids.(i))
     done;
     for i = fl.G.in_start.(k) to fl.G.in_start.(k + 1) - 1 do
-      sum_in := !sum_in +. buff.(fl.G.in_ids.(i))
+      sum_in := !sum_in +. buffers.(fl.G.in_ids.(i))
     done;
-    let eligible = !sum_out +. !sum_in <= budget +. 1e-9 in
+    footprint.(k) <- !sum_out +. !sum_in;
+    let eligible = footprint.(k) <= budget +. 1e-9 in
     min_w.(k) <- (if eligible then Float.min w_ppe w_spe else w_ppe);
     if not eligible then forced_wppe.(k) <- w_ppe;
-    reads.(k) <- fl.G.read_bytes.(k);
-    writes.(k) <- fl.G.write_bytes.(k);
     (* Whatever PE hosts task k spends at least min_w compute seconds and
        moves the task's own reads and writes through its interface. *)
     per_task :=
       Float.max !per_task
-        (Float.max min_w.(k) (Float.max reads.(k) writes.(k) /. bw))
+        (Float.max min_w.(k)
+           (Float.max fl.G.read_bytes.(k) fl.G.write_bytes.(k) /. bw))
   done;
   let sum a =
     let acc = ref 0. in
@@ -74,15 +77,16 @@ let create platform g =
   (* Interface bound: a task's own reads (writes) cross its host PE's
      input (output) interface no matter where it lives; cross-PE edge
      traffic only adds to this. *)
-  let avg_in = sum reads /. (float_of_int n_pes *. bw) in
-  let avg_out = sum writes /. (float_of_int n_pes *. bw) in
+  let avg_in = sum fl.G.read_bytes /. (float_of_int n_pes *. bw) in
+  let avg_out = sum fl.G.write_bytes /. (float_of_int n_pes *. bw) in
   let root =
     List.fold_left Float.max 0.
       [ !per_task; avg_compute; forced_ppe; avg_in; avg_out ]
   in
-  { n_pes; n_ppes; bw; min_w; reads; writes; forced_wppe; root }
+  { n_pes; n_ppes; bw; fl; buffers; footprint; min_w; forced_wppe; root }
 
 let root_bound t = t.root
 
 let task_lb t k =
-  Float.max t.min_w.(k) (Float.max t.reads.(k) t.writes.(k) /. t.bw)
+  Float.max t.min_w.(k)
+    (Float.max t.fl.G.read_bytes.(k) t.fl.G.write_bytes.(k) /. t.bw)

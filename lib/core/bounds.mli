@@ -19,17 +19,34 @@
     suffix pre-checks from the arrays, {!Milp_formulation} adds
     [T >= root] as a cut so even the root LP relaxation starts at the
     combinatorial bound, and {!Milp_solver} can prove an incumbent
-    within gap {e before any LP solve}. *)
+    within gap {e before any LP solve}.
+
+    The same pass sizes the buffers: the paper's per-edge buffers and
+    each task's local-store footprint are computed here once per
+    instance, and {!Mapping_search}, {!Milp_formulation} and
+    {!Chain_dp} read them from [t] instead of recomputing them. *)
 
 type t = {
   n_pes : int;
   n_ppes : int;
   bw : float;  (** Per-interface bandwidth, bytes/s each direction. *)
+  fl : Streaming.Graph.flat;
+      (** The graph's own flat view, shared, not copied: its
+          [read_bytes] and [write_bytes] are each task's interface bytes
+          per period. *)
+  buffers : float array;
+      (** Per edge: the paper's buffer size,
+          {!Steady_state.buffer_sizes} of the mapping-independent
+          {!Steady_state.first_periods}. *)
+  footprint : float array;
+      (** Per task: one copy of each incident buffer — the out-edges'
+          buffers summed from 0, then the in-edges' summed from 0, then
+          the two sums added. This is a task's coefficient in the SPE
+          memory row (1i) without colocated-buffer sharing, and bitwise
+          {!Eval.task_buffer_bytes}. *)
   min_w : float array;
       (** Per task: cheapest effective compute cost over its admissible
           PEs (SPE-ineligible tasks only have their PPE cost). *)
-  reads : float array;  (** Per task: input-interface bytes per period. *)
-  writes : float array;
   forced_wppe : float array;
       (** Effective PPE cost for tasks whose buffers exceed the SPE
           local store; [0.] for SPE-eligible tasks. *)
@@ -37,14 +54,15 @@ type t = {
 }
 
 val create : Cell.Platform.t -> Streaming.Graph.t -> t
-(** O(tasks + edges); uses the paper's mapping-independent
-    {!Steady_state.buffer_sizes} for SPE eligibility, which is valid
-    with or without colocated-buffer sharing. *)
+(** O(tasks + edges). A task is SPE-eligible when its [footprint] fits
+    the local store, which is valid with or without colocated-buffer
+    sharing. *)
 
 val root_bound : t -> float
 (** [root_bound t = t.root]. *)
 
 val task_lb : t -> int -> float
 (** Lower bound on the period contributed by task [k] alone:
-    [max min_w.(k) (max reads.(k) writes.(k) / bw)]. The root bound is
-    the maximum of these maxed with the pool averages. *)
+    [max min_w.(k) (max read_bytes.(k) write_bytes.(k) / bw)] over
+    [fl]'s arrays. The root bound is the maximum of these maxed with the
+    pool averages. *)

@@ -92,19 +92,14 @@ let solve platform g =
   | None -> None
   | Some order ->
       let n = Array.length order in
-      let fp = Steady_state.first_periods g in
-      let buff = Steady_state.buffer_sizes ~first_periods:fp g in
-      let task_mem k =
-        let sum = List.fold_left (fun acc e -> acc +. buff.(e)) 0. in
-        sum (G.out_edges g k) +. sum (G.in_edges g k)
-      in
+      let footprint = (Bounds.create platform g).Bounds.footprint in
       let w_ppe =
         Array.map
           (fun k -> (G.task g k).Streaming.Task.w_ppe /. platform.P.ppe_speedup)
           order
       in
       let w_spe = Array.map (fun k -> (G.task g k).Streaming.Task.w_spe) order in
-      let mem = Array.map task_mem order in
+      let mem = Array.map (fun k -> footprint.(k)) order in
       let budget = float_of_int (P.spe_memory_budget platform) in
       let max_intervals = List.length (P.spes platform) in
       let spes = P.spes platform in

@@ -1,9 +1,9 @@
 module G = Streaming.Graph
 module P = Cell.Platform
 
-type options = { share_colocated_buffers : bool; tight_pipeline : bool }
+type options = { share_colocated_buffers : bool }
 
-let default_options = { share_colocated_buffers = false; tight_pipeline = false }
+let default_options = { share_colocated_buffers = false }
 
 (* Default-off observability hooks. Counters only — the instrumentation
    never touches the float state, so metrics-on runs stay bitwise equal
@@ -58,7 +58,6 @@ type screen = {
   a_link_out : float array;
   a_link_in : float array;
   cell_touched : bool array;
-  mutable colocation_changes : bool;
   margin : float;  (* c * epsilon_float, see [lower] *)
 }
 
@@ -90,9 +89,7 @@ type t = {
   link_out : float array;  (* per Cell; recomputed wholesale when dirty *)
   link_in : float array;
   mutable links_dirty : bool;
-  buff : float array;  (* per-edge buffer bytes *)
-  mutable buff_dirty : bool;  (* under [tight_pipeline], or new options *)
-  fp : int array;  (* first periods, [recompute_buffers]' scratch *)
+  buff : float array;  (* per-edge buffer bytes, [Steady_state.buffer_sizes] *)
   view : Steady_state.loads;  (* the rows above, shared: [rows] *)
   (* Preallocated scratch for the probe fast path: a probe saves the
      validated float state, mutates, evaluates, reverses the integer
@@ -104,7 +101,6 @@ type t = {
   save_memory : float array;
   save_link_out : float array;
   save_link_in : float array;
-  mutable save_buff : float array;  (* under [tight_pipeline] only *)
   screen : screen;
   probe_period : float array;  (* an exact probe's answer, unboxed *)
   mutable probe_feasible : bool;
@@ -132,45 +128,6 @@ let platform t = t.platform
 let graph t = t.g
 let pe_of t k = t.assignment.(k)
 let n_assigned t = t.n_assigned
-
-(* --- buffer sizes --------------------------------------------------- *)
-
-(* Buffer sizes from first periods, as {!Steady_state.buffer_sizes}
-   computes them, into [t.fp] and [t.buff]. Under [tight_pipeline] the
-   first periods — hence the buffer sizes — depend on which edges are
-   colocated. For partial assignments an edge counts as colocated when
-   both endpoints are assigned to the same PE, which coincides with
-   [Steady_state.first_periods ~mapping] once the assignment is
-   complete; without [tight_pipeline] no edge does, as in
-   [Steady_state.first_periods g]. Integer arithmetic until the last
-   product: exact. *)
-let recompute_buffers t =
-  let fl = t.fl and fp = t.fp in
-  let tight = t.opts.tight_pipeline in
-  for i = 0 to Array.length fl.G.topo - 1 do
-    let k = fl.G.topo.(i) in
-    let peek = fl.G.peek.(k) in
-    let acc = ref 0 in
-    for j = fl.G.in_start.(k) to fl.G.in_start.(k + 1) - 1 do
-      let src = fl.G.edge_src.(fl.G.in_ids.(j)) in
-      let sp = t.assignment.(src) in
-      let comm = if tight && sp >= 0 && sp = t.assignment.(k) then 0 else 1 in
-      acc := max !acc (fp.(src) + 1 + comm + peek)
-    done;
-    fp.(k) <- !acc
-  done;
-  for e = 0 to Array.length fl.G.edge_src - 1 do
-    t.buff.(e) <-
-      fl.G.edge_data.(e)
-      *. float_of_int (fp.(fl.G.edge_dst.(e)) - fp.(fl.G.edge_src.(e)))
-  done
-
-let flush_buffers t =
-  if t.buff_dirty then begin
-    recompute_buffers t;
-    Array.fill t.row_dirty 0 (Array.length t.row_dirty) true;
-    t.buff_dirty <- false
-  end
 
 (* --- canonical row recomputation ------------------------------------ *)
 
@@ -256,7 +213,6 @@ let rec dirty_from rows i =
 let any_row_dirty t = dirty_from t.row_dirty 0
 
 let validate_rows t =
-  flush_buffers t;
   if any_row_dirty t then recompute_dirty_rows t
 
 let validate_all t =
@@ -286,21 +242,17 @@ let link_incident t k pe d =
   let fl = t.fl in
   for i = fl.G.in_start.(k) to fl.G.in_start.(k + 1) - 1 do
     let sp = t.assignment.(fl.G.edge_src.(fl.G.in_ids.(i))) in
-    if sp >= 0 then
-      if sp <> pe then begin
-        link_remote t sp pe d;
-        dirt t sp
-      end
-      else if t.opts.tight_pipeline then t.buff_dirty <- true
+    if sp >= 0 && sp <> pe then begin
+      link_remote t sp pe d;
+      dirt t sp
+    end
   done;
   for i = fl.G.out_start.(k) to fl.G.out_start.(k + 1) - 1 do
     let dp = t.assignment.(fl.G.edge_dst.(fl.G.out_ids.(i))) in
-    if dp >= 0 then
-      if dp <> pe then begin
-        link_remote t pe dp d;
-        dirt t dp
-      end
-      else if t.opts.tight_pipeline then t.buff_dirty <- true
+    if dp >= 0 && dp <> pe then begin
+      link_remote t pe dp d;
+      dirt t dp
+    end
   done
 
 (* Remove task [k]'s contributions (it must be assigned). *)
@@ -347,80 +299,69 @@ let create_screen platform g =
     a_link_out = cell_row ();
     a_link_in = cell_row ();
     cell_touched = Array.make c false;
-    colocation_changes = false;
     margin = float_of_int ((4 * n_terms) + 8) *. epsilon_float;
   }
 
 let create_empty ?(options = default_options) platform g =
   let n = P.n_pes platform in
-  let m = G.n_edges g in
   let compute = Array.make n 0. and bytes_in = Array.make n 0. in
   let bytes_out = Array.make n 0. and memory = Array.make n 0. in
   let dma_in = Array.make n 0 and dma_to_ppe = Array.make n 0 in
   let link_out = Array.make platform.P.n_cells 0. in
   let link_in = Array.make platform.P.n_cells 0. in
-  let t =
-    {
-      platform;
-      g;
-      opts = options;
-      fl = G.flat g;
-      is_spe = Array.init n (P.is_spe platform);
-      cell = Array.init n (P.cell_of platform);
-      budget = float_of_int (P.spe_memory_budget platform);
-      assignment = Array.make (G.n_tasks g) (-1);
-      n_assigned = 0;
-      compute;
-      bytes_in;
-      bytes_out;
-      memory;
-      row_dirty = Array.make n false;
-      dma_in;
-      dma_to_ppe;
-      link_out;
-      link_in;
-      links_dirty = false;
-      buff = Array.create_float m;
-      buff_dirty = false;
-      fp = Array.make (G.n_tasks g) 0;
-      view =
-        {
-          Steady_state.compute;
-          bytes_in;
-          bytes_out;
-          memory;
-          dma_in;
-          dma_to_ppe;
-          link_out;
-          link_in;
-        };
-      save_compute = Array.make n 0.;
-      save_bytes_in = Array.make n 0.;
-      save_bytes_out = Array.make n 0.;
-      save_memory = Array.make n 0.;
-      save_link_out = Array.make platform.P.n_cells 0.;
-      save_link_in = Array.make platform.P.n_cells 0.;
-      save_buff =
-        (if options.tight_pipeline then Array.create_float m else [||]);
-      screen = create_screen platform g;
-      probe_period = Array.make 1 0.;
-      probe_feasible = false;
-      n_probes = 0;
-      n_exact = 0;
-      n_moves = 0;
-      n_swaps = 0;
-      n_dirty_rows = 0;
-      n_sweeps = 0;
-      snaps = [||];
-      snap_task = [||];
-      snap_floor = 0;
-      snap_valid = 0;
-    }
-  in
-  (* Every task unassigned: no edge is colocated, so these are the
-     buffers of [Steady_state.first_periods g] under either option. *)
-  recompute_buffers t;
-  t
+  {
+    platform;
+    g;
+    opts = options;
+    fl = G.flat g;
+    is_spe = Array.init n (P.is_spe platform);
+    cell = Array.init n (P.cell_of platform);
+    budget = float_of_int (P.spe_memory_budget platform);
+    assignment = Array.make (G.n_tasks g) (-1);
+    n_assigned = 0;
+    compute;
+    bytes_in;
+    bytes_out;
+    memory;
+    row_dirty = Array.make n false;
+    dma_in;
+    dma_to_ppe;
+    link_out;
+    link_in;
+    links_dirty = false;
+    buff =
+      Steady_state.buffer_sizes ~first_periods:(Steady_state.first_periods g) g;
+    view =
+      {
+        Steady_state.compute;
+        bytes_in;
+        bytes_out;
+        memory;
+        dma_in;
+        dma_to_ppe;
+        link_out;
+        link_in;
+      };
+    save_compute = Array.make n 0.;
+    save_bytes_in = Array.make n 0.;
+    save_bytes_out = Array.make n 0.;
+    save_memory = Array.make n 0.;
+    save_link_out = Array.make platform.P.n_cells 0.;
+    save_link_in = Array.make platform.P.n_cells 0.;
+    screen = create_screen platform g;
+    probe_period = Array.make 1 0.;
+    probe_feasible = false;
+    n_probes = 0;
+    n_exact = 0;
+    n_moves = 0;
+    n_swaps = 0;
+    n_dirty_rows = 0;
+    n_sweeps = 0;
+    snaps = [||];
+    snap_task = [||];
+    snap_floor = 0;
+    snap_valid = 0;
+  }
 
 let check_pe t pe =
   if pe < 0 || pe >= P.n_pes t.platform then
@@ -450,8 +391,6 @@ let reset t =
   Array.fill t.link_out 0 c 0.;
   Array.fill t.link_in 0 c 0.;
   t.links_dirty <- false;
-  if t.opts.tight_pipeline || t.buff_dirty then recompute_buffers t;
-  t.buff_dirty <- false;
   t.snap_floor <- 0;
   t.snap_valid <- 0
 
@@ -486,9 +425,7 @@ let[@inline] incident_buffers t k =
   +. sum_buffers t fl.G.in_ids fl.G.in_start.(k) fl.G.in_start.(k + 1)
        fl.G.edge_src (-1)
 
-let task_buffer_bytes t k =
-  flush_buffers t;
-  incident_buffers t k
+let task_buffer_bytes = incident_buffers
 
 (* The memory [pe] gains when [task] is assigned there: its incident
    buffers, minus one copy of each buffer shared with a neighbour on
@@ -656,15 +593,12 @@ let apply_swap t k1 k2 =
   forget_saves t;
   t.n_swaps <- t.n_swaps + 1
 
-(* Rows and buffers are a pure function of the assignment and the
-   options, so marking them all stale gives bitwise the state [create
-   ~options] would build; no saved block describes the new rows. *)
+(* Rows are a pure function of the assignment and the options, so
+   marking them all stale gives bitwise the state [create ~options]
+   would build; no saved block describes the new rows. *)
 let set_options t options =
   if options <> t.opts then begin
     t.opts <- options;
-    if options.tight_pipeline && Array.length t.save_buff = 0 then
-      t.save_buff <- Array.create_float (Array.length t.buff);
-    t.buff_dirty <- true;
     Array.fill t.row_dirty 0 (Array.length t.row_dirty) true;
     forget_saves t
   end
@@ -683,9 +617,7 @@ let save_floats t =
   Array.blit t.memory 0 t.save_memory 0 n;
   let c = Array.length t.link_out in
   Array.blit t.link_out 0 t.save_link_out 0 c;
-  Array.blit t.link_in 0 t.save_link_in 0 c;
-  if t.opts.tight_pipeline then
-    Array.blit t.buff 0 t.save_buff 0 (Array.length t.buff)
+  Array.blit t.link_in 0 t.save_link_in 0 c
 
 let restore_floats t =
   let n = Array.length t.compute in
@@ -697,11 +629,7 @@ let restore_floats t =
   let c = Array.length t.link_out in
   Array.blit t.save_link_out 0 t.link_out 0 c;
   Array.blit t.save_link_in 0 t.link_in 0 c;
-  t.links_dirty <- false;
-  if t.opts.tight_pipeline then begin
-    Array.blit t.save_buff 0 t.buff 0 (Array.length t.buff);
-    t.buff_dirty <- false
-  end
+  t.links_dirty <- false
 
 (* --- backtracking ------------------------------------------------------
 
@@ -709,9 +637,7 @@ let restore_floats t =
    pure function of the assignment, so the rows saved at depth [d] are
    the rows of any later state with the same first [d] assignments. A
    [retract] undoes the integer state with [detach] and blits depth
-   [d]'s block back instead of re-sweeping. Buffers are left alone:
-   under [tight_pipeline] a [detach] that changes a colocation sets
-   [buff_dirty], and the next validation re-sweeps every row. *)
+   [d]'s block back instead of re-sweeping. *)
 
 let save_rows t =
   validate_all t;
@@ -921,8 +847,6 @@ let screen_edge t e sp dp sp' dp' =
       touch s dcopy' float_row
     end
   end;
-  if (sp >= 0 && sp = dp) <> (sp' >= 0 && sp' = dp') then
-    s.colocation_changes <- true;
   (* Inter-Cell links. *)
   let co = link_cell t sp dp sp and co' = link_cell t sp' dp' sp' in
   if co <> co' then begin
@@ -990,10 +914,9 @@ let[@inline] lower s r d a = r +. d -. (s.margin *. (r +. a))
 
    - compute: the gained and lost task terms give the same [d] and [a]
      floats the screen forms, so the bound is the screen's own;
-   - SPE memory, without buffer sharing or [tight_pipeline]: every
-     buffer copy sits with its task, so the row gains exactly the
-     incident buffers of the task arriving and loses those of the task
-     leaving. Buffer sizes are non-negative, so the magnitudes' sum adds
+   - SPE memory, without buffer sharing: every buffer copy sits with
+     its task, so the row gains exactly the incident buffers of the task
+     arriving and loses those of the task leaving. Buffer sizes are non-negative, so the magnitudes' sum adds
      them all. The sum runs in another order than the screen's, which
      [lower] covers: any summation order of at most N terms, and two
      tasks' incident edges number fewer.
@@ -1016,10 +939,7 @@ let prescreen_gain t k_in k_out pe threshold =
     lower s t.compute.(pe) (-.w_out +. w_in) (Float.abs w_out +. Float.abs w_in)
     >= threshold
   then Compute_row
-  else if
-    (not t.is_spe.(pe))
-    || t.opts.share_colocated_buffers || t.opts.tight_pipeline
-  then Pass
+  else if (not t.is_spe.(pe)) || t.opts.share_colocated_buffers then Pass
   else begin
     let d = ref 0. and a = ref 0. in
     for i = fl.G.in_start.(k_in) to fl.G.in_start.(k_in + 1) - 1 do
@@ -1079,7 +999,6 @@ let screen_rejects t threshold =
   let n = Array.length t.compute in
   let bw = p.P.bw and ibw = p.P.inter_cell_bw in
   let budget = t.budget in
-  let check_memory = not (t.opts.tight_pipeline && s.colocation_changes) in
   let lb = ref 0. in
   let infeasible = ref false in
   for pe = 0 to n - 1 do
@@ -1095,7 +1014,7 @@ let screen_rejects t threshold =
       in
       if o > !lb then lb := o;
       if
-        check_memory && t.is_spe.(pe)
+        t.is_spe.(pe)
         && lower s t.memory.(pe) s.d_memory.(pe) s.a_memory.(pe) > budget
       then infeasible := true
     end
@@ -1152,7 +1071,6 @@ let screen_rejects t threshold =
       s.cell_touched.(c) <- false
     end
   done;
-  s.colocation_changes <- false;
   !infeasible || !lb >= threshold
 
 let probe_move_below t ~task ~pe ~threshold =

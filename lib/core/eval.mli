@@ -31,15 +31,22 @@
     and, when a mutation dirties it, recomputed over exactly the
     contributions {!Steady_state.loads} would accumulate for that PE, in
     the same order — so every accessor returns values {e bitwise equal} to
-    a from-scratch [Steady_state] evaluation of the same assignment, for
-    every combination of {!options}. DMA-queue counters are integers and
-    are maintained incrementally (integer arithmetic is exact).
+    a from-scratch [Steady_state] evaluation of the same assignment,
+    with and without {!options}' buffer sharing. DMA-queue counters are
+    integers and are maintained incrementally (integer arithmetic is
+    exact).
 
     {b Partial mappings.} Tasks may be unassigned (PE [-1]); an edge
     contributes to communication, DMA and memory accounting only through
     its assigned endpoints. On a complete assignment the state coincides
     with [Steady_state]. This is what lets branch-and-bound nodes extend
-    an engine instead of rebuilding partial loads. *)
+    an engine instead of rebuilding partial loads.
+
+    {b Buffers.} Per-edge buffer sizes are the paper's, computed once at
+    creation by {!Steady_state.buffer_sizes} from the mapping-independent
+    {!Steady_state.first_periods} (§3.1): they never depend on the
+    assignment, so a mutation changes a memory row only through the
+    tasks it moves. *)
 
 (** {1 Options} *)
 
@@ -48,18 +55,7 @@ type options = {
       (** The §7 memory optimization: a colocated edge occupies one buffer
           instead of separate in/out copies. Default [false], as in the
           paper. *)
-  tight_pipeline : bool;
-      (** Compute buffer sizes from the mapping-aware
-          {!Steady_state.first_periods}, skipping the communication period
-          of colocated edges (§4.2 future work). Buffer sizes then depend
-          on the whole assignment, so memory rows lose the O(degree)
-          locality: the engine transparently falls back to a full buffer
-          recomputation when a mutation changes any edge's colocation.
-          Default [false]. *)
 }
-
-val default_options : options
-(** Both [false] — the paper's model. *)
 
 (** {1 Construction} *)
 
@@ -71,14 +67,16 @@ val create :
 
 val create_empty : ?options:options -> Cell.Platform.t -> Streaming.Graph.t -> t
 (** Engine with every task unassigned — the root of a placement walk or a
-    branch-and-bound tree. *)
+    branch-and-bound tree. [options] defaults to the paper's model (no
+    buffer sharing). *)
 
 val set_options : t -> options -> unit
-(** Evaluate the current assignment under other options from now on:
-    every accessor then answers bitwise what an engine built by
-    {!create} [~options] on the same assignment would. Marks every row
-    stale (the next accessor re-sweeps them) and discards the saved row
-    blocks; a no-op when the options are unchanged. *)
+(** Switch buffer sharing on or off for the current assignment: every
+    accessor then answers bitwise what an engine built by {!create}
+    [~options] on the same assignment would. Marks every row stale (the
+    next accessor re-sweeps them) and discards the saved row blocks; a
+    no-op when the options are unchanged. Buffer sizes do not depend on
+    the options. *)
 
 val reset : t -> unit
 (** Unassign every task: the engine is then bitwise the one
@@ -239,13 +237,12 @@ val apply_swap : t -> int -> int -> unit
     gains a task — the target of a move, both PEs of a swap, never a PE
     that keeps its task — is tested on two rows with the same bound:
     its compute row, in O(1), from the same delta and magnitude floats
-    the screen forms; and, on an SPE without
-    [share_colocated_buffers] or [tight_pipeline], its memory row
-    against the budget, in O(degree), from the arriving task's incident
-    buffers minus the leaving task's (every copy sits with its task
-    then). The memory delta is summed in another order than the
-    screen's; the rounding argument at [lower] holds for any summation
-    order of at most its term bound. Most local-search probes stop
+    the screen forms; and, on an SPE without [share_colocated_buffers],
+    its memory row against the budget, in O(degree), from the arriving
+    task's incident buffers minus the leaving task's (every copy sits
+    with its task then). The memory delta is summed in another order
+    than the screen's; the rounding argument at [lower] holds for any
+    summation order of at most its term bound. Most local-search probes stop
     here: at a compute bottleneck, a gained task overloads the compute
     row, or its buffers overflow the local store. A pre-screen
     rejection implies the exact probe's rejection, so it changes no
@@ -264,10 +261,9 @@ val probe_move_below : t -> task:int -> pe:int -> threshold:float -> float
     [(p, f) = probe_move t ~task ~pe], bitwise, and the state is left
     untouched. Screened: the exact probe runs only when the O(degree)
     screen cannot show that the move is infeasible (a touched SPE's DMA
-    counter over its limit, or its memory over the budget — that test is
-    skipped under [tight_pipeline] when the move changes an edge's
-    colocation) or that its period is [>= threshold]. A probe the
-    screen or the pre-screen rejects allocates nothing. *)
+    counter over its limit, or its memory over the budget) or that its
+    period is [>= threshold]. A probe the screen or the pre-screen
+    rejects allocates nothing. *)
 
 val probe_swap_below : t -> int -> int -> threshold:float -> float
 (** Same for {!probe_swap}.
@@ -289,10 +285,8 @@ val publish : t -> unit
 
 (** {1 Scratch wrappers}
 
-    One-shot conveniences routing the historical
-    [?share_colocated_buffers]/[?tight_pipeline] plumbing through an
-    {!options} record; they evaluate through a throwaway engine and are
-    the recommended spelling for single evaluations. *)
+    One-shot evaluations through a throwaway engine, the recommended
+    spelling for a single period or feasibility check under {!options}. *)
 
 val scratch_period :
   ?options:options -> Cell.Platform.t -> Streaming.Graph.t -> Mapping.t -> float

@@ -252,7 +252,10 @@ module For_testing = struct
   let refresh_hot = refresh_hot
 end
 
-let improve ?(max_passes = 50) ev =
+(* Passes before [improve] stops short of a local optimum. *)
+let max_passes = 50
+
+let improve ev =
   let n = P.n_pes (Eval.platform ev) and nk = G.n_tasks (Eval.graph ev) in
   (* A move is taken when it is feasible and beats the best period by
      more than 1e-12: the screened probes answer exactly that, and reach
@@ -324,10 +327,9 @@ let improve ?(max_passes = 50) ev =
     Obs.Metrics.Counter.add m_ls_skipped !skipped
   end
 
-let local_search ?(options = Eval.default_options) ?max_passes platform g
-    mapping =
-  let ev = Eval.create ~options platform g mapping in
-  improve ?max_passes ev;
+let local_search platform g mapping =
+  let ev = Eval.create platform g mapping in
+  improve ev;
   finish ev
 
 (* Past this row count the rounding skips the LP and falls back to the

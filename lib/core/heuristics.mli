@@ -62,28 +62,24 @@ val place_random_feasible : rng:Support.Rng.t -> Eval.t -> unit
     restart generator for {!Portfolio}. One [rng] draw per task with an
     admissible PE, so the mapping is a pure function of the seed. *)
 
-val improve : ?max_passes:int -> Eval.t -> unit
+val improve : Eval.t -> unit
 (** {!local_search} in place, on the engine's current (complete,
     feasible) assignment and options. The engine's counts are left for
     its owner to {!Eval.publish}. *)
 
 val local_search :
-  ?options:Eval.options ->
-  ?max_passes:int ->
-  Cell.Platform.t ->
-  Streaming.Graph.t ->
-  Mapping.t ->
-  Mapping.t
+  Cell.Platform.t -> Streaming.Graph.t -> Mapping.t -> Mapping.t
 (** Hill climbing over single-task moves and pairwise swaps (swaps
     matter when the local stores are full and no single move is
     feasible), keeping feasibility; stops at a local optimum or after
-    [max_passes] (default 50) passes. Each pass first visits the tasks
-    in id order and moves each to the PE giving the lowest feasible
-    period, if that improves on the best period by more than 1e-12;
-    then it visits the pairs [(k1, k2)], [k1 < k2], on different PEs
-    and applies the first swap that improves, going on from there. The
-    input mapping must be feasible. Evaluation uses the given [options]
-    (default {!Eval.default_options}, the paper's model).
+    50 passes. Each pass first visits the tasks in id order and moves
+    each to the PE giving the lowest feasible period, if that improves
+    on the best period by more than 1e-12; then it visits the pairs
+    [(k1, k2)], [k1 < k2], on different PEs and applies the first swap
+    that improves, going on from there. The input mapping must be
+    feasible. Evaluation uses the paper's model
+    (no buffer sharing); {!improve} runs the same search under an
+    engine's own options.
 
     {b Bottleneck-directed neighbourhood.} The period is the time of the
     single most loaded row β ({!Eval.bottleneck}), and a candidate is

@@ -101,35 +101,21 @@ let make_inv ~share platform g =
   done;
   let w_spe = fl.G.w_spe in
   let by_ratio = by_ratio_desc w_spe w_ppe in
-  let buff =
-    Steady_state.buffer_sizes ~first_periods:(Steady_state.first_periods g) g
-  in
-  (* Per task, one copy of each incident buffer, out-edges first. *)
-  let incident = Array.create_float nk in
-  for k = 0 to nk - 1 do
-    let sum_out = ref 0. and sum_in = ref 0. in
-    for i = fl.G.out_start.(k) to fl.G.out_start.(k + 1) - 1 do
-      sum_out := !sum_out +. buff.(fl.G.out_ids.(i))
-    done;
-    for i = fl.G.in_start.(k) to fl.G.in_start.(k + 1) - 1 do
-      sum_in := !sum_in +. buff.(fl.G.in_ids.(i))
-    done;
-    incident.(k) <- !sum_out +. !sum_in
-  done;
+  let bnd = Bounds.create platform g in
+  let footprint = bnd.Bounds.footprint in
   (* Per-task memory footprint used by the divisible relaxation. Under the
      sharing model a single buffer per edge suffices when both endpoints
      share an SPE, so half the incident mass is a valid lower bound. *)
   let factor = if share then 0.5 else 1.0 in
   let mem_need = Array.create_float nk in
   for k = 0 to nk - 1 do
-    mem_need.(k) <- factor *. incident.(k)
+    mem_need.(k) <- factor *. footprint.(k)
   done;
   let by_mem_ratio = by_ratio_desc mem_need w_ppe in
   (* A task needs at least one copy of each incident buffer on its SPE,
      sharing or not; beyond the budget it can only live on a PPE. *)
   let budget = float_of_int (P.spe_memory_budget platform) in
-  let spe_eligible = Array.init nk (fun k -> incident.(k) <= budget +. 1e-9) in
-  let bnd = Bounds.create platform g in
+  let spe_eligible = Array.init nk (fun k -> footprint.(k) <= budget +. 1e-9) in
   (* Assignment order: hardest tasks first. Committing the tasks that
      dominate the binding resources (local-store footprint, then raw
      work) makes the divisible knapsacks infeasible near the root, where
@@ -160,8 +146,8 @@ let make_inv ~share platform g =
       +. if spe_eligible.(k) then 0. else w_ppe.(k));
     suffix_wspe.(pos) <-
       (suffix_wspe.(pos + 1) +. if spe_eligible.(k) then w_spe.(k) else 0.);
-    suffix_reads.(pos) <- suffix_reads.(pos + 1) +. bnd.Bounds.reads.(k);
-    suffix_writes.(pos) <- suffix_writes.(pos + 1) +. bnd.Bounds.writes.(k);
+    suffix_reads.(pos) <- suffix_reads.(pos + 1) +. fl.G.read_bytes.(k);
+    suffix_writes.(pos) <- suffix_writes.(pos + 1) +. fl.G.write_bytes.(k);
     suffix_task_lb.(pos) <-
       Float.max suffix_task_lb.(pos + 1) (Bounds.task_lb bnd k)
   done;
@@ -194,7 +180,7 @@ let make_state inv =
   let ev =
     Eval.create_empty
       ~options:
-        { Eval.share_colocated_buffers = inv.share; tight_pipeline = false }
+        { Eval.share_colocated_buffers = inv.share }
       inv.platform inv.g
   in
   {
@@ -648,9 +634,7 @@ let solve ?(span = Obs.Span.null) ?(options = default_options)
     platform g =
   let share = options.share_colocated_buffers in
   let inv = make_inv ~share platform g in
-  let eval_options =
-    { Eval.share_colocated_buffers = share; tight_pipeline = false }
-  in
+  let eval_options = { Eval.share_colocated_buffers = share } in
   let incumbent_mapping, init_period =
     match incumbent with
     | Some m ->

@@ -27,8 +27,9 @@ let emit problem row prefix i j rel rhs =
   Pb.add_row problem prefix i j row.vars row.coefs row.len rel rhs;
   row.len <- 0
 
-(* Shared scaffolding: alpha, (1b), (1e)/(1f), buffer footprints and the
-   root cut. *)
+(* Shared scaffolding: alpha, (1b), (1e)/(1f) and the root cut. Buffer
+   sizes and task footprints are read from the {!Bounds.t} each build
+   makes for its root cut. *)
 
 let add_alpha problem platform g =
   let n = P.n_pes platform in
@@ -55,23 +56,12 @@ let add_compute_constraints problem row platform g alpha t_var =
     emit problem row "compute" i (-1) Pb.Le 0.
   done
 
-(* Memory footprint coefficient of task k on an SPE: all its in and out
-   buffers (constraint (1i)). *)
-let task_buffer_bytes g buff k =
-  let out_bytes = List.fold_left (fun acc e -> acc +. buff.(e)) 0. (G.out_edges g k) in
-  let in_bytes = List.fold_left (fun acc e -> acc +. buff.(e)) 0. (G.in_edges g k) in
-  out_bytes +. in_bytes
-
-let buffers g =
-  let fp = Steady_state.first_periods g in
-  Steady_state.buffer_sizes ~first_periods:fp g
-
 (* Combinatorial root cut: [T >= Bounds.root] is implied by the integer
    program but not by its LP relaxation, so adding it as an explicit row
    starts every relaxation — the root LP and each branch-and-bound
    node — at the closed-form §5 bound instead of below it. *)
-let add_combinatorial_cut problem row platform g t_var =
-  let lb = Bounds.root_bound (Bounds.create platform g) in
+let add_combinatorial_cut problem row bnd t_var =
+  let lb = Bounds.root_bound bnd in
   if lb > 0. then begin
     push row t_var 1.;
     emit problem row "comb_root_lb" (-1) (-1) Pb.Ge lb
@@ -81,21 +71,20 @@ let add_combinatorial_cut problem row platform g t_var =
 (* Full formulation: paper constraints (1a)-(1k).                      *)
 (* ------------------------------------------------------------------ *)
 
-let build_full ?(integral_beta = false) ?(share_colocated_buffers = false)
-    platform g =
+let build_full ?(share_colocated_buffers = false) platform g =
   let problem = Pb.create ~name:"cell-mapping-full" () in
   let n = P.n_pes platform in
   let ne = G.n_edges g in
+  let bnd = Bounds.create platform g in
   let t_var = Pb.add_var problem "T" in
   let alpha = add_alpha problem platform g in
-  (* (1a) beta variables; continuous in [0,1] unless integral_beta. *)
+  (* (1a) beta variables, continuous in [0,1]: integral whenever alpha
+     is. *)
   let beta =
     Array.init ne (fun e ->
         Array.init n (fun i ->
             Array.init n (fun j ->
-                let name = Printf.sprintf "b_%d_%d_%d" e i j in
-                if integral_beta then Pb.binary problem name
-                else Pb.add_var problem ~ub:1. name)))
+                Pb.add_var problem ~ub:1. (Printf.sprintf "b_%d_%d_%d" e i j))))
   in
   let nt = G.n_tasks g in
   let row = row_buffer (nt + (ne * n * n) + 2) in
@@ -151,8 +140,7 @@ let build_full ?(integral_beta = false) ?(share_colocated_buffers = false)
   done;
   (* (1i) SPE local stores. With buffer sharing, a colocated edge
      (beta_{i,i} = 1) saves one copy. *)
-  let buff = buffers g in
-  let task_bytes = Array.init nt (task_buffer_bytes g buff) in
+  let buff = bnd.Bounds.buffers and task_bytes = bnd.Bounds.footprint in
   let budget = float_of_int (P.spe_memory_budget platform) in
   List.iter
     (fun i ->
@@ -205,7 +193,7 @@ let build_full ?(integral_beta = false) ?(share_colocated_buffers = false)
       link "link_out" ~outgoing:true;
       link "link_in" ~outgoing:false
     done;
-  add_combinatorial_cut problem row platform g t_var;
+  add_combinatorial_cut problem row bnd t_var;
   Pb.set_objective problem Pb.Minimize (Lp.Expr.term t_var);
   let encode mapping =
     let x = Array.make (Pb.n_vars problem) 0. in
@@ -233,6 +221,7 @@ let build_compact ?(share_colocated_buffers = false) platform g =
   let n = P.n_pes platform in
   let nt = G.n_tasks g in
   let ne = G.n_edges g in
+  let bnd = Bounds.create platform g in
   (* Room for the longest row: a bandwidth row's tasks, edges and T, or
      a cross-cell row's 2n alphas. *)
   let row = row_buffer (nt + ne + (2 * n) + 2) in
@@ -282,8 +271,7 @@ let build_compact ?(share_colocated_buffers = false) platform g =
   (* Memory (1i); optional sharing via colocation indicators z <= alpha_k,
      z <= alpha_l entering the row with a negative coefficient. [zvars],
      [gvars] and [cross_vars] hold -1 where no variable was made. *)
-  let buff = buffers g in
-  let task_bytes = Array.init nt (task_buffer_bytes g buff) in
+  let buff = bnd.Bounds.buffers and task_bytes = bnd.Bounds.footprint in
   let zvars = Array.make_matrix ne n (-1) in
   let gvars = Array.make_matrix ne n (-1) in
   let budget = float_of_int (P.spe_memory_budget platform) in
@@ -369,7 +357,7 @@ let build_compact ?(share_colocated_buffers = false) platform g =
       link "link_in" snd
     done
   end;
-  add_combinatorial_cut problem row platform g t_var;
+  add_combinatorial_cut problem row bnd t_var;
   Pb.set_objective problem Pb.Minimize (Lp.Expr.term t_var);
   let encode mapping =
     let x = Array.make (Pb.n_vars problem) 0. in

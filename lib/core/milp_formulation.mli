@@ -8,9 +8,8 @@
     [T], under constraints (1a)–(1k). Because every data is single-sourced
     ((1c)/(1d)) and all loads are minimized, the [beta] take integral
     values whenever the [alpha] are integral, so they are declared
-    continuous by default and branching happens on [alpha] only — exactly
-    how CPLEX treats the paper's model. Pass [~integral_beta:true] to force
-    integer [beta] (used by equivalence tests).
+    continuous and branching happens on [alpha] only — exactly how CPLEX
+    treats the paper's model.
 
     {b Compact} ([build_compact]) replaces the O(n²·E) [beta] family with
     O(n·E) difference-linearized indicators: per edge e = (k,l) and PE i,
@@ -22,7 +21,11 @@
 
     Both accept [~share_colocated_buffers:true], modelling the §7 memory
     optimization: an edge with both endpoints on the same SPE needs one
-    buffer, not two. *)
+    buffer, not two.
+
+    Both read the per-edge buffer sizes and the per-task footprints of
+    the memory rows (1i) from the {!Bounds.t} they build for the root
+    cut [T >= Bounds.root_bound], so each build sizes the buffers once. *)
 
 type t = {
   problem : Lp.Problem.t;
@@ -36,11 +39,7 @@ type t = {
 }
 
 val build_full :
-  ?integral_beta:bool ->
-  ?share_colocated_buffers:bool ->
-  Cell.Platform.t ->
-  Streaming.Graph.t ->
-  t
+  ?share_colocated_buffers:bool -> Cell.Platform.t -> Streaming.Graph.t -> t
 
 val build_compact :
   ?share_colocated_buffers:bool -> Cell.Platform.t -> Streaming.Graph.t -> t

@@ -33,8 +33,7 @@ type result = {
 
 let finish ~share ~start ~platform ~g ~mapping ~lower_bound ~proven ~nodes =
   let period =
-    Eval.scratch_period
-      ~options:{ Eval.share_colocated_buffers = share; tight_pipeline = false }
+    Eval.scratch_period ~options:{ Eval.share_colocated_buffers = share }
       platform g mapping
   in
   let lower_bound = Float.min lower_bound period in
@@ -65,8 +64,7 @@ let solve_exact ~span ~options ~should_stop ~start platform g incumbent =
      built or solved. *)
   let comb = Bounds.root_bound (Bounds.create platform g) in
   let inc_period =
-    Eval.scratch_period
-      ~options:{ Eval.share_colocated_buffers = share; tight_pipeline = false }
+    Eval.scratch_period ~options:{ Eval.share_colocated_buffers = share }
       platform g incumbent
   in
   if inc_period > 0. && (inc_period -. comb) /. inc_period <= options.rel_gap
@@ -132,10 +130,7 @@ let solve_search ~span ~options ~should_stop ~start ?pool platform g incumbent =
     let model_period m =
       Eval.scratch_period
         ~options:
-          {
-            Eval.share_colocated_buffers = options.share_colocated_buffers;
-            tight_pipeline = false;
-          }
+          { Eval.share_colocated_buffers = options.share_colocated_buffers }
         platform g m
     in
     if model_period mapping < model_period r.Mapping_search.mapping then mapping

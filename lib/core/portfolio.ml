@@ -30,12 +30,12 @@ let m_candidates =
    function of the assignment and the options, so the score is the
    canonical one, bitwise what a fresh engine on the final mapping
    reads, whichever worker ran the entrant. *)
-let run_entrant ~eval_options ~max_passes ~inc platform g (name, place) =
+let run_entrant ~eval_options ~inc platform g (name, place) =
   let ev = Eval.create_empty platform g in
   place ev;
   let start_feasible = Eval.feasible ev in
   Eval.set_options ev eval_options;
-  if start_feasible then Heuristics.improve ~max_passes ev;
+  if start_feasible then Heuristics.improve ev;
   let feasible = Eval.feasible ev in
   let period = if feasible then Eval.period ev else infinity in
   let mapping = Eval.mapping ev in
@@ -46,12 +46,10 @@ let run_entrant ~eval_options ~max_passes ~inc platform g (name, place) =
   { name; mapping; period; feasible }
 
 let solve ?(span = Obs.Span.null) ?pool ?(should_stop = fun () -> false)
-    ?(restarts = default_restarts) ?(seed = default_seed) ?(max_passes = 50)
+    ?(restarts = default_restarts) ?(seed = default_seed)
     ?(share_colocated_buffers = false) platform g =
   Obs.Span.with_span span "portfolio" @@ fun span ->
-  let eval_options =
-    { Eval.share_colocated_buffers; tight_pipeline = false }
-  in
+  let eval_options = { Eval.share_colocated_buffers } in
   let entrants =
     Array.of_list
       ([
@@ -70,7 +68,7 @@ let solve ?(span = Obs.Span.null) ?pool ?(should_stop = fun () -> false)
                 Heuristics.place_random_feasible ~rng ev )))
   in
   let inc = Incumbent.create () in
-  let run_one = run_entrant ~eval_options ~max_passes ~inc platform g in
+  let run_one = run_entrant ~eval_options ~inc platform g in
   (* Cancellation skips entrants wholesale — except the ppe-only safety
      net, which is cheap and guarantees a feasible result even when the
      deadline has already passed at dispatch. Skipped entrants are

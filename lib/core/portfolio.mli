@@ -43,13 +43,12 @@ val solve :
   ?should_stop:(unit -> bool) ->
   ?restarts:int ->
   ?seed:int ->
-  ?max_passes:int ->
   ?share_colocated_buffers:bool ->
   Cell.Platform.t ->
   Streaming.Graph.t ->
   result
-(** Defaults: [restarts = 6], [seed = 0x5EED], [max_passes = 50] (local
-    search), sequential when [pool] is absent.
+(** Defaults: [restarts = 6], [seed = 0x5EED], sequential when [pool] is
+    absent. Each feasible start is polished by {!Heuristics.improve}.
 
     [span] (default {!Obs.Span.null}: free) records a ["portfolio"]
     span with one ["entrant:<name>"] child per entrant run, annotated

@@ -108,8 +108,6 @@ let add_var_ij t ?(kind = Continuous) ?(lb = 0.) ?(ub = infinity) prefix i j =
   check_name i j;
   push_var t kind lb ub prefix i j
 
-let binary t name = add_var t ~kind:Integer ~lb:0. ~ub:1. name
-
 (* Stable merge sort of the terms [lo, hi) by variable, merging through
    the scratch entries from [buf] on (at least (hi - lo) / 2 + 1 of
    them); short runs are insertion sorted. A sorted run costs one

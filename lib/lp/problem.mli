@@ -33,9 +33,6 @@ val add_var_ij :
     j)], with the name rendered only when it is read.
     @raise Invalid_argument on a negative index or [lb > ub]. *)
 
-val binary : t -> string -> var
-(** Integer variable with bounds [0, 1]. *)
-
 val add_row :
   t -> string -> int -> int -> int array -> float array -> int -> rel -> float -> unit
 (** [add_row t prefix i j vars coefs len rel rhs] adds the constraint

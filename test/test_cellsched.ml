@@ -319,7 +319,7 @@ let formulations_agree =
         | Some sol -> Some sol.Lp.Simplex.objective
         | None -> None
       in
-      let full = solve (Cellsched.Milp_formulation.build_full ?integral_beta:None ?share_colocated_buffers:None) in
+      let full = solve (Cellsched.Milp_formulation.build_full ?share_colocated_buffers:None) in
       let compact = solve (Cellsched.Milp_formulation.build_compact ?share_colocated_buffers:None) in
       match (full, compact) with
       | Some a, Some b ->

@@ -863,7 +863,7 @@ let with_socket_server ?cache_path ~stop dialogue =
                       (Buffer.contents buf)
                 in
                 let hangup () = Unix.shutdown fd Unix.SHUTDOWN_SEND in
-                dialogue ~send ~read_until ~hangup;
+                dialogue ~pid ~send ~read_until ~hangup;
                 stop ~send ~pid;
                 let _, status = Unix.waitpid [] pid in
                 (Buffer.contents buf, status)))
@@ -874,7 +874,7 @@ let test_serve_socket_quit () =
   let captured, status =
     with_socket_server
       ~stop:(fun ~send ~pid:_ -> send "QUIT\n")
-      (fun ~send ~read_until ~hangup:_ ->
+      (fun ~pid:_ ~send ~read_until ~hangup:_ ->
         send "PING\n";
         send (Printf.sprintf "gA spes=4 %s id=s1\n" bb_attrs);
         read_until (fun s -> count_sub "END s1\n" s = 1))
@@ -890,7 +890,7 @@ let test_serve_socket_sigterm_flush () =
       let captured, status =
         with_socket_server ~cache_path
           ~stop:(fun ~send:_ ~pid -> Unix.kill pid Sys.sigterm)
-          (fun ~send ~read_until ~hangup:_ ->
+          (fun ~pid:_ ~send ~read_until ~hangup:_ ->
             send (Printf.sprintf "gB spes=5 %s id=k1\n" bb_attrs);
             read_until (fun s -> count_sub "END k1\n" s = 1))
       in
@@ -940,7 +940,12 @@ let test_serve_socket_sigterm_flush () =
    queued work, and every request is answered before the connection
    closes. One byte stream, whose last line outranks the queued one,
    must give the same transcript through a pipe and through a socket
-   the client half-closes. *)
+   the client half-closes. The pipe loop finds the whole file, EOF
+   included, on its first reads; the socket server is stopped while the
+   client sends and half-closes, so that it too finds the bytes and the
+   EOF together, whatever the scheduler does. Otherwise a loaded host
+   can let it start the queued line before the half-close arrives, and
+   the final line has nothing left to overtake. *)
 let test_eof_rule_one_transcript () =
   let stream =
     Printf.sprintf "gA spes=4 %s id=a\ngB spes=5 %s id=b\ngC spes=6 %s prio=5 id=c"
@@ -966,9 +971,13 @@ let test_eof_rule_one_transcript () =
   let socketed, _ =
     with_socket_server
       ~stop:(fun ~send:_ ~pid -> Unix.kill pid Sys.sigterm)
-      (fun ~send ~read_until ~hangup ->
+      (fun ~pid ~send ~read_until ~hangup ->
+        Unix.kill pid Sys.sigstop;
+        (* Returns once the server has stopped. *)
+        ignore (Unix.waitpid [ Unix.WUNTRACED ] pid);
         send stream;
         hangup ();
+        Unix.kill pid Sys.sigcont;
         read_until (fun s -> count_sub "END " s = 3))
   in
   let position sub s =

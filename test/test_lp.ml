@@ -312,9 +312,9 @@ let test_knapsack () =
   (* max 10a + 13b + 7c st 3a + 4b + 2c <= 6, binary -> a=1,c=1: 17;
      b+c = 17+... check: b,c = 20 with weight 6: better! *)
   let p = Lp.Problem.create () in
-  let a = Lp.Problem.binary p "a" in
-  let b = Lp.Problem.binary p "b" in
-  let c = Lp.Problem.binary p "c" in
+  let a = Lp.Problem.add_var p ~kind:Lp.Problem.Integer ~ub:1. "a" in
+  let b = Lp.Problem.add_var p ~kind:Lp.Problem.Integer ~ub:1. "b" in
+  let c = Lp.Problem.add_var p ~kind:Lp.Problem.Integer ~ub:1. "c" in
   Lp.Problem.add_constr p
     (Lp.Expr.of_list [ (a, 3.); (b, 4.); (c, 2.) ])
     Lp.Problem.Le 6.;
@@ -339,8 +339,8 @@ let test_integer_rounding_matters () =
 
 let test_mip_infeasible () =
   let p = Lp.Problem.create () in
-  let x = Lp.Problem.binary p "x" in
-  let y = Lp.Problem.binary p "y" in
+  let x = Lp.Problem.add_var p ~kind:Lp.Problem.Integer ~ub:1. "x" in
+  let y = Lp.Problem.add_var p ~kind:Lp.Problem.Integer ~ub:1. "y" in
   Lp.Problem.add_constr p (Lp.Expr.of_list [ (x, 1.); (y, 1.) ]) Lp.Problem.Ge 3.;
   Lp.Problem.set_objective p Lp.Problem.Minimize (Lp.Expr.term x);
   let out = Lp.Branch_bound.solve p in
@@ -585,8 +585,8 @@ let test_warm_start_and_gap () =
   (* Seeding with the optimum and allowing a generous gap must terminate
      immediately with that incumbent. *)
   let p = Lp.Problem.create () in
-  let a = Lp.Problem.binary p "a" in
-  let b = Lp.Problem.binary p "b" in
+  let a = Lp.Problem.add_var p ~kind:Lp.Problem.Integer ~ub:1. "a" in
+  let b = Lp.Problem.add_var p ~kind:Lp.Problem.Integer ~ub:1. "b" in
   Lp.Problem.add_constr p (Lp.Expr.of_list [ (a, 2.); (b, 3.) ]) Lp.Problem.Le 4.;
   Lp.Problem.set_objective p Lp.Problem.Maximize
     (Lp.Expr.of_list [ (a, 5.); (b, 6.) ]);
@@ -622,7 +622,7 @@ let test_negative_bounds () =
 
 let test_check_feasible_reports () =
   let p = Lp.Problem.create () in
-  let x = Lp.Problem.binary p "x" in
+  let x = Lp.Problem.add_var p ~kind:Lp.Problem.Integer ~ub:1. "x" in
   Lp.Problem.add_constr p (Lp.Expr.term x) Lp.Problem.Le 0.5;
   (match check_feasible p [| 1. |] with
   | Error _ -> ()
@@ -639,7 +639,10 @@ let test_node_limit () =
      valid bound and status Feasible/Unknown, never Optimal by accident. *)
   let p = Lp.Problem.create () in
   let rng = Support.Rng.create 77 in
-  let vars = Array.init 20 (fun i -> Lp.Problem.binary p (Printf.sprintf "x%d" i)) in
+  let vars =
+    Array.init 20 (fun i ->
+        Lp.Problem.add_var p ~kind:Lp.Problem.Integer ~ub:1. (Printf.sprintf "x%d" i))
+  in
   let weights = Array.map (fun _ -> float_of_int (Support.Rng.int_in rng 1 9)) vars in
   let values = Array.map (fun _ -> float_of_int (Support.Rng.int_in rng 1 9)) vars in
   Lp.Problem.add_constr p
@@ -661,7 +664,7 @@ let test_node_limit () =
 
 let test_warm_start_out_of_bounds_ignored () =
   let p = Lp.Problem.create () in
-  let x = Lp.Problem.binary p "x" in
+  let x = Lp.Problem.add_var p ~kind:Lp.Problem.Integer ~ub:1. "x" in
   Lp.Problem.set_objective p Lp.Problem.Maximize (Lp.Expr.term x);
   (* Warm start proposing x = 7 is out of bounds: must be ignored, not
      crash, and the solver still finds the optimum. *)

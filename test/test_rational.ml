@@ -195,7 +195,7 @@ let test_certify_detects_violation () =
 
 let test_certify_integrality () =
   let p = Lp.Problem.create () in
-  let x = Lp.Problem.binary p "x" in
+  let x = Lp.Problem.add_var p ~kind:Lp.Problem.Integer ~ub:1. "x" in
   Lp.Problem.set_objective p Lp.Problem.Maximize (Lp.Expr.term x);
   let report = Lp.Certify.analyze p [| 0.5 |] in
   Alcotest.(check bool) "not integral" false report.Lp.Certify.integral;

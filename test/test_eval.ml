@@ -142,6 +142,85 @@ let replay_matches_scratch ~share =
     QCheck.(pair (int_bound 100_000) (int_range 5 20))
     (replay_case ~share)
 
+(* --- the tight pipeline ----------------------------------------------------
+
+   [Steady_state.loads ~tight_pipeline:true] is the one home of the
+   mapping-aware buffer model (paper §4.2, the A1 ablation): an edge
+   whose ends share a PE skips its communication period. The oracle
+   takes the first periods from their recursive definition over the
+   edge lists, sizes the buffers from them and sums the memory rows
+   edge by edge. Every other row is the paper model's; the tight first
+   periods are at most the paper's, and equal them when no edge stays
+   on one PE. A quarter of the mappings put every task on one PE, so
+   that every edge skips its period. *)
+
+let tight_first_periods g m =
+  let pe = Cellsched.Mapping.pe m in
+  let memo = Array.make (G.n_tasks g) (-1) in
+  let rec fp k =
+    if memo.(k) < 0 then
+      memo.(k) <-
+        List.fold_left
+          (fun acc e ->
+            let src = (G.edge g e).G.src in
+            let comm = if pe src = pe k then 0 else 1 in
+            max acc (fp src + 1 + comm + (G.task g k).Streaming.Task.peek))
+          0 (G.in_edges g k);
+    memo.(k)
+  in
+  Array.init (G.n_tasks g) fp
+
+let tight_case ~share (seed, n) =
+  let n = max 5 n and seed = abs seed in
+  let salt = if share then 1_000_000 else 0 in
+  let rng = Support.Rng.create (seed + salt + 23_000_000) in
+  let platform = random_platform rng in
+  let g = random_graph rng n in
+  let m =
+    if Support.Rng.int rng 4 = 0 then
+      let pe = Support.Rng.int rng (P.n_pes platform) in
+      Cellsched.Mapping.make platform g (Array.make (G.n_tasks g) pe)
+    else random_mapping rng platform g
+  in
+  let pe = Cellsched.Mapping.pe m in
+  let fp = tight_first_periods g m and paper = SS.first_periods g in
+  if SS.first_periods ~mapping:m g <> fp then
+    QCheck.Test.fail_reportf "mapping-aware first periods differ";
+  Array.iteri
+    (fun k p ->
+      if p > paper.(k) then
+        QCheck.Test.fail_reportf "task %d: tight first period %d > paper %d" k
+          p paper.(k))
+    fp;
+  let colocated =
+    List.exists
+      (fun e -> pe (G.edge g e).G.src = pe (G.edge g e).G.dst)
+      (List.init (G.n_edges g) Fun.id)
+  in
+  if (not colocated) && fp <> paper then
+    QCheck.Test.fail_reportf "no colocated edge, first periods differ";
+  let memory = Array.make (P.n_pes platform) 0. in
+  for e = 0 to G.n_edges g - 1 do
+    let { G.src; dst; data_bytes } = G.edge g e in
+    let b = data_bytes *. float_of_int (fp.(dst) - fp.(src)) in
+    memory.(pe src) <- memory.(pe src) +. b;
+    if not (share && pe src = pe dst) then
+      memory.(pe dst) <- memory.(pe dst) +. b
+  done;
+  let tight =
+    SS.loads ~share_colocated_buffers:share ~tight_pipeline:true platform g m
+  in
+  bits_eq_arrays "tight memory" tight.SS.memory memory;
+  let paper = SS.loads ~share_colocated_buffers:share platform g m in
+  check_loads_equal { tight with SS.memory = paper.SS.memory } paper;
+  true
+
+let tight_matches_oracle ~share =
+  QCheck.Test.make ~count:100
+    ~name:(Printf.sprintf "tight pipeline = list oracle (share=%b)" share)
+    QCheck.(pair (int_bound 100_000) (int_range 5 20))
+    (tight_case ~share)
+
 (* --- probe purity -------------------------------------------------------- *)
 
 let options_of ~share = { E.share_colocated_buffers = share }
@@ -226,6 +305,18 @@ let screen_platform ?(n_spe = 4) rng kind g =
         ~local_store:(max 1 (int_of_float (buff *. share)))
         ()
   | Dma_limited -> P.make ~n_ppe:1 ~n_spe ~bw ~max_dma_in:1 ~max_dma_to_ppe:1 ()
+
+let platform_kind_index = function
+  | Single -> 0
+  | Dual -> 1
+  | Memory_tight -> 2
+  | Dma_limited -> 3
+
+let platform_kind_name = function
+  | Single -> "single Cell"
+  | Dual -> "dual Cell"
+  | Memory_tight -> "memory-tight"
+  | Dma_limited -> "DMA-limited"
 
 let check_below name thr (p, f) got =
   let want = if f && p < thr then p else infinity in
@@ -1504,7 +1595,7 @@ let test_counter_totals () =
    saves, assigns and retracts, exact and screened probes, moves — every
    accessor then answers bitwise like a fresh engine built with the new
    options on the same assignment. Switches alternate buffer sharing off
-   and on, on the screen's platforms. *)
+   and on; one property per kind of the screen's platforms. *)
 
 let check_like_fresh name ev options =
   let f =
@@ -1524,15 +1615,17 @@ let check_like_fresh name ev options =
   if E.violations ev <> E.violations f then
     QCheck.Test.fail_reportf "%s: violations differ" name
 
-let set_options_is_fresh =
+let set_options_is_fresh kind =
   QCheck.Test.make ~count:60
-    ~name:"set_options = fresh engine, after probes and retracts"
+    ~name:
+      ("set_options = fresh engine, after probes and retracts: "
+     ^ platform_kind_name kind)
     QCheck.(pair (int_bound 100_000) (int_range 5 20))
     (fun (seed, n) ->
       let n = max 5 n and seed = abs seed in
-      let rng = Support.Rng.create (seed + 19_000_000) in
+      let salt = 1_000_000 * platform_kind_index kind in
+      let rng = Support.Rng.create (seed + salt + 19_000_000) in
       let g = random_graph rng n in
-      let kind = [| Single; Dual; Memory_tight; Dma_limited |].(seed mod 4) in
       let platform = screen_platform rng kind g in
       let nk = G.n_tasks g and npes = P.n_pes platform in
       let share = ref (Support.Rng.int rng 2 = 0) in
@@ -1593,7 +1686,8 @@ let set_options_is_fresh =
    it; [Mapping_search] at gap 0 returns a mapping no better than it
    and a lower bound no higher, and closes; [Portfolio]'s lower bound
    lies at or below its period; and every returned mapping is
-   feasible. *)
+   feasible. One property per kind of platform, so each kind gets its
+   full count of cases. *)
 
 let brute_force_optimum platform g =
   let nk = G.n_tasks g and npes = P.n_pes platform in
@@ -1614,15 +1708,17 @@ let brute_force_optimum platform g =
   go 0;
   !best
 
-let bounds_are_sound =
+let bounds_are_sound kind =
   QCheck.Test.make ~count:100
-    ~name:"bounds <= brute-force optimum <= solver periods"
+    ~name:
+      ("bounds <= brute-force optimum <= solver periods: "
+     ^ platform_kind_name kind)
     QCheck.(pair (int_bound 100_000) (int_range 3 6))
     (fun (seed, n) ->
       let n = max 3 n and seed = abs seed in
-      let rng = Support.Rng.create (seed + 21_000_000) in
+      let salt = 1_000_000 * platform_kind_index kind in
+      let rng = Support.Rng.create (seed + salt + 21_000_000) in
       let g = random_graph rng n in
-      let kind = [| Single; Memory_tight; Dma_limited |].(seed mod 3) in
       let n_spe = 1 + Support.Rng.int rng 3 in
       let platform = screen_platform ~n_spe rng kind g in
       let opt = brute_force_optimum platform g in
@@ -1691,6 +1787,86 @@ let test_footprint_one_sum () =
         ("audio-encoder", Daggen.Presets.audio_encoder ());
       ])
 
+(* Both MILPs' memory rows (1i) carry the same numbers: SPE [i]'s row
+   [mem_i] has each task's footprint, the list fold of the paper's
+   buffers, on [alpha.(k).(i)], bitwise; with buffer sharing its only
+   other terms are the colocation variables of the edges ([b_e_i_i] in
+   the full program, [z_e_i] in the compact one) at minus the edge's
+   buffer, and without sharing it has none. *)
+let test_milp_memory_rows () =
+  let platform = P.qs22 ~n_spe:3 () in
+  let module F = Cellsched.Milp_formulation in
+  List.iter
+    (fun (name, g) ->
+      let buff = SS.buffer_sizes ~first_periods:(SS.first_periods g) g in
+      let fold = List.fold_left (fun acc e -> acc +. buff.(e)) 0. in
+      let footprint k = fold (G.out_edges g k) +. fold (G.in_edges g k) in
+      List.iter
+        (fun (form, build, colocation_var) ->
+          List.iter
+            (fun share ->
+              let f = build ~share_colocated_buffers:share platform g in
+              let p = f.F.problem in
+              let rows = Lp.Problem.constraints p in
+              List.iter
+                (fun i ->
+                  let what = Printf.sprintf "%s, %s, share=%b, SPE %d" name form share i in
+                  let row_name = Printf.sprintf "mem_%d" i in
+                  let row =
+                    match
+                      List.find_opt
+                        (fun c -> c.Lp.Problem.cname = row_name)
+                        (Array.to_list rows)
+                    with
+                    | Some c -> c
+                    | None -> Alcotest.failf "%s: no row %s" what row_name
+                  in
+                  let terms = Lp.Expr.to_list row.Lp.Problem.expr in
+                  let coef v = Option.value ~default:0. (List.assoc_opt v terms) in
+                  for k = 0 to G.n_tasks g - 1 do
+                    let got = coef f.F.alpha.(k).(i) and want = footprint k in
+                    if Int64.bits_of_float got <> Int64.bits_of_float want then
+                      Alcotest.failf "%s, task %d: %h, list fold %h" what k got
+                        want
+                  done;
+                  let alphas = Array.map (fun a -> a.(i)) f.F.alpha in
+                  let others =
+                    List.filter (fun (v, _) -> not (Array.mem v alphas)) terms
+                  in
+                  let want =
+                    if share then
+                      List.filter_map
+                        (fun e ->
+                          if buff.(e) = 0. then None
+                          else Some (colocation_var e i, -.buff.(e)))
+                        (List.init (G.n_edges g) Fun.id)
+                    else []
+                  in
+                  let got =
+                    List.map (fun (v, c) -> (Lp.Problem.var_name p v, c)) others
+                  in
+                  let sort = List.sort compare in
+                  if sort got <> sort want then
+                    Alcotest.failf "%s: colocation terms differ (%d, want %d)" what
+                      (List.length got) (List.length want))
+                (P.spes platform))
+            [ false; true ])
+        [
+          ( "full",
+            (fun ~share_colocated_buffers -> F.build_full ~share_colocated_buffers),
+            fun e i -> Printf.sprintf "b_%d_%d_%d" e i i );
+          ( "compact",
+            (fun ~share_colocated_buffers ->
+              F.build_compact ~share_colocated_buffers),
+            fun e i -> Printf.sprintf "z_%d_%d" e i );
+        ])
+    (Daggen.Presets.all_random ()
+    @ [
+        ("two-filter", Daggen.Presets.two_filter_chain ());
+        ("figure-2b", Daggen.Presets.figure_2b ());
+        ("audio-encoder", Daggen.Presets.audio_encoder ());
+      ])
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "eval"
@@ -1699,6 +1875,8 @@ let () =
         [
           qt (replay_matches_scratch ~share:false);
           qt (replay_matches_scratch ~share:true);
+          qt (tight_matches_oracle ~share:false);
+          qt (tight_matches_oracle ~share:true);
         ] );
       ( "probe",
         [
@@ -1757,12 +1935,19 @@ let () =
           qt (assign_exceeds_is_sound ~share:false);
           qt (assign_exceeds_is_sound ~share:true);
         ] );
-      ("options", [ qt set_options_is_fresh ]);
+      ( "options",
+        List.map
+          (fun kind -> qt (set_options_is_fresh kind))
+          [ Single; Dual; Memory_tight; Dma_limited ] );
       ( "bounds",
         [
           Alcotest.test_case "footprints summed in one place" `Quick
             test_footprint_one_sum;
-          qt bounds_are_sound;
+          Alcotest.test_case "MILP memory rows read the footprints" `Quick
+            test_milp_memory_rows;
+          qt (bounds_are_sound Single);
+          qt (bounds_are_sound Memory_tight);
+          qt (bounds_are_sound Dma_limited);
         ] );
       ( "golden",
         [

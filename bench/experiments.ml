@@ -442,10 +442,9 @@ let micro () =
       Test.make ~name:"steady-state analysis (50 tasks)"
         (Staged.stage (fun () ->
              ignore (SS.period platform (SS.loads platform g mapping))));
-      Test.make ~name:"first-periods + buffers"
+      Test.make ~name:"graph re-size (first periods, buffers, footprints)"
         (Staged.stage (fun () ->
-             let fp = SS.first_periods g in
-             ignore (SS.buffer_sizes ~first_periods:fp g)));
+             ignore (G.map_edges (fun _ e -> e.G.data_bytes) g)));
       Test.make ~name:"greedy-mem heuristic"
         (Staged.stage (fun () -> ignore (H.greedy_mem platform g)));
       Test.make ~name:"density-pack heuristic"

@@ -276,7 +276,7 @@ let info_cmd =
     let g = load_graph path in
     Format.printf "%a@." Streaming.Graph.pp g;
     Format.printf "CCR: %.3f@." (Streaming.Ccr.compute g);
-    let fp = Cellsched.Steady_state.first_periods g in
+    let fp = (Streaming.Graph.flat g).Streaming.Graph.first_period in
     Format.printf "pipeline depth: %d periods@." (Array.fold_left max 0 fp);
     0
   in

@@ -12,10 +12,6 @@ type t = {
   n_ppes : int;
   bw : float;  (* per-interface bandwidth, bytes/s each direction *)
   fl : G.flat;  (* the graph's own view: per-task reads and writes *)
-  buffers : float array;  (* per edge: [Steady_state.buffer_sizes] *)
-  footprint : float array;
-      (* per task: one copy of each incident buffer, the SPE local-store
-         bytes of constraint (1i) without colocated-buffer sharing *)
   min_w : float array;
       (* per task: cheapest effective compute cost over its admissible
          PEs (SPE-ineligible tasks only have their PPE cost) *)
@@ -27,33 +23,21 @@ type t = {
 
 let create platform g =
   let nk = G.n_tasks g in
-  let fp = Steady_state.first_periods g in
-  let buffers = Steady_state.buffer_sizes ~first_periods:fp g in
   let budget = float_of_int (P.spe_memory_budget platform) in
   let n_pes = P.n_pes platform in
   let n_ppes = platform.P.n_ppe in
   let bw = platform.P.bw in
   let fl = G.flat g in
-  let footprint = Array.make nk 0. in
   let min_w = Array.make nk 0. in
   let forced_wppe = Array.make nk 0. in
   let per_task = ref 0. in
   for k = 0 to nk - 1 do
     let w_ppe = fl.G.w_ppe.(k) /. platform.P.ppe_speedup in
     let w_spe = fl.G.w_spe.(k) in
-    (* The task's footprint, the one place it is summed: out-edges
-       first, each sum from 0. One copy of each incident buffer must fit
-       the local store for the task to be SPE-eligible at all — true
-       with or without colocated buffer sharing. *)
-    let sum_out = ref 0. and sum_in = ref 0. in
-    for i = fl.G.out_start.(k) to fl.G.out_start.(k + 1) - 1 do
-      sum_out := !sum_out +. buffers.(fl.G.out_ids.(i))
-    done;
-    for i = fl.G.in_start.(k) to fl.G.in_start.(k + 1) - 1 do
-      sum_in := !sum_in +. buffers.(fl.G.in_ids.(i))
-    done;
-    footprint.(k) <- !sum_out +. !sum_in;
-    let eligible = footprint.(k) <= budget +. 1e-9 in
+    (* One copy of each incident buffer must fit the local store for the
+       task to be SPE-eligible at all — true with or without colocated
+       buffer sharing. *)
+    let eligible = fl.G.footprint.(k) <= budget +. 1e-9 in
     min_w.(k) <- (if eligible then Float.min w_ppe w_spe else w_ppe);
     if not eligible then forced_wppe.(k) <- w_ppe;
     (* Whatever PE hosts task k spends at least min_w compute seconds and
@@ -83,7 +67,7 @@ let create platform g =
     List.fold_left Float.max 0.
       [ !per_task; avg_compute; forced_ppe; avg_in; avg_out ]
   in
-  { n_pes; n_ppes; bw; fl; buffers; footprint; min_w; forced_wppe; root }
+  { n_pes; n_ppes; bw; fl; min_w; forced_wppe; root }
 
 let root_bound t = t.root
 

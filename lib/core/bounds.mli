@@ -14,17 +14,15 @@
     - {e interface}: all reads (writes) spread evenly over every input
       (output) interface.
 
-    They are computed once per instance in O(tasks + edges) and shared
+    They are computed once per instance in O(tasks) and shared
     by every substrate: {!Mapping_search} seeds its root bound and
     suffix pre-checks from the arrays, {!Milp_formulation} adds
     [T >= root] as a cut so even the root LP relaxation starts at the
     combinatorial bound, and {!Milp_solver} can prove an incumbent
     within gap {e before any LP solve}.
 
-    The same pass sizes the buffers: the paper's per-edge buffers and
-    each task's local-store footprint are computed here once per
-    instance, and {!Mapping_search}, {!Milp_formulation} and
-    {!Chain_dp} read them from [t] instead of recomputing them. *)
+    A task is SPE-eligible when its local-store footprint, the graph's
+    own [Streaming.Graph.flat] [footprint], fits the SPE budget. *)
 
 type t = {
   n_pes : int;
@@ -34,16 +32,6 @@ type t = {
       (** The graph's own flat view, shared, not copied: its
           [read_bytes] and [write_bytes] are each task's interface bytes
           per period. *)
-  buffers : float array;
-      (** Per edge: the paper's buffer size,
-          {!Steady_state.buffer_sizes} of the mapping-independent
-          {!Steady_state.first_periods}. *)
-  footprint : float array;
-      (** Per task: one copy of each incident buffer — the out-edges'
-          buffers summed from 0, then the in-edges' summed from 0, then
-          the two sums added. This is a task's coefficient in the SPE
-          memory row (1i) without colocated-buffer sharing, and bitwise
-          {!Eval.task_buffer_bytes}. *)
   min_w : float array;
       (** Per task: cheapest effective compute cost over its admissible
           PEs (SPE-ineligible tasks only have their PPE cost). *)
@@ -54,9 +42,9 @@ type t = {
 }
 
 val create : Cell.Platform.t -> Streaming.Graph.t -> t
-(** O(tasks + edges). A task is SPE-eligible when its [footprint] fits
-    the local store, which is valid with or without colocated-buffer
-    sharing. *)
+(** O(tasks). The eligibility test above is valid with or without
+    colocated-buffer sharing: a task needs one copy of each incident
+    buffer either way. *)
 
 val root_bound : t -> float
 (** [root_bound t = t.root]. *)

@@ -92,7 +92,7 @@ let solve platform g =
   | None -> None
   | Some order ->
       let n = Array.length order in
-      let footprint = (Bounds.create platform g).Bounds.footprint in
+      let footprint = (G.flat g).G.footprint in
       let w_ppe =
         Array.map
           (fun k -> (G.task g k).Streaming.Task.w_ppe /. platform.P.ppe_speedup)

@@ -89,7 +89,6 @@ type t = {
   link_out : float array;  (* per Cell; recomputed wholesale when dirty *)
   link_in : float array;
   mutable links_dirty : bool;
-  buff : float array;  (* per-edge buffer bytes, [Steady_state.buffer_sizes] *)
   view : Steady_state.loads;  (* the rows above, shared: [rows] *)
   (* Preallocated scratch for the probe fast path: a probe saves the
      validated float state, mutates, evaluates, reverses the integer
@@ -178,13 +177,13 @@ let recompute_dirty_rows t =
        half-assigned edges — except one copy total when colocated under
        buffer sharing. *)
     if active && sp = dp && t.opts.share_colocated_buffers then begin
-      if t.row_dirty.(sp) then t.memory.(sp) <- t.memory.(sp) +. t.buff.(e)
+      if t.row_dirty.(sp) then t.memory.(sp) <- t.memory.(sp) +. fl.G.buffer.(e)
     end
     else begin
       if sp >= 0 && t.row_dirty.(sp) then
-        t.memory.(sp) <- t.memory.(sp) +. t.buff.(e);
+        t.memory.(sp) <- t.memory.(sp) +. fl.G.buffer.(e);
       if dp >= 0 && t.row_dirty.(dp) then
-        t.memory.(dp) <- t.memory.(dp) +. t.buff.(e)
+        t.memory.(dp) <- t.memory.(dp) +. fl.G.buffer.(e)
     end
   done;
   Array.fill t.row_dirty 0 n false
@@ -329,8 +328,6 @@ let create_empty ?(options = default_options) platform g =
     link_out;
     link_in;
     links_dirty = false;
-    buff =
-      Steady_state.buffer_sizes ~first_periods:(Steady_state.first_periods g) g;
     view =
       {
         Steady_state.compute;
@@ -405,33 +402,22 @@ let create ?options platform g m =
 
 let validate = validate_all
 
-(* Sum, left to right from 0, of [t.buff.(e)] over the edge ids
-   [e = ids.(lo) .. ids.(hi - 1)]; when [pe >= 0], only over the edges
-   whose end [ends.(e)] is on [pe]. Inlined, so that its callers box no
-   float. *)
+(* Sum, left to right from 0, of the buffers of the edge ids
+   [e = ids.(lo) .. ids.(hi - 1)] whose end [ends.(e)] is on [pe].
+   Inlined, so that its callers box no float. *)
 let[@inline] sum_buffers t ids lo hi ends pe =
-  let acc = ref 0. in
+  let buffer = t.fl.G.buffer and acc = ref 0. in
   for i = lo to hi - 1 do
     let e = ids.(i) in
-    acc := !acc +. (if pe < 0 || t.assignment.(ends.(e)) = pe then t.buff.(e) else 0.)
+    acc := !acc +. (if t.assignment.(ends.(e)) = pe then buffer.(e) else 0.)
   done;
   !acc
 
-(* Task [k]'s incident buffers, out-edges first. *)
-let[@inline] incident_buffers t k =
-  let fl = t.fl in
-  sum_buffers t fl.G.out_ids fl.G.out_start.(k) fl.G.out_start.(k + 1)
-    fl.G.edge_dst (-1)
-  +. sum_buffers t fl.G.in_ids fl.G.in_start.(k) fl.G.in_start.(k + 1)
-       fl.G.edge_src (-1)
-
-let task_buffer_bytes = incident_buffers
-
-(* The memory [pe] gains when [task] is assigned there: its incident
-   buffers, minus one copy of each buffer shared with a neighbour on
-   [pe] under [share_colocated_buffers]. *)
+(* The memory [pe] gains when [task] is assigned there: its footprint,
+   minus one copy of each buffer shared with a neighbour on [pe] under
+   [share_colocated_buffers]. *)
 let[@inline] memory_delta t task pe =
-  let base = incident_buffers t task in
+  let base = t.fl.G.footprint.(task) in
   if not t.opts.share_colocated_buffers then base
   else begin
     let fl = t.fl in
@@ -785,7 +771,7 @@ let screen_link d a s c sign data =
    [detach]/[attach] (DMA counters, links). *)
 let screen_edge t e sp dp sp' dp' =
   let s = t.screen in
-  let data = t.fl.G.edge_data.(e) and buff = t.buff.(e) in
+  let data = t.fl.G.edge_data.(e) and buff = t.fl.G.buffer.(e) in
   let r = remote sp dp and r' = remote sp' dp' in
   (* Interface bytes and the DMA counters, both charged to remote edges. *)
   if r <> r' || (r && sp <> sp') then begin
@@ -943,23 +929,23 @@ let prescreen_gain t k_in k_out pe threshold =
   else begin
     let d = ref 0. and a = ref 0. in
     for i = fl.G.in_start.(k_in) to fl.G.in_start.(k_in + 1) - 1 do
-      let b = t.buff.(fl.G.in_ids.(i)) in
+      let b = fl.G.buffer.(fl.G.in_ids.(i)) in
       d := !d +. b;
       a := !a +. b
     done;
     for i = fl.G.out_start.(k_in) to fl.G.out_start.(k_in + 1) - 1 do
-      let b = t.buff.(fl.G.out_ids.(i)) in
+      let b = fl.G.buffer.(fl.G.out_ids.(i)) in
       d := !d +. b;
       a := !a +. b
     done;
     if k_out >= 0 then begin
       for i = fl.G.in_start.(k_out) to fl.G.in_start.(k_out + 1) - 1 do
-        let b = t.buff.(fl.G.in_ids.(i)) in
+        let b = fl.G.buffer.(fl.G.in_ids.(i)) in
         d := !d -. b;
         a := !a +. b
       done;
       for i = fl.G.out_start.(k_out) to fl.G.out_start.(k_out + 1) - 1 do
-        let b = t.buff.(fl.G.out_ids.(i)) in
+        let b = fl.G.buffer.(fl.G.out_ids.(i)) in
         d := !d -. b;
         a := !a +. b
       done

@@ -42,11 +42,10 @@
     with [Steady_state]. This is what lets branch-and-bound nodes extend
     an engine instead of rebuilding partial loads.
 
-    {b Buffers.} Per-edge buffer sizes are the paper's, computed once at
-    creation by {!Steady_state.buffer_sizes} from the mapping-independent
-    {!Steady_state.first_periods} (§3.1): they never depend on the
-    assignment, so a mutation changes a memory row only through the
-    tasks it moves. *)
+    {b Buffers.} Per-edge buffer sizes and per-task footprints are the
+    paper's, sized once per graph in {!Streaming.Graph.flat} (§3.1) and
+    read from there: they never depend on the assignment, so a mutation
+    changes a memory row only through the tasks it moves. *)
 
 (** {1 Options} *)
 
@@ -144,14 +143,10 @@ val validate : t -> unit
 (** Bring the float rows of {!rows} up to date: the lazy revalidation
     every accessor runs first. *)
 
-val task_buffer_bytes : t -> int -> float
-(** Sum of the buffer sizes of a task's incident edges — its local-store
-    footprint before any colocation saving. *)
-
 val assign_memory_fits : t -> task:int -> pe:int -> slack:float -> bool
 (** Whether [pe]'s memory row plus what assigning the (unassigned) task
     there would add stays within the SPE memory budget plus [slack]
-    ([<= budget +. slack]): the task's incident buffers, minus
+    ([<= budget +. slack]): the task's graph footprint, minus
     one copy of every buffer shared with a neighbour already on [pe]
     when [share_colocated_buffers]. Validates the rows; allocates
     nothing.

@@ -182,7 +182,7 @@ let density_pack platform g =
   let nk = G.n_tasks g in
   let density = Array.create_float nk in
   for k = 0 to nk - 1 do
-    let mem = Eval.task_buffer_bytes ev k in
+    let mem = fl.G.footprint.(k) in
     density.(k) <-
       (if mem <= 0. then infinity
        else fl.G.w_ppe.(k) /. platform.P.ppe_speedup /. mem)

@@ -102,7 +102,7 @@ let make_inv ~share platform g =
   let w_spe = fl.G.w_spe in
   let by_ratio = by_ratio_desc w_spe w_ppe in
   let bnd = Bounds.create platform g in
-  let footprint = bnd.Bounds.footprint in
+  let footprint = fl.G.footprint in
   (* Per-task memory footprint used by the divisible relaxation. Under the
      sharing model a single buffer per edge suffices when both endpoints
      share an SPE, so half the incident mass is a valid lower bound. *)
@@ -646,8 +646,9 @@ let solve ?(span = Obs.Span.null) ?(options = default_options)
           invalid_arg "Mapping_search.solve: incumbent is infeasible";
         (m, period)
     | None ->
-        (* Portfolio seed: every standard candidate plus the seeded
-           restarts, each polished by local search. Every point of
+        (* Portfolio seed: ppe-only, greedy-mem, greedy-cpu and six
+           seeded random-feasible restarts (the portfolio's defaults),
+           each polished by local search. Every point of
            period the seed recovers shrinks [det_thr] and with it the
            whole tree — on the paper's 50-task instances the difference
            is between closing at the root and millions of open nodes.

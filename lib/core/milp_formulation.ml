@@ -140,7 +140,7 @@ let build_full ?(share_colocated_buffers = false) platform g =
   done;
   (* (1i) SPE local stores. With buffer sharing, a colocated edge
      (beta_{i,i} = 1) saves one copy. *)
-  let buff = bnd.Bounds.buffers and task_bytes = bnd.Bounds.footprint in
+  let { G.buffer = buff; footprint = task_bytes; _ } = G.flat g in
   let budget = float_of_int (P.spe_memory_budget platform) in
   List.iter
     (fun i ->
@@ -271,7 +271,7 @@ let build_compact ?(share_colocated_buffers = false) platform g =
   (* Memory (1i); optional sharing via colocation indicators z <= alpha_k,
      z <= alpha_l entering the row with a negative coefficient. [zvars],
      [gvars] and [cross_vars] hold -1 where no variable was made. *)
-  let buff = bnd.Bounds.buffers and task_bytes = bnd.Bounds.footprint in
+  let { G.buffer = buff; footprint = task_bytes; _ } = G.flat g in
   let zvars = Array.make_matrix ne n (-1) in
   let gvars = Array.make_matrix ne n (-1) in
   let budget = float_of_int (P.spe_memory_budget platform) in

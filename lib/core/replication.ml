@@ -77,8 +77,7 @@ let loads platform g t =
   let dma_to_ppe = Array.make n 0 in
   let link_out = Array.make platform.P.n_cells 0. in
   let link_in = Array.make platform.P.n_cells 0. in
-  let fp = Steady_state.first_periods g in
-  let buff = Steady_state.buffer_sizes ~first_periods:fp g in
+  let buff = (G.flat g).G.buffer in
   for k = 0 to G.n_tasks g - 1 do
     let task = G.task g k in
     let r = float_of_int (Array.length t.reps.(k)) in

@@ -8,30 +8,33 @@ type t = {
   platform : P.t;
   g : G.t;
   mapping : Mapping.t;
-  fp : int array;
   period_seconds : float;
 }
 
 let build platform g mapping =
-  let fp = Steady_state.first_periods g in
   let period_seconds =
     Steady_state.period platform (Steady_state.loads platform g mapping)
   in
-  { platform; g; mapping; fp; period_seconds }
+  { platform; g; mapping; period_seconds }
+
+(* firstPeriod of every task: the graph's own array. *)
+let fp t = (G.flat t.g).G.first_period
 
 let throughput t = if t.period_seconds > 0. then 1. /. t.period_seconds else infinity
-let first_period t k = t.fp.(k)
-let warmup_periods t = Array.fold_left max 0 t.fp
+let first_period t k = (fp t).(k)
+let warmup_periods t = Array.fold_left max 0 (fp t)
 
 let activities t p =
   if p < 0 then invalid_arg "Schedule.activities: negative period";
+  let fp = fp t in
   List.filter_map
     (fun k ->
-      if t.fp.(k) <= p then Some { task = k; instance = p - t.fp.(k) } else None)
+      if fp.(k) <= p then Some { task = k; instance = p - fp.(k) } else None)
     (List.init (G.n_tasks t.g) Fun.id)
 
 let transfers t p =
   if p < 0 then invalid_arg "Schedule.transfers: negative period";
+  let fp = fp t in
   List.filter_map
     (fun e ->
       let { G.src; dst; _ } = G.edge t.g e in
@@ -39,15 +42,15 @@ let transfers t p =
       let dst_pe = Mapping.pe t.mapping dst in
       (* The result of the instance computed by the source in period p-1 is
          in flight during period p, provided the source was active then. *)
-      let instance = p - 1 - t.fp.(src) in
+      let instance = p - 1 - fp.(src) in
       if src_pe <> dst_pe && instance >= 0 then
         Some { edge = e; src_pe; dst_pe; instance }
       else None)
     (List.init (G.n_edges t.g) Fun.id)
 
 let instance_latency t =
-  let sinks = G.sinks t.g in
-  List.fold_left (fun acc k -> max acc (t.fp.(k) + 1)) 0 sinks
+  let fp = fp t in
+  List.fold_left (fun acc k -> max acc (fp.(k) + 1)) 0 (G.sinks t.g)
 
 let pp_period t g platform p ppf () =
   Format.fprintf ppf "@[<v>period %d (T = %.6fs):@," p t.period_seconds;

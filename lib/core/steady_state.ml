@@ -1,44 +1,6 @@
 module G = Streaming.Graph
 module P = Cell.Platform
 
-(* Both walk the graph's flat view: one int array and one float array
-   are all they allocate, so an {!Eval} engine can afford them per
-   creation. *)
-let first_periods ?mapping g =
-  let fl = G.flat g in
-  let fp = Array.make (G.n_tasks g) 0 in
-  for i = 0 to Array.length fl.G.topo - 1 do
-    let k = fl.G.topo.(i) in
-    let peek = fl.G.peek.(k) in
-    let acc = ref 0 in
-    for j = fl.G.in_start.(k) to fl.G.in_start.(k + 1) - 1 do
-      let e = fl.G.in_ids.(j) in
-      let src = fl.G.edge_src.(e) in
-      (* One period for the predecessor's computation, plus one for the
-         communication unless the edge stays on the same PE. *)
-      let comm =
-        match mapping with
-        | Some m when Mapping.pe m src = Mapping.pe m k -> 0
-        | _ -> 1
-      in
-      acc := max !acc (fp.(src) + 1 + comm + peek)
-    done;
-    fp.(k) <- !acc
-  done;
-  fp
-
-let buffer_sizes ~first_periods g =
-  let fl = G.flat g in
-  let m = Array.length fl.G.edge_src in
-  let buff = Array.create_float m in
-  for e = 0 to m - 1 do
-    buff.(e) <-
-      fl.G.edge_data.(e)
-      *. float_of_int
-           (first_periods.(fl.G.edge_dst.(e)) - first_periods.(fl.G.edge_src.(e)))
-  done;
-  buff
-
 type loads = {
   compute : float array;
   bytes_in : float array;
@@ -70,10 +32,17 @@ let loads ?(share_colocated_buffers = false) ?(tight_pipeline = false) platform
     bytes_in.(pe) <- bytes_in.(pe) +. task.Streaming.Task.read_bytes;
     bytes_out.(pe) <- bytes_out.(pe) +. task.Streaming.Task.write_bytes
   done;
-  let fp =
-    if tight_pipeline then first_periods ~mapping g else first_periods g
+  let buff =
+    if not tight_pipeline then (G.flat g).G.buffer
+    else begin
+      (* An edge whose ends share a PE skips its communication period. *)
+      let fl = G.flat g in
+      let colocated e =
+        Mapping.pe mapping fl.G.edge_src.(e) = Mapping.pe mapping fl.G.edge_dst.(e)
+      in
+      G.buffer_sizes g ~first_period:(G.first_periods ~colocated g)
+    end
   in
-  let buff = buffer_sizes ~first_periods:fp g in
   for e = 0 to G.n_edges g - 1 do
     let edge = G.edge g e in
     let src_pe = Mapping.pe mapping edge.G.src in

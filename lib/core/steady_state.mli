@@ -7,22 +7,11 @@
     The throughput is [1/T] where [T] is the maximal occupation time of any
     resource — PE compute time, or bytes through an interface divided by
     its bandwidth. Feasibility adds the SPE local-store capacity and the
-    DMA-queue limits. *)
+    DMA-queue limits.
 
-(** {1 Pipeline depth and buffers} *)
-
-val first_periods : ?mapping:Mapping.t -> Streaming.Graph.t -> int array
-(** [firstPeriod T_k]: index of the period processing the first instance of
-    each task. Paper formula: [0] for sources, otherwise
-    [max over predecessors + peek_k + 2] (one period to compute the
-    predecessor, one to communicate, [peek_k] to accumulate look-ahead).
-    With [~mapping], the communication period is skipped for edges whose
-    endpoints share a PE — the optimization the paper leaves as future
-    work (§4.2); without it the result is mapping-independent. *)
-
-val buffer_sizes : first_periods:int array -> Streaming.Graph.t -> float array
-(** Per-edge buffer footprint:
-    [buff_{k,l} = data_{k,l} * (firstPeriod(T_l) - firstPeriod(T_k))]. *)
+    The pipeline depth and buffer sizes (firstPeriod and [buff], §3.1)
+    depend on the graph alone: they are sized once per graph, in
+    {!Streaming.Graph.flat}. *)
 
 (** {1 Resource loads} *)
 
@@ -48,12 +37,16 @@ val loads :
   Mapping.t ->
   loads
 (** Resource usage of the induced periodic schedule.
+    The buffers are the graph's own, [Streaming.Graph.flat]'s [buffer]
+    (paper §3.1): each edge holds one copy on the producer's PE and one
+    on the consumer's.
     [share_colocated_buffers] (default [false], as in the paper) counts a
     single buffer instead of separate in/out copies when both endpoints of
     an edge live on the same SPE — the §7 memory optimization.
-    [tight_pipeline] (default [false]) computes buffer sizes from the
-    mapping-aware {!first_periods}, skipping the communication period of
-    colocated edges — the §4.2 future-work optimization. *)
+    [tight_pipeline] (default [false]) sizes the buffers instead from
+    {!Streaming.Graph.first_periods} under the mapping, skipping the
+    communication period of colocated edges — the §4.2 future-work
+    optimization. *)
 
 val period : Cell.Platform.t -> loads -> float
 (** Smallest feasible period [T]: the maximum resource occupation time

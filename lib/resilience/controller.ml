@@ -136,7 +136,8 @@ let remap options platform g =
    state plus the stream buffers adjacent to every task that changes PE
    (an edge is counted once per moved endpoint: each endpoint holds its
    own copy of the double buffer). *)
-let migration options g buffers cur_mapping survivors old_to_new new_mapping =
+let migration options g cur_mapping survivors old_to_new new_mapping =
+  let buffers = (G.flat g).G.buffer in
   let moved = ref 0 and bytes = ref 0. in
   for k = 0 to G.n_tasks g - 1 do
     let old_pe = Cellsched.Mapping.pe cur_mapping k in
@@ -196,7 +197,6 @@ let run ?(options = default_options) ?trace ~faults platform g mapping
     invalid_arg "Controller.run: instances must be positive";
   validate_options options;
   Fault.validate platform faults;
-  let buffers = SS.buffer_sizes ~first_periods:(SS.first_periods g) g in
   let baseline_period = period_of platform g mapping in
   let times = Array.make instances nan in
   let copy_spans offset pe_map local =
@@ -269,7 +269,7 @@ let run ?(options = default_options) ?trace ~faults platform g mapping
             Array.iteri (fun ni oi -> old_to_new.(oi) <- ni) pe_map_local;
             let strategy, m', remap_cost = remap options p' g in
             let migrated_tasks, mig_bytes =
-              migration options g buffers cur_mapping survivors old_to_new m'
+              migration options g cur_mapping survivors old_to_new m'
             in
             let migration_cost =
               (mig_bytes /. platform.P.bw) +. options.restart_overhead

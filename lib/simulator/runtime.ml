@@ -73,7 +73,7 @@ type sim = {
 }
 
 let make_sim ~options ~trace ~faults platform g mapping n_instances =
-  let fp = Cellsched.Steady_state.first_periods g in
+  let fp = (G.flat g).G.first_period in
   let cap =
     Array.init (G.n_edges g) (fun e ->
         let { G.src; dst; _ } = G.edge g e in

@@ -14,6 +14,9 @@ type flat = {
   out_start : int array;
   out_ids : int array;
   topo : int array;
+  first_period : int array;
+  buffer : float array;
+  footprint : float array;
 }
 
 type t = {
@@ -126,27 +129,85 @@ let topo_sort ~in_start ~out_start ~out_ids ~edge_dst =
   if !filled <> n then invalid_arg "Graph.build: the graph contains a cycle";
   order
 
+(* The paper's buffer model (§3.1; see [flat] in the interface), the one
+   implementation of it. An in-edge [e] costs no communication period
+   when [colocated e]. *)
+let fill_first_periods fl ~colocated fp =
+  for i = 0 to Array.length fl.topo - 1 do
+    let k = fl.topo.(i) in
+    let peek = fl.peek.(k) in
+    let acc = ref 0 in
+    for j = fl.in_start.(k) to fl.in_start.(k + 1) - 1 do
+      let e = fl.in_ids.(j) in
+      let src = fl.edge_src.(e) in
+      let comm = if colocated e then 0 else 1 in
+      acc := max !acc (fp.(src) + 1 + comm + peek)
+    done;
+    fp.(k) <- !acc
+  done
+
+let fill_buffers fl fp buff =
+  for e = 0 to Array.length fl.edge_src - 1 do
+    buff.(e) <-
+      fl.edge_data.(e) *. float_of_int (fp.(fl.edge_dst.(e)) - fp.(fl.edge_src.(e)))
+  done
+
+let fill_footprints fl =
+  for k = 0 to Array.length fl.footprint - 1 do
+    let sum_out = ref 0. and sum_in = ref 0. in
+    for i = fl.out_start.(k) to fl.out_start.(k + 1) - 1 do
+      sum_out := !sum_out +. fl.buffer.(fl.out_ids.(i))
+    done;
+    for i = fl.in_start.(k) to fl.in_start.(k + 1) - 1 do
+      sum_in := !sum_in +. fl.buffer.(fl.in_ids.(i))
+    done;
+    fl.footprint.(k) <- !sum_out +. !sum_in
+  done
+
+(* Fills [fl]'s three sizing arrays from its other fields. *)
+let size fl =
+  fill_first_periods fl ~colocated:(fun _ -> false) fl.first_period;
+  fill_buffers fl fl.first_period fl.buffer;
+  fill_footprints fl;
+  fl
+
+(* [fl] with fresh sizing arrays, filled: a peek change moves the first
+   periods, an edge-volume change the buffers. *)
+let resize fl =
+  let n = Array.length fl.peek and m = Array.length fl.edge_src in
+  size
+    {
+      fl with
+      first_period = Array.make n 0;
+      buffer = Array.create_float m;
+      footprint = Array.create_float n;
+    }
+
 let make_flat tasks (edges : edge array) =
-  let n = Array.length tasks in
+  let n = Array.length tasks and m = Array.length edges in
   let w_ppe, w_spe, read_bytes, write_bytes, peek = task_arrays tasks in
   let edge_src = Array.map (fun e -> e.src) edges in
   let edge_dst = Array.map (fun e -> e.dst) edges in
   let in_start, in_ids = csr n edge_dst and out_start, out_ids = csr n edge_src in
-  {
-    edge_src;
-    edge_dst;
-    edge_data = edge_data edges;
-    w_ppe;
-    w_spe;
-    read_bytes;
-    write_bytes;
-    peek;
-    in_start;
-    in_ids;
-    out_start;
-    out_ids;
-    topo = topo_sort ~in_start ~out_start ~out_ids ~edge_dst;
-  }
+  size
+    {
+      edge_src;
+      edge_dst;
+      edge_data = edge_data edges;
+      w_ppe;
+      w_spe;
+      read_bytes;
+      write_bytes;
+      peek;
+      in_start;
+      in_ids;
+      out_start;
+      out_ids;
+      topo = topo_sort ~in_start ~out_start ~out_ids ~edge_dst;
+      first_period = Array.make n 0;
+      buffer = Array.create_float m;
+      footprint = Array.create_float n;
+    }
 
 let build b =
   let tasks = Array.of_list (List.rev b.btasks) in
@@ -236,13 +297,23 @@ let total_memory_bytes g =
 let map_tasks f g =
   let tasks = Array.mapi f g.tasks in
   let w_ppe, w_spe, read_bytes, write_bytes, peek = task_arrays tasks in
-  { g with tasks; flat = { g.flat with w_ppe; w_spe; read_bytes; write_bytes; peek } }
+  { g with tasks; flat = resize { g.flat with w_ppe; w_spe; read_bytes; write_bytes; peek } }
 
 let map_edges f g =
   let edges =
     Array.mapi (fun e edge -> { edge with data_bytes = f e edge }) g.edges
   in
-  { g with edges; flat = { g.flat with edge_data = edge_data edges } }
+  { g with edges; flat = resize { g.flat with edge_data = edge_data edges } }
+
+let first_periods ~colocated g =
+  let fp = Array.make (n_tasks g) 0 in
+  fill_first_periods g.flat ~colocated fp;
+  fp
+
+let buffer_sizes g ~first_period =
+  let buff = Array.create_float (n_edges g) in
+  fill_buffers g.flat first_period buff;
+  buff
 
 let pp ppf g =
   Format.fprintf ppf "@[<v>graph: %d tasks, %d edges, depth %d@," (n_tasks g)

@@ -52,7 +52,18 @@ val edge : t -> int -> edge
     every reader, for hot loops that would otherwise pay a call per
     element or walk a list ([Cellsched.Eval]'s sweeps and probe screen,
     the placement walks and the branch-and-bound nodes). The arrays
-    are the graph's own: treat them as read-only. *)
+    are the graph's own: treat them as read-only.
+
+    The view also holds the paper's buffer model (§3.1), which depends
+    on the graph alone and is sized here, once per graph, for every
+    reader: [firstPeriod(T_k)], the period that processes the first
+    instance of [T_k], is [0] for a source and otherwise the maximum
+    over its in-edges of [firstPeriod(T_j) + 2 + peek_k] (one period for
+    the producer's computation, one for the communication, [peek_k] to
+    accumulate look-ahead); the buffer of edge [D_{k,l}] is
+    [data_{k,l} * (firstPeriod(T_l) - firstPeriod(T_k))]; and a task's
+    footprint, one copy of each incident buffer, is its coefficient in
+    the SPE local-store constraint (1i). *)
 
 type flat = {
   edge_src : int array;  (** Per edge id: producer task. *)
@@ -71,6 +82,14 @@ type flat = {
   out_start : int array;  (** Same over {!out_edges}. *)
   out_ids : int array;
   topo : int array;  (** {!topological_order}, shared. *)
+  first_period : int array;  (** Per task id: [firstPeriod(T_k)]. *)
+  buffer : float array;
+      (** Per edge id: the paper's buffer size, from [first_period]. *)
+  footprint : float array;
+      (** Per task id: its out-edges' [buffer]s summed from 0, then its
+          in-edges' summed from 0, then the two sums added — the SPE
+          local-store bytes the task needs without colocated-buffer
+          sharing. *)
 }
 
 val flat : t -> flat
@@ -114,10 +133,27 @@ val total_memory_bytes : t -> float
 (** Sum of per-instance main-memory reads and writes. *)
 
 val map_tasks : (int -> Task.t -> Task.t) -> t -> t
-(** Rebuild the graph with transformed tasks (same edges). *)
+(** Rebuild the graph with transformed tasks (same edges); the flat
+    view, its buffer model included, is that of a fresh build. *)
 
 val map_edges : (int -> edge -> float) -> t -> t
-(** Rebuild the graph with rescaled edge volumes. *)
+(** Rebuild the graph with rescaled edge volumes; the flat view is that
+    of a fresh build. *)
+
+(** {1 The buffer model under a mapping}
+
+    The paper leaves one optimization as future work (§4.2): an edge
+    whose ends share a PE needs no communication period. Both functions
+    run the same code as the flat view's sizing. *)
+
+val first_periods : colocated:(int -> bool) -> t -> int array
+(** [first_period] with the communication period skipped on every edge
+    [e] with [colocated e]. With [colocated] always false it is
+    [(flat g).first_period]. *)
+
+val buffer_sizes : t -> first_period:int array -> float array
+(** Per-edge buffers from the given first periods; from
+    [(flat g).first_period] they are [(flat g).buffer]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line summary. *)

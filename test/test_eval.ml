@@ -142,20 +142,20 @@ let replay_matches_scratch ~share =
     QCheck.(pair (int_bound 100_000) (int_range 5 20))
     (replay_case ~share)
 
-(* --- the tight pipeline ----------------------------------------------------
+(* --- the buffer model ------------------------------------------------------
 
-   [Steady_state.loads ~tight_pipeline:true] is the one home of the
-   mapping-aware buffer model (paper §4.2, the A1 ablation): an edge
-   whose ends share a PE skips its communication period. The oracle
-   takes the first periods from their recursive definition over the
-   edge lists, sizes the buffers from them and sums the memory rows
-   edge by edge. Every other row is the paper model's; the tight first
-   periods are at most the paper's, and equal them when no edge stays
-   on one PE. A quarter of the mappings put every task on one PE, so
-   that every edge skips its period. *)
+   The oracle takes the first periods from their recursive definition
+   over the edge lists: one period for the producer, one for the
+   communication unless [mapping] puts both ends of the edge on one PE
+   (the §4.2 tight pipeline), [peek] for the look-ahead. Each buffer is
+   the data times the first-period gap. *)
 
-let tight_first_periods g m =
-  let pe = Cellsched.Mapping.pe m in
+let oracle_first_periods ?mapping g =
+  let same_pe src k =
+    match mapping with
+    | Some m -> Cellsched.Mapping.pe m src = Cellsched.Mapping.pe m k
+    | None -> false
+  in
   let memo = Array.make (G.n_tasks g) (-1) in
   let rec fp k =
     if memo.(k) < 0 then
@@ -163,12 +163,67 @@ let tight_first_periods g m =
         List.fold_left
           (fun acc e ->
             let src = (G.edge g e).G.src in
-            let comm = if pe src = pe k then 0 else 1 in
+            let comm = if same_pe src k then 0 else 1 in
             max acc (fp src + 1 + comm + (G.task g k).Streaming.Task.peek))
           0 (G.in_edges g k);
     memo.(k)
   in
   Array.init (G.n_tasks g) fp
+
+let oracle_buffers g fp =
+  Array.init (G.n_edges g) (fun e ->
+      let { G.src; dst; data_bytes } = G.edge g e in
+      data_bytes *. float_of_int (fp.(dst) - fp.(src)))
+
+(* A random mapping; a quarter of them put every task on one PE, so
+   that every edge skips its communication period. *)
+let tight_mapping rng platform g =
+  if Support.Rng.int rng 4 = 0 then
+    let pe = Support.Rng.int rng (P.n_pes platform) in
+    Cellsched.Mapping.make platform g (Array.make (G.n_tasks g) pe)
+  else random_mapping rng platform g
+
+let colocated_under m g e =
+  let pe = Cellsched.Mapping.pe m in
+  pe (G.edge g e).G.src = pe (G.edge g e).G.dst
+
+(* The graph's buffer model is the oracle's, bitwise: first periods,
+   buffers and footprints (the list fold of the out-edges' buffers plus
+   that of the in-edges'); so is the mapping-aware variant under a
+   random mapping. *)
+let check_buffer_model rng what g =
+  let fl = G.flat g in
+  let fp = oracle_first_periods g in
+  if fl.G.first_period <> fp then Alcotest.failf "%s: first periods differ" what;
+  let buff = oracle_buffers g fp in
+  bits_eq_arrays (what ^ " buffers") fl.G.buffer buff;
+  let fold = List.fold_left (fun acc e -> acc +. buff.(e)) 0. in
+  bits_eq_arrays (what ^ " footprints") fl.G.footprint
+    (Array.init (G.n_tasks g) (fun k -> fold (G.out_edges g k) +. fold (G.in_edges g k)));
+  let m = tight_mapping rng (random_platform rng) g in
+  let tight = oracle_first_periods ~mapping:m g in
+  let got = G.first_periods ~colocated:(colocated_under m g) g in
+  if got <> tight then Alcotest.failf "%s: mapping-aware first periods differ" what;
+  bits_eq_arrays (what ^ " mapping-aware buffers")
+    (G.buffer_sizes g ~first_period:got) (oracle_buffers g tight)
+
+(* DagGen's default costs draw peeks of 0, 1 and 2. *)
+let buffer_model_random =
+  QCheck.Test.make ~count:200 ~name:"buffer model = list oracle (random DAGs)"
+    QCheck.(pair (int_bound 100_000) (int_range 1 40))
+    (fun (seed, n) ->
+      let rng = Support.Rng.create (seed + 24_000_000) in
+      check_buffer_model rng "random DAG" (random_graph rng n);
+      true)
+
+(* --- the tight pipeline ----------------------------------------------------
+
+   [Steady_state.loads ~tight_pipeline:true] is the one home of the
+   mapping-aware buffer model (paper §4.2, the A1 ablation): an edge
+   whose ends share a PE skips its communication period. Its memory
+   rows must be the sums, edge by edge, of the oracle's buffers. Every
+   other row is the paper model's; the tight first periods are at most
+   the paper's, and equal them when no edge stays on one PE. *)
 
 let tight_case ~share (seed, n) =
   let n = max 5 n and seed = abs seed in
@@ -176,15 +231,10 @@ let tight_case ~share (seed, n) =
   let rng = Support.Rng.create (seed + salt + 23_000_000) in
   let platform = random_platform rng in
   let g = random_graph rng n in
-  let m =
-    if Support.Rng.int rng 4 = 0 then
-      let pe = Support.Rng.int rng (P.n_pes platform) in
-      Cellsched.Mapping.make platform g (Array.make (G.n_tasks g) pe)
-    else random_mapping rng platform g
-  in
+  let m = tight_mapping rng platform g in
   let pe = Cellsched.Mapping.pe m in
-  let fp = tight_first_periods g m and paper = SS.first_periods g in
-  if SS.first_periods ~mapping:m g <> fp then
+  let fp = oracle_first_periods ~mapping:m g and paper = (G.flat g).G.first_period in
+  if G.first_periods ~colocated:(colocated_under m g) g <> fp then
     QCheck.Test.fail_reportf "mapping-aware first periods differ";
   Array.iteri
     (fun k p ->
@@ -193,16 +243,15 @@ let tight_case ~share (seed, n) =
           p paper.(k))
     fp;
   let colocated =
-    List.exists
-      (fun e -> pe (G.edge g e).G.src = pe (G.edge g e).G.dst)
-      (List.init (G.n_edges g) Fun.id)
+    List.exists (colocated_under m g) (List.init (G.n_edges g) Fun.id)
   in
   if (not colocated) && fp <> paper then
     QCheck.Test.fail_reportf "no colocated edge, first periods differ";
+  let buff = oracle_buffers g fp in
   let memory = Array.make (P.n_pes platform) 0. in
   for e = 0 to G.n_edges g - 1 do
-    let { G.src; dst; data_bytes } = G.edge g e in
-    let b = data_bytes *. float_of_int (fp.(dst) - fp.(src)) in
+    let { G.src; dst; _ } = G.edge g e in
+    let b = buff.(e) in
     memory.(pe src) <- memory.(pe src) +. b;
     if not (share && pe src = pe dst) then
       memory.(pe dst) <- memory.(pe dst) +. b
@@ -296,10 +345,7 @@ let screen_platform ?(n_spe = 4) rng kind g =
   | Dual -> P.make ~n_ppe:2 ~n_spe:6 ~n_cells:2 ~bw ~inter_cell_bw ()
   | Memory_tight ->
       (* Room for a sixth to a half of the graph's buffers per SPE. *)
-      let buff =
-        SS.buffer_sizes ~first_periods:(SS.first_periods g) g
-        |> Array.fold_left ( +. ) 0.
-      in
+      let buff = Array.fold_left ( +. ) 0. (G.flat g).G.buffer in
       let share = (1. /. 6.) +. Support.Rng.float rng (1. /. 3.) in
       P.make ~n_ppe:1 ~n_spe ~bw ~code_size:0
         ~local_store:(max 1 (int_of_float (buff *. share)))
@@ -957,10 +1003,7 @@ let ls_platform rng kind g =
         ~inter_cell_bw:(1e6 +. Support.Rng.float rng 1e7)
         ()
   | Memory_tight_ls ->
-      let buff =
-        SS.buffer_sizes ~first_periods:(SS.first_periods g) g
-        |> Array.fold_left ( +. ) 0.
-      in
+      let buff = Array.fold_left ( +. ) 0. (G.flat g).G.buffer in
       let share = (1. /. 6.) +. Support.Rng.float rng (1. /. 3.) in
       P.make ~n_ppe:1 ~n_spe:4 ~code_size:0
         ~local_store:(max 1 (int_of_float (buff *. share)))
@@ -1098,24 +1141,20 @@ let test_refresh_hot_allocates_nothing () =
         0. (allocated refresh))
     platforms
 
-(* Engines share their graph's flat arrays: what [create_empty] allocates
-   beyond the per-task assignment and the per-edge buffer table (and the
-   first periods it is computed from) does not grow with the graph. On
-   QS22 with 8 SPEs the residual is bounded by 306 words (the engine
-   before the flat view, OCaml 5.1, measured with this function), plus
-   21 for the engine's row view (a 9-word record), counts and
-   exact-probe answer (fields and a 2-word float array), plus O(PEs) for
-   the per-PE SPE flags and Cell indices. *)
+(* Engines share their graph's flat arrays, buffers and footprints
+   included: what [create_empty] allocates beyond the per-task
+   assignment does not grow with the graph. On QS22 with 8 SPEs the
+   residual is bounded by 306 words (the engine before the flat view,
+   OCaml 5.1, measured with this function), plus 21 for the engine's row
+   view (a 9-word record), counts and exact-probe answer (fields and a
+   2-word float array), plus O(PEs) for the per-PE SPE flags and Cell
+   indices. *)
 let test_create_empty_words () =
   let platform = P.qs22 ~n_spe:8 () in
   let residual n =
     let g = random_graph (Support.Rng.create (80 + n)) n in
-    let buffers =
-      allocated (fun () ->
-          ignore (SS.buffer_sizes ~first_periods:(SS.first_periods g) g))
-    in
     let engine = allocated (fun () -> ignore (E.create_empty platform g)) in
-    engine -. buffers -. float_of_int (G.n_tasks g + 1)
+    engine -. float_of_int (G.n_tasks g + 1)
   in
   let small = residual 8 and large = residual 60 in
   Alcotest.(check (float 0.)) "residual independent of the graph" small large;
@@ -1131,6 +1170,8 @@ let test_create_empty_words () =
    now read the flat arrays and the engine's rows, and must place every
    task on the same PE with the same [rng] draws. *)
 module Walk_oracle = struct
+  let footprint ev k = (G.flat (E.graph ev)).G.footprint.(k)
+
   let memory_on ev pe =
     E.validate ev;
     (E.rows ev).SS.memory.(pe)
@@ -1163,7 +1204,7 @@ module Walk_oracle = struct
     let platform = E.platform ev in
     if P.is_spe platform pe then begin
       let budget = float_of_int (P.spe_memory_budget platform) in
-      memory_on ev pe +. E.task_buffer_bytes ev k <= budget
+      memory_on ev pe +. footprint ev k <= budget
       && (E.rows ev).SS.dma_in.(pe) + remote_in_edges ev k pe
          <= platform.P.max_dma_in
     end
@@ -1250,7 +1291,7 @@ module Walk_oracle = struct
     let nk = G.n_tasks g in
     let w_ppe k = (G.task g k).Streaming.Task.w_ppe /. platform.P.ppe_speedup in
     let density k =
-      let mem = E.task_buffer_bytes ev k in
+      let mem = footprint ev k in
       if mem <= 0. then infinity else w_ppe k /. mem
     in
     let by_density = Array.init nk Fun.id in
@@ -1260,7 +1301,7 @@ module Walk_oracle = struct
       let best = ref (-1) in
       List.iter
         (fun pe ->
-          if memory_on ev pe +. E.task_buffer_bytes ev k <= budget then
+          if memory_on ev pe +. footprint ev k <= budget then
             match !best with
             | -1 -> best := pe
             | b -> if compute_on ev pe < compute_on ev b then best := pe)
@@ -1300,10 +1341,7 @@ let walk_platform rng g kind =
   | 1 -> P.make ~n_ppe:2 ~n_spe:6 ~n_cells:2 ~ppe_speedup:1.5 ()
   | 2 -> P.qs22 ~n_spe:8 ()
   | 3 ->
-      let buff =
-        SS.buffer_sizes ~first_periods:(SS.first_periods g) g
-        |> Array.fold_left ( +. ) 0.
-      in
+      let buff = Array.fold_left ( +. ) 0. (G.flat g).G.buffer in
       let share = (1. /. 6.) +. Support.Rng.float rng (1. /. 3.) in
       P.make ~n_ppe:1 ~n_spe:4 ~code_size:0
         ~local_store:(max 1 (int_of_float (buff *. share)))
@@ -1758,28 +1796,50 @@ let bounds_are_sound kind =
           p.Cellsched.Portfolio.lower_bound p.Cellsched.Portfolio.period;
       true)
 
-(* Every footprint site reads [Bounds.footprint], summed in one place;
-   it must be bitwise what [Eval] and the list folds the sites used to
-   write compute, on the paper's graphs and the audio encoder. *)
+(* The buffer model on the paper's graphs and the audio encoder (see
+   [check_buffer_model]), and its readers: every footprint reader reads
+   the graph's [footprint], summed in one place, and must act on exactly
+   that number. On an empty engine the memory row is 0., so
+   [assign_memory_fits] at slack 0 is the test [footprint <= budget],
+   and [Bounds] forces onto the PPE exactly the tasks whose footprint is
+   over it; at the QS22 local store and at one that holds the median
+   footprint. *)
 let test_footprint_one_sum () =
-  let platform = P.qs22 ~n_spe:8 () in
+  let rng = Support.Rng.create 25_000_000 in
   List.iter
     (fun (name, g) ->
-      let b = Cellsched.Bounds.create platform g in
-      let ev = E.create_empty platform g in
-      let buff = SS.buffer_sizes ~first_periods:(SS.first_periods g) g in
-      bits_eq_arrays (name ^ " buffers") b.Cellsched.Bounds.buffers buff;
-      let fold = List.fold_left (fun acc e -> acc +. buff.(e)) 0. in
-      for k = 0 to G.n_tasks g - 1 do
-        let want = fold (G.out_edges g k) +. fold (G.in_edges g k) in
-        let check what got =
-          if Int64.bits_of_float got <> Int64.bits_of_float want then
-            Alcotest.failf "%s task %d: %s %h, list fold %h" name k what got
-              want
-        in
-        check "Bounds.footprint" b.Cellsched.Bounds.footprint.(k);
-        check "Eval.task_buffer_bytes" (E.task_buffer_bytes ev k)
-      done)
+      check_buffer_model rng name g;
+      let footprint = (G.flat g).G.footprint in
+      let median =
+        let a = Array.copy footprint in
+        Array.sort compare a;
+        a.(Array.length a / 2)
+      in
+      List.iter
+        (fun platform ->
+          let b = Cellsched.Bounds.create platform g in
+          let ev = E.create_empty platform g in
+          let budget = float_of_int (P.spe_memory_budget platform) in
+          let spe = List.hd (P.spes platform) in
+          for k = 0 to G.n_tasks g - 1 do
+            let want = footprint.(k) in
+            if E.assign_memory_fits ev ~task:k ~pe:spe ~slack:0. <> (want <= budget)
+            then Alcotest.failf "%s task %d: Eval memory test differs" name k;
+            let forced =
+              if want <= budget +. 1e-9 then 0.
+              else (G.task g k).Streaming.Task.w_ppe /. platform.P.ppe_speedup
+            in
+            if
+              Int64.bits_of_float b.Cellsched.Bounds.forced_wppe.(k)
+              <> Int64.bits_of_float forced
+            then Alcotest.failf "%s task %d: Bounds eligibility differs" name k
+          done)
+        [
+          P.qs22 ~n_spe:8 ();
+          P.make ~n_ppe:1 ~n_spe:4 ~code_size:0
+            ~local_store:(max 1 (int_of_float median))
+            ();
+        ])
     (Daggen.Presets.all_random ()
     @ [
         ("two-filter", Daggen.Presets.two_filter_chain ());
@@ -1798,7 +1858,7 @@ let test_milp_memory_rows () =
   let module F = Cellsched.Milp_formulation in
   List.iter
     (fun (name, g) ->
-      let buff = SS.buffer_sizes ~first_periods:(SS.first_periods g) g in
+      let buff = (G.flat g).G.buffer in
       let fold = List.fold_left (fun acc e -> acc +. buff.(e)) 0. in
       let footprint k = fold (G.out_edges g k) +. fold (G.in_edges g k) in
       List.iter
@@ -1943,6 +2003,7 @@ let () =
         [
           Alcotest.test_case "footprints summed in one place" `Quick
             test_footprint_one_sum;
+          qt buffer_model_random;
           Alcotest.test_case "MILP memory rows read the footprints" `Quick
             test_milp_memory_rows;
           qt (bounds_are_sound Single);

@@ -327,6 +327,71 @@ let flat_matches_accessors =
       in
       check g && check shuffled && check scaled)
 
+(* --- the buffer model ------------------------------------------------------ *)
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
+
+(* Field by field, the flat views of two graphs are bitwise equal. *)
+let flat_bits_equal a b =
+  let module G = Streaming.Graph in
+  let fa = G.flat a and fb = G.flat b in
+  fa.G.edge_src = fb.G.edge_src
+  && fa.G.edge_dst = fb.G.edge_dst
+  && bits_equal fa.G.edge_data fb.G.edge_data
+  && bits_equal fa.G.w_ppe fb.G.w_ppe
+  && bits_equal fa.G.w_spe fb.G.w_spe
+  && bits_equal fa.G.read_bytes fb.G.read_bytes
+  && bits_equal fa.G.write_bytes fb.G.write_bytes
+  && fa.G.peek = fb.G.peek
+  && fa.G.in_start = fb.G.in_start
+  && fa.G.in_ids = fb.G.in_ids
+  && fa.G.out_start = fb.G.out_start
+  && fa.G.out_ids = fb.G.out_ids
+  && fa.G.topo = fb.G.topo
+  && fa.G.first_period = fb.G.first_period
+  && bits_equal fa.G.buffer fb.G.buffer
+  && bits_equal fa.G.footprint fb.G.footprint
+
+(* A graph derived by [map_tasks], [map_edges] or CCR scaling has the
+   flat view of a fresh [of_tasks] build of its own tasks and edges; the
+   task map also changes peeks, which moves the first periods. *)
+let derived_views_match_fresh =
+  QCheck.Test.make ~count:200 ~name:"map_tasks/map_edges/Ccr views = fresh build"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let module G = Streaming.Graph in
+      let rng = Support.Rng.create seed in
+      let shape =
+        { Daggen.Generator.n = 1 + Support.Rng.int rng 30; fat = 0.5;
+          density = 0.5; regularity = 0.5; jump = 2 }
+      in
+      let g = Daggen.Generator.generate ~rng ~shape ~costs:Daggen.Generator.default_costs in
+      let fresh g =
+        G.of_tasks
+          (Array.init (G.n_tasks g) (G.task g))
+          (List.init (G.n_edges g) (fun e ->
+               let { G.src; dst; data_bytes } = G.edge g e in
+               (src, dst, data_bytes)))
+      in
+      let peeks = Array.init (G.n_tasks g) (fun _ -> Support.Rng.int rng 4) in
+      let repeeked =
+        G.map_tasks
+          (fun k t -> { t with Streaming.Task.peek = peeks.(k); read_bytes = 5. })
+          g
+      in
+      let factor = 0.25 +. Support.Rng.float rng 4. in
+      let rescaled = G.map_edges (fun _ e -> factor *. e.G.data_bytes) g in
+      let scaled =
+        if G.total_data_bytes g +. G.total_memory_bytes g > 0. then
+          [ Streaming.Ccr.scale_to g ~target:(0.5 +. Support.Rng.float rng 4.) ]
+        else []
+      in
+      List.for_all
+        (fun d -> flat_bits_equal d (fresh d))
+        ([ repeeked; rescaled; G.map_tasks (fun _ t -> t) rescaled ] @ scaled))
+
 let test_file_roundtrip () =
   let g = diamond () in
   let path = Filename.temp_file "cellstream" ".stream" in
@@ -457,6 +522,7 @@ let () =
           qt map_edges_preserves_structure;
           qt flat_matches_accessors;
         ] );
+      ("buffer model", [ qt derived_views_match_fresh ]);
       ( "ccr",
         [
           Alcotest.test_case "scale" `Quick test_ccr_scale;
